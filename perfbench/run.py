@@ -32,7 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / ".perfbench_out"
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 WORKLOAD_NAMES = ("sweep-wide", "many-programs", "simulate-halving", "cli-readme")
 LAYERS = ("parser", "lang", "cfg", "compile", "checker", "semantics", "lab", "bounds",
           "pool", "cli", "bench")
@@ -44,17 +44,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--setup-only", action="store_true",
-                    help="time import plus set-up in this fresh process and exit")
     args = ap.parse_args()
 
     if not (ROOT / "src" / "termcert" / "__init__.py").is_file():
         print(f"error: no termcert sources under {ROOT / 'src'}", file=sys.stderr)
         return 1
     sys.path.insert(0, str(ROOT / "src"))
-
-    start = time.perf_counter()
-    import termcert  # noqa: E402  (timed: import is part of set-up)
+    import termcert  # noqa: E402
 
     if not Path(termcert.__file__).resolve().is_relative_to(ROOT / "src"):
         print(f"error: imported termcert from {termcert.__file__}", file=sys.stderr)
@@ -64,24 +60,24 @@ def main() -> int:
 
     tr = Tracer(enabled=bool(args.trace))
     workload = WORKLOADS[args.workload](ROOT, args.seed, tr)
-    if args.setup_only:
-        print(json.dumps({"setup_s": time.perf_counter() - start}))
-        return 0
-
     tr.enabled = False
     workload.warm_up()
+    checked = [workload]
     if args.trace:
         untraced = measure(workload, tr, args.seconds / 2)
         tr.enabled = True
         traced = measure(workload, tr, args.seconds / 2)
-        metrics = layer_metrics(workload, tr, untraced, traced)
+        metrics, owners = layer_metrics(workload, tr, untraced, traced)
+        checked += owners
     else:
-        setup = [setup_seconds(args) for _ in range(SETUP_REPEATS)]
         measure(workload, tr, args.seconds)
-        metrics = end_to_end(workload, setup)
+        rss = peak_rss_mb()  # before the set-up interpreters below become children
+        setup = [setup_seconds(args) for _ in range(SETUP_REPEATS)]
+        metrics = end_to_end(workload, setup, rss)
 
     checks = Checks()
-    workload.verify(checks)
+    for each in checked:
+        each.verify(checks)
     for problem in checks.problems:
         print(f"mismatch: {problem}", file=sys.stderr)
 
@@ -125,28 +121,44 @@ def measure(workload, tr, seconds: float):
             return times
 
 
+SETUP = """\
+import sys, time
+from pathlib import Path
+root, name, seed = sys.argv[1:]
+start = time.perf_counter()
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import termcert
+from spans import Tracer
+from workloads import WORKLOADS
+WORKLOADS[name](Path(root), int(seed), Tracer(False))
+print(time.perf_counter() - start)
+"""
+
+
 def setup_seconds(args) -> float:
-    """Import plus set-up, timed inside a fresh interpreter."""
+    """Import of termcert plus the workload's set-up, timed inside a fresh
+    interpreter."""
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", "0", "--setup-only"],
+        [sys.executable, "-c", SETUP, str(ROOT), args.workload, str(args.seed)],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])["setup_s"]
+    return float(proc.stdout.split()[-1])
 
 
 def peak_rss_mb() -> float:
-    """This process's peak plus the largest peak among its waited-for children."""
+    """This process's peak plus the largest peak among its waited-for
+    children: the workload's pool workers or CLI subprocesses.  Pages a
+    forked worker shares with this process count in both."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return (own + kids) / 1024.0
 
 
-def end_to_end(workload, setup):
+def end_to_end(workload, setup, rss):
     values = {
         "setup_s": (statistics.median(setup), "s"),
         "round_s": (workload.round_s(), "s"),
         "work_per_s": (workload.work_per_s(), "1/s"),
-        "peak_rss_mb": (peak_rss_mb(), "MB"),
+        "peak_rss_mb": (rss, "MB"),
     }
     return {name: {"value": value, "unit": unit} for name, (value, unit) in values.items()}
 
@@ -158,7 +170,7 @@ def layer_metrics(workload, tr, untraced, traced):
 
     first = tr.round - len(traced) + 1  # the first traced round
     tokenized(tr, workload.texts)
-    ran = run_missing(tr, ROOT, workload.seed)
+    ran, owners = run_missing(tr, workload)
     print(f"layer suite parts run: {', '.join(ran) or 'none'}", file=sys.stderr)
 
     def med(layer, name, where=lambda s: True):
@@ -167,7 +179,7 @@ def layer_metrics(workload, tr, untraced, traced):
     def count(layer, key, where=lambda s: True):
         """An exact count over the set-up and first traced round (or the suite)."""
         spans = tr.select(layer, None, lambda s: key in s.counts and where(s)
-                          and (s.source == "suite" or s.round in (0, first)))
+                          and (s.source != "workload" or s.round in (0, first)))
         return sum(s.counts[key] for s in spans)
 
     def w1(s):
@@ -213,14 +225,15 @@ def layer_metrics(workload, tr, untraced, traced):
     # self time per traced round, from the workload's spans in those rounds;
     # a layer the rounds never entered gets its set-up and layer-suite total
     rounds = tr.self_seconds(lambda s: s.source == "workload" and s.round >= first)
-    rest = tr.self_seconds(lambda s: s.source == "suite" or s.round == 0)
+    rest = tr.self_seconds(lambda s: s.source != "workload" or s.round == 0)
     for layer in LAYERS:
         value = rounds[layer] / len(traced) if layer in rounds else rest.get(layer, 0.0)
         values[f"{layer}.self_s"] = (value, "s")
     overhead = fastest(traced) - fastest(untraced)
     values["trace.overhead_s"] = (overhead, "s")
     values["trace.overhead_frac"] = (overhead / fastest(untraced), "ratio")
-    return {name: {"value": value, "unit": unit} for name, (value, unit) in values.items()}
+    return ({name: {"value": value, "unit": unit} for name, (value, unit) in values.items()},
+            owners)
 
 
 def provenance():

@@ -42,7 +42,7 @@ class Tracer:
         self.spans: List[Span] = []
         self._open: List[int] = []
         self._op = 0
-        self.source = "workload"  # or "suite" while the layer suite runs
+        self.source = "workload"  # or "suite:<part>" while the layer suite runs
         self.round = 0  # 0 = set-up, then 1, 2, ... per measured round
 
     @contextmanager
@@ -69,12 +69,15 @@ class Tracer:
 
     def select(self, layer: str, name: Optional[str] = None,
                where: Callable[[Span], bool] = lambda s: True) -> List[Span]:
-        """Spans of a layer (and name); the workload's when it has any,
-        otherwise the layer suite's."""
+        """Spans of a layer (and name) from one source: the workload's when
+        it has any, otherwise the first layer-suite source that has some."""
         hits = [s for s in self.spans if s.layer == layer
                 and (name is None or s.name == name) and where(s)]
-        own = [s for s in hits if s.source == "workload"]
-        return own or [s for s in hits if s.source == "suite"]
+        for source in dict.fromkeys(["workload"] + [s.source for s in hits]):
+            own = [s for s in hits if s.source == source]
+            if own:
+                return own
+        return []
 
     def self_seconds(self, where: Callable[[Span], bool]) -> Dict[str, float]:
         """Per layer: span time minus the time of the spans directly inside."""

@@ -1,10 +1,13 @@
-"""The layer suite: small fixed calls that give a traced run the per-layer
-figures its workload's own calls do not.
+"""The layer suite: what a traced run adds for the layers its workload does
+not enter.
 
-Each part names the spans it records.  A traced run runs a part only when
-its workload recorded none of those spans, so a layer's figures come from
-the workload whenever the workload exercises that layer, and from the suite
-otherwise.  Every per-layer metric therefore exists on every workload.
+A layer a workload enters is measured on that workload's own calls.  For the
+rest, the suite runs one round of the workload that owns the layer, at a
+small `scale` and under its own span source (`suite:<workload>`), so a
+layer's figures always come from the same calls the owning workload makes.
+Three probes measure what no workload isolates in-process: pool start-up,
+the bound rows the CLI prints, and the CLI's import.  The owners' outputs
+are checked like the workload's own.
 """
 
 from __future__ import annotations
@@ -12,20 +15,10 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
-from termcert import (
-    Scheduler,
-    StackElement,
-    Valuation,
-    VerifyBox,
-    run_check,
-    simulate,
-    simulate_lab,
-    theta_fixpoint,
-)
+from termcert import StackElement, Valuation, VerifyBox, run_check, theta_fixpoint
 from termcert.bounds import (
     cert_value_at,
     concentration_tail,
@@ -34,14 +27,27 @@ from termcert.bounds import (
     sqrt_tail,
     upper_expected,
 )
-from termcert.certificates import CertParams
 from termcert.parser import tokenize
 
-import gen
 from spans import Tracer
-from workloads import SCHEDULERS, Fixture, checked, front_end, simulated
+from workloads import SCHEDULERS, WORKLOADS, Fixture, Workload, front_end
 
 REPS = 20  # repetitions of the millisecond-scale calls
+SCALE = 0.1  # size of an owner's round next to the workload's own
+
+# Each owner, in the order its spans are preferred, with the spans one of
+# its traced rounds records.
+OWNERS: List[Tuple[str, List[Tuple[str, str]]]] = [
+    ("sweep-wide", [("checker", name) for name in
+                    ("ranking", "cdb", "db", "super", "fail", "ranking@w2")]),
+    ("simulate-halving", [("semantics", s) for s in SCHEDULERS + ("greedy-max@w2",)]
+     + [("lab", "randomwalk"), ("lab", "noconcentration")]),
+    ("many-programs", [("parser", "tokenize"), ("parser", "parse_program"),
+                       ("parser", "parse_certificate"), ("lang", "label_program"),
+                       ("cfg", "build_cfg"), ("compile", "first_check"),
+                       ("compile", "first_sim"), ("checker", "theta_fixpoint")]),
+    ("cli-readme", [("cli", c) for c in ("parse", "cfg", "check", "bounds", "simulate", "lab")]),
+]
 
 
 def tokenized(tr: Tracer, texts: List[str]) -> None:
@@ -51,48 +57,12 @@ def tokenized(tr: Tracer, texts: List[str]) -> None:
                 sp.counts["tokens"] = len(tokenize(text))
 
 
-def _front(tr: Tracer, root: Path, seed: int) -> None:
-    fx = Fixture(root, "halving_game")
-    tokenized(tr, [fx.program])
-    for _ in range(REPS):
-        front_end(tr, fx.program, fx.cert, fx.dist)
-
-
-def _compile(tr: Tracer, root: Path, seed: int) -> None:
-    point = VerifyBox.parse("m=0..0, n=0..0")
-    for case in gen.generate(seed, 3, start=2 * 10 ** 7):  # pairs no cache has seen
-        cfg, cert, sf = front_end(tr, case.program_text, case.cert_text, gen.DIST_TEXT)
-        with tr.span("compile", "first_check"):
-            run_check("ranking", cert, cfg, sf, point, CertParams(eps=1))
-        entry = StackElement("f", cfg.function("f").entry, Valuation({"m": 0, "n": 0}))
-        with tr.span("compile", "first_sim"):
-            simulate(cfg, sf, entry, Scheduler("uniform"), runs=1, max_steps=10)
-
-
 def _halving(root: Path):
     fx = Fixture(root, "halving_game")
     return front_end(Tracer(False), fx.program, fx.cert, fx.dist)
 
 
-def _checker(tr: Tracer, root: Path, seed: int) -> None:
-    cfg, cert, sf = _halving(root)
-    fx = Fixture(root, "random_walk")
-    wcfg, wcert, wsf = front_end(Tracer(False), fx.program, fx.cert, fx.dist)
-    box = VerifyBox.parse("n=-200..200")
-    fail = CertParams(eps=cert.params.eps, delta=Fraction("12.99"), zeta=cert.params.zeta)
-    _, sp = checked(tr, "ranking", "ranking", cert, cfg, sf, box)
-    sp.counts["w2pair"] = 1
-    checked(tr, "cdb", "cdb", cert, cfg, sf, box)
-    checked(tr, "db", "db", cert, cfg, sf, box)
-    checked(tr, "fail", "cdb", cert, cfg, sf, box, fail)
-    checked(tr, "super", "super", wcert, wcfg, wsf, box)
-    checked(tr, "ranking@w2", "ranking", cert, cfg, sf, box, workers=2)
-    for _ in range(REPS):
-        with tr.span("checker", "theta_fixpoint"):
-            theta_fixpoint(cfg)
-
-
-def _pool(tr: Tracer, root: Path, seed: int) -> None:
+def _pool(tr: Tracer, root: Path) -> None:
     cfg, cert, sf = _halving(root)
     point = VerifyBox.parse("n=0..0")
     for _ in range(3):
@@ -101,27 +71,9 @@ def _pool(tr: Tracer, root: Path, seed: int) -> None:
                 run_check("ranking", cert, cfg, sf, point, workers=workers)
 
 
-def _semantics(tr: Tracer, root: Path, seed: int) -> None:
-    cfg, cert, sf = _halving(root)
-    entry = StackElement("f", 1, Valuation({"n": 5}))
-    for scheduler in SCHEDULERS:
-        _, sp = simulated(tr, scheduler, cfg, sf, entry, Scheduler(scheduler, cert),
-                          300, 100_000, (112,), seed)
-        if scheduler == "greedy-max":
-            sp.counts["w2pair"] = 1
-    simulated(tr, "greedy-max@w2", cfg, sf, entry, Scheduler("greedy-max", cert),
-              300, 100_000, (112,), seed, workers=2)
-
-
-def _lab(tr: Tracer, root: Path, seed: int) -> None:
-    for tag, alpha, runs in (("randomwalk", None, 20_000), ("noconcentration", 2.0, 100_000)):
-        with tr.span("lab", tag) as sp:
-            simulate_lab(tag, runs=runs, horizon=1000, seed=seed, alpha=alpha,
-                         tail_ns=(9, 99, 999))
-        sp.counts["runs"] = runs
-
-
-def _bounds(tr: Tracer, root: Path, seed: int) -> None:
+def _bounds(tr: Tracer, root: Path) -> None:
+    """The rows of the README's `termcert bounds` (halving game, cdb, f(5),
+    k = 112, 224), plus a square-root tail for the random walk."""
     cfg, cert, _ = _halving(root)
     fx = Fixture(root, "random_walk")
     wcfg, wcert, _ = front_end(Tracer(False), fx.program, fx.cert, fx.dist)
@@ -139,29 +91,7 @@ def _bounds(tr: Tracer, root: Path, seed: int) -> None:
             sqrt_tail(wvalue, wp.delta, wp.zeta, K, 10 ** 4)
 
 
-def _cli(tr: Tracer, root: Path, seed: int) -> None:
-    fix = "src/termcert/fixtures/halving_game."
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    commands = [
-        ["parse", fix + "prob"],
-        ["cfg", fix + "prob"],
-        ["check", fix + "prob", "--cert", fix + "cert", "--kind", "ranking",
-         "--dist", fix + "dist", "--box", "n=-100..100"],
-        ["bounds", fix + "prob", "--cert", fix + "cert", "--kind", "cdb", "--entry", "f",
-         "--args", "n=5", "--k", "112,224"],
-        ["simulate", fix + "prob", "--entry", "f", "--args", "n=5", "--dist", fix + "dist",
-         "--scheduler", "greedy-max", "--cert", fix + "cert", "--runs", "2000",
-         "--workers", "2", "--seed", str(seed)],
-        ["lab", "--example", "noconcentration", "--alpha", "2", "--runs", "10000",
-         "--horizon", "1000", "--seed", str(seed)],
-    ]
-    for argv in commands:
-        with tr.span("cli", argv[0]):
-            subprocess.run([sys.executable, "-m", "termcert.cli"] + argv, cwd=root,
-                           env=env, capture_output=True, timeout=120, check=False)
-
-
-def _cli_import(tr: Tracer, root: Path, seed: int) -> None:
+def _cli_import(tr: Tracer, root: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = ("import time; t = time.perf_counter(); import termcert.cli; "
             "print(round((time.perf_counter() - t) * 1e9))")
@@ -172,33 +102,39 @@ def _cli_import(tr: Tracer, root: Path, seed: int) -> None:
         sp.counts["import_ns"] = int(proc.stdout.split()[-1])
 
 
-PARTS: Dict[str, Tuple[Callable, List[Tuple[str, str]]]] = {
-    "front": (_front, [("parser", "tokenize"), ("parser", "parse_program"),
-                       ("parser", "parse_certificate"), ("lang", "label_program"),
-                       ("cfg", "build_cfg")]),
-    "compile": (_compile, [("compile", "first_check"), ("compile", "first_sim")]),
-    "checker": (_checker, [("checker", name) for name in
-                           ("ranking", "cdb", "db", "super", "fail", "ranking@w2",
-                            "theta_fixpoint")]),
-    "pool": (_pool, [("pool", "point@w1"), ("pool", "point@w2")]),
-    "semantics": (_semantics, [("semantics", s) for s in SCHEDULERS + ("greedy-max@w2",)]),
-    "lab": (_lab, [("lab", "randomwalk"), ("lab", "noconcentration")]),
-    "bounds": (_bounds, [("bounds", "rows")]),
-    "cli": (_cli, [("cli", c) for c in ("parse", "cfg", "check", "bounds", "simulate", "lab")]),
-    "cli-import": (_cli_import, [("cli", "import")]),
-}
+PROBES: List[Tuple[str, Callable[[Tracer, Path], None], List[Tuple[str, str]]]] = [
+    ("pool", _pool, [("pool", "point@w1"), ("pool", "point@w2")]),
+    ("bounds", _bounds, [("bounds", "rows")]),
+    ("cli-import", _cli_import, [("cli", "import")]),
+]
 
 
-def run_missing(tr: Tracer, root: Path, seed: int) -> List[str]:
-    """Run every part whose spans the workload did not record; returns their names."""
+def run_missing(tr: Tracer, workload: Workload) -> Tuple[List[str], List[Workload]]:
+    """Run every owner and probe whose spans the workload did not record.
+    Returns the names of those run and the owner workloads, whose outputs
+    the caller checks."""
     have = {(s.layer, s.name) for s in tr.spans if s.source == "workload"}
-    ran = []
-    tr.source = "suite"
+    ran: List[str] = []
+    owners: List[Workload] = []
     try:
-        for name, (part, needs) in PARTS.items():
+        for name, needs in OWNERS:
+            if set(needs) <= have:
+                continue
+            tr.source = f"suite:{name}"
+            tr.enabled = False  # only the round counts; the owner's set-up is not its layer
+            owner = WORKLOADS[name](workload.root, workload.seed, tr, SCALE)
+            owner.warm_up()
+            tr.enabled = True
+            owner.round()
+            if ("parser", "tokenize") in needs:
+                tokenized(tr, owner.texts)
+            ran.append(name)
+            owners.append(owner)
+        tr.source = "suite:probes"
+        for name, probe, needs in PROBES:
             if not set(needs) <= have:
-                part(tr, root, seed)
+                probe(tr, workload.root)
                 ran.append(name)
     finally:
         tr.source = "workload"
-    return ran
+    return ran, owners

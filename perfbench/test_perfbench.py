@@ -73,6 +73,19 @@ def test_many_programs_counts_repeat():
         _counts(_one_round(ManyPrograms, 3), "checker")
 
 
+def test_layer_spans_come_from_one_source():
+    tr = Tracer(True)
+    for source in ("suite:sweep-wide", "suite:many-programs"):
+        tr.source = source
+        with tr.span("checker", "ranking"):
+            pass
+    assert {s.source for s in tr.select("checker", "ranking")} == {"suite:sweep-wide"}
+    tr.source = "workload"
+    with tr.span("checker", "ranking"):
+        pass
+    assert {s.source for s in tr.select("checker", "ranking")} == {"workload"}
+
+
 def test_generated_programs_depend_only_on_seed_and_index():
     a = gen.generate(5, 3, start=10)
     b = gen.generate(5, 13)[10:]

@@ -145,10 +145,13 @@ class Workload:
     name = ""
     texts: List[str] = []  # program texts whose tokenizing a traced run times
 
-    def __init__(self, root: Path, seed: int, tr: Tracer):
+    def __init__(self, root: Path, seed: int, tr: Tracer, scale: float = 1.0):
+        """`scale` shrinks the calls' sizes (box widths, run counts) for a
+        single traced round that only feeds the layer metrics (suite.py)."""
         self.root = root
         self.seed = seed
         self.tr = tr
+        self.scale = scale
         self.samples: List[List[float]] = []  # per position in a round: seconds, all rounds
         self.work: List[int] = []  # per position: the work work_per_s counts, or 0
 
@@ -189,10 +192,11 @@ class SweepWide(Workload):
     name = "sweep-wide"
     HALF_WIDTH = 500
 
-    def __init__(self, root, seed, tr):
-        super().__init__(root, seed, tr)
-        shift = seed % 997  # moves the boxes; every verdict holds on any box with lo <= 3
-        lo, hi = -self.HALF_WIDTH + shift, self.HALF_WIDTH + shift
+    def __init__(self, root, seed, tr, scale=1.0):
+        super().__init__(root, seed, tr, scale)
+        half = max(10, round(self.HALF_WIDTH * scale))
+        shift = seed % (half - 3)  # moves the boxes; every verdict holds on any box with lo <= 3
+        lo, hi = -half + shift, half + shift
         self.width = hi - lo + 1
         loaded = {}
         self.texts = []
@@ -202,9 +206,10 @@ class SweepWide(Workload):
             loaded[name] = front_end(tr, fx.program, fx.cert, fx.dist)
         halving, walk, coin = (loaded[n] for n in FIXTURES)
         hbox = VerifyBox.parse(f"n={lo}..{hi}")
-        wbox = VerifyBox.parse(f"n={lo - 500}..{hi + 500}")
-        self.walk_width = hi - lo + 1001
-        cbox = VerifyBox.parse("c=-1..1, i=0..11, n=0..60")  # 2^(n+2) up to 62 bits
+        wbox = VerifyBox.parse(f"n={lo - half}..{hi + half}")
+        self.walk_width = hi - lo + 1 + 2 * half
+        top = max(6, round(60 * scale))
+        cbox = VerifyBox.parse(f"c=-1..1, i=0..11, n=0..{top}")  # 2^(n+2) up to 62 bits
         fail = CertParams(eps=halving[1].params.eps, delta=Fraction("12.99"),
                           zeta=halving[1].params.zeta)
         # (span name, kind, (cfg, cert, sf), box, params, workers)
@@ -278,8 +283,8 @@ class ManyPrograms(Workload):
     BATCH = 10  # programs per round
     BATCHES = 15  # rounds cycle through these; repeat k renames m, n to mk, nk
 
-    def __init__(self, root, seed, tr):
-        super().__init__(root, seed, tr)
+    def __init__(self, root, seed, tr, scale=1.0):
+        super().__init__(root, seed, tr, scale)
         self.cases = gen.generate(seed, self.BATCH * self.BATCHES)
         self.texts = [case.program_text for case in self.cases[:self.BATCH]]
         self.done = 0  # rounds so far
@@ -387,8 +392,10 @@ class SimulateHalving(Workload):
     LAB_HORIZON = 1000
     LAB_LEVELS = (9, 99, 999)
 
-    def __init__(self, root, seed, tr):
-        super().__init__(root, seed, tr)
+    def __init__(self, root, seed, tr, scale=1.0):
+        super().__init__(root, seed, tr, scale)
+        self.runs = max(50, round(self.RUNS * scale))
+        self.lab = [(tag, alpha, max(1000, round(runs * scale))) for tag, alpha, runs in self.LAB]
         fx = Fixture(root, "halving_game")
         self.texts = [fx.program]
         self.cfg, self.cert, self.sf = front_end(tr, fx.program, fx.cert, fx.dist)
@@ -398,7 +405,7 @@ class SimulateHalving(Workload):
     def _sim(self, scheduler: str, workers: int = 1, runs: Optional[int] = None):
         name = scheduler if workers == 1 else f"{scheduler}@w2"
         stats, sp = simulated(self.tr, name, self.cfg, self.sf, self.entry,
-                              Scheduler(scheduler, self.cert), runs or self.RUNS,
+                              Scheduler(scheduler, self.cert), runs or self.runs,
                               self.MAX_STEPS, (self.TAIL,), self.seed, workers)
         if scheduler == "greedy-max" and workers == 1:
             sp.counts["w2pair"] = 1
@@ -420,7 +427,7 @@ class SimulateHalving(Workload):
         for i, scheduler in enumerate(SCHEDULERS + ("greedy-max",)):
             with self.tr.op(f"simulate-{i}"):
                 out.append(self._sim(scheduler, workers=1 if i < 5 else 2))
-        for tag, alpha, runs in self.LAB:
+        for tag, alpha, runs in self.lab:
             with self.tr.op(f"lab-{tag}"):
                 out.append(self._lab(tag, alpha, runs))
         self.records.append(out)
@@ -429,12 +436,12 @@ class SimulateHalving(Workload):
 
     def verify(self, checks: Checks) -> None:
         lower, upper = Fraction(HALVING_CERT_VALUE, 13), HALVING_CERT_VALUE
-        sigma = math.sqrt(0.25 / self.RUNS)
+        sigma = math.sqrt(0.25 / self.runs)
         for out in self.records:
             for scheduler, (stats, _) in zip(SCHEDULERS, out):
                 se = (stats.mean_halfwidth or 0.0) / 1.959963984540054
                 problems = []
-                if stats.terminated != self.RUNS:
+                if stats.terminated != self.runs:
                     problems.append(f"{stats.censored} censored")
                 elif not (lower - Z * se <= stats.mean <= upper + Z * se):
                     problems.append(f"mean {stats.mean} outside [56/13, 56]")
@@ -446,7 +453,7 @@ class SimulateHalving(Workload):
                 checks.op(f"simulate {scheduler}", problems)
             checks.op("simulate greedy-max workers=2",
                       [] if out[5][0] == out[3][0] else ["statistics differ from workers=1"])
-            for (res, _), (tag, alpha, runs) in zip(out[6:], self.LAB):
+            for (res, _), (tag, alpha, runs) in zip(out[6:], self.lab):
                 problems = []
                 for level in self.LAB_LEVELS:
                     exact = walk_survival(level) if alpha is None else (level + 1) ** -alpha
@@ -456,7 +463,7 @@ class SimulateHalving(Workload):
                 checks.op(f"lab {tag}", problems)
 
     def named_metrics(self):
-        runs = sum(r for _, _, r in self.LAB)
+        runs = sum(r for _, _, r in self.lab)
         return {
             "sim_steps_per_s": (self.work_per_s(), "1/s"),
             "lab_runs_per_s": (runs / sum(self.best()[6:]), "1/s"),
@@ -467,9 +474,15 @@ class SimulateHalving(Workload):
 
 class CliReadme(Workload):
     name = "cli-readme"
+    # The README's simulate (20000 runs) and lab (100000 runs) at a tenth of
+    # their run counts: a round then takes about 2 s instead of 5 s, so each
+    # command repeats about 18 times in a 50-s run, and its fastest time
+    # varies less from run to run.
+    SIM_RUNS = 2000
+    LAB_RUNS = 10_000
 
-    def __init__(self, root, seed, tr):
-        super().__init__(root, seed, tr)
+    def __init__(self, root, seed, tr, scale=1.0):
+        super().__init__(root, seed, tr, scale)
         import termcert.cli  # noqa: F401  (set-up pays the import, as the commands do)
 
         fix = "src/termcert/fixtures/"
@@ -478,6 +491,8 @@ class CliReadme(Workload):
                              "halving_game_cfg.txt").read_text(encoding="utf-8")
         self.sim_seed = 1105 + seed
         self.lab_seed = 12 + seed
+        self.sim_runs = max(500, round(self.SIM_RUNS * scale))
+        self.lab_runs = max(1000, round(self.LAB_RUNS * scale))
         self.commands = [
             ["parse", prog],
             ["cfg", prog],
@@ -488,9 +503,9 @@ class CliReadme(Workload):
             ["bounds", prog, "--cert", cert, "--kind", "cdb", "--entry", "f",
              "--args", "n=5", "--k", "112,224"],
             ["simulate", prog, "--entry", "f", "--args", "n=5", "--dist", dist,
-             "--scheduler", "greedy-max", "--cert", cert, "--runs", "20000",
+             "--scheduler", "greedy-max", "--cert", cert, "--runs", str(self.sim_runs),
              "--max-steps", "100000", "--tail", "112", "--seed", str(self.sim_seed)],
-            ["lab", "--example", "noconcentration", "--alpha", "2", "--runs", "100000",
+            ["lab", "--example", "noconcentration", "--alpha", "2", "--runs", str(self.lab_runs),
              "--horizon", "1000", "--seed", str(self.lab_seed), "--tail", "9,99,999"],
         ]
         self.env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -549,13 +564,14 @@ class CliReadme(Workload):
             stat = {r["statistic"]: r for r in rows}
             mean = float(stat["mean_T"]["value"])
             se = (mean - float(stat["mean_T"]["ci95_lo"])) / 1.959963984540054
-            ok = (int(stat["terminated"]["value"]) + int(stat["censored"]["value"]) == 20000
+            ok = (int(stat["terminated"]["value"]) + int(stat["censored"]["value"])
+                  == self.sim_runs
                   and 56 / 13 - Z * se - 1e-4 <= mean <= 56 + Z * se + 1e-4)
         else:
             tails = {int(r["query"].split()[-1].rstrip(")")): float(r["empirical"])
                      for r in rows if r["query"].startswith("tail")}
             ok = sorted(tails) == [9, 99, 999] and all(
-                within(p, (n + 1) ** -2.0, 100_000) for n, p in tails.items())
+                within(p, (n + 1) ** -2.0, self.lab_runs) for n, p in tails.items())
         return ok
 
     def named_metrics(self):
