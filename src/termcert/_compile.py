@@ -1,19 +1,33 @@
-"""Compilation of expressions, predicates, and certificate stanzas to
-Python callables over valuation tuples.
+"""The single evaluator of termcert: expressions, guards, CFG payloads and
+certificate stanzas compiled to Python lambdas over valuation tuples.
 
-The simulator dispatches millions of steps, so payloads are turned into
-plain lambdas once per (process, CFG).  Arithmetic stays exact: program
-values are Python ints, certificate values Fractions, and the helpers
-enforce the integer-arithmetic side conditions (positive divisor,
-nonnegative exponent).
+Everything that evaluates a program or a certificate goes through here: the
+checker, the run loop, `semantics.step`, the schedulers, `Certificate.value`
+and `cfg.value_passing`.  The interpretive reference that the tests compare
+against lives in `tests/oracles.py`.
+
+Arithmetic stays exact: program values are Python ints, certificate values
+ints or Fractions, and the helpers enforce the integer-arithmetic side
+conditions (integer operands and a positive divisor for `div`, a
+nonnegative integer exponent for `^`).
+
+A certificate value is an int or Fraction when finite and None for
+infinity.  A compiled stanza returns `MISS` at points none of its guards
+cover, which the checker skips and every other consumer values as infinity
+(`cert_value`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from .lang import And, BinOp, Cmp, Const, EvalError, Expr, InfConst, Not, Or, Pow, Pred, Var
+
+OP_BRANCH, OP_ASSIGN, OP_CALL, OP_NONDET, OP_EXIT = range(5)
+
+MISS = object()
 
 
 def _idiv(a, b):
@@ -21,6 +35,8 @@ def _idiv(a, b):
         raise EvalError(f"floor division by non-positive value {b}")
     if isinstance(b, Fraction) and b.denominator != 1:
         raise EvalError(f"floor division by non-integer {b}")
+    if isinstance(a, Fraction) and a.denominator != 1:
+        raise EvalError(f"floor division of non-integer {a}")
     return a // b
 
 
@@ -30,7 +46,16 @@ def _ipow(a, b):
     return a ** int(b)
 
 
-_NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "__builtins__": {}}
+def _negative(x, v, fname, label, pvars):
+    from .certificates import CertificateError
+
+    point = ", ".join(f"{k}={val}" for k, val in zip(pvars, v))
+    raise CertificateError(
+        f"certificate value {x} at ({fname}, {label}, {{{point}}}) is negative")
+
+
+_NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "_negative": _negative,
+              "MISS": MISS, "__builtins__": {}}
 
 
 def expr_code(expr: Expr, pvar_index: Dict[str, int],
@@ -76,13 +101,18 @@ def pred_code(pred: Pred, pvar_index: Dict[str, int]) -> str:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
+@lru_cache(maxsize=2048)
 def compile_lambda(source: str) -> Callable:
-    return eval(source, dict(_NAMESPACE))
+    """The lambda for `source`; random and repeated programs share many."""
+    return eval(source, _NAMESPACE)
+
+
+def _index(names: Tuple[str, ...]) -> Dict[str, int]:
+    return {name: i for i, name in enumerate(names)}
 
 
 def compile_pred(pred: Pred, pvars: Tuple[str, ...]) -> Callable:
-    index = {name: i for i, name in enumerate(pvars)}
-    return compile_lambda(f"lambda v: {pred_code(pred, index)}")
+    return compile_lambda(f"lambda v: {pred_code(pred, _index(pvars))}")
 
 
 def compile_update(var: Optional[str], expr: Optional[Expr],
@@ -91,9 +121,7 @@ def compile_update(var: Optional[str], expr: Optional[Expr],
     """fn(v, m) -> v' where m carries the drawn sampling values in order."""
     if var is None or expr is None:
         return compile_lambda("lambda v, m: v")
-    pidx = {name: i for i, name in enumerate(pvars)}
-    sidx = {name: i for i, name in enumerate(sampling_vars)}
-    body = expr_code(expr, pidx, sidx)
+    body = expr_code(expr, _index(pvars), _index(sampling_vars))
     slots = ", ".join(
         body if name == var else f"v[{i}]" for i, name in enumerate(pvars)
     )
@@ -104,12 +132,91 @@ def compile_call_args(params: Tuple[str, ...], args: Tuple[Expr, ...],
                       caller_pvars: Tuple[str, ...],
                       callee_vars: Tuple[str, ...]) -> Callable:
     """fn(v) -> callee valuation tuple (parameters bound, locals zero)."""
-    pidx = {name: i for i, name in enumerate(caller_pvars)}
+    pidx = _index(caller_pvars)
     by_param = dict(zip(params, args))
-    slots = []
-    for name in callee_vars:
-        if name in by_param:
-            slots.append(expr_code(by_param[name], pidx))
-        else:
-            slots.append("0")
+    slots = [expr_code(by_param[name], pidx) if name in by_param else "0"
+             for name in callee_vars]
     return compile_lambda(f"lambda v: ({', '.join(slots)},)")
+
+
+def compile_op(cfg, fname: str, label: int) -> tuple:
+    """The op of (fname, label), in the one format every consumer reads:
+
+        (OP_BRANCH, guard_fn, true_target, false_target)
+        (OP_ASSIGN, update_fn, sampling_vars, target)
+        (OP_CALL, args_fn, callee, callee_entry, target)
+        (OP_NONDET, then_target, else_target)
+        (OP_EXIT,)
+
+    Each consumer adds its own distribution data (joint-support outcomes,
+    sampling thresholds) to the assignment ops.
+    """
+    fn = cfg.function(fname)
+    if label == fn.exit:
+        return (OP_EXIT,)
+    edges = fn.out_edges(label)  # sorted: the true/then edge comes first
+    if not edges:
+        raise KeyError(f"{fname} has no label {label}")
+    p, target = edges[0].payload, edges[0].target
+    if label in fn.branching:
+        return (OP_BRANCH, compile_pred(p.pred, fn.pvars), target, edges[1].target)
+    if label in fn.nondet:
+        return (OP_NONDET, target, edges[1].target)
+    if label in fn.call:
+        return (OP_CALL, compile_call_args(p.params, p.args, fn.pvars, p.callee_vars),
+                p.callee, cfg.function(p.callee).entry, target)
+    return (OP_ASSIGN, compile_update(p.var, p.expr, fn.pvars, p.sampling_vars),
+            p.sampling_vars, target)
+
+
+class OpTable(dict):
+    """(fname, label) -> op of one CFG, compiled on first lookup."""
+
+    def __init__(self, cfg):
+        super().__init__()
+        self.cfg = cfg
+
+    def __missing__(self, key):
+        op = self[key] = compile_op(self.cfg, *key)
+        return op
+
+
+def compile_stanza(pieces, fname: str, label: int, pvars: Tuple[str, ...],
+                   is_terminal: bool) -> Callable:
+    """fn(v) -> the first matching piece's value (None for `inf`), or MISS.
+
+    A terminal label with no stanza at all is 0.  A negative value raises
+    CertificateError naming the point.
+    """
+    if not pieces:
+        return compile_lambda("lambda v: 0" if is_terminal else "lambda v: MISS")
+    pidx = _index(pvars)
+    code = "MISS"
+    for piece in reversed(pieces):
+        if isinstance(piece.expr, InfConst):
+            value = "None"
+        elif isinstance(piece.expr, Const) and piece.expr.value >= 0:
+            value = expr_code(piece.expr, pidx)
+        else:
+            value = (f"(x if (x := {expr_code(piece.expr, pidx)}) >= 0 "
+                     f"else _negative(x, v, {fname!r}, {label!r}, {pvars!r}))")
+        if piece.guard is None:
+            code = value
+        else:
+            code = f"({value} if {pred_code(piece.guard, pidx)} else {code})"
+    return compile_lambda(f"lambda v: {code}")
+
+
+def cert_value(stanza: Callable, vals: tuple):
+    """Value of a compiled stanza at `vals`; uncovered points are infinite."""
+    value = stanza(vals)
+    return None if value is MISS else value
+
+
+def value_le(a, b) -> bool:
+    """a <= b over certificate values, None being infinity."""
+    return b is None or (a is not None and a <= b)
+
+
+def format_value(x) -> str:
+    return "inf" if x is None else str(x)

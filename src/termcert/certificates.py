@@ -19,11 +19,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Optional, Tuple
 
+from ._compile import cert_value, compile_stanza
 from .cfg import Cfg
 from .extreal import INF, ExtReal
-from .lang import Expr, InfConst, Pred, eval_expr, eval_pred, format_expr, format_pred
+from .lang import Expr, Pred, format_expr, format_pred
 from .parser import ParseError, TokenStream, parse_expr, parse_pred, tokenize
 from .valuation import Valuation
 
@@ -36,9 +38,6 @@ class CertificateError(ValueError):
 class CertPiece:
     guard: Optional[Pred]  # None means `true`
     expr: Expr
-
-    def matches(self, nu: Valuation) -> bool:
-        return self.guard is None or eval_pred(self.guard, nu)
 
     def render(self) -> str:
         body = format_expr(self.expr)
@@ -99,11 +98,24 @@ class Certificate:
     def pieces(self, fname: str, label: int) -> Tuple[CertPiece, ...]:
         return self.stanza_map.get((fname, label), ())
 
-    def match(self, fname: str, label: int, nu: Valuation) -> Optional[CertPiece]:
-        for piece in self.pieces(fname, label):
-            if piece.matches(nu):
-                return piece
-        return None
+    @cached_property
+    def _compiled(self) -> Dict[tuple, Callable]:
+        return {}
+
+    def __getstate__(self):
+        # lambdas do not pickle; a pool worker compiles its own copy
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+
+    def _stanza(self, fname: str, label: int, pvars: Tuple[str, ...],
+                is_terminal: bool) -> Callable:
+        """The compiled stanza over `pvars` (see `_compile.compile_stanza`),
+        built once per certificate object."""
+        key = (fname, label, pvars, is_terminal)
+        stanza = self._compiled.get(key)
+        if stanza is None:
+            stanza = self._compiled[key] = compile_stanza(
+                self.pieces(fname, label), fname, label, pvars, is_terminal)
+        return stanza
 
     def value(self, fname: str, label: int, nu: Valuation,
               is_terminal: bool = False) -> ExtReal:
@@ -112,20 +124,8 @@ class Certificate:
         A terminal label with no stanza at all defaults to 0, since every
         certificate family pins terminal values to 0 anyway.
         """
-        pieces = self.pieces(fname, label)
-        if not pieces and is_terminal:
-            return ExtReal(0)
-        for piece in pieces:
-            if piece.matches(nu):
-                if isinstance(piece.expr, InfConst):
-                    return INF
-                value = ExtReal(eval_expr(piece.expr, nu))
-                if value < ExtReal(0):
-                    raise CertificateError(
-                        f"certificate value {value} at ({fname}, {label}, {nu}) "
-                        "is negative")
-                return value
-        return INF
+        value = cert_value(self._stanza(fname, label, nu.variables, is_terminal), nu.values)
+        return INF if value is None else ExtReal(value)
 
     def digest(self) -> str:
         text = self.source_text if self.source_text is not None else self.render()

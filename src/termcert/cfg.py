@@ -17,8 +17,10 @@ graphs line up with the labelled listings that certificates refer to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple, Union
 
+from ._compile import OpTable, compile_call_args
 from .lang import (
     Assign,
     Call,
@@ -32,7 +34,6 @@ from .lang import (
     Skip,
     Stmt,
     While,
-    eval_expr,
     expr_variables,
     format_expr,
     format_pred,
@@ -52,12 +53,6 @@ class PredPayload:
     pred: Pred
     negated: bool = False
 
-    def holds(self, nu: Valuation) -> bool:
-        from .lang import eval_pred
-
-        result = eval_pred(self.pred, nu)
-        return (not result) if self.negated else result
-
     def render(self) -> str:
         text = format_pred(self.pred)
         return f"not ({text})" if self.negated else text
@@ -70,14 +65,6 @@ class UpdatePayload:
     var: Optional[str]
     expr: Optional[Expr]
     sampling_vars: Tuple[str, ...] = ()
-
-    def apply(self, nu: Valuation, mu: Valuation) -> Valuation:
-        if self.var is None or self.expr is None:
-            return nu
-        value = eval_expr(self.expr, nu, mu)
-        if value.denominator != 1:
-            raise CfgError(f"update produced non-integer {value}")
-        return nu.updated(self.var, value.numerator)
 
     def render(self) -> str:
         if self.var is None:
@@ -93,15 +80,6 @@ class CallPayload:
     params: Tuple[str, ...]
     args: Tuple[Expr, ...]
     callee_vars: Tuple[str, ...]
-
-    def pass_values(self, nu: Valuation) -> Valuation:
-        bindings = {v: 0 for v in self.callee_vars}
-        for param, arg in zip(self.params, self.args):
-            value = eval_expr(arg, nu)
-            if value.denominator != 1:
-                raise CfgError(f"argument {format_expr(arg)} produced non-integer {value}")
-            bindings[param] = value.numerator
-        return Valuation(bindings)
 
     def render(self) -> str:
         inner = ", ".join(f"{p} := {format_expr(a)}" for p, a in zip(self.params, self.args))
@@ -173,6 +151,15 @@ class Cfg:
 
     def function_names(self) -> Tuple[str, ...]:
         return tuple(f.name for f in self.functions)
+
+    @cached_property
+    def _ops(self) -> OpTable:
+        """Compiled per-label ops (see `_compile.compile_op`), each built once."""
+        return OpTable(self)
+
+    def __getstate__(self):
+        # lambdas do not pickle; a pool worker compiles its own copy
+        return {k: v for k, v in self.__dict__.items() if k != "_ops"}
 
 
 def build_cfg(prog: Program) -> Cfg:
@@ -287,7 +274,8 @@ def _edge_sort_key(t: Transition):
 
 def value_passing(call: CallPayload, nu: Valuation) -> Valuation:
     """Callee entry valuation: parameters from arguments, all else zero."""
-    return call.pass_values(nu)
+    args_fn = compile_call_args(call.params, call.args, nu.variables, call.callee_vars)
+    return Valuation.from_tuples(call.callee_vars, args_fn(nu.values))
 
 
 def star_targets(fn: CfgFunction, label: int) -> Tuple[int, int]:
@@ -351,15 +339,3 @@ def reachable_labels(fn: CfgFunction) -> frozenset:
                 frontier.append(t.target)
     return frozenset(seen)
 
-
-def reachable_functions(cfg: Cfg, root: str) -> frozenset:
-    """Function names reachable from `root` through call edges."""
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        fn = cfg.function(frontier.pop())
-        for t in fn.transitions:
-            if isinstance(t.payload, CallPayload) and t.payload.callee not in seen:
-                seen.add(t.payload.callee)
-                frontier.append(t.payload.callee)
-    return frozenset(seen)

@@ -30,23 +30,28 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ._compile import compile_call_args, compile_lambda, compile_pred, compile_update, expr_code, pred_code
+from ._compile import MISS, OP_ASSIGN, OP_BRANCH, OP_CALL, OP_EXIT, cert_value
+from ._compile import format_value as _fmt
+from ._compile import value_le as _le
 from .certificates import Certificate, CertificateError, CertParams
-from .cfg import (
-    Cfg,
-    branch_targets,
-    single_edge,
-    star_targets,
-)
+from .cfg import Cfg, branch_targets, single_edge, star_targets
 from .distributions import SamplingFunction
-from .lang import InfConst
+from .lang import EvalError
 from .valuation import Valuation
 
-CHECK_KINDS = ("ranking", "cdb", "db", "super")
+# kind -> (parameters its report carries, parameters it requires).  cdb
+# carries eps only so that CertParams enforces eps <= delta.
+_KIND_PARAMS = {
+    "ranking": (("eps",), ("eps",)),
+    "cdb": (("eps", "delta", "zeta"), ("delta", "zeta")),
+    "db": (("zeta",), ("zeta",)),
+    "super": (("delta", "zeta"), ("delta", "zeta")),
+}
+CHECK_KINDS = tuple(_KIND_PARAMS)
 
 
 class CheckerError(ValueError):
@@ -200,23 +205,9 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation engine.  Internally a certificate value is a Fraction
-# (finite) or None (infinity); the conventions match the extended reals.
+# Condition engine over the compiled CFG table and certificate stanzas (see
+# `_compile`): a certificate value is an int or Fraction, or None for inf.
 # ---------------------------------------------------------------------------
-
-def _fmt(x: Optional[Fraction]) -> str:
-    if x is None:
-        return "inf"
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _le(a: Optional[Fraction], b: Optional[Fraction]) -> bool:
-    if b is None:
-        return True
-    if a is None:
-        return False
-    return a <= b
-
 
 def _worse(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
     return b if _le(a, b) else a
@@ -228,62 +219,16 @@ def _absdiff(value: Optional[Fraction], base: Fraction) -> Optional[Fraction]:
     return abs(value - base)
 
 
-@lru_cache(maxsize=64)
-def _cert_tables(cert: Certificate, cfg: Cfg):
-    """(fname, label) -> compiled pieces [(guard_fn|None, expr_fn|None)].
-
-    expr_fn None encodes an explicit `inf` piece.
-    """
-    tables = {}
-    for fn in cfg.functions:
-        pidx = {name: i for i, name in enumerate(fn.pvars)}
-        for label in fn.labels():
-            compiled = []
-            for piece in cert.pieces(fn.name, label):
-                guard_fn = None
-                if piece.guard is not None:
-                    guard_fn = compile_lambda(f"lambda v: {pred_code(piece.guard, pidx)}")
-                if isinstance(piece.expr, InfConst):
-                    expr_fn = None
-                else:
-                    expr_fn = compile_lambda(f"lambda v: {expr_code(piece.expr, pidx)}")
-                compiled.append((guard_fn, expr_fn))
-            tables[(fn.name, label)] = tuple(compiled)
-    return tables
-
-
-@lru_cache(maxsize=64)
-def _payload_tables(cfg: Cfg, sf: SamplingFunction):
-    """(fname, label) -> compiled payload record per label class."""
-    out = {}
-    for fn in cfg.functions:
-        for label in fn.branching:
-            pred, t1, t2 = branch_targets(fn, label)
-            out[(fn.name, label)] = ("branching", compile_pred(pred, fn.pvars), t1, t2)
-        for label in fn.assignment:
-            edge = single_edge(fn, label)
-            payload = edge.payload
-            update = compile_update(payload.var, payload.expr, fn.pvars,
-                                    payload.sampling_vars)
-            outcomes = []
-            for mu, weight in sf.joint_support_over(payload.sampling_vars):
-                drawn = tuple(mu[s] for s in payload.sampling_vars)
-                label_text = ", ".join(f"{s}={mu[s]}" for s in payload.sampling_vars)
-                outcomes.append((weight, drawn, label_text))
-            out[(fn.name, label)] = ("assignment", update, tuple(outcomes), edge.target)
-        for label in fn.call:
-            edge = single_edge(fn, label)
-            payload = edge.payload
-            args_fn = compile_call_args(payload.params, payload.args, fn.pvars,
-                                        payload.callee_vars)
-            callee = cfg.function(payload.callee)
-            out[(fn.name, label)] = ("call", args_fn, payload.callee, callee.entry,
-                                     edge.target)
-        for label in fn.nondet:
-            t1, t2 = star_targets(fn, label)
-            out[(fn.name, label)] = ("nondet", t1, t2)
-        out[(fn.name, fn.exit)] = ("terminal",)
-    return out
+def _expect(succs, base: Optional[Fraction] = None) -> Optional[Fraction]:
+    """Weighted sum over (weight, value, _) outcomes of the value, or of its
+    distance to `base` when given; None (inf) if any term is infinite."""
+    total = Fraction(0)
+    for w, h, _ in succs:
+        x = h if base is None else _absdiff(h, base)
+        if x is None:
+            return None
+        total += w * x
+    return total
 
 
 class _Engine:
@@ -291,40 +236,32 @@ class _Engine:
                  cfg: Cfg, sf: SamplingFunction):
         self.kind = kind
         self.params = params
-        self.cert_table = _cert_tables(cert, cfg)
-        self.payloads = _payload_tables(cfg, sf)
-        self.exits = {fn.name: fn.exit for fn in cfg.functions}
-
-    def h(self, fname: str, label: int, vals: tuple):
-        """(matched, value); value None means infinity."""
-        pieces = self.cert_table[(fname, label)]
-        if not pieces:
-            if label == self.exits[fname]:
-                return True, Fraction(0)
-            return False, None
-        for guard_fn, expr_fn in pieces:
-            if guard_fn is None or guard_fn(vals):
-                if expr_fn is None:
-                    return True, None
-                value = Fraction(expr_fn(vals))
-                if value < 0:
-                    raise CertificateError(
-                        f"certificate value {value} at ({fname}, {label}, {vals}) "
-                        "is negative")
-                return True, value
-        return False, None
+        self.ops = cfg._ops
+        self.stanzas = {
+            (fn.name, label): cert._stanza(fn.name, label, fn.pvars, label == fn.exit)
+            for fn in cfg.functions for label in fn.labels()
+        }
+        self.outcomes = {}
+        for key in self.stanzas:
+            op = self.ops[key]
+            if op[0] == OP_ASSIGN:
+                svars = op[2]
+                self.outcomes[key] = tuple(
+                    (weight, tuple(mu[s] for s in svars),
+                     ", ".join(f"{s}={mu[s]}" for s in svars))
+                    for mu, weight in sf.joint_support_over(svars))
 
     def h_value(self, fname: str, label: int, vals: tuple) -> Optional[Fraction]:
-        return self.h(fname, label, vals)[1]
+        return cert_value(self.stanzas[(fname, label)], vals)
 
     # -- conditions per label class, yielding (name, ok, lhs, rhs, detail) --
 
     def conditions(self, fname: str, label: int, vals: tuple,
                    h_here: Optional[Fraction]):
-        record = self.payloads[(fname, label)]
-        cls = record[0]
+        op = self.ops[(fname, label)]
+        code = op[0]
         kind = self.kind
-        if cls == "terminal":
+        if code == OP_EXIT:
             if kind in ("ranking", "super"):
                 yield ("terminal-zero", h_here == 0, _fmt(h_here), "0", "")
             return
@@ -333,168 +270,124 @@ class _Engine:
         if kind in ("cdb", "db", "super") and h_here is None:
             return  # conditions apply only where the certificate is finite
 
-        if cls == "assignment":
-            yield from self._assignment(record, fname, vals, h_here)
-        elif cls == "call":
-            _, args_fn, callee, callee_entry, target = record
+        if code == OP_ASSIGN:
+            _, update, _, target = op
+            succs = [(w, self.h_value(fname, target, update(vals, m)), text)
+                     for w, m, text in self.outcomes[(fname, label)]]
+            yield from self._assignment(succs, h_here)
+        elif code == OP_CALL:
+            _, args_fn, callee, callee_entry, target = op
             h_callee = self.h_value(callee, callee_entry, args_fn(vals))
             h_return = self.h_value(fname, target, vals)
             total = None if (h_callee is None or h_return is None) else h_callee + h_return
-            yield from self._one_successor("call", total, h_here)
-        elif cls == "branching":
-            _, pred_fn, t1, t2 = record
+            yield from self._successors("call", [total], h_here)
+        elif code == OP_BRANCH:
+            _, pred_fn, t1, t2 = op
             succ = self.h_value(fname, t1 if pred_fn(vals) else t2, vals)
-            yield from self._one_successor("branch", succ, h_here)
-        else:  # nondet
-            _, t1, t2 = record
-            h1 = self.h_value(fname, t1, vals)
-            h2 = self.h_value(fname, t2, vals)
-            yield from self._nondet(h1, h2, h_here)
+            yield from self._successors("branch", [succ], h_here)
+        else:  # OP_NONDET
+            _, t1, t2 = op
+            hs = [self.h_value(fname, t1, vals), self.h_value(fname, t2, vals)]
+            yield from self._successors("nondet", hs, h_here)
 
-    def _assignment(self, record, fname, vals, h_here):
-        _, update, outcomes, target = record
-        succs = [(w, self.h_value(fname, target, update(vals, m)), text)
-                 for w, m, text in outcomes]
-        kind = self.kind
-        if kind in ("ranking", "cdb", "super"):
-            expected: Optional[Fraction] = Fraction(0)
-            for w, h_succ, _ in succs:
-                if h_succ is None:
-                    expected = None
-                    break
-                expected += w * h_succ
+    def _assignment(self, succs, h_here):
+        kind, params = self.kind, self.params
         if kind == "ranking":
-            if expected is None:
-                yield ("assign-expected-decrease", h_here is None, "inf", _fmt(h_here), "")
-            else:
-                lhs = self.params.eps + expected
-                yield ("assign-expected-decrease", _le(lhs, h_here),
-                       _fmt(lhs), _fmt(h_here), "")
-            return
-        if kind == "cdb":
-            lhs = None if expected is None else self.params.delta + expected
+            expected = _expect(succs)
+            lhs = None if expected is None else params.eps + expected
+            yield ("assign-expected-decrease", _le(lhs, h_here), _fmt(lhs), _fmt(h_here), "")
+        elif kind == "cdb":
+            expected = _expect(succs)
+            lhs = None if expected is None else params.delta + expected
             yield ("assign-expected-drop-cap", _le(h_here, lhs), _fmt(lhs), _fmt(h_here), "")
-            jump: Optional[Fraction] = Fraction(0)
-            for w, h_succ, _ in succs:
-                diff = _absdiff(h_succ, h_here)
-                if diff is None:
-                    jump = None
-                    break
-                jump += w * diff
-            yield ("assign-expected-jump-cap", _le(jump, self.params.zeta),
-                   _fmt(jump), _fmt(self.params.zeta), "")
-            return
-        if kind == "db":
-            zeta = self.params.zeta
-            for _, h_succ, text in succs:
-                diff = _absdiff(h_succ, h_here)
-                if not _le(diff, zeta):
-                    yield ("assign-jump-cap", False, _fmt(diff), _fmt(zeta),
-                           f"outcome {{{text}}}")
-                    return
-            yield ("assign-jump-cap", True, "", "", "")
-            return
-        # super
-        yield ("assign-no-increase", _le(expected, h_here),
-               _fmt(expected), _fmt(h_here), "")
+            jump = _expect(succs, h_here)
+            yield ("assign-expected-jump-cap", _le(jump, params.zeta),
+                   _fmt(jump), _fmt(params.zeta), "")
+        elif kind == "db":
+            yield self._outcome_cap(succs, h_here)
+        else:  # super
+            expected = _expect(succs)
+            yield ("assign-no-increase", _le(expected, h_here),
+                   _fmt(expected), _fmt(h_here), "")
+            yield self._outcome_cap(succs, h_here)
+            floor = _expect(succs, h_here)
+            yield ("assign-jump-floor", floor is None or floor >= params.delta,
+                   _fmt(floor), _fmt(params.delta), "")
+
+    def _outcome_cap(self, succs, h_here):
         zeta = self.params.zeta
-        capped = True
         for _, h_succ, text in succs:
             diff = _absdiff(h_succ, h_here)
             if not _le(diff, zeta):
-                yield ("assign-jump-cap", False, _fmt(diff), _fmt(zeta),
-                       f"outcome {{{text}}}")
-                capped = False
-                break
-        if capped:
-            yield ("assign-jump-cap", True, "", "", "")
-        floor: Optional[Fraction] = Fraction(0)
-        for w, h_succ, _ in succs:
-            diff = _absdiff(h_succ, h_here)
-            if diff is None:
-                floor = None
-                break
-            floor += w * diff
-        yield ("assign-jump-floor", floor is None or floor >= self.params.delta,
-               _fmt(floor), _fmt(self.params.delta), "")
+                return ("assign-jump-cap", False, _fmt(diff), _fmt(zeta), f"outcome {{{text}}}")
+        return ("assign-jump-cap", True, "", "", "")
 
-    def _one_successor(self, prefix, succ, h_here):
-        kind = self.kind
+    def _successors(self, prefix, hs, h_here):
+        """Conditions against the worst of the successor values `hs` (one, or
+        the two a nondeterministic label chooses between)."""
+        kind, params = self.kind, self.params
+        worst = reduce(_worse, hs)
         if kind == "ranking":
-            lhs = None if succ is None else self.params.eps + succ
+            lhs = None if worst is None else params.eps + worst
             yield (f"{prefix}-decrease", _le(lhs, h_here), _fmt(lhs), _fmt(h_here), "")
         elif kind == "cdb":
-            lhs = None if succ is None else self.params.delta + succ
+            lhs = None if worst is None else params.delta + worst
             yield (f"{prefix}-drop-cap", _le(h_here, lhs), _fmt(lhs), _fmt(h_here), "")
-        elif kind == "db":
-            diff = _absdiff(succ, h_here)
-            yield (f"{prefix}-jump-cap", _le(diff, self.params.zeta),
-                   _fmt(diff), _fmt(self.params.zeta), "")
-        else:  # super
-            yield (f"{prefix}-no-increase", _le(succ, h_here),
-                   _fmt(succ), _fmt(h_here), "")
-            diff = _absdiff(succ, h_here)
-            yield (f"{prefix}-jump-cap", _le(diff, self.params.zeta),
-                   _fmt(diff), _fmt(self.params.zeta), "")
-
-    def _nondet(self, h1, h2, h_here):
-        kind = self.kind
-        worst = _worse(h1, h2)
-        if kind == "ranking":
-            lhs = None if worst is None else self.params.eps + worst
-            yield ("nondet-decrease", _le(lhs, h_here), _fmt(lhs), _fmt(h_here), "")
-        elif kind == "cdb":
-            lhs = None if worst is None else self.params.delta + worst
-            yield ("nondet-drop-cap", _le(h_here, lhs), _fmt(lhs), _fmt(h_here), "")
-        elif kind == "db":
-            diff = _worse(_absdiff(h1, h_here), _absdiff(h2, h_here))
-            yield ("nondet-jump-cap", _le(diff, self.params.zeta),
-                   _fmt(diff), _fmt(self.params.zeta), "")
         else:
-            yield ("nondet-no-increase", _le(worst, h_here),
-                   _fmt(worst), _fmt(h_here), "")
-            diff = _worse(_absdiff(h1, h_here), _absdiff(h2, h_here))
-            yield ("nondet-jump-cap", _le(diff, self.params.zeta),
-                   _fmt(diff), _fmt(self.params.zeta), "")
+            if kind == "super":
+                yield (f"{prefix}-no-increase", _le(worst, h_here),
+                       _fmt(worst), _fmt(h_here), "")
+            diff = reduce(_worse, [_absdiff(h, h_here) for h in hs])
+            yield (f"{prefix}-jump-cap", _le(diff, params.zeta),
+                   _fmt(diff), _fmt(params.zeta), "")
 
 
-def _required_params(kind: str) -> Tuple[str, ...]:
-    return {
-        "ranking": ("eps",),
-        "cdb": ("delta", "zeta"),
-        "db": ("zeta",),
-        "super": ("delta", "zeta"),
-    }[kind]
+def _kind_params(kind: str, cert: Certificate, **overrides) -> CertParams:
+    """The certificate's parameters that `kind` carries, overridden where an
+    override is given."""
+    return CertParams(**{
+        name: overrides[name] if overrides.get(name) is not None else getattr(cert.params, name)
+        for name in _KIND_PARAMS[kind][0]
+    })
 
 
 def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
                   sf: SamplingFunction, box: VerifyBox,
-                  units: Tuple[Tuple[str, int], ...]) -> Dict:
+                  units: Tuple[Tuple[int, Tuple[str, int]], ...]) -> Dict:
+    """Scan the (index, (fname, label)) units in order.  An evaluation error
+    stops the scan and is returned with its unit index."""
     engine = _Engine(kind, cert, params, cfg, sf)
     failures: List[ConditionFailure] = []
     checked = skipped = conditions = 0
+    error = None
     pvars_by_fn = {fn.name: fn.pvars for fn in cfg.functions}
-    for fname, label in units:
+    for index, (fname, label) in units:
         pvars = pvars_by_fn[fname]
+        stanza = engine.stanzas[(fname, label)]
         seen_failed: set = set()
-        for vals in box.tuples(pvars):
-            matched, h_here = engine.h(fname, label, vals)
-            if not matched:
-                skipped += 1
-                continue
-            checked += 1
-            for name, ok, lhs, rhs, detail in engine.conditions(fname, label, vals, h_here):
-                conditions += 1
-                if not ok and name not in seen_failed:
-                    seen_failed.add(name)
-                    failures.append(ConditionFailure(
-                        fname, label, name, tuple(zip(pvars, vals)),
-                        lhs, rhs, detail))
+        try:
+            for vals in box.tuples(pvars):
+                h_here = stanza(vals)
+                if h_here is MISS:
+                    skipped += 1
+                    continue
+                checked += 1
+                for name, ok, lhs, rhs, detail in engine.conditions(fname, label, vals, h_here):
+                    conditions += 1
+                    if not ok and name not in seen_failed:
+                        seen_failed.add(name)
+                        failures.append(ConditionFailure(
+                            fname, label, name, tuple(zip(pvars, vals)),
+                            lhs, rhs, detail))
+        except (EvalError, CertificateError) as exc:
+            error = (index, exc)
+            break
     return {
         "failures": failures,
         "checked": checked,
         "skipped": skipped,
         "conditions": conditions,
+        "error": error,
     }
 
 
@@ -505,21 +398,22 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
 
     `params` overrides the parameters carried in the certificate file.  The
     report contains, per (function, label, condition), the first failing box
-    point in lexicographic order; verdicts do not depend on `workers`.
+    point in lexicographic order; verdicts do not depend on `workers`, and
+    neither does which evaluation error is raised: the first in scan order.
     """
     if kind not in CHECK_KINDS:
         raise CheckerError(f"unknown check kind {kind!r}; choose from {CHECK_KINDS}")
     params = params if params is not None else cert.params
-    params.require(*_required_params(kind))
+    params.require(*_KIND_PARAMS[kind][1])
     for fn in cfg.functions:
         for name in fn.pvars:
             box.interval(name)  # raises if the box misses a variable
 
-    units = tuple(
+    units = tuple(enumerate(
         (fn.name, label)
         for fn in sorted(cfg.functions, key=lambda f: f.name)
         for label in fn.labels()
-    )
+    ))
     if workers <= 1 or len(units) <= 1:
         parts = [_check_labels(kind, cert, params, cfg, sf, box, units)]
     else:
@@ -531,6 +425,9 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
                 for chunk in chunks
             ]
             parts = [f.result() for f in futures]
+    errors = [p["error"] for p in parts if p["error"] is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
 
     failures = sorted(
         (f for part in parts for f in part["failures"]),
@@ -551,38 +448,26 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
 
 def check_ranking(cert: Certificate, cfg: Cfg, sf: SamplingFunction, box: VerifyBox,
                   eps: Optional[Fraction] = None, workers: int = 1) -> CheckReport:
-    params = CertParams(eps=eps if eps is not None else cert.params.eps)
-    return run_check("ranking", cert, cfg, sf, box, params, workers)
+    return run_check("ranking", cert, cfg, sf, box, _kind_params("ranking", cert, eps=eps),
+                     workers)
 
 
 def check_cdb(cert: Certificate, cfg: Cfg, sf: SamplingFunction, box: VerifyBox,
               delta: Optional[Fraction] = None, zeta: Optional[Fraction] = None,
               workers: int = 1) -> CheckReport:
-    # the drop cap only makes sense alongside the certificate's guaranteed
-    # decrease, so eps rides along and the eps <= delta sanity check applies
-    params = CertParams(
-        eps=cert.params.eps,
-        delta=delta if delta is not None else cert.params.delta,
-        zeta=zeta if zeta is not None else cert.params.zeta,
-    )
+    params = _kind_params("cdb", cert, delta=delta, zeta=zeta)
     return run_check("cdb", cert, cfg, sf, box, params, workers)
 
 
 def check_db(cert: Certificate, cfg: Cfg, sf: SamplingFunction, box: VerifyBox,
              zeta: Optional[Fraction] = None, workers: int = 1) -> CheckReport:
-    params = CertParams(zeta=zeta if zeta is not None else cert.params.zeta)
-    return run_check("db", cert, cfg, sf, box, params, workers)
+    return run_check("db", cert, cfg, sf, box, _kind_params("db", cert, zeta=zeta), workers)
 
 
 def check_super(cert: Certificate, cfg: Cfg, sf: SamplingFunction, box: VerifyBox,
                 delta: Optional[Fraction] = None, zeta: Optional[Fraction] = None,
                 workers: int = 1) -> CheckReport:
-    # delta is the expected-jump floor here, a different role than the cdb
-    # drop cap, so it is not coupled to the certificate's eps
-    params = CertParams(
-        delta=delta if delta is not None else cert.params.delta,
-        zeta=zeta if zeta is not None else cert.params.zeta,
-    )
+    params = _kind_params("super", cert, delta=delta, zeta=zeta)
     return run_check("super", cert, cfg, sf, box, params, workers)
 
 

@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -31,8 +30,9 @@ from .bounds import (
 )
 from .certificates import Certificate, CertificateError, load_certificate
 from .cfg import Cfg, build_cfg, dump_cfg
-from .checker import CheckerError, VerifyBox, run_check, theta_fixpoint
-from .distributions import DistributionError, SamplingFunction, load_distributions
+from .checker import CHECK_KINDS, CheckerError, VerifyBox, _kind_params, run_check, theta_fixpoint
+from .distributions import (DistributionError, SamplingFunction, load_distributions,
+                            parse_fraction)
 from .lab import LabError, TAGS, analytic, simulate_lab
 from .lang import EvalError, label_program, pretty_print
 from .parser import ParseError, load_program
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check certificate conditions over a box")
     p.add_argument("program")
     p.add_argument("--cert", required=True)
-    p.add_argument("--kind", required=True, choices=("ranking", "cdb", "db", "super"))
+    p.add_argument("--kind", required=True, choices=CHECK_KINDS)
     p.add_argument("--dist", help="distribution file for sampling variables")
     p.add_argument("--box", action="append", required=True,
                    help="box entries like n=-100..100 (repeatable, comma-separable)")
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bounds from a (checked) certificate")
     p.add_argument("program")
     p.add_argument("--cert", required=True)
-    p.add_argument("--kind", required=True, choices=("ranking", "cdb", "db", "super"))
+    p.add_argument("--kind", required=True, choices=CHECK_KINDS)
     p.add_argument("--entry", required=True)
     p.add_argument("--args", default="")
     p.add_argument("--dist")
@@ -267,32 +267,14 @@ def _cmd_cfg(args) -> int:
     return 0
 
 
-_KIND_PARAMS = {
-    "ranking": ("eps",),
-    "cdb": ("eps", "delta", "zeta"),
-    "db": ("zeta",),
-    "super": ("delta", "zeta"),
-}
-
-
-def _scoped_params(kind: str, cert: Certificate, args):
-    """Certificate parameters relevant to the kind, with flag overrides."""
-    from .certificates import CertParams
-
-    values = {}
-    for name in _KIND_PARAMS[kind]:
-        override = getattr(args, name)
-        values[name] = (Fraction(override) if override is not None
-                        else getattr(cert.params, name))
-    return CertParams(**values)
-
-
 def _cmd_check(args) -> int:
     cfg = _load_cfg(args.program)
     cert = load_certificate(args.cert)
     sf = _sampling_function(cfg, args.dist)
     box = VerifyBox.parse(*args.box)
-    params = _scoped_params(args.kind, cert, args)
+    params = _kind_params(args.kind, cert, **{
+        name: parse_fraction(getattr(args, name)) for name in ("eps", "delta", "zeta")
+        if getattr(args, name) is not None})
     report = run_check(args.kind, cert, cfg, sf, box, params, workers=max(args.workers, 1))
     meta = _meta(box=report.box, cert=cert)
     meta["kind"] = report.kind
@@ -353,27 +335,24 @@ def _bound_rows(kind: str, cert: Certificate, cfg: Cfg,
     entry_text = f"({entry.fname}, {entry.label}, {entry.valuation})"
     rows: List[BoundReport] = []
 
-    def fmt(x) -> str:
-        return str(x)
-
     if kind in ("ranking", "cdb", "db"):
         params.require("eps")
         rows.append(BoundReport(
             "expected-time-upper", entry_text,
-            {"eps": fmt(params.eps), "value": fmt(value)},
-            fmt(upper_expected(cert, params.eps, value))))
+            {"eps": str(params.eps), "value": str(value)},
+            str(upper_expected(cert, params.eps, value))))
         for k in ks:
             rows.append(BoundReport(
                 "tail-markov", entry_text,
-                {"eps": fmt(params.eps), "value": fmt(value), "k": str(k)},
-                fmt(markov_tail(params.eps, value, k)),
+                {"eps": str(params.eps), "value": str(value), "k": str(k)},
+                str(markov_tail(params.eps, value, k)),
                 validity="any k >= 1"))
     if kind == "cdb":
         params.require("delta")
         rows.append(BoundReport(
             "expected-time-lower", entry_text,
-            {"delta": fmt(params.delta), "value": fmt(value)},
-            fmt(lower_expected(cert, params.delta, value)),
+            {"delta": str(params.delta), "value": str(value)},
+            str(lower_expected(cert, params.delta, value)),
             validity="finite certificate value at the entry"))
     if kind == "db":
         params.require("zeta")
@@ -381,14 +360,14 @@ def _bound_rows(kind: str, cert: Certificate, cfg: Cfg,
             exact, factored = concentration_tail(params.eps, params.zeta, value, n)
             rows.append(BoundReport(
                 "tail-concentration", entry_text,
-                {"eps": fmt(params.eps), "zeta": fmt(params.zeta),
-                 "value": fmt(value), "n": str(n)},
+                {"eps": str(params.eps), "zeta": str(params.zeta),
+                 "value": str(value), "n": str(n)},
                 f"{exact:.6g}",
                 validity=f"n > value/eps = {value.fraction / params.eps}"))
             rows.append(BoundReport(
                 "tail-concentration-factored", entry_text,
-                {"eps": fmt(params.eps), "zeta": fmt(params.zeta),
-                 "value": fmt(value), "n": str(n)},
+                {"eps": str(params.eps), "zeta": str(params.zeta),
+                 "value": str(value), "n": str(n)},
                 f"{factored:.6g}",
                 validity="looser product form of the same bound"))
     if kind == "super":
@@ -409,14 +388,14 @@ def _bound_rows(kind: str, cert: Certificate, cfg: Cfg,
             if res.ok:
                 rows.append(BoundReport(
                     "tail-sqrt", entry_text,
-                    {"delta": fmt(params.delta), "zeta": fmt(params.zeta),
-                     "K": str(theta.K_max), "value": fmt(value), "k": str(k)},
+                    {"delta": str(params.delta), "zeta": str(params.zeta),
+                     "K": str(theta.K_max), "value": str(value), "k": str(k)},
                     f"{res.bound:.6g}"))
             else:
                 rows.append(BoundReport(
                     "tail-sqrt", entry_text,
-                    {"delta": fmt(params.delta), "zeta": fmt(params.zeta),
-                     "K": str(theta.K_max), "value": fmt(value), "k": str(k)},
+                    {"delta": str(params.delta), "zeta": str(params.zeta),
+                     "K": str(theta.K_max), "value": str(value), "k": str(k)},
                     "k too small for this bound",
                     validity=f"smallest usable k is {res.min_valid_k}"))
     return rows

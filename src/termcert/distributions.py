@@ -42,13 +42,18 @@ class DiscreteDist:
         values = [v for v, _ in entries]
         if len(set(values)) != len(values):
             raise DistributionError("support values must be distinct")
-        for _, p in entries:
+        total, cdf = Fraction(0), []
+        for v, p in entries:
             if not (0 < p <= 1):
                 raise DistributionError(f"probability {p} outside (0, 1]")
-        total = sum(p for _, p in entries)
+            total += p
+            cdf.append((float(total), v))
         if total != 1:
             raise DistributionError(f"probabilities sum to {total}, not 1")
+        cdf[-1] = (1.0, cdf[-1][1])
         object.__setattr__(self, "support", entries)
+        # kept off the fields: sample() reads it on every draw
+        object.__setattr__(self, "_thresholds", tuple(cdf))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Tuple[int, Fraction]]) -> "DiscreteDist":
@@ -79,13 +84,7 @@ class DiscreteDist:
 
     def thresholds(self) -> Tuple[Tuple[float, int], ...]:
         """Cumulative float thresholds for inverse-CDF sampling."""
-        acc = Fraction(0)
-        out = []
-        for v, p in self.support:
-            acc += p
-            out.append((float(acc), v))
-        out[-1] = (1.0, out[-1][1])
-        return tuple(out)
+        return self._thresholds
 
     def __str__(self) -> str:
         return "; ".join(f"{v} {p}" for v, p in self.support)
@@ -115,9 +114,7 @@ class SamplingFunction:
         if len(set(names)) != len(names):
             raise DistributionError("duplicate sampling variable")
         object.__setattr__(self, "entries", entries)
-        size = 1
-        for _, d in entries:
-            size *= len(d.support)
+        size = self.joint_size()
         if size > JOINT_SUPPORT_WARN_LIMIT:
             warnings.warn(
                 f"joint sampling support has {size} outcomes; expected-value "

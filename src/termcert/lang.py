@@ -11,16 +11,15 @@ to an AST equal to the original.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 from .distributions import DiscreteDist
-from .valuation import Valuation
 
 
 class EvalError(ArithmeticError):
-    """Expression evaluation left the integers (bad divisor or exponent)."""
+    """Expression evaluation left the integers (bad `div` operand or exponent)."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,60 +103,6 @@ def pred_variables(pred: Pred) -> Set[str]:
     if isinstance(pred, Not):
         return pred_variables(pred.inner)
     return pred_variables(pred.left) | pred_variables(pred.right)
-
-
-def eval_expr(expr: Expr, *vals: Valuation) -> Fraction:
-    """Evaluate under the union of the given valuations (exact arithmetic).
-
-    Program expressions always produce integers; certificate expressions may
-    produce non-integer rationals.
-    """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        for v in vals:
-            if expr.name in v:
-                return Fraction(v[expr.name])
-        raise KeyError(f"unbound variable {expr.name!r}")
-    if isinstance(expr, BinOp):
-        a = eval_expr(expr.left, *vals)
-        b = eval_expr(expr.right, *vals)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "div":
-            if b.denominator != 1 or b <= 0:
-                raise EvalError(f"floor division by non-positive-integer {b}")
-            if a.denominator != 1:
-                raise EvalError(f"floor division of non-integer {a}")
-            return Fraction(a.numerator // b.numerator)
-        raise EvalError(f"unknown operator {expr.op!r}")
-    if isinstance(expr, Pow):
-        base = eval_expr(expr.base, *vals)
-        exp = eval_expr(expr.exponent, *vals)
-        if exp.denominator != 1 or exp < 0:
-            raise EvalError(f"exponent {exp} is not a nonnegative integer")
-        return base ** exp.numerator
-    if isinstance(expr, InfConst):
-        raise EvalError("the literal inf is not a finite expression")
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def eval_pred(pred: Pred, *vals: Valuation) -> bool:
-    if isinstance(pred, Cmp):
-        a = eval_expr(pred.left, *vals)
-        b = eval_expr(pred.right, *vals)
-        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[pred.op]
-    if isinstance(pred, Not):
-        return not eval_pred(pred.inner, *vals)
-    if isinstance(pred, And):
-        return eval_pred(pred.left, *vals) and eval_pred(pred.right, *vals)
-    if isinstance(pred, Or):
-        return eval_pred(pred.left, *vals) or eval_pred(pred.right, *vals)
-    raise TypeError(f"not a predicate: {pred!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +318,6 @@ def _label_function(f: FunctionEntity) -> FunctionEntity:
     return FunctionEntity(f.name, f.params, body, terminal_label=next(counter))
 
 
-def is_labelled(prog: Program) -> bool:
-    return all(
-        f.terminal_label is not None
-        and all(getattr(s, "label", 0) is not None for s in iter_statements(f.body))
-        for f in prog.functions
-    )
-
-
 def labels_of(f: FunctionEntity) -> Dict[int, Stmt]:
     out = {}
     for stmt in iter_statements(f.body):
@@ -494,25 +431,3 @@ def _pp_stmt(stmt: Stmt, depth: int, builtin: Dict[str, DiscreteDist]) -> str:
 def _pp_block(stmt: Stmt, depth: int, builtin: Dict[str, DiscreteDist]) -> str:
     return ";\n".join(_pp_stmt(s, depth, builtin) for s in _seq_items(stmt))
 
-
-def strip_labels(prog: Program) -> Program:
-    """Forget all labels (labels are ignored by equality anyway)."""
-
-    def visit(stmt: Stmt) -> Stmt:
-        if isinstance(stmt, Seq):
-            return Seq(visit(stmt.first), visit(stmt.second))
-        if isinstance(stmt, IfBool):
-            return IfBool(stmt.cond, visit(stmt.then), visit(stmt.orelse))
-        if isinstance(stmt, IfStar):
-            return IfStar(visit(stmt.then), visit(stmt.orelse))
-        if isinstance(stmt, While):
-            return While(stmt.cond, visit(stmt.body))
-        return replace(stmt, label=None)
-
-    return Program(
-        tuple(
-            FunctionEntity(f.name, f.params, visit(f.body), terminal_label=None)
-            for f in prog.functions
-        ),
-        prog.builtin_dists,
-    )

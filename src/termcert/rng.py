@@ -34,10 +34,6 @@ class RngStream:
             self._gen = make_generator(self.seed, self.stream)
         return self._gen
 
-    def fork(self, stream: int) -> "RngStream":
-        """A fresh stream under the same seed; does not touch this one."""
-        return RngStream(self.seed, stream)
-
     def random(self) -> float:
         """One uniform draw in [0, 1)."""
         return float(self.generator.random())

@@ -14,19 +14,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ._compile import compile_call_args, compile_pred, compile_update
+from ._compile import OP_ASSIGN, OP_BRANCH, OP_CALL, OP_NONDET, cert_value, value_le
 from .certificates import Certificate
-from .cfg import (
-    CallPayload,
-    Cfg,
-    UpdatePayload,
-    branch_targets,
-    single_edge,
-    star_targets,
-)
+from .cfg import Cfg, CfgFunction
 from .distributions import SamplingFunction, sample_from_uniform
 from .rng import make_generator
 from .valuation import Valuation
@@ -98,46 +90,34 @@ def step(state: MdpState, action: str, mu_prime: Valuation, cfg: Cfg) -> MdpStat
 
     top, rest = state.config[0], state.config[1:]
     fn = cfg.function(top.fname)
-    cls = fn.label_class(top.label)
+    op = cfg._ops[(top.fname, top.label)]
+    code = op[0]
+    nu = top.valuation
+    vals = _values(nu, fn.pvars)
+    if code == OP_ASSIGN:
+        _, update, sampling_vars, target = op
+        drawn = tuple(mu_prime[s] for s in sampling_vars)
+        nu = Valuation.from_tuples(fn.pvars, update(vals, drawn))
+    elif code == OP_CALL:
+        _, args_fn, callee, callee_entry, target = op
+        callee_nu = Valuation.from_tuples(cfg.function(callee).pvars, args_fn(vals))
+        if target != fn.exit:
+            rest = (StackElement(top.fname, target, nu),) + rest
+        return MdpState((StackElement(callee, callee_entry, callee_nu),) + rest, mu_prime)
+    elif code == OP_BRANCH:
+        target = op[2] if op[1](vals) else op[3]
+    elif code == OP_NONDET:
+        target = op[1] if action == ACTION_THEN else op[2]
+    else:
+        raise SemanticsError(f"terminal stack element in configuration: {top}")
+    if target == fn.exit:
+        return MdpState(rest, mu_prime)
+    return MdpState((StackElement(top.fname, target, nu),) + rest, mu_prime)
 
-    if cls == "assignment":
-        edge = single_edge(fn, top.label)
-        payload = edge.payload
-        assert isinstance(payload, UpdatePayload)
-        nu = payload.apply(top.valuation, mu_prime)
-        if edge.target == fn.exit:
-            return MdpState(rest, mu_prime)
-        return MdpState((StackElement(top.fname, edge.target, nu),) + rest, mu_prime)
 
-    if cls == "call":
-        edge = single_edge(fn, top.label)
-        payload = edge.payload
-        assert isinstance(payload, CallPayload)
-        callee_fn = cfg.function(payload.callee)
-        callee = StackElement(payload.callee, callee_fn.entry,
-                              payload.pass_values(top.valuation))
-        if edge.target == fn.exit:
-            return MdpState((callee,) + rest, mu_prime)
-        caller = StackElement(top.fname, edge.target, top.valuation)
-        return MdpState((callee, caller) + rest, mu_prime)
-
-    if cls == "branching":
-        pred, t_true, t_false = branch_targets(fn, top.label)
-        from .lang import eval_pred
-
-        target = t_true if eval_pred(pred, top.valuation) else t_false
-        if target == fn.exit:
-            return MdpState(rest, mu_prime)
-        return MdpState((StackElement(top.fname, target, top.valuation),) + rest, mu_prime)
-
-    if cls == "nondet":
-        t_then, t_else = star_targets(fn, top.label)
-        target = t_then if action == ACTION_THEN else t_else
-        if target == fn.exit:
-            return MdpState(rest, mu_prime)
-        return MdpState((StackElement(top.fname, target, top.valuation),) + rest, mu_prime)
-
-    raise SemanticsError(f"terminal stack element in configuration: {top}")
+def _values(nu: Valuation, pvars: Tuple[str, ...]) -> tuple:
+    """The values of `nu` in `pvars` order, as the compiled ops read them."""
+    return nu.values if nu.variables == pvars else tuple(nu[v] for v in pvars)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +157,19 @@ class Scheduler:
                 raise SemanticsError("uniform scheduler needs a random draw")
             return ACTION_THEN if uniform < 0.5 else ACTION_ELSE
         fn = cfg.function(top.fname)
-        t_then, t_else = star_targets(fn, top.label)
-        h_then = self.cert.value(top.fname, t_then, top.valuation,
-                                 is_terminal=t_then == fn.exit)
-        h_else = self.cert.value(top.fname, t_else, top.valuation,
-                                 is_terminal=t_else == fn.exit)
+        op = cfg._ops[(top.fname, top.label)]
+        if op[0] != OP_NONDET:
+            raise SemanticsError(f"label {top.label} of {top.fname} is not nondeterministic")
+        take_then = self._greedy(fn, op[1], op[2])(_values(top.valuation, fn.pvars))
+        return ACTION_THEN if take_then else ACTION_ELSE
+
+    def _greedy(self, fn: CfgFunction, t_then: int, t_else: int) -> Callable[[tuple], bool]:
+        """vals -> whether the greedy mode takes the then-branch."""
+        h_then = self.cert._stanza(fn.name, t_then, fn.pvars, t_then == fn.exit)
+        h_else = self.cert._stanza(fn.name, t_else, fn.pvars, t_else == fn.exit)
         if self.kind == "greedy-max":
-            return ACTION_THEN if h_then >= h_else else ACTION_ELSE
-        return ACTION_THEN if h_then <= h_else else ACTION_ELSE
+            return lambda vals: value_le(cert_value(h_else, vals), cert_value(h_then, vals))
+        return lambda vals: value_le(cert_value(h_then, vals), cert_value(h_else, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -263,44 +248,38 @@ def _finalize(acc: Dict, runs: int, max_steps: int, k_list: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Compiled simulation
+# Simulation: the run loop dispatches the compiled ops inline
 # ---------------------------------------------------------------------------
 
-_OP_BRANCH, _OP_ASSIGN, _OP_CALL, _OP_NONDET = range(4)
-
-
-@lru_cache(maxsize=16)
-def _compile_cfg(cfg: Cfg, sf: SamplingFunction):
-    """Per-label dispatch tables: label -> (opcode, data..., target(s))."""
+def _run_tables(cfg: Cfg, sf: SamplingFunction, scheduler: Scheduler):
+    """Per-function label tables for the run loop: the CFG's compiled ops with
+    callees as function indices, sampling thresholds on assignments, and on
+    nondeterministic labels the scheduler's decision: True/False constant,
+    None (coin flip), or a chooser over valuation tuples."""
     findex = {fn.name: i for i, fn in enumerate(cfg.functions)}
+    ops = cfg._ops
     tables = []
-    exits = []
     for fn in cfg.functions:
         table: Dict[int, tuple] = {}
-        for label in fn.branching:
-            pred, t_true, t_false = branch_targets(fn, label)
-            table[label] = (_OP_BRANCH, compile_pred(pred, fn.pvars), t_true, t_false)
-        for label in fn.assignment:
-            edge = single_edge(fn, label)
-            payload = edge.payload
-            update = compile_update(payload.var, payload.expr, fn.pvars,
-                                    payload.sampling_vars)
-            thresholds = tuple(sf.dist(s).thresholds() for s in payload.sampling_vars)
-            table[label] = (_OP_ASSIGN, update, thresholds, edge.target)
-        for label in fn.call:
-            edge = single_edge(fn, label)
-            payload = edge.payload
-            argfn = compile_call_args(payload.params, payload.args, fn.pvars,
-                                      payload.callee_vars)
-            callee = cfg.function(payload.callee)
-            table[label] = (_OP_CALL, argfn, (findex[payload.callee], callee.entry),
-                            edge.target)
-        for label in fn.nondet:
-            t_then, t_else = star_targets(fn, label)
-            table[label] = (_OP_NONDET, t_then, t_else)
+        for label in fn.labels():
+            op = ops[(fn.name, label)]
+            code = op[0]
+            if code == OP_ASSIGN:
+                _, update, sampling_vars, target = op
+                thresholds = tuple(sf.dist(s).thresholds() for s in sampling_vars)
+                op = (OP_ASSIGN, update, thresholds, target)
+            elif code == OP_CALL:
+                _, args_fn, callee, callee_entry, target = op
+                op = (OP_CALL, args_fn, (findex[callee], callee_entry), target)
+            elif code == OP_NONDET:
+                if scheduler.kind.startswith("greedy"):
+                    decision = scheduler._greedy(fn, op[1], op[2])
+                else:  # uniform: None
+                    decision = {"always-then": True, "always-else": False}.get(scheduler.kind)
+                op = op + (decision,)
+            table[label] = op
         tables.append(table)
-        exits.append(fn.exit)
-    return findex, tables, exits
+    return findex, tables, [fn.exit for fn in cfg.functions]
 
 
 class _Uniforms:
@@ -322,45 +301,10 @@ class _Uniforms:
         return u
 
 
-def _nondet_decisions(cfg: Cfg, scheduler: Scheduler):
-    """Per-nondet-label decision: True/False constant, None (coin flip), or
-    an exact chooser over valuation tuples for the greedy modes."""
-    decisions = {}
-    for fn in cfg.functions:
-        for label in fn.nondet:
-            if scheduler.kind == "always-then":
-                decisions[(fn.name, label)] = True
-            elif scheduler.kind == "always-else":
-                decisions[(fn.name, label)] = False
-            elif scheduler.kind == "uniform":
-                decisions[(fn.name, label)] = None
-            else:
-                t_then, t_else = star_targets(fn, label)
-                cert = scheduler.cert
-                pvars = fn.pvars
-                is_max = scheduler.kind == "greedy-max"
-
-                def chooser(vals, _f=fn.name, _tt=t_then, _te=t_else,
-                            _pv=pvars, _exit=fn.exit, _cert=cert, _max=is_max):
-                    nu = Valuation.from_tuples(_pv, vals)
-                    h_then = _cert.value(_f, _tt, nu, is_terminal=_tt == _exit)
-                    h_else = _cert.value(_f, _te, nu, is_terminal=_te == _exit)
-                    if _max:
-                        return h_then >= h_else
-                    return h_then <= h_else
-
-                decisions[(fn.name, label)] = chooser
-    return decisions
-
-
 def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: int,
                entry_vals: tuple, scheduler: Scheduler, lo: int, hi: int,
                max_steps: int, k_list: Tuple[int, ...], seed: int) -> Dict:
-    findex, tables, exits = _compile_cfg(cfg, sf)
-    raw_decisions = _nondet_decisions(cfg, scheduler)
-    decisions = {
-        (findex[f], label): d for (f, label), d in raw_decisions.items()
-    }
+    findex, tables, exits = _run_tables(cfg, sf, scheduler)
     entry_fidx = findex[entry_fname]
     ks = sorted(k_list)
     acc = {"terminated": 0, "sum": 0, "sumsq": 0, "tail": {k: 0 for k in ks}}
@@ -374,13 +318,13 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
             op = tables[fidx][label]
             code = op[0]
             steps += 1
-            if code == _OP_BRANCH:
+            if code == OP_BRANCH:
                 target = op[2] if op[1](vals) else op[3]
                 if target == exits[fidx]:
                     stack.pop()
                 else:
                     stack[-1] = (fidx, target, vals)
-            elif code == _OP_ASSIGN:
+            elif code == OP_ASSIGN:
                 thresholds = op[2]
                 if thresholds:
                     drawn = tuple(
@@ -394,7 +338,7 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
                     stack.pop()
                 else:
                     stack[-1] = (fidx, target, new_vals)
-            elif code == _OP_CALL:
+            elif code == OP_CALL:
                 callee_vals = op[1](vals)
                 callee_fidx, callee_entry = op[2]
                 target = op[3]
@@ -404,8 +348,8 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
                 else:
                     stack[-1] = (fidx, target, vals)
                     stack.append(frame)
-            else:  # _OP_NONDET
-                decision = decisions[(fidx, label)]
+            else:  # OP_NONDET
+                decision = op[3]
                 if decision is None:
                     take_then = uniforms.next() < 0.5
                 elif decision is True or decision is False:

@@ -2,7 +2,10 @@
 
 Everything here recomputes expected values from first principles (direct
 enumeration, dynamic programming, closed forms) without going through the
-checker or simulator engines it is used to judge.
+checker or simulator engines it is used to judge.  That includes the
+interpretive reference for the compiled evaluator in `termcert._compile`:
+expressions and guards walked over the AST, certificate values, and single
+steps of the semantics.
 """
 
 from __future__ import annotations
@@ -12,15 +15,152 @@ from fractions import Fraction
 
 import numpy as np
 
+from termcert.certificates import CertificateError
 from termcert.cfg import branch_targets, single_edge, star_targets
-from termcert.extreal import extreal_sum_weighted
-from termcert.lang import eval_pred
+from termcert.extreal import INF, ExtReal, extreal_sum_weighted
+from termcert.lang import And, BinOp, Cmp, Const, EvalError, InfConst, Not, Or, Pow, Var
+from termcert.semantics import ACTION_THEN, MdpState, StackElement
+from termcert.valuation import Valuation
+
+
+# ---------------------------------------------------------------------------
+# Interpretive reference evaluator
+# ---------------------------------------------------------------------------
+
+def eval_expr(expr, *vals) -> Fraction:
+    """Evaluate under the union of the given valuations (exact arithmetic)."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        for v in vals:
+            if expr.name in v:
+                return Fraction(v[expr.name])
+        raise KeyError(f"unbound variable {expr.name!r}")
+    if isinstance(expr, BinOp):
+        a = eval_expr(expr.left, *vals)
+        b = eval_expr(expr.right, *vals)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if expr.op != "div":
+            raise EvalError(f"unknown operator {expr.op!r}")
+        if b.denominator != 1 or b <= 0:
+            raise EvalError(f"floor division by non-positive-integer {b}")
+        if a.denominator != 1:
+            raise EvalError(f"floor division of non-integer {a}")
+        return Fraction(a.numerator // b.numerator)
+    if isinstance(expr, Pow):
+        base = eval_expr(expr.base, *vals)
+        exp = eval_expr(expr.exponent, *vals)
+        if exp.denominator != 1 or exp < 0:
+            raise EvalError(f"exponent {exp} is not a nonnegative integer")
+        return base ** exp.numerator
+    if isinstance(expr, InfConst):
+        raise EvalError("the literal inf is not a finite expression")
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def eval_pred(pred, *vals) -> bool:
+    if isinstance(pred, Cmp):
+        a = eval_expr(pred.left, *vals)
+        b = eval_expr(pred.right, *vals)
+        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[pred.op]
+    if isinstance(pred, Not):
+        return not eval_pred(pred.inner, *vals)
+    if isinstance(pred, And):
+        return eval_pred(pred.left, *vals) and eval_pred(pred.right, *vals)
+    if isinstance(pred, Or):
+        return eval_pred(pred.left, *vals) or eval_pred(pred.right, *vals)
+    raise TypeError(f"not a predicate: {pred!r}")
+
+
+def cert_match(cert, fname, label, nu):
+    """The first piece of the stanza whose guard holds at `nu`, or None."""
+    for piece in cert.pieces(fname, label):
+        if piece.guard is None or eval_pred(piece.guard, nu):
+            return piece
+    return None
+
+
+def cert_value(cert, fname, label, nu, is_terminal=False) -> ExtReal:
+    """First-matching-guard value; inf when nothing matches, 0 at a terminal
+    label without a stanza."""
+    if not cert.pieces(fname, label) and is_terminal:
+        return ExtReal(0)
+    piece = cert_match(cert, fname, label, nu)
+    if piece is None or isinstance(piece.expr, InfConst):
+        return INF
+    value = ExtReal(eval_expr(piece.expr, nu))
+    if value < ExtReal(0):
+        raise CertificateError(f"certificate value {value} at ({fname}, {label}, {nu}) is negative")
+    return value
 
 
 def h_at(cert, cfg, fname, label, nu):
     fn = cfg.function(fname)
-    return cert.value(fname, label, nu, is_terminal=label == fn.exit)
+    return cert_value(cert, fname, label, nu, is_terminal=label == fn.exit)
 
+
+def apply_update(payload, nu, mu) -> Valuation:
+    if payload.var is None:
+        return nu
+    value = eval_expr(payload.expr, nu, mu)
+    assert value.denominator == 1
+    return nu.updated(payload.var, value.numerator)
+
+
+def pass_values(payload, nu) -> Valuation:
+    bindings = {v: 0 for v in payload.callee_vars}
+    for param, arg in zip(payload.params, payload.args):
+        bindings[param] = int(eval_expr(arg, nu))
+    return Valuation(bindings)
+
+
+def step(state, action, mu_prime, cfg) -> MdpState:
+    """One transition of the semantics (no enabled-action check)."""
+    if state.terminated:
+        return MdpState((), mu_prime)
+    top, rest = state.config[0], state.config[1:]
+    fn = cfg.function(top.fname)
+    cls = fn.label_class(top.label)
+    nu = top.valuation
+    if cls == "call":
+        edge = single_edge(fn, top.label)
+        callee = StackElement(edge.payload.callee, cfg.function(edge.payload.callee).entry,
+                              pass_values(edge.payload, nu))
+        if edge.target != fn.exit:
+            rest = (StackElement(top.fname, edge.target, nu),) + rest
+        return MdpState((callee,) + rest, mu_prime)
+    if cls == "assignment":
+        edge = single_edge(fn, top.label)
+        nu = apply_update(edge.payload, nu, mu_prime)
+        target = edge.target
+    elif cls == "branching":
+        pred, t_true, t_false = branch_targets(fn, top.label)
+        target = t_true if eval_pred(pred, nu) else t_false
+    else:
+        t_then, t_else = star_targets(fn, top.label)
+        target = t_then if action == ACTION_THEN else t_else
+    if target == fn.exit:
+        return MdpState(rest, mu_prime)
+    return MdpState((StackElement(top.fname, target, nu),) + rest, mu_prime)
+
+
+def greedy_takes_then(cert, kind, cfg, top) -> bool:
+    """greedy-max takes the larger certificate value, greedy-min the smaller,
+    both the then-branch on ties."""
+    t_then, t_else = star_targets(cfg.function(top.fname), top.label)
+    h_then = h_at(cert, cfg, top.fname, t_then, top.valuation)
+    h_else = h_at(cert, cfg, top.fname, t_else, top.valuation)
+    return h_then >= h_else if kind == "greedy-max" else h_then <= h_else
+
+
+# ---------------------------------------------------------------------------
+# Successor profiles and brute-force certificate bounds
+# ---------------------------------------------------------------------------
 
 def successor_profile(cert, cfg, sf, fname, label, nu):
     """(kind, data) describing the h-values one step after (fname, label, nu)."""
@@ -31,13 +171,13 @@ def successor_profile(cert, cfg, sf, fname, label, nu):
         outcomes = []
         for mu, w in sf.joint_support_over(edge.payload.sampling_vars):
             outcomes.append((w, h_at(cert, cfg, fname, edge.target,
-                                     edge.payload.apply(nu, mu))))
+                                     apply_update(edge.payload, nu, mu))))
         return ("assignment", outcomes)
     if cls == "call":
         edge = single_edge(fn, label)
         callee = cfg.function(edge.payload.callee)
         total = (h_at(cert, cfg, edge.payload.callee, callee.entry,
-                      edge.payload.pass_values(nu))
+                      pass_values(edge.payload, nu))
                  + h_at(cert, cfg, fname, edge.target, nu))
         return ("one", total)
     if cls == "branching":
@@ -56,7 +196,7 @@ def brute_force_min_delta(cert, cfg, sf, box):
     for fn in cfg.functions:
         for label in fn.labels():
             for nu in box.points(fn.pvars):
-                if cert.match(fn.name, label, nu) is None:
+                if cert_match(cert, fn.name, label, nu) is None:
                     continue
                 h_here = h_at(cert, cfg, fn.name, label, nu)
                 if h_here.is_infinite:
@@ -83,7 +223,7 @@ def brute_force_max_jump(cert, cfg, sf, box):
     for fn in cfg.functions:
         for label in fn.labels():
             for nu in box.points(fn.pvars):
-                if cert.match(fn.name, label, nu) is None:
+                if cert_match(cert, fn.name, label, nu) is None:
                     continue
                 h_here = h_at(cert, cfg, fn.name, label, nu)
                 if h_here.is_infinite:

@@ -57,14 +57,30 @@ def test_decimal_and_fraction_literals_are_exact():
 
 
 def test_ill_defined_arithmetic_raises():
-    from termcert.lang import EvalError
+    from termcert.cfg import build_cfg
+    from termcert.checker import VerifyBox, run_check
+    from termcert.fixtures import sampling_function_for
+    from termcert.lang import EvalError, label_program
+    from termcert.parser import parse_program
 
-    cert = parse_certificate("f@1: 2 ^ (n - 5)\nf@2: n div (n - n)\n")
+    cert = parse_certificate("f@1: 2 ^ (n - 5)\nf@2: n div (n - n)\nf@3: 1/2 * n div 1\n")
     with pytest.raises(EvalError):
         cert.value("f", 1, Valuation({"n": 0}))  # negative exponent
     with pytest.raises(EvalError):
         cert.value("f", 2, Valuation({"n": 3}))  # division by zero
+    with pytest.raises(EvalError):
+        cert.value("f", 3, Valuation({"n": 3}))  # non-integer dividend
     assert cert.value("f", 1, Valuation({"n": 7})) == ExtReal(4)
+    assert cert.value("f", 3, Valuation({"n": 4})) == ExtReal(2)
+
+    # the checker evaluates through the same rule
+    cfg = build_cfg(label_program(parse_program("f(n) { skip }")))
+    sf = sampling_function_for(cfg)
+    cert = parse_certificate("f@1: 1/2 * n div 1\n")
+    with pytest.raises(EvalError):
+        run_check("ranking", cert, cfg, sf, VerifyBox.parse("n=3..3"), CertParams(eps=1))
+    assert run_check("ranking", cert, cfg, sf, VerifyBox.parse("n=4..4"),
+                     CertParams(eps=1)).passed
 
 
 def test_params_header_parses():

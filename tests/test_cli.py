@@ -57,6 +57,14 @@ def test_usage_error_exits_two(capsys):
     assert "error" in err
 
 
+def test_bad_parameter_override_exits_two(capsys):
+    code, _, err = run_cli(
+        capsys, "check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
+        "--dist", HALVING_DIST, "--box", "n=0..1", "--eps", "abc")
+    assert code == 2
+    assert "error" in err
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text("f( {")
@@ -153,3 +161,19 @@ def test_coin_loop_check_without_dist_file(capsys):
         capsys, "check", COINS, "--cert", COINS_CERT, "--kind", "ranking",
         "--box", "i=0..8", "--box", "n=0..8", "--box", "c=0..1")
     assert code == 0
+
+
+def test_check_evaluation_error_does_not_depend_on_workers(tmp_path, capsys):
+    # both stanzas are negative on the box; the first in scan order, (f, 6),
+    # is reported whatever the worker count
+    cert = tmp_path / "negative.cert"
+    cert.write_text("eps=1\nf@6: 0 - 1\ng@4: 0 - 2\n")
+    errs = []
+    for workers in ("1", "2"):
+        code, _, err = run_cli(
+            capsys, "check", HALVING, "--cert", str(cert), "--kind", "ranking",
+            "--dist", HALVING_DIST, "--box", "n=1..2", "--workers", workers)
+        assert code == 2
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert "(f, 6, {n=1})" in errs[0]

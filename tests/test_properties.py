@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termcert.certificates import CertPiece, Certificate, CertParams
-from termcert.cfg import build_cfg
+import oracles
+from termcert.certificates import CertPiece, Certificate, CertificateError, CertParams
+from termcert.cfg import build_cfg, single_edge
 from termcert.checker import VerifyBox, check_cdb, check_db, check_ranking, theta_fixpoint
 from termcert.distributions import (
     DiscreteDist,
@@ -34,9 +35,12 @@ from termcert.lang import (
     Call,
     Cmp,
     Const,
+    EvalError,
     FunctionEntity,
     IfBool,
     IfStar,
+    InfConst,
+    Pow,
     Program,
     Seq,
     Skip,
@@ -152,6 +156,37 @@ def rand_certificate(seed: int, cfg) -> Certificate:
             stanzas.append(((fn.name, label),
                             (guarded, CertPiece(None, Const(Fraction(fallback))))))
     return Certificate(tuple(stanzas), CertParams())
+
+
+def rand_rich_certificate(seed: int, cfg) -> Certificate:
+    """Random guards, explicit inf, rational constants, `div` and `^`,
+    partial and missing stanzas; some values are negative or ill-defined."""
+    rnd = random.Random(seed)
+
+    def value():
+        roll = rnd.random()
+        if roll < 0.15:
+            return InfConst()
+        rational = Const(Fraction(rnd.randint(0, 9), rnd.choice((1, 2, 3))))
+        if roll < 0.35:
+            return rational
+        if roll < 0.5:  # a non-integer dividend raises
+            return BinOp("div", BinOp("*", rational, Var(rnd.choice(PVARS))),
+                         Const(Fraction(rnd.randint(1, 2))))
+        if roll < 0.6:  # a negative exponent raises
+            return BinOp("+", Pow(Const(Fraction(2)), Var(rnd.choice(PVARS))), rational)
+        return BinOp("+", rand_expr(rnd), rational)
+
+    stanzas = []
+    for fn in cfg.functions:
+        for label in fn.labels():
+            if rnd.random() < 0.15:
+                continue  # no stanza: inf, or 0 at the terminal label
+            pieces = [CertPiece(rand_pred(rnd), value()) for _ in range(rnd.randint(0, 2))]
+            if not pieces or rnd.random() < 0.6:
+                pieces.append(CertPiece(None, value()))
+            stanzas.append(((fn.name, label), tuple(pieces)))
+    return Certificate(tuple(stanzas))
 
 
 def make_sampling_function() -> SamplingFunction:
@@ -285,3 +320,41 @@ def test_theta_stabilizes_within_label_count(seed):
         for label in fn.assignment | {fn.exit}:
             assert theta.covered(fn.name, label)
             assert theta.K[(fn.name, label)] == 0
+
+
+def _value_or_error(value, *args, **kwargs):
+    try:
+        return value(*args, **kwargs)
+    except (EvalError, CertificateError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**48))
+def test_compiled_certificate_value_matches_interpretive_reference(seed):
+    # at every box point and each of its successors, the compiled certificate
+    # value (or the error it raises) equals the interpretive oracle's
+    cfg = build_cfg(rand_program(seed))
+    cert = rand_rich_certificate(seed ^ 0x0D1FF, cfg)
+    sf = make_sampling_function()
+    for fn in cfg.functions:
+        for label in fn.labels():
+            for nu in BOX.points(fn.pvars):
+                points = [(fn.name, label, nu)]
+                cls = fn.label_class(label)
+                if cls == "assignment":
+                    edge = single_edge(fn, label)
+                    points += [(fn.name, edge.target, oracles.apply_update(edge.payload, nu, mu))
+                               for mu, _ in sf.joint_support_over(edge.payload.sampling_vars)]
+                elif cls == "call":
+                    edge = single_edge(fn, label)
+                    callee = cfg.function(edge.payload.callee)
+                    points += [(callee.name, callee.entry, oracles.pass_values(edge.payload, nu)),
+                               (fn.name, edge.target, nu)]
+                elif cls != "terminal":
+                    points += [(fn.name, t.target, nu) for t in fn.out_edges(label)]
+                for fname, lab, point in points:
+                    terminal = lab == cfg.function(fname).exit
+                    assert (_value_or_error(cert.value, fname, lab, point, is_terminal=terminal)
+                            == _value_or_error(oracles.cert_value, cert, fname, lab, point,
+                                               is_terminal=terminal)), (fname, lab, point)

@@ -214,13 +214,15 @@ def test_wilson_interval_basic():
 
 
 def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
-    """Termination time via the public single-step API, consuming the same
-    uniform stream as the compiled runner: one draw per sampling variable
-    read by the executed assignment, one draw per coin-flip decision."""
+    """Termination time via the interpretive single step of `oracles`,
+    consuming the same uniform stream as the compiled runner: one draw per
+    sampling variable read by the executed assignment, one draw per
+    coin-flip decision.  Greedy choices go through the oracle's certificate
+    value, not `Scheduler.choose`."""
+    import oracles
     from termcert.cfg import single_edge
     from termcert.distributions import sample_from_uniform
     from termcert.rng import make_generator
-    from termcert.semantics import ACTION_TAU, initial_state
 
     gen = make_generator(seed, run_index)
     state = initial_state(entry, sf)
@@ -236,38 +238,48 @@ def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
             for svar in payload.sampling_vars:
                 u = float(gen.random())
                 drawn[svar] = sample_from_uniform(sf.dist(svar).thresholds(), u)
+        action = ACTION_TAU
         if cls == "nondet":
             if scheduler.kind == "uniform":
-                action = scheduler.choose(top, cfg, float(gen.random()))
+                take_then = float(gen.random()) < 0.5
+            elif scheduler.kind.startswith("greedy"):
+                take_then = oracles.greedy_takes_then(scheduler.cert, scheduler.kind, cfg, top)
             else:
-                action = scheduler.choose(top, cfg)
-        else:
-            action = ACTION_TAU
-        state = step(state, action, Valuation(drawn), cfg)
+                take_then = scheduler.kind == "always-then"
+            action = ACTION_THEN if take_then else ACTION_ELSE
+        state = oracles.step(state, action, Valuation(drawn), cfg)
     return None  # censored
 
 
 @pytest.mark.parametrize("gen_seed", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_compiled_runner_matches_single_step_reference(gen_seed):
     # run random two-variable programs through both execution paths with the
-    # same per-run streams; termination times must agree run for run
-    from test_properties import make_sampling_function, rand_program
+    # same per-run streams; termination times must agree run for run.  The
+    # second program is the first one from seed 100 * (gen_seed + 1) on with a
+    # nondeterministic label, so that every scheduler's choices are exercised
+    from itertools import count
+
+    from test_properties import make_sampling_function, rand_certificate, rand_program
     from termcert.cfg import build_cfg
 
-    cfg = build_cfg(rand_program(gen_seed))
+    nondet_seed = next(s for s in count(100 * gen_seed + 100)
+                       if any(fn.nondet for fn in build_cfg(rand_program(s)).functions))
     sf = make_sampling_function()
-    entry = StackElement("f", cfg.function("f").entry,
-                         Valuation({"m": 1, "n": 2}))
-    for kind in ("uniform", "always-else"):
-        sched = Scheduler(kind)
-        cap = 300
-        stats = simulate(cfg, sf, entry, sched, runs=40, max_steps=cap, seed=99)
-        ref = [_reference_run(cfg, sf, entry, sched, cap, 99, run)
-               for run in range(40)]
-        ref_terminated = [t for t in ref if t is not None]
-        assert stats.terminated == len(ref_terminated)
-        assert stats.sum_steps == sum(ref_terminated)
-        assert stats.sumsq_steps == sum(t * t for t in ref_terminated)
+    for prog_seed in (gen_seed, nondet_seed):
+        cfg = build_cfg(rand_program(prog_seed))
+        cert = rand_certificate(prog_seed ^ 0x5EED, cfg)
+        entry = StackElement("f", cfg.function("f").entry,
+                             Valuation({"m": 1, "n": 2}))
+        for kind in ("uniform", "always-else", "greedy-max", "greedy-min"):
+            sched = Scheduler(kind, cert)
+            cap = 300
+            stats = simulate(cfg, sf, entry, sched, runs=40, max_steps=cap, seed=99)
+            ref = [_reference_run(cfg, sf, entry, sched, cap, 99, run)
+                   for run in range(40)]
+            ref_terminated = [t for t in ref if t is not None]
+            assert stats.terminated == len(ref_terminated)
+            assert stats.sum_steps == sum(ref_terminated)
+            assert stats.sumsq_steps == sum(t * t for t in ref_terminated)
 
 
 def test_multi_variable_joint_sampling_in_one_update():
