@@ -46,12 +46,17 @@ def _ipow(a, b):
     return a ** int(b)
 
 
+def point_text(fname: str, label: int, pvars: Tuple[str, ...], vals: tuple) -> str:
+    """A stack element as error messages name it: (f, 1, {n=3})."""
+    point = ", ".join(f"{k}={val}" for k, val in zip(pvars, vals))
+    return f"({fname}, {label}, {{{point}}})"
+
+
 def _negative(x, v, fname, label, pvars):
     from .certificates import CertificateError
 
-    point = ", ".join(f"{k}={val}" for k, val in zip(pvars, v))
     raise CertificateError(
-        f"certificate value {x} at ({fname}, {label}, {{{point}}}) is negative")
+        f"certificate value {x} at {point_text(fname, label, pvars, v)} is negative")
 
 
 _NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "_negative": _negative,

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import mpmath
 
 from .certificates import Certificate
 from .cfg import Cfg
+from .checker import theta_fixpoint
 from .extreal import ExtReal
+from .lang import EvalError
 from .semantics import StackElement
 
 _DPS = 40
@@ -55,8 +57,11 @@ class BoundReport:
 
 def cert_value_at(cert: Certificate, cfg: Cfg, entry: StackElement) -> ExtReal:
     fn = cfg.function(entry.fname)
-    return cert.value(entry.fname, entry.label, entry.valuation,
-                      is_terminal=entry.label == fn.exit)
+    try:
+        return cert.value(entry.fname, entry.label, entry.valuation,
+                          is_terminal=entry.label == fn.exit)
+    except EvalError as exc:
+        raise EvalError(f"{exc} at ({entry.fname}, {entry.label}, {entry.valuation})") from None
 
 
 def upper_expected(cert: Certificate, eps: Fraction, entry_value: ExtReal) -> ExtReal:
@@ -194,3 +199,78 @@ def sqrt_tail(entry_value: ExtReal, delta: Fraction, zeta: Fraction,
         denominator = 1 - base ** (-periods)
         bound = numerator / denominator
         return SqrtTailResult(ok=True, bound=float(min(bound, mpmath.mpf(1))), k=k)
+
+
+def bound_rows(kind: str, cert: Certificate, cfg: Cfg, entry: StackElement,
+               ks: Tuple[int, ...], ns: Tuple[int, ...]) -> List[BoundReport]:
+    """The bounds a `kind` certificate gives at `entry`: P(T >= k) rows for
+    each k in `ks`, concentration rows for each n in `ns`."""
+    params = cert.params
+    value = cert_value_at(cert, cfg, entry)
+    entry_text = f"({entry.fname}, {entry.label}, {entry.valuation})"
+    rows: List[BoundReport] = []
+
+    if kind in ("ranking", "cdb", "db"):
+        params.require("eps")
+        rows.append(BoundReport(
+            "expected-time-upper", entry_text,
+            {"eps": str(params.eps), "value": str(value)},
+            str(upper_expected(cert, params.eps, value))))
+        for k in ks:
+            rows.append(BoundReport(
+                "tail-markov", entry_text,
+                {"eps": str(params.eps), "value": str(value), "k": str(k)},
+                str(markov_tail(params.eps, value, k)),
+                validity="any k >= 1"))
+    if kind == "cdb":
+        params.require("delta")
+        rows.append(BoundReport(
+            "expected-time-lower", entry_text,
+            {"delta": str(params.delta), "value": str(value)},
+            str(lower_expected(cert, params.delta, value)),
+            validity="finite certificate value at the entry"))
+    if kind == "db":
+        params.require("zeta")
+        for n in ns:
+            exact, factored = concentration_tail(params.eps, params.zeta, value, n)
+            rows.append(BoundReport(
+                "tail-concentration", entry_text,
+                {"eps": str(params.eps), "zeta": str(params.zeta),
+                 "value": str(value), "n": str(n)},
+                f"{exact:.6g}",
+                validity=f"n > value/eps = {value.fraction / params.eps}"))
+            rows.append(BoundReport(
+                "tail-concentration-factored", entry_text,
+                {"eps": str(params.eps), "zeta": str(params.zeta),
+                 "value": str(value), "n": str(n)},
+                f"{factored:.6g}",
+                validity="looser product form of the same bound"))
+    if kind == "super":
+        params.require("delta", "zeta")
+        theta = theta_fixpoint(cfg)
+        if not theta.all_covered:
+            raise BoundError(
+                "the fixpoint does not cover every label; the square-root "
+                "tail bound's hypothesis fails")
+        rows.append(BoundReport(
+            "as-termination", entry_text,
+            {"K_max": str(theta.K_max)},
+            "certified almost-sure termination; tail in O(1/sqrt(k))",
+            validity="without the per-outcome jump cap only O(k^(-1/6)) "
+                     "is certified, with no computable constant"))
+        for k in ks:
+            res = sqrt_tail(value, params.delta, params.zeta, theta.K_max, k)
+            if res.ok:
+                rows.append(BoundReport(
+                    "tail-sqrt", entry_text,
+                    {"delta": str(params.delta), "zeta": str(params.zeta),
+                     "K": str(theta.K_max), "value": str(value), "k": str(k)},
+                    f"{res.bound:.6g}"))
+            else:
+                rows.append(BoundReport(
+                    "tail-sqrt", entry_text,
+                    {"delta": str(params.delta), "zeta": str(params.zeta),
+                     "K": str(theta.K_max), "value": str(value), "k": str(k)},
+                    "k too small for this bound",
+                    validity=f"smallest usable k is {res.min_valid_k}"))
+    return rows

@@ -26,6 +26,7 @@ callables once per label to keep full-box sweeps fast.
 
 from __future__ import annotations
 
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from functools import reduce
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ._compile import MISS, OP_ASSIGN, OP_BRANCH, OP_CALL, OP_EXIT, cert_value
+from ._compile import MISS, OP_ASSIGN, OP_BRANCH, OP_CALL, OP_EXIT, cert_value, point_text
 from ._compile import format_value as _fmt
 from ._compile import value_le as _le
 from .certificates import Certificate, CertificateError, CertParams
@@ -379,7 +380,10 @@ def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
                         failures.append(ConditionFailure(
                             fname, label, name, tuple(zip(pvars, vals)),
                             lhs, rhs, detail))
-        except (EvalError, CertificateError) as exc:
+        except EvalError as exc:
+            error = (index, EvalError(f"{exc} at {point_text(fname, label, pvars, vals)}"))
+            break
+        except CertificateError as exc:  # names its point already
             error = (index, exc)
             break
     return {
@@ -399,7 +403,9 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
     `params` overrides the parameters carried in the certificate file.  The
     report contains, per (function, label, condition), the first failing box
     point in lexicographic order; verdicts do not depend on `workers`, and
-    neither does which evaluation error is raised: the first in scan order.
+    neither does which evaluation error is raised: the first in scan order,
+    naming the point whose conditions raised it.  At most `workers`
+    processes run, and never more than the labels or the machine's cores.
     """
     if kind not in CHECK_KINDS:
         raise CheckerError(f"unknown check kind {kind!r}; choose from {CHECK_KINDS}")
@@ -414,15 +420,14 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
         for fn in sorted(cfg.functions, key=lambda f: f.name)
         for label in fn.labels()
     ))
-    if workers <= 1 or len(units) <= 1:
+    workers = min(workers, len(units), os.cpu_count() or 1)
+    if workers <= 1:
         parts = [_check_labels(kind, cert, params, cfg, sf, box, units)]
     else:
-        chunks = [units[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_check_labels, kind, cert, params, cfg, sf, box, chunk)
-                for chunk in chunks
+                pool.submit(_check_labels, kind, cert, params, cfg, sf, box, units[i::workers])
+                for i in range(workers)
             ]
             parts = [f.result() for f in futures]
     errors = [p["error"] for p in parts if p["error"] is not None]

@@ -18,19 +18,10 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .bounds import (
-    BoundError,
-    BoundReport,
-    cert_value_at,
-    concentration_tail,
-    lower_expected,
-    markov_tail,
-    sqrt_tail,
-    upper_expected,
-)
+from .bounds import BoundError, bound_rows
 from .certificates import Certificate, CertificateError, load_certificate
 from .cfg import Cfg, build_cfg, dump_cfg
-from .checker import CHECK_KINDS, CheckerError, VerifyBox, _kind_params, run_check, theta_fixpoint
+from .checker import CHECK_KINDS, CheckerError, VerifyBox, _kind_params, run_check
 from .distributions import (DistributionError, SamplingFunction, load_distributions,
                             parse_fraction)
 from .lab import LabError, TAGS, analytic, simulate_lab
@@ -57,7 +48,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except (ParseError, CertificateError, DistributionError, CheckerError,
             SemanticsError, BoundError, LabError, EvalError, CliError,
-            FileNotFoundError, KeyError) as exc:
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -169,14 +160,18 @@ def _parse_args_binding(spec: str) -> Dict[str, int]:
         if "=" not in part:
             raise CliError(f"bad --args entry {part!r}; expected name=value")
         name, _, value = part.partition("=")
-        out[name.strip()] = int(value)
+        out[name.strip()] = _int(value, "--args value")
     return out
 
 
 def _entry_element(cfg: Cfg, entry_spec: str, args_spec: str) -> StackElement:
     fname, _, label_text = entry_spec.partition("@")
+    if fname not in cfg.function_names():
+        raise CliError(f"no function named {fname!r}")
     fn = cfg.function(fname)
-    label = int(label_text) if label_text else fn.entry
+    label = _int(label_text, "--entry label") if label_text else fn.entry
+    if label not in fn.labels():
+        raise CliError(f"function {fname!r} has no label {label}")
     bindings = {v: 0 for v in fn.pvars}
     for name, value in _parse_args_binding(args_spec).items():
         if name not in bindings:
@@ -185,8 +180,15 @@ def _entry_element(cfg: Cfg, entry_spec: str, args_spec: str) -> StackElement:
     return StackElement(fname, label, Valuation(bindings))
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"bad {what} {text!r}; expected an integer") from None
+
+
 def _int_list(spec: str) -> Tuple[int, ...]:
-    return tuple(int(x) for x in spec.replace(",", " ").split())
+    return tuple(_int(x, "threshold") for x in spec.replace(",", " ").split())
 
 
 def _meta(seed: Optional[int] = None, box: Optional[str] = None,
@@ -327,85 +329,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _bound_rows(kind: str, cert: Certificate, cfg: Cfg,
-                entry: StackElement, ks: Tuple[int, ...],
-                ns: Tuple[int, ...]) -> List[BoundReport]:
-    params = cert.params
-    value = cert_value_at(cert, cfg, entry)
-    entry_text = f"({entry.fname}, {entry.label}, {entry.valuation})"
-    rows: List[BoundReport] = []
-
-    if kind in ("ranking", "cdb", "db"):
-        params.require("eps")
-        rows.append(BoundReport(
-            "expected-time-upper", entry_text,
-            {"eps": str(params.eps), "value": str(value)},
-            str(upper_expected(cert, params.eps, value))))
-        for k in ks:
-            rows.append(BoundReport(
-                "tail-markov", entry_text,
-                {"eps": str(params.eps), "value": str(value), "k": str(k)},
-                str(markov_tail(params.eps, value, k)),
-                validity="any k >= 1"))
-    if kind == "cdb":
-        params.require("delta")
-        rows.append(BoundReport(
-            "expected-time-lower", entry_text,
-            {"delta": str(params.delta), "value": str(value)},
-            str(lower_expected(cert, params.delta, value)),
-            validity="finite certificate value at the entry"))
-    if kind == "db":
-        params.require("zeta")
-        for n in ns:
-            exact, factored = concentration_tail(params.eps, params.zeta, value, n)
-            rows.append(BoundReport(
-                "tail-concentration", entry_text,
-                {"eps": str(params.eps), "zeta": str(params.zeta),
-                 "value": str(value), "n": str(n)},
-                f"{exact:.6g}",
-                validity=f"n > value/eps = {value.fraction / params.eps}"))
-            rows.append(BoundReport(
-                "tail-concentration-factored", entry_text,
-                {"eps": str(params.eps), "zeta": str(params.zeta),
-                 "value": str(value), "n": str(n)},
-                f"{factored:.6g}",
-                validity="looser product form of the same bound"))
-    if kind == "super":
-        params.require("delta", "zeta")
-        theta = theta_fixpoint(cfg)
-        if not theta.all_covered:
-            raise BoundError(
-                "the fixpoint does not cover every label; the square-root "
-                "tail bound's hypothesis fails")
-        rows.append(BoundReport(
-            "as-termination", entry_text,
-            {"K_max": str(theta.K_max)},
-            "certified almost-sure termination; tail in O(1/sqrt(k))",
-            validity="without the per-outcome jump cap only O(k^(-1/6)) "
-                     "is certified, with no computable constant"))
-        for k in ks:
-            res = sqrt_tail(value, params.delta, params.zeta, theta.K_max, k)
-            if res.ok:
-                rows.append(BoundReport(
-                    "tail-sqrt", entry_text,
-                    {"delta": str(params.delta), "zeta": str(params.zeta),
-                     "K": str(theta.K_max), "value": str(value), "k": str(k)},
-                    f"{res.bound:.6g}"))
-            else:
-                rows.append(BoundReport(
-                    "tail-sqrt", entry_text,
-                    {"delta": str(params.delta), "zeta": str(params.zeta),
-                     "K": str(theta.K_max), "value": str(value), "k": str(k)},
-                    "k too small for this bound",
-                    validity=f"smallest usable k is {res.min_valid_k}"))
-    return rows
-
-
 def _cmd_bounds(args) -> int:
     cfg = _load_cfg(args.program)
     cert = load_certificate(args.cert)
     entry = _entry_element(cfg, args.entry, args.args)
-    rows = _bound_rows(args.kind, cert, cfg, entry,
+    rows = bound_rows(args.kind, cert, cfg, entry,
                        _int_list(args.k), _int_list(args.n))
     meta = _meta(cert=cert)
     meta["kind"] = args.kind

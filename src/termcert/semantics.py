@@ -12,6 +12,7 @@ reached.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -20,7 +21,8 @@ from ._compile import OP_ASSIGN, OP_BRANCH, OP_CALL, OP_NONDET, cert_value, valu
 from .certificates import Certificate
 from .cfg import Cfg, CfgFunction
 from .distributions import SamplingFunction, sample_from_uniform
-from .rng import make_generator
+from .lang import EvalError
+from .rng import make_generator, rekey
 from .valuation import Valuation
 
 ACTION_TAU = "tau"
@@ -283,20 +285,28 @@ def _run_tables(cfg: Cfg, sf: SamplingFunction, scheduler: Scheduler):
 
 
 class _Uniforms:
-    """Buffered uniform draws from one per-run generator."""
+    """The uniform draws of run `run`: its stream (seed, run) is keyed into
+    the worker's one generator at the run's first draw, then read in buffers
+    of 64 and then 256 draws, held as Python floats."""
 
-    __slots__ = ("gen", "buf", "idx")
+    __slots__ = ("gen", "seed", "run", "buf", "idx")
 
-    def __init__(self, gen):
+    def __init__(self, gen, seed: int, run: int):
         self.gen = gen
-        self.buf = gen.random(64)
+        self.seed = seed
+        self.run = run
+        self.buf = None
         self.idx = 0
 
     def next(self) -> float:
-        if self.idx >= len(self.buf):
-            self.buf = self.gen.random(256)
+        buf = self.buf
+        if buf is None:
+            rekey(self.gen, self.seed, self.run)
+            buf = self.buf = self.gen.random(64).tolist()
+        elif self.idx >= len(buf):
+            buf = self.buf = self.gen.random(256).tolist()
             self.idx = 0
-        u = self.buf[self.idx]
+        u = buf[self.idx]
         self.idx += 1
         return u
 
@@ -305,62 +315,67 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
                entry_vals: tuple, scheduler: Scheduler, lo: int, hi: int,
                max_steps: int, k_list: Tuple[int, ...], seed: int) -> Dict:
     findex, tables, exits = _run_tables(cfg, sf, scheduler)
+    names = [fn.name for fn in cfg.functions]
     entry_fidx = findex[entry_fname]
     ks = sorted(k_list)
     acc = {"terminated": 0, "sum": 0, "sumsq": 0, "tail": {k: 0 for k in ks}}
+    gen = make_generator(seed)  # re-keyed to (seed, run) by each run that draws
 
     for run in range(lo, hi):
-        uniforms = _Uniforms(make_generator(seed, run))
+        uniforms = _Uniforms(gen, seed, run)
         stack = [(entry_fidx, entry_label, entry_vals)]
         steps = 0
-        while stack and steps < max_steps:
-            fidx, label, vals = stack[-1]
-            op = tables[fidx][label]
-            code = op[0]
-            steps += 1
-            if code == OP_BRANCH:
-                target = op[2] if op[1](vals) else op[3]
-                if target == exits[fidx]:
-                    stack.pop()
-                else:
-                    stack[-1] = (fidx, target, vals)
-            elif code == OP_ASSIGN:
-                thresholds = op[2]
-                if thresholds:
-                    drawn = tuple(
-                        sample_from_uniform(t, uniforms.next()) for t in thresholds
-                    )
-                else:
-                    drawn = ()
-                new_vals = op[1](vals, drawn)
-                target = op[3]
-                if target == exits[fidx]:
-                    stack.pop()
-                else:
-                    stack[-1] = (fidx, target, new_vals)
-            elif code == OP_CALL:
-                callee_vals = op[1](vals)
-                callee_fidx, callee_entry = op[2]
-                target = op[3]
-                frame = (callee_fidx, callee_entry, callee_vals)
-                if target == exits[fidx]:
-                    stack[-1] = frame
-                else:
-                    stack[-1] = (fidx, target, vals)
-                    stack.append(frame)
-            else:  # OP_NONDET
-                decision = op[3]
-                if decision is None:
-                    take_then = uniforms.next() < 0.5
-                elif decision is True or decision is False:
-                    take_then = decision
-                else:
-                    take_then = decision(vals)
-                target = op[1] if take_then else op[2]
-                if target == exits[fidx]:
-                    stack.pop()
-                else:
-                    stack[-1] = (fidx, target, vals)
+        try:
+            while stack and steps < max_steps:
+                fidx, label, vals = stack[-1]
+                op = tables[fidx][label]
+                code = op[0]
+                steps += 1
+                if code == OP_BRANCH:
+                    target = op[2] if op[1](vals) else op[3]
+                    if target == exits[fidx]:
+                        stack.pop()
+                    else:
+                        stack[-1] = (fidx, target, vals)
+                elif code == OP_ASSIGN:
+                    thresholds = op[2]
+                    if thresholds:
+                        drawn = tuple(
+                            sample_from_uniform(t, uniforms.next()) for t in thresholds
+                        )
+                    else:
+                        drawn = ()
+                    new_vals = op[1](vals, drawn)
+                    target = op[3]
+                    if target == exits[fidx]:
+                        stack.pop()
+                    else:
+                        stack[-1] = (fidx, target, new_vals)
+                elif code == OP_CALL:
+                    callee_vals = op[1](vals)
+                    callee_fidx, callee_entry = op[2]
+                    target = op[3]
+                    frame = (callee_fidx, callee_entry, callee_vals)
+                    if target == exits[fidx]:
+                        stack[-1] = frame
+                    else:
+                        stack[-1] = (fidx, target, vals)
+                        stack.append(frame)
+                else:  # OP_NONDET
+                    decision = op[3]
+                    if decision is None:
+                        take_then = uniforms.next() < 0.5
+                    elif decision is True or decision is False:
+                        take_then = decision
+                    else:
+                        take_then = decision(vals)
+                    target = op[1] if take_then else op[2]
+                    if target == exits[fidx]:
+                        stack.pop()
+                    else:
+                        stack[-1] = (fidx, target, vals)
+        except EvalError as exc:  # name the frame that was stepped
+            raise EvalError(f"{exc} at ({names[fidx]}, {label})") from None
 
         if stack:  # censored at the step cap: T > max_steps
             for k in ks:
@@ -391,7 +406,8 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
     """Monte Carlo estimate of termination-time statistics.
 
     Each run owns the stream (seed, run-index), so results are bit-identical
-    for any worker count.  Runs stopped at `max_steps` are censored: they
+    for any worker count.  At most `workers` processes run, and never more
+    than `runs` or the machine's cores.  Runs stopped at `max_steps` are censored: they
     are excluded from the mean and counted as mass at or beyond every
     requested tail threshold (all thresholds must be <= max_steps, which
     makes tail estimates unbiased).
@@ -410,18 +426,18 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
         raise SemanticsError(f"no distribution for sampling variables {missing}")
     entry_vals = tuple(entry.valuation[v] for v in fn.pvars)
 
-    if workers <= 1 or runs < 2:
+    workers = min(workers, runs, os.cpu_count() or 1)
+    if workers <= 1:
         acc = _run_range(cfg, sf, entry.fname, entry.label, entry_vals,
                          scheduler, 0, runs, max_steps, k_list, seed)
     else:
         bounds = [(runs * i) // workers for i in range(workers + 1)]
-        chunks = [(bounds[i], bounds[i + 1]) for i in range(workers)
-                  if bounds[i] < bounds[i + 1]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_range, cfg, sf, entry.fname, entry.label,
-                            entry_vals, scheduler, lo, hi, max_steps, k_list, seed)
-                for lo, hi in chunks
+                            entry_vals, scheduler, bounds[i], bounds[i + 1],
+                            max_steps, k_list, seed)
+                for i in range(workers)
             ]
             accs = [f.result() for f in futures]
         acc = accs[0]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -27,3 +29,37 @@ def walk():
 @pytest.fixture(scope="session")
 def coins():
     return coin_loops()
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace a module's ProcessPoolExecutor by one that runs each task in
+    this process and records the pool sizes asked for, so that a process
+    count can be tested without starting a process.  Usage:
+    `sizes = inline_pool(module)`."""
+
+    def install(module):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:  # handed back like a worker's error
+                    future.set_exception(exc)
+                return future
+
+        monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    return install

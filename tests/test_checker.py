@@ -318,6 +318,24 @@ def test_reports_identical_across_workers_and_reruns(halving):
     assert not bad.passed
 
 
+def test_process_count_is_clamped_to_cores_and_labels(halving, inline_pool, monkeypatch):
+    import os
+
+    from termcert import checker
+
+    sizes = inline_pool(checker)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg, sf, cert = halving
+    box = VerifyBox.parse("n=-5..5")
+    assert check_ranking(cert, cfg, sf, box, workers=5000) == check_ranking(cert, cfg, sf, box)
+    skip = build_cfg(label_program(parse_program("f(n) { skip }")))
+    unit = parse_certificate("eps=1\nf@1: 1\n")
+    skip_sf = sampling_function_for(skip)
+    assert check_ranking(unit, skip, skip_sf, box, workers=5000) == \
+        check_ranking(unit, skip, skip_sf, box)
+    assert sizes == [3, 2]  # the skip program has two labels
+
+
 # ---------------------------------------------------------------------------
 # reach-an-assignment fixpoint
 # ---------------------------------------------------------------------------

@@ -177,3 +177,50 @@ def test_check_evaluation_error_does_not_depend_on_workers(tmp_path, capsys):
         errs.append(err)
     assert errs[0] == errs[1]
     assert "(f, 6, {n=1})" in errs[0]
+
+
+def test_ill_defined_division_names_where_it_happened(tmp_path, capsys):
+    # check and bounds name the point, simulate the label it stepped from;
+    # check reports the first point in scan order whatever the worker count
+    cert = tmp_path / "divzero.cert"
+    cert.write_text("eps=1\nf@1: n div (n - n)\n")
+    for workers in ("1", "2"):
+        code, _, err = run_cli(
+            capsys, "check", HALVING, "--cert", str(cert), "--kind", "ranking",
+            "--dist", HALVING_DIST, "--box", "n=-3..3", "--workers", workers)
+        assert code == 2
+        assert err == "error: floor division by non-positive value 0 at (f, 1, {n=-3})\n"
+    code, _, err = run_cli(
+        capsys, "bounds", HALVING, "--cert", str(cert), "--kind", "ranking",
+        "--entry", "f", "--args", "n=1")
+    assert code == 2
+    assert err == "error: floor division by non-positive value 0 at (f, 1, {n=1})\n"
+    greedy = tmp_path / "greedy.cert"
+    greedy.write_text("f@3: n div (n - n)\n")
+    for workers in ("1", "2"):
+        code, _, err = run_cli(
+            capsys, "simulate", HALVING, "--entry", "f", "--args", "n=5",
+            "--dist", HALVING_DIST, "--scheduler", "greedy-max", "--cert", str(greedy),
+            "--runs", "4", "--workers", workers)
+        assert code == 2
+        assert err == "error: floor division by non-positive value 0 at (f, 2)\n"
+
+
+def test_bad_entry_and_missing_distribution_messages(capsys):
+    cases = [
+        (("--entry", "h", "--dist", HALVING_DIST), "no function named 'h'"),
+        (("--entry", "f@99", "--dist", HALVING_DIST), "function 'f' has no label 99"),
+        (("--entry", "f@x", "--dist", HALVING_DIST),
+         "bad --entry label 'x'; expected an integer"),
+        (("--entry", "f"), "no distribution for sampling variables ['r']; pass --dist"),
+    ]
+    for extra, message in cases:
+        code, out, err = run_cli(capsys, "simulate", HALVING, "--runs", "3", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+    code, _, err = run_cli(
+        capsys, "bounds", HALVING, "--cert", HALVING_CERT, "--kind", "cdb",
+        "--entry", "g@9")
+    assert code == 2
+    assert err == "error: function 'g' has no label 9\n"

@@ -282,6 +282,51 @@ def test_compiled_runner_matches_single_step_reference(gen_seed):
             assert stats.sumsq_steps == sum(t * t for t in ref_terminated)
 
 
+def test_long_runs_draw_the_streams_of_the_reference():
+    # every run draws more than 320 uniforms (a coin per iteration, at least
+    # 330 iterations, plus r on the then-branch), so each run refills its
+    # buffer at least once past the first 64 draws; the worker's re-keyed
+    # generator must still give every run the stream (seed, run)
+    from termcert.cfg import build_cfg
+    from termcert.distributions import DiscreteDist, SamplingFunction
+    from termcert.lang import label_program
+    from termcert.parser import parse_program
+
+    cfg = build_cfg(label_program(parse_program(
+        "f(n) { while n >= 1 do if star then n := n - r else n := n - 1 fi od }")))
+    sf = SamplingFunction.from_mapping({
+        "r": DiscreteDist.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 2))])})
+    entry = StackElement("f", cfg.function("f").entry, Valuation({"n": 330}))
+    sched = Scheduler("uniform")
+    cap = 10_000
+    for seed in (7, 2**64 - 1):
+        stats = simulate(cfg, sf, entry, sched, runs=6, max_steps=cap, seed=seed)
+        ref = [_reference_run(cfg, sf, entry, sched, cap, seed, run) for run in range(6)]
+        assert None not in ref
+        assert stats.terminated == 6
+        assert stats.sum_steps == sum(ref)
+        assert stats.sumsq_steps == sum(t * t for t in ref)
+        assert simulate(cfg, sf, entry, sched, runs=6, max_steps=cap, seed=seed,
+                        workers=2) == stats
+
+
+def test_process_count_is_clamped_to_cores_and_runs(halving, inline_pool, monkeypatch):
+    import os
+
+    from termcert import semantics
+
+    sizes = inline_pool(semantics)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg, sf, _ = halving
+    entry = StackElement("f", 1, Valuation({"n": 5}))
+    kw = dict(max_steps=10_000, k_list=[30], seed=4)
+    serial = simulate(cfg, sf, entry, Scheduler("uniform"), runs=50, **kw)
+    assert simulate(cfg, sf, entry, Scheduler("uniform"), runs=50, workers=5000, **kw) == serial
+    assert simulate(cfg, sf, entry, Scheduler("uniform"), runs=2, workers=5000, **kw) == \
+        simulate(cfg, sf, entry, Scheduler("uniform"), runs=2, **kw)
+    assert sizes == [3, 2]
+
+
 def test_multi_variable_joint_sampling_in_one_update():
     # an update reading two sampling variables consumes one draw for each;
     # successor frequencies follow the product law
