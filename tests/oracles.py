@@ -10,6 +10,7 @@ steps of the semantics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from termcert.certificates import CertificateError
 from termcert.cfg import branch_targets, single_edge, star_targets
-from termcert.extreal import INF, ExtReal, extreal_sum_weighted
+from termcert.extreal import INF, ZERO, ExtReal, extreal_max, extreal_sum_weighted
 from termcert.lang import And, BinOp, Cmp, Const, EvalError, InfConst, Not, Or, Pow, Var
 from termcert.semantics import ACTION_THEN, MdpState, StackElement
 from termcert.valuation import Valuation
@@ -188,6 +189,122 @@ def successor_profile(cert, cfg, sf, fname, label, nu):
         t1, t2 = star_targets(fn, label)
         return ("pair", (h_at(cert, cfg, fname, t1, nu), h_at(cert, cfg, fname, t2, nu)))
     return ("terminal", None)
+
+
+def point_conditions(kind, params, cert, cfg, sf, fname, label, nu):
+    """(condition, holds, lhs, rhs, detail) for every condition of family
+    `kind` at a covered point, from the paper's definitions in ExtReal.
+
+    `params` maps eps/delta/zeta to Fractions.  A family other than
+    ranking binds its difference conditions only where h is finite; a
+    demonic label (call, branch, star) is judged by its worst successor;
+    the per-outcome cap names the first outcome of the joint support that
+    breaks it.
+    """
+    fn = cfg.function(fname)
+    cls = fn.label_class(label)
+    h = h_at(cert, cfg, fname, label, nu)
+    eps, delta, zeta = (None if params.get(k) is None else ExtReal(params[k])
+                        for k in ("eps", "delta", "zeta"))
+    out = []
+    if cls == "terminal":
+        if kind in ("ranking", "super"):
+            out.append(("terminal-zero", h == ZERO, str(h), "0", ""))
+        return out
+    if kind == "super":
+        out.append(("nonterminal-nonzero", h != ZERO, str(h), "> 0", ""))
+    if kind != "ranking" and h.is_infinite:
+        return out
+    _, data = successor_profile(cert, cfg, sf, fname, label, nu)
+
+    if cls == "assignment":
+        svars = single_edge(fn, label).payload.sampling_vars
+        texts = [", ".join(f"{s}={mu[s]}" for s in svars)
+                 for mu, _ in sf.joint_support_over(svars)]
+        mean = ZERO
+        for w, value in data:
+            mean = mean + ExtReal(w) * value
+        if kind == "ranking":
+            out.append(("assign-expected-decrease", eps + mean <= h, str(eps + mean), str(h), ""))
+            return out
+        change = ZERO
+        for w, value in data:
+            change = change + ExtReal(w) * abs(value - h)
+        cap = ("assign-jump-cap", True, "", "", "")
+        for (_, value), text in zip(data, texts):
+            if not abs(value - h) <= zeta:
+                cap = ("assign-jump-cap", False, str(abs(value - h)), str(zeta),
+                       f"outcome {{{text}}}")
+                break
+        if kind == "cdb":
+            out.append(("assign-expected-drop-cap", h <= delta + mean, str(delta + mean),
+                        str(h), ""))
+            out.append(("assign-expected-jump-cap", change <= zeta, str(change), str(zeta), ""))
+        elif kind == "db":
+            out.append(cap)
+        else:
+            out.append(("assign-no-increase", mean <= h, str(mean), str(h), ""))
+            out.append(cap)
+            out.append(("assign-jump-floor", change >= delta, str(change), str(delta), ""))
+        return out
+
+    prefix = {"call": "call", "branching": "branch", "nondet": "nondet"}[cls]
+    succs = list(data) if cls == "nondet" else [data]
+    worst = succs[0]
+    for value in succs[1:]:
+        worst = extreal_max(worst, value)
+    if kind == "ranking":
+        out.append((f"{prefix}-decrease", eps + worst <= h, str(eps + worst), str(h), ""))
+    elif kind == "cdb":
+        out.append((f"{prefix}-drop-cap", h <= delta + worst, str(delta + worst), str(h), ""))
+    else:
+        if kind == "super":
+            out.append((f"{prefix}-no-increase", worst <= h, str(worst), str(h), ""))
+        jump = abs(succs[0] - h)
+        for value in succs[1:]:
+            jump = extreal_max(jump, abs(value - h))
+        out.append((f"{prefix}-jump-cap", jump <= zeta, str(jump), str(zeta), ""))
+    return out
+
+
+def check_report(kind, params, cert, cfg, sf, intervals):
+    """What a check of family `kind` over the box `intervals` (variable ->
+    (lo, hi)) reports: verdict, point counts, and per (function, label,
+    condition) the first failing point, scanning functions by name, labels
+    in order and points lexicographically in the function's variable order.
+    A point none of the stanza's guards covers is skipped (a terminal label
+    without a stanza is 0).  An evaluation error ends the scan; its type is
+    returned instead."""
+    first = {}
+    points = skipped = conditions = 0
+    try:
+        for fn in sorted(cfg.functions, key=lambda f: f.name):
+            for label in fn.labels():
+                ranges = [range(intervals[v][0], intervals[v][1] + 1) for v in fn.pvars]
+                for combo in itertools.product(*ranges):
+                    nu = Valuation(dict(zip(fn.pvars, combo)))
+                    bare_exit = label == fn.exit and not cert.pieces(fn.name, label)
+                    if not bare_exit and cert_match(cert, fn.name, label, nu) is None:
+                        skipped += 1
+                        continue
+                    points += 1
+                    for name, holds, lhs, rhs, detail in point_conditions(
+                            kind, params, cert, cfg, sf, fn.name, label, nu):
+                        conditions += 1
+                        if not holds:
+                            first.setdefault((fn.name, label, name), {
+                                "function": fn.name, "label": label, "condition": name,
+                                "point": dict(zip(fn.pvars, combo)),
+                                "lhs": lhs, "rhs": rhs, "detail": detail})
+    except (EvalError, CertificateError) as exc:
+        return type(exc)
+    return {
+        "passed": not first,
+        "points_checked": points,
+        "points_skipped": skipped,
+        "conditions_checked": conditions,
+        "failures": [first[key] for key in sorted(first)],
+    }
 
 
 def brute_force_min_delta(cert, cfg, sf, box):

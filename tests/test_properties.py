@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 import oracles
 from termcert.certificates import CertPiece, Certificate, CertificateError, CertParams
 from termcert.cfg import build_cfg, single_edge
-from termcert.checker import VerifyBox, check_cdb, check_db, check_ranking, theta_fixpoint
+from termcert.checker import (
+    VerifyBox,
+    check_cdb,
+    check_db,
+    check_ranking,
+    check_super,
+    theta_fixpoint,
+)
 from termcert.distributions import (
     DiscreteDist,
     DistributionError,
@@ -158,9 +165,10 @@ def rand_certificate(seed: int, cfg) -> Certificate:
     return Certificate(tuple(stanzas), CertParams())
 
 
-def rand_rich_certificate(seed: int, cfg) -> Certificate:
+def rand_rich_certificate(seed: int, cfg, hazards: bool = True) -> Certificate:
     """Random guards, explicit inf, rational constants, `div` and `^`,
-    partial and missing stanzas; some values are negative or ill-defined."""
+    partial and missing stanzas; with `hazards`, some values are negative or
+    ill-defined."""
     rnd = random.Random(seed)
 
     def value():
@@ -170,6 +178,12 @@ def rand_rich_certificate(seed: int, cfg) -> Certificate:
         rational = Const(Fraction(rnd.randint(0, 9), rnd.choice((1, 2, 3))))
         if roll < 0.35:
             return rational
+        if not hazards:  # squares of integers: defined and nonnegative
+            expr = rand_expr(rnd)
+            square = Pow(expr, Const(Fraction(2))) if roll < 0.45 else BinOp("*", expr, expr)
+            if roll < 0.6:
+                return BinOp("div", square, Const(Fraction(rnd.randint(1, 2))))
+            return BinOp("+", square, rational)
         if roll < 0.5:  # a non-integer dividend raises
             return BinOp("div", BinOp("*", rational, Var(rnd.choice(PVARS))),
                          Const(Fraction(rnd.randint(1, 2))))
@@ -358,3 +372,63 @@ def test_compiled_certificate_value_matches_interpretive_reference(seed):
                     assert (_value_or_error(cert.value, fname, lab, point, is_terminal=terminal)
                             == _value_or_error(oracles.cert_value, cert, fname, lab, point,
                                                is_terminal=terminal)), (fname, lab, point)
+
+
+def rand_program_with_every_label_class(seed: int) -> Program:
+    """f reaches an assignment drawing two sampling variables, a call, a
+    branch and a star, in random order around random statements."""
+    rnd = random.Random(seed)
+    victim = rnd.choice(PVARS)
+    parts = [
+        rand_stmt(rnd, 2, allow_call=True),
+        Assign(victim, BinOp("+", Var(victim), BinOp("*", Var("r"), Var("s")))),
+        Call("g", (rand_expr(rnd, 1), rand_expr(rnd, 1))),
+        IfBool(rand_pred(rnd), rand_stmt(rnd, 1), rand_stmt(rnd, 1)),
+        IfStar(rand_stmt(rnd, 1), rand_stmt(rnd, 1)),
+    ]
+    rnd.shuffle(parts)
+    g_parts = [rand_stmt(rnd, 1) for _ in range(rnd.randint(1, 2))]
+    return label_program(Program((
+        FunctionEntity("f", PVARS, _chain(parts)),
+        FunctionEntity("g", PVARS, _chain(g_parts)),
+    )))
+
+
+CHECKS = {
+    "ranking": lambda cert, cfg, sf, p: check_ranking(cert, cfg, sf, BOX, eps=p["eps"]),
+    "cdb": lambda cert, cfg, sf, p: check_cdb(cert, cfg, sf, BOX, delta=p["delta"],
+                                              zeta=p["zeta"]),
+    "db": lambda cert, cfg, sf, p: check_db(cert, cfg, sf, BOX, zeta=p["zeta"]),
+    "super": lambda cert, cfg, sf, p: check_super(cert, cfg, sf, BOX, delta=p["delta"],
+                                                  zeta=p["zeta"]),
+}
+RATIONALS = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+                             Fraction(4), Fraction(13, 3)])
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**48), certs=st.sampled_from(("plain", "rich", "hazards")),
+       eps=RATIONALS, delta=RATIONALS, zeta=RATIONALS)
+def test_checker_conditions_match_the_oracle(seed, certs, eps, delta, zeta):
+    # every family's report (verdict, counts, and per condition the first
+    # failing point with its lhs/rhs/detail) or the type of the error it
+    # raises equals the point-by-point oracle's
+    cfg = build_cfg(rand_program_with_every_label_class(seed))
+    if certs == "plain":
+        cert = rand_certificate(seed ^ 0xC0DE, cfg)
+    else:
+        cert = rand_rich_certificate(seed ^ 0xC0DE, cfg, hazards=certs == "hazards")
+    sf = SamplingFunction.from_mapping({
+        "r": DiscreteDist.from_pairs([(-1, Fraction(1, 2)), (1, Fraction(1, 2))]),
+        "s": DiscreteDist.from_pairs([(1, Fraction(1, 3)), (3, Fraction(2, 3))]),
+    })
+    params = {"eps": eps, "delta": delta, "zeta": zeta}
+    intervals = {name: BOX.interval(name) for name in PVARS}
+    for kind, check in CHECKS.items():
+        expected = oracles.check_report(kind, params, cert, cfg, sf, intervals)
+        try:
+            report = check(cert, cfg, sf, params).to_json_dict()
+        except (EvalError, CertificateError) as exc:
+            assert type(exc) is expected, (kind, exc)
+            continue
+        assert {key: report[key] for key in expected} == expected, kind
