@@ -1,27 +1,19 @@
 """Exhaustive certificate checking over finite verification boxes.
 
-Four condition families are supported, all sharing one evaluation engine:
-
-    ranking   expected decrease by at least eps per step; terminal value 0
-    cdb       additionally: expected decrease at most delta per step, and
-              expected absolute change at most zeta at assignment labels
-    db        per-outcome absolute change at most zeta everywhere
-    super     never increasing (in expectation at assignment labels), with
-              per-outcome changes at most zeta and expected absolute change
-              at least delta at assignment labels; value 0 exactly at
-              terminal labels
+Each certificate family is one row of the `_KINDS` table: its parameters
+and its inequalities between the value here and the one-step
+pre-expectation that the label's successor law (`_Law`) supplies.
 
 The universally quantified valuation ranges over a user-declared box; the
 certificate stays symbolic, so successor valuations are evaluated wherever
 they land, including outside the box.  Points where no stanza guard matches
 are treated as outside the certificate's declared invariant and skipped;
-when such a point shows up as a *successor* its value is infinity.  Decrease
-and difference conditions are only enforced at points with finite value.
+when such a point shows up as a *successor* its value is infinity.  Ranking's
+conditions hold vacuously where the value is infinite.
 
-All arithmetic is exact (machine integers never overflow, probabilities and
-certificate values are rationals), so verdicts are reproducible bit for bit;
-guards, update functions, and certificate pieces are compiled to Python
-callables once per label to keep full-box sweeps fast.
+All arithmetic is exact (integers and rationals), so verdicts are
+reproducible bit for bit; guards, updates and certificate pieces are
+compiled once per label (see `_compile`).
 """
 
 from __future__ import annotations
@@ -31,11 +23,12 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ._compile import MISS, OP_ASSIGN, OP_BRANCH, OP_CALL, OP_EXIT, cert_value, point_text
+from ._compile import (MISS, OP_ASSIGN, OP_BRANCH, OP_CALL, OP_EXIT, OP_NONDET, cert_value,
+                       point_text)
 from ._compile import format_value as _fmt
 from ._compile import value_le as _le
 from .certificates import Certificate, CertificateError, CertParams
@@ -43,17 +36,6 @@ from .cfg import Cfg, branch_targets, single_edge, star_targets
 from .distributions import SamplingFunction
 from .lang import EvalError
 from .valuation import Valuation
-
-# kind -> (parameters its report carries, parameters it requires).  cdb
-# carries eps only so that CertParams enforces eps <= delta.
-_KIND_PARAMS = {
-    "ranking": (("eps",), ("eps",)),
-    "cdb": (("eps", "delta", "zeta"), ("delta", "zeta")),
-    "db": (("zeta",), ("zeta",)),
-    "super": (("delta", "zeta"), ("delta", "zeta")),
-}
-CHECK_KINDS = tuple(_KIND_PARAMS)
-
 
 class CheckerError(ValueError):
     pass
@@ -78,10 +60,6 @@ class VerifyBox:
             if lo > hi:
                 raise CheckerError(f"empty interval for {name!r}: [{lo}, {hi}]")
         object.__setattr__(self, "bounds", tuple(sorted(self.bounds)))
-
-    @classmethod
-    def from_dict(cls, mapping: Dict[str, Tuple[int, int]]) -> "VerifyBox":
-        return cls(tuple((k, int(lo), int(hi)) for k, (lo, hi) in mapping.items()))
 
     @classmethod
     def parse(cls, *specs: str) -> "VerifyBox":
@@ -206,141 +184,140 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Condition engine over the compiled CFG table and certificate stanzas (see
-# `_compile`): a certificate value is an int or Fraction, or None for inf.
+# Condition engine.  A certificate value is an int or Fraction, or None for
+# inf; a condition maps (law, value here, params) to (ok, lhs, rhs, detail).
 # ---------------------------------------------------------------------------
 
-def _worse(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
-    return b if _le(a, b) else a
+def _plus(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
+    return None if a is None or b is None else a + b
 
 
-def _absdiff(value: Optional[Fraction], base: Fraction) -> Optional[Fraction]:
-    if value is None:
-        return None
-    return abs(value - base)
+def _at_most(lhs, rhs, detail: str = ""):
+    return _le(lhs, rhs), lhs, rhs, detail
 
 
-def _expect(succs, base: Optional[Fraction] = None) -> Optional[Fraction]:
-    """Weighted sum over (weight, value, _) outcomes of the value, or of its
-    distance to `base` when given; None (inf) if any term is infinite."""
-    total = Fraction(0)
-    for w, h, _ in succs:
-        x = h if base is None else _absdiff(h, base)
-        if x is None:
+def _at_least(lhs, rhs):
+    return _le(rhs, lhs), lhs, rhs, ""
+
+
+class _Law:
+    """The certificate values one step after a label's current point and how
+    they combine: an assignment's (weight, value, outcome) triples over the
+    joint support by their mean; a call's or branch's one successor, or a
+    star's two, by the worst (weights None: the scheduler is demonic)."""
+
+    __slots__ = ("successors", "weights", "outcomes", "values")
+
+    def __init__(self, successors: Callable, weights=None, outcomes=None):
+        self.successors, self.weights, self.outcomes = successors, weights, outcomes
+
+    def load(self, vals: tuple) -> None:
+        self.values = self.successors(vals)
+
+    def combine(self, xs) -> Optional[Fraction]:
+        if None in xs:
             return None
-        total += w * x
-    return total
+        return max(xs) if self.weights is None else sum(map(mul, self.weights, xs))
+
+    @property
+    def value(self) -> Optional[Fraction]:
+        """The pre-expectation of the certificate value."""
+        return self.combine(self.values)
+
+    def change(self, h: Fraction) -> Optional[Fraction]:
+        """The pre-expectation of the absolute change from `h`."""
+        return self.combine([None if x is None else abs(x - h) for x in self.values])
+
+    def capped(self, h: Fraction, cap: Fraction):
+        """Every successor within `cap` of `h`; a failure names the worst
+        successor, or at an assignment the first outcome beyond `cap`."""
+        if self.weights is None:
+            return _at_most(self.change(h), cap)
+        for x, outcome in zip(self.values, self.outcomes):
+            diff = None if x is None else abs(x - h)
+            if not _le(diff, cap):
+                return _at_most(diff, cap, f"outcome {{{outcome}}}")
+        return True, None, cap, ""
 
 
-class _Engine:
-    def __init__(self, kind: str, cert: Certificate, params: CertParams,
-                 cfg: Cfg, sf: SamplingFunction):
-        self.kind = kind
-        self.params = params
-        self.ops = cfg._ops
-        self.stanzas = {
-            (fn.name, label): cert._stanza(fn.name, label, fn.pvars, label == fn.exit)
-            for fn in cfg.functions for label in fn.labels()
-        }
-        self.outcomes = {}
-        for key in self.stanzas:
-            op = self.ops[key]
-            if op[0] == OP_ASSIGN:
-                svars = op[2]
-                self.outcomes[key] = tuple(
-                    (weight, tuple(mu[s] for s in svars),
-                     ", ".join(f"{s}={mu[s]}" for s in svars))
-                    for mu, weight in sf.joint_support_over(svars))
+def _law(op: tuple, fname: str, stanzas: Dict, sf: SamplingFunction) -> Optional[_Law]:
+    """The successor law of a label from its compiled op; None at the exit."""
+    code = op[0]
+    if code == OP_ASSIGN:
+        _, update, svars, target = op
+        after = stanzas[(fname, target)]
+        support = list(sf.joint_support_over(svars))
+        moves = [tuple(mu[s] for s in svars) for mu, _ in support]
+        return _Law(lambda vals: [cert_value(after, update(vals, m)) for m in moves],
+                    [w for _, w in support],
+                    [", ".join(f"{s}={mu[s]}" for s in svars) for mu, _ in support])
+    if code == OP_CALL:
+        _, args_fn, callee, callee_entry, target = op
+        enter, back = stanzas[(callee, callee_entry)], stanzas[(fname, target)]
+        return _Law(lambda vals: (_plus(cert_value(enter, args_fn(vals)),
+                                        cert_value(back, vals)),))
+    if code == OP_BRANCH:
+        _, pred_fn, t1, t2 = op
+        yes, no = stanzas[(fname, t1)], stanzas[(fname, t2)]
+        return _Law(lambda vals: (cert_value(yes if pred_fn(vals) else no, vals),))
+    if code == OP_NONDET:
+        _, t1, t2 = op
+        then, other = stanzas[(fname, t1)], stanzas[(fname, t2)]
+        return _Law(lambda vals: (cert_value(then, vals), cert_value(other, vals)))
+    return None
 
-    def h_value(self, fname: str, label: int, vals: tuple) -> Optional[Fraction]:
-        return cert_value(self.stanzas[(fname, label)], vals)
 
-    # -- conditions per label class, yielding (name, ok, lhs, rhs, detail) --
+@dataclass(frozen=True)
+class _Kind:
+    """One certificate family.  A condition is (its name at an assignment,
+    its name after `call-`, `branch-` or `nondet-`, or None to bind at
+    assignments only, the condition); where the value here is infinite,
+    a `finite_only` family binds only `zero_at_exit` and `nonzero`."""
 
-    def conditions(self, fname: str, label: int, vals: tuple,
-                   h_here: Optional[Fraction]):
-        op = self.ops[(fname, label)]
-        code = op[0]
-        kind = self.kind
-        if code == OP_EXIT:
-            if kind in ("ranking", "super"):
-                yield ("terminal-zero", h_here == 0, _fmt(h_here), "0", "")
-            return
-        if kind == "super":
-            yield ("nonterminal-nonzero", h_here != 0, _fmt(h_here), "> 0", "")
-        if kind in ("cdb", "db", "super") and h_here is None:
-            return  # conditions apply only where the certificate is finite
+    carries: Tuple[str, ...]  # parameters its report carries
+    requires: Tuple[str, ...]  # parameters it needs
+    conditions: Tuple[Tuple[str, Optional[str], Callable], ...]
+    zero_at_exit: bool = False  # value 0 at the terminal label
+    nonzero: bool = False  # nonzero value at the other labels
+    finite_only: bool = True
 
-        if code == OP_ASSIGN:
-            _, update, _, target = op
-            succs = [(w, self.h_value(fname, target, update(vals, m)), text)
-                     for w, m, text in self.outcomes[(fname, label)]]
-            yield from self._assignment(succs, h_here)
-        elif code == OP_CALL:
-            _, args_fn, callee, callee_entry, target = op
-            h_callee = self.h_value(callee, callee_entry, args_fn(vals))
-            h_return = self.h_value(fname, target, vals)
-            total = None if (h_callee is None or h_return is None) else h_callee + h_return
-            yield from self._successors("call", [total], h_here)
-        elif code == OP_BRANCH:
-            _, pred_fn, t1, t2 = op
-            succ = self.h_value(fname, t1 if pred_fn(vals) else t2, vals)
-            yield from self._successors("branch", [succ], h_here)
-        else:  # OP_NONDET
-            _, t1, t2 = op
-            hs = [self.h_value(fname, t1, vals), self.h_value(fname, t2, vals)]
-            yield from self._successors("nondet", hs, h_here)
 
-    def _assignment(self, succs, h_here):
-        kind, params = self.kind, self.params
-        if kind == "ranking":
-            expected = _expect(succs)
-            lhs = None if expected is None else params.eps + expected
-            yield ("assign-expected-decrease", _le(lhs, h_here), _fmt(lhs), _fmt(h_here), "")
-        elif kind == "cdb":
-            expected = _expect(succs)
-            lhs = None if expected is None else params.delta + expected
-            yield ("assign-expected-drop-cap", _le(h_here, lhs), _fmt(lhs), _fmt(h_here), "")
-            jump = _expect(succs, h_here)
-            yield ("assign-expected-jump-cap", _le(jump, params.zeta),
-                   _fmt(jump), _fmt(params.zeta), "")
-        elif kind == "db":
-            yield self._outcome_cap(succs, h_here)
-        else:  # super
-            expected = _expect(succs)
-            yield ("assign-no-increase", _le(expected, h_here),
-                   _fmt(expected), _fmt(h_here), "")
-            yield self._outcome_cap(succs, h_here)
-            floor = _expect(succs, h_here)
-            yield ("assign-jump-floor", floor is None or floor >= params.delta,
-                   _fmt(floor), _fmt(params.delta), "")
+_KINDS = {
+    "ranking": _Kind(("eps",), ("eps",), (
+        ("assign-expected-decrease", "decrease",
+         lambda law, h, p: _at_most(_plus(p.eps, law.value), h)),
+    ), zero_at_exit=True, finite_only=False),
+    # cdb carries eps only so that CertParams enforces eps <= delta
+    "cdb": _Kind(("eps", "delta", "zeta"), ("delta", "zeta"), (
+        ("assign-expected-drop-cap", "drop-cap",
+         lambda law, h, p: _at_least(_plus(p.delta, law.value), h)),
+        ("assign-expected-jump-cap", None, lambda law, h, p: _at_most(law.change(h), p.zeta)),
+    )),
+    "db": _Kind(("zeta",), ("zeta",), (
+        ("assign-jump-cap", "jump-cap", lambda law, h, p: law.capped(h, p.zeta)),
+    )),
+    "super": _Kind(("delta", "zeta"), ("delta", "zeta"), (
+        ("assign-no-increase", "no-increase", lambda law, h, p: _at_most(law.value, h)),
+        ("assign-jump-cap", "jump-cap", lambda law, h, p: law.capped(h, p.zeta)),
+        ("assign-jump-floor", None, lambda law, h, p: _at_least(law.change(h), p.delta)),
+    ), zero_at_exit=True, nonzero=True),
+}
+CHECK_KINDS = tuple(_KINDS)
 
-    def _outcome_cap(self, succs, h_here):
-        zeta = self.params.zeta
-        for _, h_succ, text in succs:
-            diff = _absdiff(h_succ, h_here)
-            if not _le(diff, zeta):
-                return ("assign-jump-cap", False, _fmt(diff), _fmt(zeta), f"outcome {{{text}}}")
-        return ("assign-jump-cap", True, "", "", "")
+_TERMINAL_ZERO = ("terminal-zero", lambda law, h, p: (h == 0, h, 0, ""))
+_NONZERO = ("nonterminal-nonzero", lambda law, h, p: (h != 0, h, "> 0", ""))
+_PREFIX = {OP_CALL: "call-", OP_BRANCH: "branch-", OP_NONDET: "nondet-"}
 
-    def _successors(self, prefix, hs, h_here):
-        """Conditions against the worst of the successor values `hs` (one, or
-        the two a nondeterministic label chooses between)."""
-        kind, params = self.kind, self.params
-        worst = reduce(_worse, hs)
-        if kind == "ranking":
-            lhs = None if worst is None else params.eps + worst
-            yield (f"{prefix}-decrease", _le(lhs, h_here), _fmt(lhs), _fmt(h_here), "")
-        elif kind == "cdb":
-            lhs = None if worst is None else params.delta + worst
-            yield (f"{prefix}-drop-cap", _le(h_here, lhs), _fmt(lhs), _fmt(h_here), "")
-        else:
-            if kind == "super":
-                yield (f"{prefix}-no-increase", _le(worst, h_here),
-                       _fmt(worst), _fmt(h_here), "")
-            diff = reduce(_worse, [_absdiff(h, h_here) for h in hs])
-            yield (f"{prefix}-jump-cap", _le(diff, params.zeta),
-                   _fmt(diff), _fmt(params.zeta), "")
+
+def _label_conditions(kind: _Kind, code: int):
+    """(name, condition) pairs binding at every covered point, and all."""
+    if code == OP_EXIT:
+        plain = (_TERMINAL_ZERO,) if kind.zero_at_exit else ()
+        return plain, plain
+    plain = (_NONZERO,) if kind.nonzero else ()
+    return plain, plain + tuple((name if code == OP_ASSIGN else _PREFIX[code] + suffix, cond)
+                                for name, suffix, cond in kind.conditions
+                                if code == OP_ASSIGN or suffix)
 
 
 def _kind_params(kind: str, cert: Certificate, **overrides) -> CertParams:
@@ -348,7 +325,7 @@ def _kind_params(kind: str, cert: Certificate, **overrides) -> CertParams:
     override is given."""
     return CertParams(**{
         name: overrides[name] if overrides.get(name) is not None else getattr(cert.params, name)
-        for name in _KIND_PARAMS[kind][0]
+        for name in _KINDS[kind].carries
     })
 
 
@@ -357,14 +334,20 @@ def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
                   units: Tuple[Tuple[int, Tuple[str, int]], ...]) -> Dict:
     """Scan the (index, (fname, label)) units in order.  An evaluation error
     stops the scan and is returned with its unit index."""
-    engine = _Engine(kind, cert, params, cfg, sf)
+    row = _KINDS[kind]
+    ops = cfg._ops
+    stanzas = {
+        (fn.name, label): cert._stanza(fn.name, label, fn.pvars, label == fn.exit)
+        for fn in cfg.functions for label in fn.labels()
+    }
+    laws = {key: _law(ops[key], key[0], stanzas, sf) for key in stanzas}
     failures: List[ConditionFailure] = []
     checked = skipped = conditions = 0
     error = None
-    pvars_by_fn = {fn.name: fn.pvars for fn in cfg.functions}
     for index, (fname, label) in units:
-        pvars = pvars_by_fn[fname]
-        stanza = engine.stanzas[(fname, label)]
+        pvars = cfg.function(fname).pvars
+        stanza, law = stanzas[(fname, label)], laws[(fname, label)]
+        plain, every = _label_conditions(row, ops[(fname, label)][0])
         seen_failed: set = set()
         try:
             for vals in box.tuples(pvars):
@@ -373,13 +356,18 @@ def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
                     skipped += 1
                     continue
                 checked += 1
-                for name, ok, lhs, rhs, detail in engine.conditions(fname, label, vals, h_here):
-                    conditions += 1
+                full = h_here is not None or not row.finite_only
+                todo = every if full else plain
+                if full and law is not None:
+                    law.load(vals)
+                conditions += len(todo)
+                for name, cond in todo:
+                    ok, lhs, rhs, detail = cond(law, h_here, params)
                     if not ok and name not in seen_failed:
                         seen_failed.add(name)
                         failures.append(ConditionFailure(
                             fname, label, name, tuple(zip(pvars, vals)),
-                            lhs, rhs, detail))
+                            _fmt(lhs), _fmt(rhs), detail))
         except EvalError as exc:
             error = (index, EvalError(f"{exc} at {point_text(fname, label, pvars, vals)}"))
             break
@@ -410,7 +398,7 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
     if kind not in CHECK_KINDS:
         raise CheckerError(f"unknown check kind {kind!r}; choose from {CHECK_KINDS}")
     params = params if params is not None else cert.params
-    params.require(*_KIND_PARAMS[kind][1])
+    params.require(*_KINDS[kind].requires)
     for fn in cfg.functions:
         for name in fn.pvars:
             box.interval(name)  # raises if the box misses a variable

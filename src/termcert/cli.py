@@ -187,6 +187,12 @@ def _int(text: str, what: str) -> int:
         raise CliError(f"bad {what} {text!r}; expected an integer") from None
 
 
+def _workers(n: int) -> int:
+    if n < 0:
+        raise CliError(f"bad --workers {n}; expected a nonnegative integer")
+    return n
+
+
 def _int_list(spec: str) -> Tuple[int, ...]:
     return tuple(_int(x, "threshold") for x in spec.replace(",", " ").split())
 
@@ -277,7 +283,8 @@ def _cmd_check(args) -> int:
     params = _kind_params(args.kind, cert, **{
         name: parse_fraction(getattr(args, name)) for name in ("eps", "delta", "zeta")
         if getattr(args, name) is not None})
-    report = run_check(args.kind, cert, cfg, sf, box, params, workers=max(args.workers, 1))
+    report = run_check(args.kind, cert, cfg, sf, box, params,
+                       workers=max(_workers(args.workers), 1))
     meta = _meta(box=report.box, cert=cert)
     meta["kind"] = report.kind
     meta["passed"] = report.passed
@@ -307,7 +314,7 @@ def _cmd_simulate(args) -> int:
     if args.scheduler.startswith("greedy") and cert is None:
         raise CliError(f"scheduler {args.scheduler!r} requires --cert")
     scheduler = Scheduler(args.scheduler, cert)
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
+    workers = _workers(args.workers) or os.cpu_count() or 1
     stats = simulate(cfg, sf, entry, scheduler, runs=args.runs,
                      max_steps=args.max_steps, k_list=_int_list(args.tail),
                      seed=args.seed, workers=workers)

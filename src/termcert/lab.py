@@ -187,6 +187,8 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
         raise LabError(f"unknown process {tag!r}; choose from {TAGS}")
     if horizon < 1:
         raise LabError("horizon must be at least 1")
+    if runs < 0:
+        raise LabError(f"runs must be nonnegative, got {runs}")
     alpha_f = _needs_alpha(tag, alpha)
     tail_ns = tuple(sorted(set(int(n) for n in tail_ns)))
     for n in tail_ns:

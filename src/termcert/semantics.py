@@ -417,6 +417,8 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
         raise SemanticsError("entry stack element must be nonterminal")
     if max_steps < 1:
         raise SemanticsError("max_steps must be at least 1")
+    if runs < 0:
+        raise SemanticsError(f"runs must be nonnegative, got {runs}")
     k_list = tuple(sorted(set(int(k) for k in k_list)))
     for k in k_list:
         if k < 1 or k > max_steps:

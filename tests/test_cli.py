@@ -224,3 +224,35 @@ def test_bad_entry_and_missing_distribution_messages(capsys):
         "--entry", "g@9")
     assert code == 2
     assert err == "error: function 'g' has no label 9\n"
+
+
+def test_negative_run_count_exits_two(capsys):
+    for argv in (("simulate", HALVING, "--dist", HALVING_DIST, "--entry", "f",
+                  "--args", "n=5", "--tail", "10"),
+                 ("lab", "--example", "noconcentration", "--alpha", "2", "--horizon", "10")):
+        code, out, err = run_cli(capsys, *argv, "--runs", "-5")
+        assert (code, out, err) == (2, "", "error: runs must be nonnegative, got -5\n")
+
+
+def test_check_rejects_negative_workers(capsys, inline_pool):
+    from termcert import checker
+
+    sizes = inline_pool(checker)
+    code, out, err = run_cli(
+        capsys, "check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
+        "--dist", HALVING_DIST, "--box", "n=0..3", "--workers", "-4")
+    assert (code, out) == (2, "")
+    assert err == "error: bad --workers -4; expected a nonnegative integer\n"
+    assert sizes == []
+
+
+def test_simulate_rejects_negative_workers(capsys, inline_pool):
+    from termcert import semantics
+
+    sizes = inline_pool(semantics)
+    code, out, err = run_cli(
+        capsys, "simulate", HALVING, "--dist", HALVING_DIST, "--entry", "f",
+        "--args", "n=5", "--runs", "10", "--workers", "-7")
+    assert (code, out) == (2, "")
+    assert err == "error: bad --workers -7; expected a nonnegative integer\n"
+    assert sizes == []

@@ -123,6 +123,8 @@ def test_lab_rejects_bad_inputs():
         simulate_lab("noconcentration", runs=10, horizon=10)  # alpha missing
     with pytest.raises(LabError):
         simulate_lab("cbounded", runs=10, horizon=5, tail_ns=[6])
+    with pytest.raises(LabError, match="runs must be nonnegative, got -5"):
+        simulate_lab("noconcentration", alpha=2.0, runs=-5, horizon=10)
 
 
 def test_result_rows_carry_methods():

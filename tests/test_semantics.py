@@ -132,6 +132,15 @@ def test_simulate_rejects_tail_threshold_beyond_cap(halving):
                  Scheduler("uniform"), runs=1, max_steps=10, k_list=[11], seed=0)
 
 
+def test_simulate_rejects_negative_run_count(halving):
+    cfg, sf, _ = halving
+    entry = StackElement("f", 1, Valuation({"n": 1}))
+    with pytest.raises(SemanticsError, match="runs must be nonnegative, got -5"):
+        simulate(cfg, sf, entry, Scheduler("uniform"), runs=-5, max_steps=10, seed=0)
+    stats = simulate(cfg, sf, entry, Scheduler("uniform"), runs=0, max_steps=10, seed=0)
+    assert (stats.runs, stats.terminated, stats.censored) == (0, 0, 0)
+
+
 def test_greedy_max_mean_is_deterministic_for_halving_game(halving):
     # under the greedy-max policy the run from n=5 is deterministic: 44 steps
     cfg, sf, cert = halving
