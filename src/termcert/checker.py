@@ -192,8 +192,8 @@ def _plus(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
     return None if a is None or b is None else a + b
 
 
-def _at_most(lhs, rhs, detail: str = ""):
-    return _le(lhs, rhs), lhs, rhs, detail
+def _at_most(lhs, rhs):
+    return _le(lhs, rhs), lhs, rhs, ""
 
 
 def _at_least(lhs, rhs):
@@ -236,7 +236,7 @@ class _Law:
         for x, outcome in zip(self.values, self.outcomes):
             diff = None if x is None else abs(x - h)
             if not _le(diff, cap):
-                return _at_most(diff, cap, f"outcome {{{outcome}}}")
+                return False, diff, cap, f"outcome {{{outcome}}}"
         return True, None, cap, ""
 
 
