@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
-
-import mpmath
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from .certificates import Certificate
 from .cfg import Cfg
@@ -20,6 +18,9 @@ from .checker import theta_fixpoint
 from .extreal import ExtReal
 from .lang import EvalError
 from .semantics import StackElement
+
+if TYPE_CHECKING:
+    import mpmath
 
 _DPS = 40
 
@@ -113,6 +114,7 @@ def concentration_tail(eps: Fraction, zeta: Fraction, entry_value: ExtReal,
     if Fraction(n) * eps <= h0:
         raise BoundError(
             f"n={n} is outside the validity domain n > {h0}/{eps} = {h0/eps}")
+    import mpmath  # only the float tail formulas load it; the rational rows never do
     with mpmath.workdps(_DPS):
         denom = 2 * n * (eps + zeta) ** 2
         exact = mpmath.e ** (-_mpf((eps * n - h0) ** 2 / denom))
@@ -136,6 +138,7 @@ class SqrtTailResult:
 
 
 def _mpf(q: Fraction) -> mpmath.mpf:
+    import mpmath
     q = Fraction(q)
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
@@ -143,6 +146,7 @@ def _mpf(q: Fraction) -> mpmath.mpf:
 def _smallness_holds(zeta: Fraction, delta: Fraction, k: int) -> bool:
     """exp(c*t) - (1 + c*t + c^2 t^2/2) <= (delta^2/4) t^2 at t = 1/sqrt(k),
     with c the per-outcome difference bound."""
+    import mpmath
     with mpmath.workdps(_DPS):
         t = 1 / mpmath.sqrt(k)
         c = _mpf(zeta)
@@ -192,6 +196,7 @@ def sqrt_tail(entry_value: ExtReal, delta: Fraction, zeta: Fraction,
     periods = k // K
     if periods == 0:
         return SqrtTailResult(ok=True, bound=1.0, k=k)
+    import mpmath
     with mpmath.workdps(_DPS):
         t = 1 / mpmath.sqrt(k)
         numerator = 1 - mpmath.e ** (-_mpf(entry_value.fraction) * t)

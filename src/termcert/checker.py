@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -412,6 +411,7 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
     if workers <= 1:
         parts = [_check_labels(kind, cert, params, cfg, sf, box, units)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_check_labels, kind, cert, params, cfg, sf, box, units[i::workers])

@@ -342,6 +342,9 @@ def _cmd_bounds(args) -> int:
     entry = _entry_element(cfg, args.entry, args.args)
     rows = bound_rows(args.kind, cert, cfg, entry,
                        _int_list(args.k), _int_list(args.n))
+    if args.kind in ("cdb", "db"):
+        print(f"warning: the eps rows of --kind {args.kind} hold only if "
+              "check --kind ranking also passes on this certificate", file=sys.stderr)
     meta = _meta(cert=cert)
     meta["kind"] = args.kind
     headers = ["rule", "entry", "params", "value", "validity"]

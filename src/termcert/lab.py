@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import mpmath
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .rng import make_generator
 from .semantics import TailEstimate, Z95, wilson_interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TAGS = ("nonnegativity", "cbounded", "noconcentration", "randomwalk", "positivity")
 
@@ -82,6 +82,7 @@ def analytic(tag: str, query: str, n: Optional[int] = None,
     Queries: ``prob_nonterm``, ``expected_T``, ``tail`` (P(T > n), needs n).
     Unsupported (tag, query) pairs raise LabError.
     """
+    import mpmath
     if tag not in TAGS:
         raise LabError(f"unknown process {tag!r}; choose from {TAGS}")
     alpha_f = _needs_alpha(tag, alpha)
@@ -183,6 +184,7 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
     horizon are censored; they count toward every requested survival level
     (exact, since T > horizon >= n) and are excluded from the mean.
     """
+    import numpy as np
     if tag not in TAGS:
         raise LabError(f"unknown process {tag!r}; choose from {TAGS}")
     if horizon < 1:
@@ -217,7 +219,7 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
     for n in tail_ns:
         count = int(((T > n) | ~finished).sum())
         lo, hi = wilson_interval(count, runs)
-        survivals.append(TailEstimate(n, count, count / runs, lo, hi))
+        survivals.append(TailEstimate(n, count, count / runs if runs else 0.0, lo, hi))
 
     return LabResult(
         tag=tag, alpha=alpha if tag == "noconcentration" else None,
@@ -236,6 +238,7 @@ def _simulate_two_point(gen: np.random.Generator, tag: str, alpha: float,
     values); the others reset, which for stopping-time purposes is the same
     as freezing the run at its first nonpositive value.
     """
+    import numpy as np
     T = np.zeros(runs, dtype=np.int64)
     x = np.full(runs, initial_value(tag), dtype=np.float64)
     alive = np.arange(runs)
@@ -255,6 +258,7 @@ def _simulate_two_point(gen: np.random.Generator, tag: str, alpha: float,
 
 def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndarray:
     """Symmetric +-1 walk from 1 absorbed at 0, stepped in cumsum blocks."""
+    import numpy as np
     T = np.zeros(runs, dtype=np.int64)
     x = np.ones(runs, dtype=np.int64)
     alive = np.arange(runs)
@@ -289,6 +293,7 @@ def fit_tail_slope(ns: Sequence[int], counts: Sequence[int], runs: int,
     by their counts, approximating inverse variance of log P-hat under
     Poisson noise.
     """
+    import numpy as np
     xs, ys, ws = [], [], []
     for n, count in zip(ns, counts):
         if count >= min_count and n + shift >= 1:

@@ -16,8 +16,10 @@ the same pair, since both take the key from `_key`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _KEY_MASK = (1 << 64) - 1
 
@@ -55,6 +57,7 @@ def _key(seed: int, stream: int) -> list:
 
 
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
+    import numpy as np  # here, not at module level: commands that draw nothing never load it
     key = np.array(_key(seed, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -433,6 +432,9 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
         acc = _run_range(cfg, sf, entry.fname, entry.label, entry_vals,
                          scheduler, 0, runs, max_steps, k_list, seed)
     else:
+        import numpy  # noqa: F401  (loaded before the pool forks, so no worker imports it)
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [(runs * i) // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 from concurrent.futures import Future
 
 import pytest
@@ -33,12 +34,13 @@ def coins():
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace a module's ProcessPoolExecutor by one that runs each task in
-    this process and records the pool sizes asked for, so that a process
+    """Replace concurrent.futures.ProcessPoolExecutor, which the checker and
+    the simulator import when they start a pool, by one that runs each task
+    in this process and records the pool sizes asked for, so that a process
     count can be tested without starting a process.  Usage:
-    `sizes = inline_pool(module)`."""
+    `sizes = inline_pool()`."""
 
-    def install(module):
+    def install():
         sizes = []
 
         class InlinePool:
@@ -59,7 +61,7 @@ def inline_pool(monkeypatch):
                     future.set_exception(exc)
                 return future
 
-        monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         return sizes
 
     return install

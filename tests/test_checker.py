@@ -321,9 +321,7 @@ def test_reports_identical_across_workers_and_reruns(halving):
 def test_process_count_is_clamped_to_cores_and_labels(halving, inline_pool, monkeypatch):
     import os
 
-    from termcert import checker
-
-    sizes = inline_pool(checker)
+    sizes = inline_pool()
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg, sf, cert = halving
     box = VerifyBox.parse("n=-5..5")

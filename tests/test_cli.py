@@ -83,6 +83,21 @@ def test_bounds_table_lists_lower_and_upper(capsys):
     assert "1/2" in out
 
 
+def test_bounds_warns_that_eps_rows_need_a_ranking_check(capsys):
+    argv = ("bounds", HALVING, "--cert", HALVING_CERT, "--entry", "f", "--args", "n=5",
+            "--k", "112", "--n", "100", "--format", "csv")
+    code, ranking, err = run_cli(capsys, *argv, "--kind", "ranking")
+    assert (code, err) == (0, "")
+    header_and_eps_rows = ranking.splitlines()
+    assert len(header_and_eps_rows) == 3
+    for kind in ("cdb", "db"):
+        code, out, err = run_cli(capsys, *argv, "--kind", kind)
+        assert code == 0
+        assert out.splitlines()[:3] == header_and_eps_rows  # stdout as without the warning
+        assert err == (f"warning: the eps rows of --kind {kind} hold only if "
+                       "check --kind ranking also passes on this certificate\n")
+
+
 def test_bounds_super_uses_fixpoint_period(capsys):
     code, out, _ = run_cli(
         capsys, "bounds", WALK, "--cert", WALK_CERT, "--kind", "super",
@@ -153,6 +168,14 @@ def test_lab_subcommand(capsys):
     payload = json.loads(out_json)
     assert payload["seed"] == 2
     assert any(r["query"] == "expected_T" for r in payload["rows"])
+
+
+def test_lab_with_no_runs_prints_zero_survival(capsys):
+    code, out, err = run_cli(
+        capsys, "lab", "--example", "noconcentration", "--alpha", "2", "--runs", "0",
+        "--horizon", "10", "--tail", "9", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert "tail P(T > 9),0.01,closed form,0,0.5" in out.splitlines()
 
 
 def test_coin_loop_check_without_dist_file(capsys):
@@ -235,9 +258,7 @@ def test_negative_run_count_exits_two(capsys):
 
 
 def test_check_rejects_negative_workers(capsys, inline_pool):
-    from termcert import checker
-
-    sizes = inline_pool(checker)
+    sizes = inline_pool()
     code, out, err = run_cli(
         capsys, "check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
         "--dist", HALVING_DIST, "--box", "n=0..3", "--workers", "-4")
@@ -247,9 +268,7 @@ def test_check_rejects_negative_workers(capsys, inline_pool):
 
 
 def test_simulate_rejects_negative_workers(capsys, inline_pool):
-    from termcert import semantics
-
-    sizes = inline_pool(semantics)
+    sizes = inline_pool()
     code, out, err = run_cli(
         capsys, "simulate", HALVING, "--dist", HALVING_DIST, "--entry", "f",
         "--args", "n=5", "--runs", "10", "--workers", "-7")

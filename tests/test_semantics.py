@@ -322,9 +322,7 @@ def test_long_runs_draw_the_streams_of_the_reference():
 def test_process_count_is_clamped_to_cores_and_runs(halving, inline_pool, monkeypatch):
     import os
 
-    from termcert import semantics
-
-    sizes = inline_pool(semantics)
+    sizes = inline_pool()
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg, sf, _ = halving
     entry = StackElement("f", 1, Valuation({"n": 5}))

@@ -1,0 +1,133 @@
+"""Start-up: which heavy modules a command loads, and the real entry point.
+
+These tests start fresh interpreters, because this process has long since
+loaded numpy, mpmath and the process-pool module through other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import termcert
+from termcert.cli import main
+from termcert.fixtures import fixture_path
+
+HALVING = fixture_path("halving_game.prob")
+HALVING_CERT = fixture_path("halving_game.cert")
+HALVING_DIST = fixture_path("halving_game.dist")
+SRC = str(Path(termcert.__file__).resolve().parent.parent)
+ENV = dict(os.environ,
+           PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+
+HEAVY = ("numpy", "mpmath", "concurrent.futures.process")
+
+# Runs each step in one interpreter and prints, per step, the modules of
+# HEAVY loaded after it.  The pool steps see two cores, so they start a pool
+# on any machine; the recording pool at the end runs its tasks in process.
+PROBE = """
+import concurrent.futures, contextlib, io, json, os, sys
+from concurrent.futures import Future
+
+HEAVY = {heavy!r}
+os.cpu_count = lambda: 2
+seen = {{}}
+
+def note(step):
+    seen[step] = [m for m in HEAVY if m in sys.modules]
+
+def cli(step, *argv):
+    from termcert.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(list(argv))
+    note(step)
+
+class RecordingPool:
+    def __init__(self, max_workers):
+        note("pool constructed")
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+prog, cert, dist = sys.argv[1:4]
+if sys.argv[4] == "commands":
+    import termcert
+    note("import termcert")
+    import termcert.cli
+    note("import termcert.cli")
+    cli("parse", "parse", prog)
+    cli("cfg", "cfg", prog)
+    cli("check", "check", prog, "--cert", cert, "--kind", "ranking", "--dist", dist,
+        "--box", "n=-20..20")
+    cli("bounds --k", "bounds", prog, "--cert", cert, "--kind", "cdb", "--entry", "f",
+        "--args", "n=5", "--k", "112,224")
+    cli("bounds --n", "bounds", prog, "--cert", cert, "--kind", "db", "--entry", "f",
+        "--args", "n=5", "--n", "100")
+    cli("lab", "lab", "--example", "randomwalk", "--runs", "100", "--horizon", "50",
+        "--tail", "9")
+    cli("check --workers 2", "check", prog, "--cert", cert, "--kind", "ranking",
+        "--dist", dist, "--box", "n=-5..5", "--workers", "2")
+else:
+    concurrent.futures.ProcessPoolExecutor = RecordingPool
+    cli("simulate --workers 2", "simulate", prog, "--entry", "f", "--args", "n=5",
+        "--dist", dist, "--runs", "20", "--workers", "2")
+print(json.dumps(seen))
+"""
+
+
+def probe(mode):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(heavy=HEAVY), HALVING, HALVING_CERT,
+         HALVING_DIST, mode],
+        env=ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_load_numpy_mpmath_and_the_pool_only_when_used():
+    seen = probe("commands")
+    for step in ("import termcert", "import termcert.cli", "parse", "cfg", "check",
+                 "bounds --k"):
+        assert seen[step] == [], step
+    assert seen["bounds --n"] == ["mpmath"]  # the float concentration rows
+    assert seen["lab"] == ["numpy", "mpmath"]
+    assert seen["check --workers 2"] == list(HEAVY)
+
+
+def test_simulate_loads_numpy_before_its_pool_starts():
+    seen = probe("simulate")
+    assert seen["pool constructed"] == ["numpy"]
+
+
+README_COMMANDS = [
+    ["parse", HALVING],
+    ["cfg", HALVING],
+    ["check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking", "--dist", HALVING_DIST,
+     "--box", "n=-100..100"],
+    ["check", HALVING, "--cert", HALVING_CERT, "--kind", "cdb", "--dist", HALVING_DIST,
+     "--box", "n=-100..100", "--delta", "12.99"],
+    ["bounds", HALVING, "--cert", HALVING_CERT, "--kind", "cdb", "--entry", "f",
+     "--args", "n=5", "--k", "112,224"],
+    # the README's simulate and lab at 200 runs (20000 and 100000 there),
+    # simulate on two workers (all cores there)
+    ["simulate", HALVING, "--entry", "f", "--args", "n=5", "--dist", HALVING_DIST,
+     "--scheduler", "greedy-max", "--cert", HALVING_CERT, "--runs", "200",
+     "--max-steps", "100000", "--tail", "112", "--seed", "1105", "--workers", "2"],
+    ["lab", "--example", "noconcentration", "--alpha", "2", "--runs", "200",
+     "--horizon", "1000", "--seed", "12", "--tail", "9,99,999"],
+]
+
+
+def test_entry_point_matches_in_process_main(capsys):
+    for argv in README_COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "termcert.cli", *argv],
+                              env=ENV, capture_output=True, text=True, timeout=120)
+        code = main(argv)
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out), argv[0]
+        assert code == (1 if "12.99" in argv else 0)
