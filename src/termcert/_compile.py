@@ -1,5 +1,5 @@
-"""The single evaluator of termcert: expressions, guards, CFG payloads and
-certificate stanzas compiled to Python lambdas over valuation tuples.
+"""The single evaluator of termcert: expressions, guards, CFG payloads,
+certificate stanzas and the simulator's run loop, compiled to Python.
 
 Everything that evaluates a program or a certificate goes through here: the
 checker, the run loop, `semantics.step`, the schedulers, `Certificate.value`
@@ -19,6 +19,7 @@ cover, which the checker skips and every other consumer values as infinity
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
@@ -31,6 +32,8 @@ MISS = object()
 
 
 def _idiv(a, b):
+    if type(a) is int and type(b) is int and b > 0:
+        return a // b
     if b <= 0:
         raise EvalError(f"floor division by non-positive value {b}")
     if isinstance(b, Fraction) and b.denominator != 1:
@@ -41,6 +44,8 @@ def _idiv(a, b):
 
 
 def _ipow(a, b):
+    if type(b) is int and b >= 0:
+        return a ** b
     if b < 0 or (isinstance(b, Fraction) and b.denominator != 1):
         raise EvalError(f"exponent {b} is not a nonnegative integer")
     return a ** int(b)
@@ -60,64 +65,65 @@ def _negative(x, v, fname, label, pvars):
 
 
 _NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "_negative": _negative,
-              "MISS": MISS, "__builtins__": {}}
+              "MISS": MISS, "EvalError": EvalError, "__builtins__": {}}
 
 
-def expr_code(expr: Expr, pvar_index: Dict[str, int],
-              svar_index: Optional[Dict[str, int]] = None) -> str:
-    """Render `expr` as Python source over `v` (pvars) and `m` (samples)."""
+def expr_code(expr: Expr, names: Dict[str, str]) -> str:
+    """Render `expr` as Python source, each variable as `names` renders it."""
     if isinstance(expr, Const):
         value = expr.value
         if value.denominator == 1:
             return repr(value.numerator)
         return f"F({value.numerator}, {value.denominator})"
     if isinstance(expr, Var):
-        if expr.name in pvar_index:
-            return f"v[{pvar_index[expr.name]}]"
-        if svar_index is not None and expr.name in svar_index:
-            return f"m[{svar_index[expr.name]}]"
+        if expr.name in names:
+            return names[expr.name]
         raise EvalError(f"unbound variable {expr.name!r}")
     if isinstance(expr, BinOp):
-        left = expr_code(expr.left, pvar_index, svar_index)
-        right = expr_code(expr.right, pvar_index, svar_index)
+        left = expr_code(expr.left, names)
+        right = expr_code(expr.right, names)
         if expr.op == "div":
             return f"_idiv({left}, {right})"
         return f"({left} {expr.op} {right})"
     if isinstance(expr, Pow):
-        base = expr_code(expr.base, pvar_index, svar_index)
-        exp = expr_code(expr.exponent, pvar_index, svar_index)
-        return f"_ipow({base}, {exp})"
+        return f"_ipow({expr_code(expr.base, names)}, {expr_code(expr.exponent, names)})"
     if isinstance(expr, InfConst):
         raise EvalError("inf cannot appear inside an arithmetic expression")
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def pred_code(pred: Pred, pvar_index: Dict[str, int]) -> str:
+def pred_code(pred: Pred, names: Dict[str, str]) -> str:
     if isinstance(pred, Cmp):
-        left = expr_code(pred.left, pvar_index)
-        right = expr_code(pred.right, pvar_index)
-        return f"({left} {pred.op} {right})"
+        return f"({expr_code(pred.left, names)} {pred.op} {expr_code(pred.right, names)})"
     if isinstance(pred, Not):
-        return f"(not {pred_code(pred.inner, pvar_index)})"
+        return f"(not {pred_code(pred.inner, names)})"
     if isinstance(pred, And):
-        return f"({pred_code(pred.left, pvar_index)} and {pred_code(pred.right, pvar_index)})"
+        return f"({pred_code(pred.left, names)} and {pred_code(pred.right, names)})"
     if isinstance(pred, Or):
-        return f"({pred_code(pred.left, pvar_index)} or {pred_code(pred.right, pvar_index)})"
+        return f"({pred_code(pred.left, names)} or {pred_code(pred.right, names)})"
     raise TypeError(f"not a predicate: {pred!r}")
 
 
 @lru_cache(maxsize=2048)
 def compile_lambda(source: str) -> Callable:
-    """The lambda for `source`; random and repeated programs share many."""
-    return eval(source, _NAMESPACE)
+    """The function that `source`, a lambda or one `def`, makes; random and
+    repeated programs share many."""
+    scope: Dict[str, Callable] = {}
+    exec(source if source.startswith("def ") else f"_ = {source}", _NAMESPACE, scope)
+    return scope.popitem()[1]
 
 
-def _index(names: Tuple[str, ...]) -> Dict[str, int]:
-    return {name: i for i, name in enumerate(names)}
+def _slots(names: Tuple[str, ...], seq: str) -> Dict[str, str]:
+    """Each name rendered as its slot of the tuple `seq`."""
+    return {name: f"{seq}[{i}]" for i, name in enumerate(names)}
+
+
+def _tuple(items) -> str:
+    return f"({''.join(item + ', ' for item in items)})"
 
 
 def compile_pred(pred: Pred, pvars: Tuple[str, ...]) -> Callable:
-    return compile_lambda(f"lambda v: {pred_code(pred, _index(pvars))}")
+    return compile_lambda(f"lambda v: {pred_code(pred, _slots(pvars, 'v'))}")
 
 
 def compile_update(var: Optional[str], expr: Optional[Expr],
@@ -126,22 +132,21 @@ def compile_update(var: Optional[str], expr: Optional[Expr],
     """fn(v, m) -> v' where m carries the drawn sampling values in order."""
     if var is None or expr is None:
         return compile_lambda("lambda v, m: v")
-    body = expr_code(expr, _index(pvars), _index(sampling_vars))
-    slots = ", ".join(
-        body if name == var else f"v[{i}]" for i, name in enumerate(pvars)
-    )
-    return compile_lambda(f"lambda v, m: ({slots},)")
+    body = expr_code(expr, {**_slots(sampling_vars, "m"), **_slots(pvars, "v")})
+    slots = (body if name == var else f"v[{i}]" for i, name in enumerate(pvars))
+    return compile_lambda(f"lambda v, m: {_tuple(slots)}")
 
 
-def compile_call_args(params: Tuple[str, ...], args: Tuple[Expr, ...],
-                      caller_pvars: Tuple[str, ...],
-                      callee_vars: Tuple[str, ...]) -> Callable:
-    """fn(v) -> callee valuation tuple (parameters bound, locals zero)."""
-    pidx = _index(caller_pvars)
-    by_param = dict(zip(params, args))
-    slots = [expr_code(by_param[name], pidx) if name in by_param else "0"
-             for name in callee_vars]
-    return compile_lambda(f"lambda v: ({', '.join(slots)},)")
+def _args_code(payload, names: Dict[str, str]) -> str:
+    """The callee valuation tuple of a call: parameters bound, locals zero."""
+    by_param = dict(zip(payload.params, payload.args))
+    return _tuple(expr_code(by_param[name], names) if name in by_param else "0"
+                  for name in payload.callee_vars)
+
+
+def compile_call_args(payload, caller_pvars: Tuple[str, ...]) -> Callable:
+    """fn(v) -> callee valuation tuple."""
+    return compile_lambda(f"lambda v: {_args_code(payload, _slots(caller_pvars, 'v'))}")
 
 
 def compile_op(cfg, fname: str, label: int) -> tuple:
@@ -168,7 +173,7 @@ def compile_op(cfg, fname: str, label: int) -> tuple:
     if label in fn.nondet:
         return (OP_NONDET, target, edges[1].target)
     if label in fn.call:
-        return (OP_CALL, compile_call_args(p.params, p.args, fn.pvars, p.callee_vars),
+        return (OP_CALL, compile_call_args(p, fn.pvars),
                 p.callee, cfg.function(p.callee).entry, target)
     return (OP_ASSIGN, compile_update(p.var, p.expr, fn.pvars, p.sampling_vars),
             p.sampling_vars, target)
@@ -186,6 +191,122 @@ class OpTable(dict):
         return op
 
 
+_NESTING = 40  # branch levels per segment; deeper code starts a segment of its own
+
+
+def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable, list]:
+    """(make, stars): `make(nxt, cap, stk, *choosers)` returns the segment
+    of `entry`; `stars` lists the (function, then, else) of each chooser.
+
+    Each resume point (a function's entry, a call's return label, a label
+    with more than one predecessor, `entry`, a branch target nested
+    _NESTING deep) has a segment `seg(v, steps) -> steps`: it runs the top
+    frame of `stk` (a list of (segment, values) frames) label by label, each
+    testing the cap `cap` and counting a step, until a call, the exit,
+    another resume point or the cap, and loops at its own label.  Stars
+    follow the scheduler `kind`: always-then, always-else, `nxt() < 0.5`
+    (uniform) or a chooser (greedy-*).  Sampling variables draw `nxt()`
+    through their thresholds as `sample_from_uniform` does; an EvalError is
+    raised again naming its label.
+    """
+    segs = {}
+    for fidx, fn in enumerate(cfg.functions):
+        indegree = Counter(t.target for t in fn.transitions)
+        starts = {fn.entry, *(t.target for t in fn.transitions if t.source in fn.call),
+                  *(label for label, n in indegree.items() if n > 1)}
+        if fn.name == entry[0]:
+            starts.add(entry[1])
+        segs.update(((fn.name, label), f"s{fidx}_{label}")
+                    for label in sorted(starts - {fn.exit}))
+    stars, lines = [], []
+    todo = list(segs)  # grows while it is read, by the deeply nested targets
+    for fname, start in todo:
+        lines += _segment(cfg, sf, cfg.function(fname), start, segs, todo, kind, stars)
+    params = "".join(f", c{k}" for k in range(len(stars)))
+    source = "\n".join([f"def make(nxt, cap, stk{params}):", *lines,
+                        f"    return {segs[entry]}", ""])
+    return compile_lambda(source), stars
+
+
+def _segment(cfg, sf, fn, start, segs, todo, kind, stars) -> list:
+    """The source lines of the segment of `fn` at `start` (compile_runner)."""
+    names = {var: f"x{i}" for i, var in enumerate(fn.pvars)}
+    fresh = _tuple(names.values())
+    lines = [f"    def {segs[fn.name, start]}(v, st):", f"        {fresh} = v",
+             "        while True:"]
+
+    def inline(label):
+        return label != fn.exit and label != start and (fn.name, label) not in segs
+
+    def run(label, pad, vals):
+        """Emit `label` and the labels after it, up to the jump ending the path."""
+        while True:
+            if label != start:
+                lines.append(pad + "if st >= cap: return st")
+            lines.append(pad + "st += 1")
+            where = f'except EvalError as e: raise EvalError(f"{{e}} at ({fn.name}, {label})") from None'
+            edges = fn.out_edges(label)  # sorted: the true/then edge comes first
+            p, target = edges[0].payload, edges[0].target
+            if label in fn.nondet and kind.startswith("always"):
+                target = edges[kind == "always-else"].target
+            elif label in fn.branching or label in fn.nondet:
+                if label in fn.branching:
+                    test = pred_code(p.pred, names)
+                elif kind == "uniform":
+                    test = "nxt() < 0.5"
+                else:
+                    test = f"c{len(stars)}({', '.join(names.values())})"
+                    stars.append((fn, target, edges[1].target))
+                lines.extend([pad + f"try: b = {test}", pad + where, pad + "if b:"])
+                goto(target, pad + "    ", vals)
+                lines.append(pad + "else:")
+                goto(edges[1].target, pad + "    ", vals)
+                return
+            elif label in fn.call:
+                callee = f"({segs[p.callee, cfg.function(p.callee).entry]}, a)"
+                lines.extend([pad + f"try: a = {_args_code(p, names)}", pad + where])
+                if target == fn.exit:
+                    lines.extend([pad + f"stk[-1] = {callee}", pad + "return st"])
+                else:
+                    lines.extend([pad + f"stk[-1] = ({segs[fn.name, target]}, {vals})",
+                                  pad + f"stk.append({callee})", pad + "return st"])
+                return
+            else:
+                drawn = {}
+                for j, svar in enumerate(p.sampling_vars):
+                    *cuts, (_, last) = sf.dist(svar).thresholds()
+                    chain = "".join(f"{value!r} if u < {cut!r} else " for cut, value in cuts)
+                    lines.append(pad + f"u = nxt(); m{j} = {chain}{last!r}")
+                    drawn[svar] = f"m{j}"
+                if p.var is not None:
+                    code = expr_code(p.expr, {**drawn, **names})
+                    lines.extend([pad + f"try: {names[p.var]} = {code}", pad + where])
+                    vals = fresh
+            if not inline(target):
+                return goto(target, pad, vals)
+            label = target
+
+    def goto(label, pad, vals):
+        """The code at `label`, or the jump there that ends the path."""
+        if inline(label) and len(pad) > 4 * _NESTING:  # too deep: a segment of its own
+            segs[fn.name, label] = f"{segs[fn.name, start]}_{label}"
+            todo.append((fn.name, label))
+        if inline(label):
+            run(label, pad, vals)
+        elif label == fn.exit:
+            lines.extend([pad + "stk.pop()", pad + "return st"])
+        elif label == start:
+            if vals != "v":
+                lines.append(pad + f"v = {vals}")
+            lines.extend([pad + "if st >= cap: return st", pad + "continue"])
+        else:
+            lines.extend([pad + f"stk[-1] = ({segs[fn.name, label]}, {vals})",
+                          pad + "return st"])
+
+    run(start, "            ", "v")
+    return lines
+
+
 def compile_stanza(pieces, fname: str, label: int, pvars: Tuple[str, ...],
                    is_terminal: bool) -> Callable:
     """fn(v) -> the first matching piece's value (None for `inf`), or MISS.
@@ -195,7 +316,7 @@ def compile_stanza(pieces, fname: str, label: int, pvars: Tuple[str, ...],
     """
     if not pieces:
         return compile_lambda("lambda v: 0" if is_terminal else "lambda v: MISS")
-    pidx = _index(pvars)
+    pidx = _slots(pvars, "v")
     code = "MISS"
     for piece in reversed(pieces):
         if isinstance(piece.expr, InfConst):

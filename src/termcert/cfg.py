@@ -274,7 +274,7 @@ def _edge_sort_key(t: Transition):
 
 def value_passing(call: CallPayload, nu: Valuation) -> Valuation:
     """Callee entry valuation: parameters from arguments, all else zero."""
-    args_fn = compile_call_args(call.params, call.args, nu.variables, call.callee_vars)
+    args_fn = compile_call_args(call, nu.variables)
     return Valuation.from_tuples(call.callee_vars, args_fn(nu.values))
 
 

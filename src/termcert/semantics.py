@@ -6,7 +6,8 @@ first) together with the previous step's joint sample.  Every step draws a
 fresh joint sample; assignment frames consume it through their update
 function, all other frames ignore it.  The empty configuration is absorbing
 and the termination time of a run is the number of steps until it is
-reached.
+reached.  `simulate` runs code compiled per function, which keeps no sample:
+an assignment draws only the sampling variables it reads, when it runs.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ._compile import OP_ASSIGN, OP_BRANCH, OP_CALL, OP_NONDET, cert_value, value_le
+from ._compile import OP_ASSIGN, OP_BRANCH, OP_CALL, OP_NONDET, cert_value, compile_runner, value_le
 from .certificates import Certificate
 from .cfg import Cfg, CfgFunction
-from .distributions import SamplingFunction, sample_from_uniform
-from .lang import EvalError
+from .distributions import SamplingFunction
 from .rng import make_generator, rekey
 from .valuation import Valuation
 
@@ -44,9 +45,6 @@ class StackElement:
     fname: str
     label: int
     valuation: Valuation
-
-    def is_terminal(self, cfg: Cfg) -> bool:
-        return cfg.function(self.fname).exit == self.label
 
     def is_nondet(self, cfg: Cfg) -> bool:
         return self.label in cfg.function(self.fname).nondet
@@ -94,7 +92,7 @@ def step(state: MdpState, action: str, mu_prime: Valuation, cfg: Cfg) -> MdpStat
     op = cfg._ops[(top.fname, top.label)]
     code = op[0]
     nu = top.valuation
-    vals = _values(nu, fn.pvars)
+    vals = nu.values if nu.variables == fn.pvars else tuple(nu[v] for v in fn.pvars)
     if code == OP_ASSIGN:
         _, update, sampling_vars, target = op
         drawn = tuple(mu_prime[s] for s in sampling_vars)
@@ -116,16 +114,12 @@ def step(state: MdpState, action: str, mu_prime: Valuation, cfg: Cfg) -> MdpStat
     return MdpState((StackElement(top.fname, target, nu),) + rest, mu_prime)
 
 
-def _values(nu: Valuation, pvars: Tuple[str, ...]) -> tuple:
-    """The values of `nu` in `pvars` order, as the compiled ops read them."""
-    return nu.values if nu.variables == pvars else tuple(nu[v] for v in pvars)
-
-
 # ---------------------------------------------------------------------------
 # Schedulers
 # ---------------------------------------------------------------------------
 
 SCHEDULER_KINDS = ("greedy-max", "greedy-min", "always-then", "always-else", "uniform")
+_CHOICES = 4096  # greedy choices remembered per star label and worker
 
 
 @dataclass(frozen=True)
@@ -148,29 +142,15 @@ class Scheduler:
         if self.kind.startswith("greedy") and self.cert is None:
             raise SemanticsError(f"scheduler {self.kind!r} needs a certificate")
 
-    def choose(self, top: StackElement, cfg: Cfg, uniform: Optional[float] = None) -> str:
-        if self.kind == "always-then":
-            return ACTION_THEN
-        if self.kind == "always-else":
-            return ACTION_ELSE
-        if self.kind == "uniform":
-            if uniform is None:
-                raise SemanticsError("uniform scheduler needs a random draw")
-            return ACTION_THEN if uniform < 0.5 else ACTION_ELSE
-        fn = cfg.function(top.fname)
-        op = cfg._ops[(top.fname, top.label)]
-        if op[0] != OP_NONDET:
-            raise SemanticsError(f"label {top.label} of {top.fname} is not nondeterministic")
-        take_then = self._greedy(fn, op[1], op[2])(_values(top.valuation, fn.pvars))
-        return ACTION_THEN if take_then else ACTION_ELSE
-
-    def _greedy(self, fn: CfgFunction, t_then: int, t_else: int) -> Callable[[tuple], bool]:
-        """vals -> whether the greedy mode takes the then-branch."""
+    def _greedy(self, fn: CfgFunction, t_then: int, t_else: int) -> Callable[..., bool]:
+        """values -> whether the greedy mode takes the then-branch.  A choice
+        depends on the values alone, so the last _CHOICES are remembered (one
+        that raises is not)."""
         h_then = self.cert._stanza(fn.name, t_then, fn.pvars, t_then == fn.exit)
         h_else = self.cert._stanza(fn.name, t_else, fn.pvars, t_else == fn.exit)
-        if self.kind == "greedy-max":
-            return lambda vals: value_le(cert_value(h_else, vals), cert_value(h_then, vals))
-        return lambda vals: value_le(cert_value(h_then, vals), cert_value(h_else, vals))
+        low, high = (h_else, h_then) if self.kind == "greedy-max" else (h_then, h_else)
+        return lru_cache(maxsize=_CHOICES)(
+            lambda *vals: value_le(cert_value(low, vals), cert_value(high, vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,50 +229,21 @@ def _finalize(acc: Dict, runs: int, max_steps: int, k_list: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Simulation: the run loop dispatches the compiled ops inline
+# Simulation: the run loop calls the CFG's compiled segments
 # ---------------------------------------------------------------------------
 
-def _run_tables(cfg: Cfg, sf: SamplingFunction, scheduler: Scheduler):
-    """Per-function label tables for the run loop: the CFG's compiled ops with
-    callees as function indices, sampling thresholds on assignments, and on
-    nondeterministic labels the scheduler's decision: True/False constant,
-    None (coin flip), or a chooser over valuation tuples."""
-    findex = {fn.name: i for i, fn in enumerate(cfg.functions)}
-    ops = cfg._ops
-    tables = []
-    for fn in cfg.functions:
-        table: Dict[int, tuple] = {}
-        for label in fn.labels():
-            op = ops[(fn.name, label)]
-            code = op[0]
-            if code == OP_ASSIGN:
-                _, update, sampling_vars, target = op
-                thresholds = tuple(sf.dist(s).thresholds() for s in sampling_vars)
-                op = (OP_ASSIGN, update, thresholds, target)
-            elif code == OP_CALL:
-                _, args_fn, callee, callee_entry, target = op
-                op = (OP_CALL, args_fn, (findex[callee], callee_entry), target)
-            elif code == OP_NONDET:
-                if scheduler.kind.startswith("greedy"):
-                    decision = scheduler._greedy(fn, op[1], op[2])
-                else:  # uniform: None
-                    decision = {"always-then": True, "always-else": False}.get(scheduler.kind)
-                op = op + (decision,)
-            table[label] = op
-        tables.append(table)
-    return findex, tables, [fn.exit for fn in cfg.functions]
-
-
 class _Uniforms:
-    """The uniform draws of run `run`: its stream (seed, run) is keyed into
-    the worker's one generator at the run's first draw, then read in buffers
-    of 64 and then 256 draws, held as Python floats."""
+    """The uniform draws of the current run: its stream (seed, run) is keyed
+    into the worker's one generator at the run's first draw, then read in
+    buffers of 64 and then 256 draws, held as Python floats."""
 
     __slots__ = ("gen", "seed", "run", "buf", "idx")
 
-    def __init__(self, gen, seed: int, run: int):
+    def __init__(self, gen, seed: int):
         self.gen = gen
         self.seed = seed
+
+    def start(self, run: int) -> None:
         self.run = run
         self.buf = None
         self.idx = 0
@@ -313,70 +264,26 @@ class _Uniforms:
 def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: int,
                entry_vals: tuple, scheduler: Scheduler, lo: int, hi: int,
                max_steps: int, k_list: Tuple[int, ...], seed: int) -> Dict:
-    findex, tables, exits = _run_tables(cfg, sf, scheduler)
-    names = [fn.name for fn in cfg.functions]
-    entry_fidx = findex[entry_fname]
+    """Runs lo..hi-1 on an explicit stack of (segment, values) frames, top
+    last; see `_compile.compile_runner` for what a segment does."""
+    make, stars = compile_runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
     ks = sorted(k_list)
     acc = {"terminated": 0, "sum": 0, "sumsq": 0, "tail": {k: 0 for k in ks}}
-    gen = make_generator(seed)  # re-keyed to (seed, run) by each run that draws
+    uniforms = _Uniforms(make_generator(seed), seed)  # re-keyed by each run that draws
+    stack: list = []
+    entry = (make(uniforms.next, max_steps, stack,
+                  *(scheduler._greedy(*star) for star in stars)), entry_vals)
 
     for run in range(lo, hi):
-        uniforms = _Uniforms(gen, seed, run)
-        stack = [(entry_fidx, entry_label, entry_vals)]
+        uniforms.start(run)
+        stack.append(entry)
         steps = 0
-        try:
-            while stack and steps < max_steps:
-                fidx, label, vals = stack[-1]
-                op = tables[fidx][label]
-                code = op[0]
-                steps += 1
-                if code == OP_BRANCH:
-                    target = op[2] if op[1](vals) else op[3]
-                    if target == exits[fidx]:
-                        stack.pop()
-                    else:
-                        stack[-1] = (fidx, target, vals)
-                elif code == OP_ASSIGN:
-                    thresholds = op[2]
-                    if thresholds:
-                        drawn = tuple(
-                            sample_from_uniform(t, uniforms.next()) for t in thresholds
-                        )
-                    else:
-                        drawn = ()
-                    new_vals = op[1](vals, drawn)
-                    target = op[3]
-                    if target == exits[fidx]:
-                        stack.pop()
-                    else:
-                        stack[-1] = (fidx, target, new_vals)
-                elif code == OP_CALL:
-                    callee_vals = op[1](vals)
-                    callee_fidx, callee_entry = op[2]
-                    target = op[3]
-                    frame = (callee_fidx, callee_entry, callee_vals)
-                    if target == exits[fidx]:
-                        stack[-1] = frame
-                    else:
-                        stack[-1] = (fidx, target, vals)
-                        stack.append(frame)
-                else:  # OP_NONDET
-                    decision = op[3]
-                    if decision is None:
-                        take_then = uniforms.next() < 0.5
-                    elif decision is True or decision is False:
-                        take_then = decision
-                    else:
-                        take_then = decision(vals)
-                    target = op[1] if take_then else op[2]
-                    if target == exits[fidx]:
-                        stack.pop()
-                    else:
-                        stack[-1] = (fidx, target, vals)
-        except EvalError as exc:  # name the frame that was stepped
-            raise EvalError(f"{exc} at ({names[fidx]}, {label})") from None
+        while stack and steps < max_steps:
+            segment, vals = stack[-1]
+            steps = segment(vals, steps)
 
         if stack:  # censored at the step cap: T > max_steps
+            stack.clear()
             for k in ks:
                 acc["tail"][k] += 1
         else:

@@ -83,6 +83,36 @@ def test_ill_defined_arithmetic_raises():
                      CertParams(eps=1)).passed
 
 
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+
+
+def test_div_and_power_helpers_match_the_oracle():
+    # int operands take the helpers' fast path, Fractions their general one:
+    # values and error types agree with the interpretive oracle, and an int
+    # pair gives the value, type and message of the same pair as Fractions
+    import oracles
+    from termcert._compile import _idiv, _ipow
+    from termcert.lang import BinOp, Const, Pow
+
+    ints = [-7, -3, -1, 0, 1, 2, 3, 7, 12, 2**70 + 3, -(2**70)]
+    rationals = [Fraction(7, 2), Fraction(-1, 3), Fraction(0), Fraction(-6), Fraction(12)]
+    cases = [(_idiv, "div", a, b) for a in ints + rationals for b in ints + rationals]
+    cases += [(_ipow, "^", a, b) for a in ints + rationals
+              for b in [-2, -1, 0, 1, 2, 5, Fraction(1, 2), Fraction(-3), Fraction(3)]]
+    for helper, op, a, b in cases:
+        node = BinOp("div", Const(a), Const(b)) if op == "div" else Pow(Const(a), Const(b))
+        got, want = _outcome(helper, a, b), _outcome(oracles.eval_expr, node)
+        assert got[0] == want[0], (op, a, b)
+        if got[0] == "value":
+            assert got[1] == want[1], (op, a, b)
+        if type(a) is int and type(b) is int:
+            assert got == _outcome(helper, Fraction(a), Fraction(b)), (op, a, b)
+
+
 def test_params_header_parses():
     cert = parse_certificate("eps=1 delta=13 zeta=13\nf@1: 0\n")
     assert cert.params == CertParams(Fraction(1), Fraction(13), Fraction(13))

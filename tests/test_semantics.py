@@ -227,7 +227,7 @@ def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
     consuming the same uniform stream as the compiled runner: one draw per
     sampling variable read by the executed assignment, one draw per
     coin-flip decision.  Greedy choices go through the oracle's certificate
-    value, not `Scheduler.choose`."""
+    value, not the scheduler's compiled stanzas."""
     import oracles
     from termcert.cfg import single_edge
     from termcert.distributions import sample_from_uniform
@@ -257,7 +257,7 @@ def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
                 take_then = scheduler.kind == "always-then"
             action = ACTION_THEN if take_then else ACTION_ELSE
         state = oracles.step(state, action, Valuation(drawn), cfg)
-    return None  # censored
+    return max_steps if state.terminated else None  # None: censored
 
 
 @pytest.mark.parametrize("gen_seed", [0, 1, 2, 3, 4, 5, 6, 7])
@@ -317,6 +317,134 @@ def test_long_runs_draw_the_streams_of_the_reference():
         assert stats.sumsq_steps == sum(t * t for t in ref)
         assert simulate(cfg, sf, entry, sched, runs=6, max_steps=cap, seed=seed,
                         workers=2) == stats
+
+
+def _loop_program(then_branch="n := n - r"):
+    """A `while` loop around a star; r is a fair coin, a is 1 with
+    probability 3/4, b a fair coin."""
+    from termcert.cfg import build_cfg
+    from termcert.distributions import DiscreteDist, SamplingFunction
+    from termcert.lang import label_program
+    from termcert.parser import parse_program
+
+    cfg = build_cfg(label_program(parse_program(
+        f"f(n) {{ while n >= 1 do if star then {then_branch} else n := n - 1 fi od }}")))
+    half = DiscreteDist.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    dists = {"r": half, "b": half,
+             "a": DiscreteDist.from_pairs([(0, Fraction(1, 4)), (1, Fraction(3, 4))])}
+    return cfg, SamplingFunction.from_mapping(
+        {name: dists[name] for name in cfg.sampling_vars})
+
+
+@pytest.mark.parametrize("kind", ["always-then", "always-else", "uniform",
+                                  "greedy-max", "greedy-min"])
+def test_censored_runs_at_small_caps_match_the_reference(kind, halving):
+    # caps 1, 2 and 3 (on the halving game, step 3 is always a call), and
+    # the final step of run 0 and the one before it: every run stops at
+    # exactly the cap the single-step reference stops at.  The third program
+    # draws two sampling variables in one assignment, in their sorted order
+    from termcert.certificates import parse_certificate
+
+    loop_cert = parse_certificate("f@1: 3*n + 1\nf@2: 3*n\nf@3: 3*n - 1\nf@4: 3*n - 1\nf@5: 0\n")
+    programs = [(*halving, 5), (*_loop_program(), loop_cert, 6),
+                (*_loop_program("n := n + a - 2 * b"), loop_cert, 6)]
+    for cfg, sf, cert, n in programs:
+        entry = StackElement("f", 1, Valuation({"n": n}))
+        sched = Scheduler(kind, cert)
+        final = _reference_run(cfg, sf, entry, sched, 10_000, 8, 0)
+        for cap in (1, 2, 3, final - 1, final):
+            stats = simulate(cfg, sf, entry, sched, runs=30, max_steps=cap, k_list=[cap],
+                             seed=8)
+            ref = [_reference_run(cfg, sf, entry, sched, cap, 8, run) for run in range(30)]
+            done = [t for t in ref if t is not None]
+            assert stats.terminated == len(done), cap
+            assert stats.sum_steps == sum(done)
+            assert stats.sumsq_steps == sum(t * t for t in done)
+            assert stats.tail(cap).count == sum(t is None or t >= cap for t in ref)
+
+
+ILL_DEFINED = [  # (program, its error from the entry f(n=3))
+    ("f(n) { if n div (n - n) >= 1 then skip else skip fi }",
+     "floor division by non-positive value 0 at (f, 1)"),
+    ("f(n) { n := n - 1; n := n div (n - n) }",
+     "floor division by non-positive value 0 at (f, 2)"),
+    ("f(n) { n := n - 5; n := 2 ^ n }",
+     "exponent -2 is not a nonnegative integer at (f, 2)"),
+    ("f(n) { if n >= 1 then g(n div (n - n)) else skip fi }\ng(n) { skip }",
+     "floor division by non-positive value 0 at (f, 2)"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ill_defined_arithmetic_names_the_label_it_happened_at(workers, halving, inline_pool):
+    # in a guard, an update, call arguments and a greedy stanza read at a star
+    from termcert.cfg import build_cfg
+    from termcert.certificates import CertificateError, parse_certificate
+    from termcert.distributions import SamplingFunction
+    from termcert.lang import EvalError, label_program
+    from termcert.parser import parse_program
+
+    inline_pool()
+    sf = SamplingFunction.from_mapping({})
+    for text, message in ILL_DEFINED:
+        cfg = build_cfg(label_program(parse_program(text)))
+        entry = StackElement("f", 1, Valuation({"n": 3}))
+        with pytest.raises(EvalError) as exc:
+            simulate(cfg, sf, entry, Scheduler("uniform"), runs=4, max_steps=100,
+                     workers=workers)
+        assert str(exc.value) == message
+    cfg, sf, _ = halving
+    entry = StackElement("f", 1, Valuation({"n": 5}))
+    for kind in ("greedy-max", "greedy-min"):
+        sched = Scheduler(kind, parse_certificate("f@3: n div (n - n)\n"))
+        with pytest.raises(EvalError) as exc:
+            simulate(cfg, sf, entry, sched, runs=4, max_steps=100, workers=workers)
+        assert str(exc.value) == "floor division by non-positive value 0 at (f, 2)"
+        # negative only at n=1, which every run reaches after choices at larger
+        # n were remembered; the same scheduler raises again in every later
+        # simulation
+        sched = Scheduler(kind, parse_certificate("f@3: n - 2\nf@5: 0\n"))
+        for runs in (1, 4, 4):
+            with pytest.raises(CertificateError) as exc:
+                simulate(cfg, sf, entry, sched, runs=runs, max_steps=100, workers=workers)
+            assert str(exc.value) == "certificate value -1 at (f, 3, {n=1}) is negative"
+
+
+def test_deep_nesting_and_long_straight_lines_run():
+    # 150 nested ifs exceed Python's indentation limit unless the compiled
+    # run loop splits them; 600 assignments in a row must not recurse per label
+    from termcert.cfg import build_cfg
+    from termcert.distributions import SamplingFunction
+    from termcert.lang import label_program
+    from termcert.parser import parse_program
+
+    nested = ("f(n) { " + "".join(f"if n >= {i} then " for i in range(150))
+              + "n := n + 1" + " else skip fi" * 150 + " }")
+    straight = "f(n) { " + "; ".join(["n := n + 1"] * 600) + " }"
+    for text, n, steps in ((nested, 200, 151), (nested, 70, 73), (straight, 0, 600)):
+        cfg = build_cfg(label_program(parse_program(text)))
+        entry = StackElement("f", 1, Valuation({"n": n}))
+        stats = simulate(cfg, SamplingFunction.from_mapping({}), entry, Scheduler("uniform"),
+                         runs=2, max_steps=1000)
+        assert stats.mean == steps
+
+
+def test_call_to_a_function_without_variables():
+    # the callee's valuation is the empty tuple, in the run loop and in step()
+    from termcert.cfg import build_cfg
+    from termcert.distributions import SamplingFunction
+    from termcert.lang import label_program
+    from termcert.parser import parse_program
+
+    cfg = build_cfg(label_program(parse_program(
+        "f(n) { if n >= 1 then g() else skip fi }\ng() { skip }")))
+    entry = StackElement("f", 1, Valuation({"n": 2}))
+    stats = simulate(cfg, SamplingFunction.from_mapping({}), entry, Scheduler("uniform"),
+                     runs=2, max_steps=10)
+    assert stats.mean == 3  # guard, call, g's skip
+    state = step(MdpState((StackElement("f", 2, Valuation({"n": 2})),), mu(0)),
+                 ACTION_TAU, mu(0), cfg)
+    assert state.config == (StackElement("g", 1, Valuation({})),)
 
 
 def test_process_count_is_clamped_to_cores_and_runs(halving, inline_pool, monkeypatch):
