@@ -24,7 +24,6 @@ from .certificates import (
     Certificate,
     CertParams,
     CertPiece,
-    eval_cert,
     load_certificate,
     parse_certificate,
 )
@@ -48,27 +47,12 @@ from .distributions import (
     SamplingFunction,
     load_distributions,
     parse_distributions,
-    product_weight,
-    sample,
 )
-from .extreal import INF, ExtReal, ExtRealError, extreal_sum_weighted
 from .lab import LabError, LabResult, analytic, fit_tail_slope, simulate_lab, step_law
 from .lang import EvalError, Program, label_program, pretty_print
 from .parser import ParseError, load_program, parse_program
-from .rng import RngStream, make_generator
-from .semantics import (
-    DisabledActionError,
-    MdpState,
-    RunStats,
-    Scheduler,
-    StackElement,
-    TailEstimate,
-    enabled_actions,
-    initial_state,
-    simulate,
-    step,
-    wilson_interval,
-)
+from .rng import make_generator
+from .semantics import RunStats, Scheduler, StackElement, TailEstimate, simulate, wilson_interval
 from .valuation import Valuation
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 certificate stanzas and the simulator's run loop, compiled to Python.
 
 Everything that evaluates a program or a certificate goes through here: the
-checker, the run loop, `semantics.step`, the schedulers, `Certificate.value`
-and `cfg.value_passing`.  The interpretive reference that the tests compare
+checker, the run loop, the schedulers, `Certificate.value` and
+`cfg.value_passing`.  The interpretive reference that the tests compare
 against lives in `tests/oracles.py`.
 
 Arithmetic stays exact: program values are Python ints, certificate values

@@ -1,9 +1,11 @@
 """Numeric termination-time bounds derived from a checked certificate.
 
+Every bound is a function of the certificate value at the entry, which is
+held as the evaluator holds it: an int or Fraction, or None for inf.
 Rational bounds (expected-time bounds, the inverse-linear tail bound) are
-exact; only the exponential and square-root tail formulas go through
-floating point, evaluated at 40 significant digits before rounding to a
-double.
+exact and take the same form; only the exponential and square-root tail
+formulas go through floating point, evaluated at 40 significant digits
+before rounding to a double.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+from ._compile import format_value
 from .certificates import Certificate
 from .cfg import Cfg
 from .checker import theta_fixpoint
-from .extreal import ExtReal
 from .lang import EvalError
 from .semantics import StackElement
 
@@ -23,6 +25,8 @@ if TYPE_CHECKING:
     import mpmath
 
 _DPS = 40
+
+_Value = Union[int, Fraction, None]  # a certificate value; None is inf
 
 
 class BoundError(ValueError):
@@ -56,7 +60,7 @@ class BoundReport:
         return text
 
 
-def cert_value_at(cert: Certificate, cfg: Cfg, entry: StackElement) -> ExtReal:
+def cert_value_at(cert: Certificate, cfg: Cfg, entry: StackElement) -> _Value:
     fn = cfg.function(entry.fname)
     try:
         return cert.value(entry.fname, entry.label, entry.valuation,
@@ -65,35 +69,35 @@ def cert_value_at(cert: Certificate, cfg: Cfg, entry: StackElement) -> ExtReal:
         raise EvalError(f"{exc} at ({entry.fname}, {entry.label}, {entry.valuation})") from None
 
 
-def upper_expected(cert: Certificate, eps: Fraction, entry_value: ExtReal) -> ExtReal:
+def upper_expected(cert: Certificate, eps: Fraction, entry_value: _Value) -> _Value:
     """Expected-time upper bound value/eps (infinite when the value is)."""
     if Fraction(eps) <= 0:
         raise BoundError("eps must be positive")
-    return entry_value / Fraction(eps)
+    return None if entry_value is None else entry_value / Fraction(eps)
 
 
-def lower_expected(cert: Certificate, delta: Fraction, entry_value: ExtReal) -> ExtReal:
+def lower_expected(cert: Certificate, delta: Fraction, entry_value: _Value) -> Fraction:
     """Expected-time lower bound value/delta; needs a finite value."""
     if Fraction(delta) <= 0:
         raise BoundError("delta must be positive")
-    if entry_value.is_infinite:
+    if entry_value is None:
         raise BoundError("lower bound requires a finite certificate value at the entry")
     return entry_value / Fraction(delta)
 
 
-def markov_tail(eps: Fraction, entry_value: ExtReal, k: int) -> Fraction:
+def markov_tail(eps: Fraction, entry_value: _Value, k: int) -> Fraction:
     """P(T >= k) <= value/(eps*k), clamped to [0, 1]; exact rational."""
     if k < 1:
         raise BoundError("k must be at least 1")
     if Fraction(eps) <= 0:
         raise BoundError("eps must be positive")
-    if entry_value.is_infinite:
+    if entry_value is None:
         return Fraction(1)
-    bound = entry_value.fraction / (Fraction(eps) * k)
+    bound = entry_value / (Fraction(eps) * k)
     return min(Fraction(1), bound)
 
 
-def concentration_tail(eps: Fraction, zeta: Fraction, entry_value: ExtReal,
+def concentration_tail(eps: Fraction, zeta: Fraction, entry_value: _Value,
                        n: int) -> Tuple[float, float]:
     """Exponential bound on P(T > n) for per-outcome-bounded certificates.
 
@@ -108,9 +112,9 @@ def concentration_tail(eps: Fraction, zeta: Fraction, entry_value: ExtReal,
     zeta = Fraction(zeta)
     if eps <= 0 or zeta <= 0:
         raise BoundError("eps and zeta must be positive")
-    if entry_value.is_infinite:
+    if entry_value is None:
         raise BoundError("concentration bound requires a finite certificate value")
-    h0 = entry_value.fraction
+    h0 = Fraction(entry_value)
     if Fraction(n) * eps <= h0:
         raise BoundError(
             f"n={n} is outside the validity domain n > {h0}/{eps} = {h0/eps}")
@@ -155,7 +159,7 @@ def _smallness_holds(zeta: Fraction, delta: Fraction, k: int) -> bool:
         return lhs <= rhs
 
 
-def sqrt_tail(entry_value: ExtReal, delta: Fraction, zeta: Fraction,
+def sqrt_tail(entry_value: _Value, delta: Fraction, zeta: Fraction,
               K: int, k: int) -> SqrtTailResult:
     """Inverse-square-root tail bound for never-increasing certificates.
 
@@ -174,7 +178,7 @@ def sqrt_tail(entry_value: ExtReal, delta: Fraction, zeta: Fraction,
         raise BoundError("delta and zeta must be positive")
     if K < 1 or k < 1:
         raise BoundError("K and k must be at least 1")
-    if entry_value.is_infinite or entry_value == ExtReal(0):
+    if entry_value is None or entry_value == 0:
         raise BoundError(
             "sqrt tail bound requires a finite, positive certificate value at the entry")
 
@@ -199,7 +203,7 @@ def sqrt_tail(entry_value: ExtReal, delta: Fraction, zeta: Fraction,
     import mpmath
     with mpmath.workdps(_DPS):
         t = 1 / mpmath.sqrt(k)
-        numerator = 1 - mpmath.e ** (-_mpf(entry_value.fraction) * t)
+        numerator = 1 - mpmath.e ** (-_mpf(entry_value) * t)
         base = 1 + _mpf(delta ** 2 / 4) * t * t
         denominator = 1 - base ** (-periods)
         bound = numerator / denominator
@@ -212,6 +216,7 @@ def bound_rows(kind: str, cert: Certificate, cfg: Cfg, entry: StackElement,
     each k in `ks`, concentration rows for each n in `ns`."""
     params = cert.params
     value = cert_value_at(cert, cfg, entry)
+    value_text = format_value(value)
     entry_text = f"({entry.fname}, {entry.label}, {entry.valuation})"
     rows: List[BoundReport] = []
 
@@ -219,19 +224,19 @@ def bound_rows(kind: str, cert: Certificate, cfg: Cfg, entry: StackElement,
         params.require("eps")
         rows.append(BoundReport(
             "expected-time-upper", entry_text,
-            {"eps": str(params.eps), "value": str(value)},
-            str(upper_expected(cert, params.eps, value))))
+            {"eps": str(params.eps), "value": value_text},
+            format_value(upper_expected(cert, params.eps, value))))
         for k in ks:
             rows.append(BoundReport(
                 "tail-markov", entry_text,
-                {"eps": str(params.eps), "value": str(value), "k": str(k)},
+                {"eps": str(params.eps), "value": value_text, "k": str(k)},
                 str(markov_tail(params.eps, value, k)),
                 validity="any k >= 1"))
     if kind == "cdb":
         params.require("delta")
         rows.append(BoundReport(
             "expected-time-lower", entry_text,
-            {"delta": str(params.delta), "value": str(value)},
+            {"delta": str(params.delta), "value": value_text},
             str(lower_expected(cert, params.delta, value)),
             validity="finite certificate value at the entry"))
     if kind == "db":
@@ -241,13 +246,13 @@ def bound_rows(kind: str, cert: Certificate, cfg: Cfg, entry: StackElement,
             rows.append(BoundReport(
                 "tail-concentration", entry_text,
                 {"eps": str(params.eps), "zeta": str(params.zeta),
-                 "value": str(value), "n": str(n)},
+                 "value": value_text, "n": str(n)},
                 f"{exact:.6g}",
-                validity=f"n > value/eps = {value.fraction / params.eps}"))
+                validity=f"n > value/eps = {value / params.eps}"))
             rows.append(BoundReport(
                 "tail-concentration-factored", entry_text,
                 {"eps": str(params.eps), "zeta": str(params.zeta),
-                 "value": str(value), "n": str(n)},
+                 "value": value_text, "n": str(n)},
                 f"{factored:.6g}",
                 validity="looser product form of the same bound"))
     if kind == "super":
@@ -269,13 +274,13 @@ def bound_rows(kind: str, cert: Certificate, cfg: Cfg, entry: StackElement,
                 rows.append(BoundReport(
                     "tail-sqrt", entry_text,
                     {"delta": str(params.delta), "zeta": str(params.zeta),
-                     "K": str(theta.K_max), "value": str(value), "k": str(k)},
+                     "K": str(theta.K_max), "value": value_text, "k": str(k)},
                     f"{res.bound:.6g}"))
             else:
                 rows.append(BoundReport(
                     "tail-sqrt", entry_text,
                     {"delta": str(params.delta), "zeta": str(params.zeta),
-                     "K": str(theta.K_max), "value": str(value), "k": str(k)},
+                     "K": str(theta.K_max), "value": value_text, "k": str(k)},
                     "k too small for this bound",
                     validity=f"smallest usable k is {res.min_valid_k}"))
     return rows

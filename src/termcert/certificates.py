@@ -20,11 +20,9 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ._compile import cert_value, compile_stanza
-from .cfg import Cfg
-from .extreal import INF, ExtReal
 from .lang import Expr, Pred, format_expr, format_pred
 from .parser import ParseError, TokenStream, parse_expr, parse_pred, tokenize
 from .valuation import Valuation
@@ -91,7 +89,7 @@ class Certificate:
             raise CertificateError("duplicate certificate stanza")
         object.__setattr__(self, "stanzas", tuple(sorted(self.stanzas)))
 
-    @property
+    @cached_property
     def stanza_map(self) -> Dict[Tuple[str, int], Tuple[CertPiece, ...]]:
         return dict(self.stanzas)
 
@@ -118,14 +116,14 @@ class Certificate:
         return stanza
 
     def value(self, fname: str, label: int, nu: Valuation,
-              is_terminal: bool = False) -> ExtReal:
-        """First-matching-guard evaluation; inf when nothing matches.
+              is_terminal: bool = False) -> Union[int, Fraction, None]:
+        """First-matching-guard evaluation: an int or Fraction, or None for
+        inf, which is also the value where nothing matches.
 
         A terminal label with no stanza at all defaults to 0, since every
         certificate family pins terminal values to 0 anyway.
         """
-        value = cert_value(self._stanza(fname, label, nu.variables, is_terminal), nu.values)
-        return INF if value is None else ExtReal(value)
+        return cert_value(self._stanza(fname, label, nu.variables, is_terminal), nu.values)
 
     def digest(self) -> str:
         text = self.source_text if self.source_text is not None else self.render()
@@ -144,15 +142,6 @@ class Certificate:
             body = " ; ".join(p.render() for p in pieces)
             lines.append(f"{fname}@{label}: {body}")
         return "\n".join(lines) + "\n"
-
-
-def eval_cert(cert: Certificate, fname: str, label: int, nu: Valuation,
-              cfg: Optional[Cfg] = None) -> ExtReal:
-    """Certificate value at the stack element (fname, label, nu)."""
-    is_terminal = False
-    if cfg is not None:
-        is_terminal = cfg.function(fname).exit == label
-    return cert.value(fname, label, nu, is_terminal=is_terminal)
 
 
 def parse_certificate(text: str) -> Certificate:

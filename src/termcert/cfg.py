@@ -34,6 +34,7 @@ from .lang import (
     Skip,
     Stmt,
     While,
+    _seq_items,
     expr_variables,
     format_expr,
     format_pred,
@@ -121,7 +122,16 @@ class CfgFunction:
                             | self.nondet | {self.exit}))
 
     def out_edges(self, label: int) -> Tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.source == label)
+        return self._out_edges.get(label, ())
+
+    @cached_property
+    def _out_edges(self) -> Dict[int, Tuple[Transition, ...]]:
+        """label -> its edges, indexed once: a scan per lookup is quadratic
+        in the length of a function."""
+        out: Dict[int, Tuple[Transition, ...]] = {}
+        for t in self.transitions:
+            out[t.source] = out.get(t.source, ()) + (t,)
+        return out
 
     def label_class(self, label: int) -> str:
         if label == self.exit:
@@ -207,8 +217,10 @@ class _FunctionBuilder:
     def lower(self, stmt: Stmt, next_label: int) -> None:
         """Emit edges for `stmt`, with control flowing to `next_label` after."""
         if isinstance(stmt, Seq):
-            self.lower(stmt.first, _first_label(stmt.second))
-            self.lower(stmt.second, next_label)
+            items = list(_seq_items(stmt))
+            for item, after in zip(items, items[1:]):
+                self.lower(item, after.label)
+            self.lower(items[-1], next_label)
             return
         lab = stmt.label
         if isinstance(stmt, Skip):
@@ -325,17 +337,3 @@ def dump_cfg(cfg: Cfg) -> str:
         for t in fn.transitions:
             lines.append(f"  {t.source} --[{t.payload.render()}]--> {t.target}")
     return "\n".join(lines) + "\n"
-
-
-def reachable_labels(fn: CfgFunction) -> frozenset:
-    """Labels reachable from the entry ignoring guards."""
-    seen = {fn.entry}
-    frontier = [fn.entry]
-    while frontier:
-        lab = frontier.pop()
-        for t in fn.out_edges(lab):
-            if t.target not in seen:
-                seen.add(t.target)
-                frontier.append(t.target)
-    return frozenset(seen)
-

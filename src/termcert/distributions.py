@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from .rng import RngStream
 from .valuation import Valuation
 
 JOINT_SUPPORT_WARN_LIMIT = 10_000
@@ -52,7 +51,7 @@ class DiscreteDist:
             raise DistributionError(f"probabilities sum to {total}, not 1")
         cdf[-1] = (1.0, cdf[-1][1])
         object.__setattr__(self, "support", entries)
-        # kept off the fields: sample() reads it on every draw
+        # kept off the fields; computed once for thresholds()
         object.__setattr__(self, "_thresholds", tuple(cdf))
 
     @classmethod
@@ -88,11 +87,6 @@ class DiscreteDist:
 
     def __str__(self) -> str:
         return "; ".join(f"{v} {p}" for v, p in self.support)
-
-
-def sample(dist: DiscreteDist, rng: RngStream) -> int:
-    """Draw one value from `dist` using the given stream."""
-    return sample_from_uniform(dist.thresholds(), rng.random())
 
 
 def sample_from_uniform(thresholds: Tuple[Tuple[float, int], ...], u: float) -> int:
@@ -162,27 +156,6 @@ class SamplingFunction:
             for _, p in combo:
                 weight *= p
             yield Valuation({n: v for n, (v, _) in zip(names, combo)}), weight
-
-    def zero_valuation(self) -> Valuation:
-        return Valuation.zero(self.variables)
-
-
-def product_weight(sf: SamplingFunction, mu: Valuation) -> Fraction:
-    """Exact joint probability of the sampling valuation `mu`.
-
-    `mu` must bind exactly the sampling variables of `sf`; the weight is 0
-    when any coordinate falls outside its support.
-    """
-    if tuple(sorted(mu.variables)) != sf.variables:
-        raise DistributionError(
-            f"valuation binds {mu.variables}, expected exactly {sf.variables}"
-        )
-    weight = Fraction(1)
-    for name, dist in sf.entries:
-        weight *= dist.prob(mu[name])
-        if weight == 0:
-            return Fraction(0)
-    return weight
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -174,11 +174,7 @@ class FunctionEntity:
 
 def _normalize_stmt(stmt: "Stmt") -> "Stmt":
     if isinstance(stmt, Seq):
-        items = [_normalize_stmt(s) for s in _seq_items(stmt)]
-        node = items[-1]
-        for s in reversed(items[:-1]):
-            node = Seq(s, node)
-        return node
+        return _seq([_normalize_stmt(s) for s in _seq_items(stmt)])
     if isinstance(stmt, IfBool):
         return IfBool(stmt.cond, _normalize_stmt(stmt.then),
                       _normalize_stmt(stmt.orelse), stmt.label)
@@ -225,16 +221,34 @@ class Program:
 
 def iter_statements(stmt: Stmt) -> Iterator[Stmt]:
     """All statements in depth-first source order (Seq nodes excluded)."""
-    if isinstance(stmt, Seq):
-        yield from iter_statements(stmt.first)
-        yield from iter_statements(stmt.second)
-        return
-    yield stmt
-    if isinstance(stmt, (IfBool, IfStar)):
-        yield from iter_statements(stmt.then)
-        yield from iter_statements(stmt.orelse)
-    elif isinstance(stmt, While):
-        yield from iter_statements(stmt.body)
+    for item in _seq_items(stmt):
+        yield item
+        if isinstance(item, (IfBool, IfStar)):
+            yield from iter_statements(item.then)
+            yield from iter_statements(item.orelse)
+        elif isinstance(item, While):
+            yield from iter_statements(item.body)
+
+
+def _seq_items(stmt: Stmt) -> Iterator[Stmt]:
+    """The statements of a sequence in order; any other statement is its
+    own one item.  A loop, not a recursion, so long sequences do not nest
+    Python frames."""
+    stack = [stmt]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Seq):
+            stack += (item.second, item.first)
+        else:
+            yield item
+
+
+def _seq(items) -> Stmt:
+    """The right-nested sequence of a nonempty list of statements."""
+    node = items[-1]
+    for item in reversed(items[:-1]):
+        node = Seq(item, node)
+    return node
 
 
 def program_variables(prog: Program, fname: str) -> Tuple[str, ...]:
@@ -297,8 +311,7 @@ def _label_function(f: FunctionEntity) -> FunctionEntity:
 
     def visit(stmt: Stmt) -> Stmt:
         if isinstance(stmt, Seq):
-            first = visit(stmt.first)
-            return Seq(first, visit(stmt.second))
+            return _seq([visit(item) for item in _seq_items(stmt)])
         lab = next(counter)
         if isinstance(stmt, Skip):
             return Skip(label=lab)
@@ -380,14 +393,6 @@ def pretty_print(prog: Program) -> str:
         body = ";\n".join(lines[1:])
         chunks.append(lines[0] + "\n" + body + "\n}")
     return "\n\n".join(chunks) + "\n"
-
-
-def _seq_items(stmt: Stmt) -> Iterator[Stmt]:
-    if isinstance(stmt, Seq):
-        yield from _seq_items(stmt.first)
-        yield from _seq_items(stmt.second)
-    else:
-        yield stmt
 
 
 def _pp_stmt(stmt: Stmt, depth: int, builtin: Dict[str, DiscreteDist]) -> str:

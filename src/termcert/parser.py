@@ -49,11 +49,11 @@ from .lang import (
     Pow,
     Pred,
     Program,
-    Seq,
     Skip,
     Stmt,
     Var,
     While,
+    _seq,
     iter_statements,
 )
 
@@ -287,10 +287,7 @@ class _ProgramParser:
             if self.ts.peek().kind in ("}", "else", "fi", "od", "eof"):
                 break  # trailing separator
             stmts.append(self.parse_stmt())
-        node = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            node = Seq(s, node)
-        return node
+        return _seq(stmts)
 
     def parse_stmt(self) -> Stmt:
         tok = self.ts.peek()

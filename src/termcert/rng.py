@@ -15,39 +15,12 @@ the same pair, since both take the key from `_key`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 _KEY_MASK = (1 << 64) - 1
-
-
-@dataclass
-class RngStream:
-    """A (seed, stream-index) addressed random stream."""
-
-    seed: int
-    stream: int = 0
-    _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.stream < 0:
-            raise ValueError("stream index must be nonnegative")
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = make_generator(self.seed, self.stream)
-        return self._gen
-
-    def random(self) -> float:
-        """One uniform draw in [0, 1)."""
-        return float(self.generator.random())
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return self.generator.random(n)
 
 
 def _key(seed: int, stream: int) -> list:

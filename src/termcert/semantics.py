@@ -1,13 +1,15 @@
-"""Operational semantics: configurations, single steps, schedulers, and
-seed-stable Monte Carlo estimation of termination-time statistics.
+"""Operational semantics as a run loop: schedulers, and seed-stable Monte
+Carlo estimation of termination-time statistics.
 
-A state is a configuration (a stack of nonterminal activation frames, top
-first) together with the previous step's joint sample.  Every step draws a
-fresh joint sample; assignment frames consume it through their update
-function, all other frames ignore it.  The empty configuration is absorbing
-and the termination time of a run is the number of steps until it is
-reached.  `simulate` runs code compiled per function, which keeps no sample:
-an assignment draws only the sampling variables it reads, when it runs.
+A run starts from one stack element (function, label, valuation) and takes
+steps until its stack of activation frames is empty; its termination time
+is the number of steps taken.  `simulate` runs the code that
+`_compile.compile_runner` emits per function: a frame is a (segment, values)
+pair, and a segment runs its function label by label, one step per label,
+until a call, the exit or the step cap.  An assignment draws the sampling
+variables it reads when it runs, and a scheduler resolves every
+nondeterministic label.  The single-step reference the run loop is tested
+against lives in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -18,16 +20,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ._compile import OP_ASSIGN, OP_BRANCH, OP_CALL, OP_NONDET, cert_value, compile_runner, value_le
+from ._compile import cert_value, compile_runner, value_le
 from .certificates import Certificate
 from .cfg import Cfg, CfgFunction
 from .distributions import SamplingFunction
 from .rng import make_generator, rekey
 from .valuation import Valuation
-
-ACTION_TAU = "tau"
-ACTION_THEN = "th"
-ACTION_ELSE = "el"
 
 Z95 = 1.959963984540054
 
@@ -36,82 +34,11 @@ class SemanticsError(ValueError):
     pass
 
 
-class DisabledActionError(SemanticsError):
-    pass
-
-
 @dataclass(frozen=True)
 class StackElement:
     fname: str
     label: int
     valuation: Valuation
-
-    def is_nondet(self, cfg: Cfg) -> bool:
-        return self.label in cfg.function(self.fname).nondet
-
-
-@dataclass(frozen=True)
-class MdpState:
-    config: Tuple[StackElement, ...]  # first element = top of the call stack
-    sample: Valuation
-
-    @property
-    def terminated(self) -> bool:
-        return not self.config
-
-
-def initial_state(entry: StackElement, sf: SamplingFunction) -> MdpState:
-    """Runs start at (entry, all-zero sample)."""
-    return MdpState((entry,), sf.zero_valuation())
-
-
-def enabled_actions(state: MdpState, cfg: Cfg) -> Tuple[str, ...]:
-    if state.terminated:
-        # the empty configuration is absorbing under every action
-        return (ACTION_TAU, ACTION_THEN, ACTION_ELSE)
-    if not state.config[0].is_nondet(cfg):
-        return (ACTION_TAU,)
-    return (ACTION_THEN, ACTION_ELSE)
-
-
-def step(state: MdpState, action: str, mu_prime: Valuation, cfg: Cfg) -> MdpState:
-    """One transition of the semantics under a fixed fresh sample.
-
-    `mu_prime` is the joint sample drawn for this step; it becomes the
-    state's sample component and feeds the update function when the top
-    frame is at an assignment label.
-    """
-    if action not in enabled_actions(state, cfg):
-        raise DisabledActionError(
-            f"action {action!r} is not enabled (enabled: {enabled_actions(state, cfg)})")
-    if state.terminated:
-        return MdpState((), mu_prime)
-
-    top, rest = state.config[0], state.config[1:]
-    fn = cfg.function(top.fname)
-    op = cfg._ops[(top.fname, top.label)]
-    code = op[0]
-    nu = top.valuation
-    vals = nu.values if nu.variables == fn.pvars else tuple(nu[v] for v in fn.pvars)
-    if code == OP_ASSIGN:
-        _, update, sampling_vars, target = op
-        drawn = tuple(mu_prime[s] for s in sampling_vars)
-        nu = Valuation.from_tuples(fn.pvars, update(vals, drawn))
-    elif code == OP_CALL:
-        _, args_fn, callee, callee_entry, target = op
-        callee_nu = Valuation.from_tuples(cfg.function(callee).pvars, args_fn(vals))
-        if target != fn.exit:
-            rest = (StackElement(top.fname, target, nu),) + rest
-        return MdpState((StackElement(callee, callee_entry, callee_nu),) + rest, mu_prime)
-    elif code == OP_BRANCH:
-        target = op[2] if op[1](vals) else op[3]
-    elif code == OP_NONDET:
-        target = op[1] if action == ACTION_THEN else op[2]
-    else:
-        raise SemanticsError(f"terminal stack element in configuration: {top}")
-    if target == fn.exit:
-        return MdpState(rest, mu_prime)
-    return MdpState((StackElement(top.fname, target, nu),) + rest, mu_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +245,14 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
     requested tail threshold (all thresholds must be <= max_steps, which
     makes tail estimates unbiased).
     """
+    if entry.fname not in cfg.function_names():
+        raise SemanticsError(f"no function named {entry.fname!r}")
     fn = cfg.function(entry.fname)
+    if entry.label not in fn.labels():
+        raise SemanticsError(f"function {entry.fname!r} has no label {entry.label}")
+    unbound = [v for v in fn.pvars if v not in entry.valuation]
+    if unbound:
+        raise SemanticsError(f"entry valuation binds no value to {unbound}")
     if entry.label == fn.exit:
         raise SemanticsError("entry stack element must be nonterminal")
     if max_steps < 1:

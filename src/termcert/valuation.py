@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 
 class Valuation:
@@ -19,10 +19,6 @@ class Valuation:
         items = sorted(bindings.items())
         self._vars: Tuple[str, ...] = tuple(k for k, _ in items)
         self._values: Tuple[int, ...] = tuple(int(v) for _, v in items)
-
-    @classmethod
-    def zero(cls, variables: Iterable[str]) -> "Valuation":
-        return cls({v: 0 for v in variables})
 
     @classmethod
     def from_tuples(cls, variables: Tuple[str, ...], values: Tuple[int, ...]) -> "Valuation":

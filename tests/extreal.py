@@ -1,8 +1,10 @@
-"""Extended-real arithmetic over exact rationals.
+"""Extended-real arithmetic over exact rationals, for the test oracles.
 
-Certificate values live in [0, inf] and every comparison the checker makes
-must be exact, so the finite part is a `fractions.Fraction` and infinity is
-a distinguished element with the usual absorbing conventions:
+Certificate values live in [0, inf].  The kernel holds one as an int or
+Fraction, or None for inf; the oracles in `oracles.py` compute with this
+class instead, so that their arithmetic stays independent of the kernel's.
+The finite part is a `fractions.Fraction` and infinity is a distinguished
+element with the usual absorbing conventions:
 
     d * inf = inf  for d > 0        0 * inf = 0
     x + inf = inf                   inf <= inf
@@ -15,9 +17,7 @@ final value is range-checked by the caller.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
-
-RationalLike = Union[int, Fraction, str]
+from typing import Iterable, Tuple
 
 
 class ExtRealError(ArithmeticError):
@@ -29,7 +29,7 @@ class ExtReal:
 
     __slots__ = ("_frac",)
 
-    def __init__(self, value: Union[RationalLike, "ExtReal", None] = 0):
+    def __init__(self, value=0):
         if isinstance(value, ExtReal):
             self._frac = value._frac
         elif value is None:
@@ -37,17 +37,9 @@ class ExtReal:
         else:
             self._frac = Fraction(value)
 
-    @classmethod
-    def infinity(cls) -> "ExtReal":
-        return cls(None)
-
     @property
     def is_infinite(self) -> bool:
         return self._frac is None
-
-    @property
-    def is_finite(self) -> bool:
-        return self._frac is not None
 
     @property
     def fraction(self) -> Fraction:
@@ -55,7 +47,7 @@ class ExtReal:
             raise ExtRealError("infinite value has no rational part")
         return self._frac
 
-    def __add__(self, other: "ExtReal") -> "ExtReal":
+    def __add__(self, other) -> "ExtReal":
         other = _coerce(other)
         if self._frac is None or other._frac is None:
             return INF
@@ -63,7 +55,7 @@ class ExtReal:
 
     __radd__ = __add__
 
-    def __sub__(self, other: "ExtReal") -> "ExtReal":
+    def __sub__(self, other) -> "ExtReal":
         other = _coerce(other)
         if other._frac is None:
             # inf - inf and finite - inf are both undefined here; the checker
@@ -74,7 +66,7 @@ class ExtReal:
             return INF
         return ExtReal(self._frac - other._frac)
 
-    def __mul__(self, other: "ExtReal") -> "ExtReal":
+    def __mul__(self, other) -> "ExtReal":
         other = _coerce(other)
         if self._frac is not None and other._frac is not None:
             return ExtReal(self._frac * other._frac)
@@ -90,18 +82,13 @@ class ExtReal:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union[RationalLike, "ExtReal"]) -> "ExtReal":
+    def __truediv__(self, other) -> "ExtReal":
         other = _coerce(other)
         if other._frac is None or other._frac <= 0:
             raise ExtRealError("division only by a finite positive value")
         if self._frac is None:
             return INF
         return ExtReal(self._frac / other._frac)
-
-    def __neg__(self) -> "ExtReal":
-        if self._frac is None:
-            raise ExtRealError("negation of infinity is undefined")
-        return ExtReal(-self._frac)
 
     def __abs__(self) -> "ExtReal":
         if self._frac is None:
@@ -118,7 +105,7 @@ class ExtReal:
     def __hash__(self) -> int:
         return hash(self._frac)
 
-    def __le__(self, other: "ExtReal") -> bool:
+    def __le__(self, other) -> bool:
         other = _coerce(other)
         if other._frac is None:
             return True  # x <= inf, including inf <= inf
@@ -126,20 +113,15 @@ class ExtReal:
             return False
         return self._frac <= other._frac
 
-    def __lt__(self, other: "ExtReal") -> bool:
+    def __lt__(self, other) -> bool:
         other = _coerce(other)
         return self <= other and self != other
 
-    def __ge__(self, other: "ExtReal") -> bool:
+    def __ge__(self, other) -> bool:
         return _coerce(other) <= self
 
-    def __gt__(self, other: "ExtReal") -> bool:
+    def __gt__(self, other) -> bool:
         return _coerce(other) < self
-
-    def __float__(self) -> float:
-        if self._frac is None:
-            return float("inf")
-        return float(self._frac)
 
     def __repr__(self) -> str:
         return f"ExtReal({self})"
@@ -152,12 +134,12 @@ class ExtReal:
         return f"{self._frac.numerator}/{self._frac.denominator}"
 
 
-def _coerce(value: Union[RationalLike, ExtReal]) -> ExtReal:
+def _coerce(value) -> ExtReal:
     return value if isinstance(value, ExtReal) else ExtReal(value)
 
 
 ZERO = ExtReal(0)
-INF = ExtReal.infinity()
+INF = ExtReal(None)
 
 
 def extreal_max(a: ExtReal, b: ExtReal) -> ExtReal:

@@ -12,16 +12,24 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 import numpy as np
 
+from extreal import INF, ZERO, ExtReal, extreal_max, extreal_sum_weighted
 from termcert.certificates import CertificateError
 from termcert.cfg import branch_targets, single_edge, star_targets
-from termcert.extreal import INF, ZERO, ExtReal, extreal_max, extreal_sum_weighted
+from termcert.distributions import sample_from_uniform
 from termcert.lang import And, BinOp, Cmp, Const, EvalError, InfConst, Not, Or, Pow, Var
-from termcert.semantics import ACTION_THEN, MdpState, StackElement
+from termcert.rng import make_generator
+from termcert.semantics import StackElement
 from termcert.valuation import Valuation
+
+ACTION_TAU = "tau"  # the one action at a label that is not nondeterministic
+ACTION_THEN = "th"
+ACTION_ELSE = "el"
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +128,24 @@ def pass_values(payload, nu) -> Valuation:
     return Valuation(bindings)
 
 
+@dataclass(frozen=True)
+class MdpState:
+    """A state of the semantics: a configuration and the previous step's
+    joint sample."""
+
+    config: Tuple[StackElement, ...]  # first element = top of the call stack
+    sample: Valuation
+
+    @property
+    def terminated(self) -> bool:
+        return not self.config
+
+
 def step(state, action, mu_prime, cfg) -> MdpState:
-    """One transition of the semantics (no enabled-action check)."""
+    """One transition of the semantics under the fresh joint sample
+    `mu_prime`, which the state keeps and an assignment consumes.  The
+    empty configuration is absorbing; `action` is read only at a
+    nondeterministic label."""
     if state.terminated:
         return MdpState((), mu_prime)
     top, rest = state.config[0], state.config[1:]
@@ -148,6 +172,31 @@ def step(state, action, mu_prime, cfg) -> MdpState:
     if target == fn.exit:
         return MdpState(rest, mu_prime)
     return MdpState((StackElement(top.fname, target, nu),) + rest, mu_prime)
+
+
+def draws(dist, seed, stream, n):
+    """n samples of `dist` as the simulator draws them: inverse CDF over the
+    uniforms of the stream (seed, stream)."""
+    return [sample_from_uniform(dist.thresholds(), u)
+            for u in make_generator(seed, stream).random(n).tolist()]
+
+
+def coin_run(cfg, sf, entry, seed, max_steps):
+    """The states of one run from `entry`, of at most `max_steps` steps, that
+    flips a fair coin at each nondeterministic label.  Coins and each step's
+    joint sample are drawn from the stream (seed, 0), through the
+    simulator's sampler."""
+    us = iter(make_generator(seed).random((1 + len(sf.variables)) * max_steps).tolist())
+    states = [MdpState((entry,), Valuation({}))]
+    while not states[-1].terminated and len(states) <= max_steps:
+        top = states[-1].config[0]
+        action = ACTION_TAU
+        if top.label in cfg.function(top.fname).nondet:
+            action = ACTION_THEN if next(us) < 0.5 else ACTION_ELSE
+        mu = Valuation({s: sample_from_uniform(sf.dist(s).thresholds(), next(us))
+                        for s in sf.variables})
+        states.append(step(states[-1], action, mu, cfg))
+    return states
 
 
 def greedy_takes_then(cert, kind, cfg, top) -> bool:

@@ -13,7 +13,6 @@ from termcert.bounds import (
     sqrt_tail,
     upper_expected,
 )
-from termcert.extreal import INF, ExtReal
 from termcert.semantics import StackElement
 from termcert.valuation import Valuation
 
@@ -25,22 +24,22 @@ def entry_value(halving, n):
 
 def test_upper_expected_values(halving, coins):
     cfg, _, cert = halving
-    assert upper_expected(cert, Fraction(1), entry_value(halving, 5)) == ExtReal(56)
+    assert upper_expected(cert, Fraction(1), entry_value(halving, 5)) == 56
     ccfg, _, ccert = coins
     start = cert_value_at(ccert, ccfg, StackElement(
         "main", 1, Valuation({"n": 0, "i": 0, "c": 0})))
-    assert upper_expected(ccert, Fraction(1), start) == ExtReal(19)
+    assert upper_expected(ccert, Fraction(1), start) == 19
     # terminal entries are free
     terminal = cert_value_at(cert, cfg, StackElement("f", 7, Valuation({"n": 3})))
-    assert upper_expected(cert, Fraction(1), terminal) == ExtReal(0)
+    assert upper_expected(cert, Fraction(1), terminal) == 0
+    assert upper_expected(cert, Fraction(1), None) is None  # inf stays inf
 
 
 def test_lower_expected_values(halving):
     cfg, _, cert = halving
-    assert lower_expected(cert, Fraction(13), entry_value(halving, 5)) \
-        == ExtReal(Fraction(56, 13))
+    assert lower_expected(cert, Fraction(13), entry_value(halving, 5)) == Fraction(56, 13)
     terminal = cert_value_at(cert, cfg, StackElement("f", 7, Valuation({"n": 0})))
-    assert lower_expected(cert, Fraction(13), terminal) == ExtReal(0)
+    assert lower_expected(cert, Fraction(13), terminal) == 0
     infinite = cert_value_at(cert, cfg, StackElement("f", 2, Valuation({"n": 0})))
     with pytest.raises(BoundError):
         lower_expected(cert, Fraction(13), infinite)
@@ -59,7 +58,7 @@ def test_markov_tail_values(halving, coins):
 def test_terminal_entry_bounds_degenerate(halving):
     cfg, _, cert = halving
     terminal = cert_value_at(cert, cfg, StackElement("f", 7, Valuation({"n": 1})))
-    assert upper_expected(cert, Fraction(1), terminal) == ExtReal(0)
+    assert upper_expected(cert, Fraction(1), terminal) == 0
     assert markov_tail(Fraction(1), terminal, 1) == Fraction(0)
     assert markov_tail(Fraction(1), terminal, 10**6) == Fraction(0)
 
@@ -90,7 +89,7 @@ def test_concentration_tail_boundary_excluded(halving):
 
 
 def test_concentration_tail_small_case():
-    exact, _ = concentration_tail(Fraction(1), Fraction(1), ExtReal(0), 1)
+    exact, _ = concentration_tail(Fraction(1), Fraction(1), 0, 1)
     assert exact == pytest.approx(math.exp(-1 / 8), rel=1e-12)
 
 
@@ -112,7 +111,7 @@ def test_concentration_eventually_decreasing(halving):
 def test_sqrt_tail_matches_direct_evaluation(walk):
     cfg, _, cert = walk
     v = cert_value_at(cert, cfg, StackElement("f", 1, Valuation({"n": 1})))
-    assert v == ExtReal(2)
+    assert v == 2
     res = sqrt_tail(v, Fraction(1), Fraction(1), 2, 10**6)
     assert res.ok
     with mpmath.workdps(40):
@@ -125,12 +124,12 @@ def test_sqrt_tail_matches_direct_evaluation(walk):
 def test_sqrt_tail_smallness_gate():
     # a large per-outcome cap needs a large k before the cubic tail of
     # exp(zeta*t) is dominated; below that the result names the threshold
-    res = sqrt_tail(ExtReal(2), Fraction(1), Fraction(50), 1, 10)
+    res = sqrt_tail(2, Fraction(1), Fraction(50), 1, 10)
     assert not res.ok
     assert res.min_valid_k is not None and res.min_valid_k > 10
-    res2 = sqrt_tail(ExtReal(2), Fraction(1), Fraction(50), 1, res.min_valid_k)
+    res2 = sqrt_tail(2, Fraction(1), Fraction(50), 1, res.min_valid_k)
     assert res2.ok
-    res3 = sqrt_tail(ExtReal(2), Fraction(1), Fraction(50), 1, res.min_valid_k - 1)
+    res3 = sqrt_tail(2, Fraction(1), Fraction(50), 1, res.min_valid_k - 1)
     assert not res3.ok
 
 
@@ -144,9 +143,9 @@ def test_sqrt_tail_monotone_in_delta(walk):
 
 def test_sqrt_tail_rejects_degenerate_entries():
     with pytest.raises(BoundError):
-        sqrt_tail(INF, Fraction(1), Fraction(1), 1, 100)
+        sqrt_tail(None, Fraction(1), Fraction(1), 1, 100)
     with pytest.raises(BoundError):
-        sqrt_tail(ExtReal(0), Fraction(1), Fraction(1), 1, 100)
+        sqrt_tail(0, Fraction(1), Fraction(1), 1, 100)
 
 
 def test_sqrt_tail_scaling_stabilizes(walk):

@@ -107,6 +107,50 @@ def test_bounds_super_uses_fixpoint_period(capsys):
     assert "as-termination" in out
 
 
+def test_bounds_at_an_infinite_entry_value(capsys):
+    # the halving game's certificate is inf at (f, 2, n=0): the ranking rows
+    # print it as inf, and the bounds that need a finite value refuse it
+    argv = ("bounds", HALVING, "--cert", HALVING_CERT, "--entry", "f@2", "--args", "n=0")
+    code, table, _ = run_cli(capsys, *argv, "--kind", "ranking", "--k", "5")
+    assert code == 0
+    assert [line.rstrip() for line in table.splitlines()[2:]] == [
+        "expected-time-upper  (f, 2, {n=0})  eps=1 value=inf      inf",
+        "tail-markov          (f, 2, {n=0})  eps=1 k=5 value=inf  1      any k >= 1"]
+    code, out, _ = run_cli(capsys, *argv, "--kind", "ranking", "--k", "5", "--format", "json")
+    assert code == 0
+    assert [(r["rule"], r["params"], r["value"]) for r in json.loads(out)["rows"]] == [
+        ("expected-time-upper", "eps=1 value=inf", "inf"),
+        ("tail-markov", "eps=1 k=5 value=inf", "1")]
+    for extra, message in (
+            (("--kind", "cdb", "--k", "5"),
+             "lower bound requires a finite certificate value at the entry"),
+            (("--kind", "db", "--n", "100"),
+             "concentration bound requires a finite certificate value")):
+        assert run_cli(capsys, *argv, *extra) == (2, "", f"error: {message}\n")
+
+
+def test_a_long_statement_sequence_passes_every_command(tmp_path, capsys):
+    # 5,000 assignments in a row: no walker may recurse once per statement.
+    # Programs this deep are compared by their CFG dumps, since dataclass
+    # equality on the statement tree would recurse
+    n = 5000
+    prog, printed, cert = (tmp_path / name for name in ("long.prob", "printed.prob", "long.cert"))
+    prog.write_text("f(n) {\n" + ";\n".join(["  n := n + 1"] * n) + "\n}\n")
+    cert.write_text("eps=1\n" + "".join(f"f@{i}: {n + 1 - i}\n" for i in range(1, n + 1)))
+    code, text, _ = run_cli(capsys, "parse", str(prog))
+    assert code == 0
+    printed.write_text(text)
+    code, dump, _ = run_cli(capsys, "cfg", str(prog))
+    assert code == 0 and dump.count("--[n := n + 1]-->") == n
+    assert run_cli(capsys, "cfg", str(printed)) == (0, dump, "")
+    code, out, _ = run_cli(capsys, "simulate", str(prog), "--entry", "f", "--runs", "2",
+                           "--workers", "1")
+    assert code == 0 and "mean_T      5000" in out
+    code, out, _ = run_cli(capsys, "check", str(prog), "--cert", str(cert), "--kind", "ranking",
+                           "--box", "n=0..1")
+    assert code == 0 and "verdict=pass" in out
+
+
 def test_simulate_table_and_determinism(capsys):
     argv = ("simulate", HALVING, "--entry", "f", "--args", "n=5",
             "--dist", HALVING_DIST, "--scheduler", "uniform",

@@ -2,16 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import draws
 from termcert.distributions import (
     DiscreteDist,
     DistributionError,
     SamplingFunction,
     parse_distributions,
-    product_weight,
-    sample,
 )
-from termcert.rng import RngStream
-from termcert.valuation import Valuation
 
 
 def biased() -> DiscreteDist:
@@ -30,56 +27,27 @@ def test_probabilities_must_sum_to_one():
 
 
 def test_point_mass_always_returns_its_value():
-    dist = DiscreteDist.point(1)
-    rng = RngStream(123, 0)
-    assert all(sample(dist, rng) == 1 for _ in range(100))
+    assert draws(DiscreteDist.point(1), 123, 0, 100) == [1] * 100
 
 
 def test_biased_frequencies_converge():
     # up-probability 1/4: over 1e6 draws the empirical rate lands within 0.003
     dist = biased()
-    rng = RngStream(2024, 0)
-    thresholds = dist.thresholds()
-    us = rng.uniforms(1_000_000)
-    ups = int((us < float(Fraction(1, 4))).sum())
-    assert thresholds[0][1] == -1  # support sorted ascending
+    assert dist.thresholds()[0][1] == -1  # support sorted ascending
+    ups = draws(dist, 2024, 0, 1_000_000).count(1)
     assert abs(ups / 1_000_000 - 0.25) < 0.003
 
 
 def test_symmetric_empirical_mean_near_zero():
     dist = DiscreteDist.from_pairs([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
-    rng = RngStream(7, 3)
-    total = sum(sample(dist, rng) for _ in range(200_000))
+    total = sum(draws(dist, 7, 3, 200_000))
     assert abs(total / 200_000) < 0.011  # 3 sigma for n=2e5 is ~0.0067
 
 
 def test_sampling_is_reproducible_per_stream():
     dist = biased()
-
-    def draw(stream):
-        rng = RngStream(5, stream)
-        return [sample(dist, rng) for _ in range(50)]
-
-    assert draw(9) == draw(9)
-    assert draw(9) != draw(10)
-
-
-def test_product_weight_single_variable():
-    sf = SamplingFunction.from_mapping({"r": biased()})
-    assert product_weight(sf, Valuation({"r": -1})) == Fraction(3, 4)
-    assert product_weight(sf, Valuation({"r": 2})) == 0
-
-
-def test_product_weight_two_uniform_variables():
-    half = DiscreteDist.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
-    sf = SamplingFunction.from_mapping({"a": half, "b": half})
-    assert product_weight(sf, Valuation({"a": 0, "b": 1})) == Fraction(1, 4)
-
-
-def test_product_weight_requires_exact_variable_set():
-    sf = SamplingFunction.from_mapping({"r": biased()})
-    with pytest.raises(DistributionError):
-        product_weight(sf, Valuation({"r": 1, "x": 0}))
+    assert draws(dist, 5, 9, 50) == draws(dist, 5, 9, 50)
+    assert draws(dist, 5, 9, 50) != draws(dist, 5, 10, 50)
 
 
 def test_joint_support_sums_to_one():

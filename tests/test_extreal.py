@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from termcert.extreal import INF, ExtReal, ExtRealError, extreal_max, extreal_sum_weighted
+from extreal import INF, ExtReal, ExtRealError, extreal_max, extreal_sum_weighted
 
 
 def test_finite_arithmetic_is_exact():

@@ -1,26 +1,15 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from termcert.distributions import sample
-from termcert.rng import RngStream
-from termcert.semantics import (
-    ACTION_ELSE,
-    ACTION_TAU,
-    ACTION_THEN,
-    DisabledActionError,
-    MdpState,
-    Scheduler,
-    SemanticsError,
-    StackElement,
-    Z95,
-    enabled_actions,
-    initial_state,
-    simulate,
-    step,
-    wilson_interval,
-)
+import oracles
+from oracles import ACTION_ELSE, ACTION_TAU, ACTION_THEN, MdpState, step
+from termcert.distributions import sample_from_uniform
+from termcert.rng import make_generator
+from termcert.semantics import (Scheduler, SemanticsError, StackElement, Z95, simulate,
+                                wilson_interval)
 from termcert.valuation import Valuation
 
 
@@ -68,21 +57,9 @@ def test_pop_to_empty_configuration_and_absorption(halving):
     out = step(state, ACTION_TAU, mu(1), cfg)
     assert out.terminated
     # the empty configuration absorbs under every action
-    assert enabled_actions(out, cfg) == (ACTION_TAU, ACTION_THEN, ACTION_ELSE)
-    again = step(out, ACTION_THEN, mu(-1), cfg)
-    assert again.terminated and again.sample == mu(-1)
-
-
-def test_enabled_actions_and_disabled_action_error(halving):
-    cfg, _, _ = halving
-    nondet = MdpState((StackElement("f", 2, Valuation({"n": 3})),), mu(0))
-    assert enabled_actions(nondet, cfg) == (ACTION_THEN, ACTION_ELSE)
-    plain = MdpState((StackElement("f", 1, Valuation({"n": 3})),), mu(0))
-    assert enabled_actions(plain, cfg) == (ACTION_TAU,)
-    with pytest.raises(DisabledActionError):
-        step(nondet, ACTION_TAU, mu(1), cfg)
-    with pytest.raises(DisabledActionError):
-        step(plain, ACTION_THEN, mu(1), cfg)
+    for action in (ACTION_TAU, ACTION_THEN, ACTION_ELSE):
+        again = step(out, action, mu(-1), cfg)
+        assert again.terminated and again.sample == mu(-1)
 
 
 def test_nondet_step_follows_action(halving):
@@ -92,27 +69,19 @@ def test_nondet_step_follows_action(halving):
     assert step(state, ACTION_ELSE, mu(1), cfg).config[0].label == 5
 
 
-def test_initial_state_zeroes_the_sample(halving):
-    cfg, sf, _ = halving
-    entry = StackElement("f", 1, Valuation({"n": 5}))
-    state = initial_state(entry, sf)
-    assert state.sample == mu(0)
-    assert state.config == (entry,)
-
-
 def test_one_step_probability_law(halving):
     # empirical frequency of each successor of a fixed assignment state over
-    # a million single steps matches the joint sampling weight within 3 sigma
+    # a million single steps matches the joint sampling weight within 3 sigma.
+    # A step is a function of its sample, so each distinct sample is stepped
+    # once and counted as often as it was drawn
     cfg, sf, _ = halving
     state = MdpState((StackElement("g", 2, Valuation({"n": 3})),), mu(0))
-    rng = RngStream(99, 0)
     n = 1_000_000
-    draws = [1 if u < 0.25 else -1 for u in rng.uniforms(n)]
-    counts = {2: 0, 4: 0}
-    for drawn in draws:
+    counts = Counter()
+    for drawn, times in Counter(oracles.draws(sf.dist("r"), 99, 0, n)).items():
         out = step(state, ACTION_TAU, mu(drawn), cfg)
-        counts[out.config[0].valuation["n"]] += 1
-    assert counts[2] + counts[4] == n
+        counts[out.config[0].valuation["n"]] += times
+    assert set(counts) == {2, 4} and counts[2] + counts[4] == n
     p = Fraction(1, 4)
     sigma = math.sqrt(float(p * (1 - p)) / n)
     assert abs(counts[4] / n - 0.25) <= 3 * sigma
@@ -139,6 +108,18 @@ def test_simulate_rejects_negative_run_count(halving):
         simulate(cfg, sf, entry, Scheduler("uniform"), runs=-5, max_steps=10, seed=0)
     stats = simulate(cfg, sf, entry, Scheduler("uniform"), runs=0, max_steps=10, seed=0)
     assert (stats.runs, stats.terminated, stats.censored) == (0, 0, 0)
+
+
+def test_simulate_rejects_an_entry_the_cfg_lacks(halving):
+    # with the CLI's wording, not an IndexError or KeyError from the run loop
+    cfg, sf, _ = halving
+    cases = [(StackElement("f", 99, Valuation({"n": 1})), "function 'f' has no label 99"),
+             (StackElement("h", 1, Valuation({"n": 1})), "no function named 'h'"),
+             (StackElement("f", 1, Valuation({})), "entry valuation binds no value to ['n']")]
+    for entry, message in cases:
+        with pytest.raises(SemanticsError) as exc:
+            simulate(cfg, sf, entry, Scheduler("uniform"), runs=1, max_steps=10)
+        assert str(exc.value) == message
 
 
 def test_greedy_max_mean_is_deterministic_for_halving_game(halving):
@@ -199,19 +180,9 @@ def test_censoring_consistent_with_expected_time_tail(halving):
 
 def test_stack_length_changes_by_at_most_one(halving):
     cfg, sf, _ = halving
-    dist = sf.dist("r")
-    rng = RngStream(77, 0)
-    state = MdpState((StackElement("f", 1, Valuation({"n": 6})),), mu(0))
-    prev_len = 1
-    for _ in range(400):
-        if state.terminated:
-            break
-        actions = enabled_actions(state, cfg)
-        action = actions[0] if len(actions) == 1 else (
-            ACTION_THEN if rng.random() < 0.5 else ACTION_ELSE)
-        state = step(state, action, mu(sample(dist, rng)), cfg)
-        assert abs(len(state.config) - prev_len) <= 1
-        prev_len = len(state.config)
+    states = oracles.coin_run(cfg, sf, StackElement("f", 1, Valuation({"n": 6})), 77, 400)
+    for before, after in zip(states, states[1:]):
+        assert abs(len(after.config) - len(before.config)) <= 1
 
 
 def test_wilson_interval_basic():
@@ -228,13 +199,10 @@ def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
     sampling variable read by the executed assignment, one draw per
     coin-flip decision.  Greedy choices go through the oracle's certificate
     value, not the scheduler's compiled stanzas."""
-    import oracles
     from termcert.cfg import single_edge
-    from termcert.distributions import sample_from_uniform
-    from termcert.rng import make_generator
 
     gen = make_generator(seed, run_index)
-    state = initial_state(entry, sf)
+    state = MdpState((entry,), Valuation({}))
     for steps in range(max_steps):
         if state.terminated:
             return steps
@@ -430,7 +398,8 @@ def test_deep_nesting_and_long_straight_lines_run():
 
 
 def test_call_to_a_function_without_variables():
-    # the callee's valuation is the empty tuple, in the run loop and in step()
+    # the callee's valuation is the empty tuple, in the run loop and in the
+    # reference step
     from termcert.cfg import build_cfg
     from termcert.distributions import SamplingFunction
     from termcert.lang import label_program
