@@ -192,11 +192,13 @@ class OpTable(dict):
 
 
 _NESTING = 40  # branch levels per segment; deeper code starts a segment of its own
+_DRAW = "pop() if dr else nxt()"  # the run's next uniform draw (compile_runner)
 
 
 def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable, list]:
-    """(make, stars): `make(nxt, cap, stk, *choosers)` returns the segment
-    of `entry`; `stars` lists the (function, then, else) of each chooser.
+    """(make, stars): `make(nxt, dr, cap, stk, *choosers)` returns the
+    segment of `entry`; `stars` lists the (function, then, else) of each
+    chooser.
 
     Each resume point (a function's entry, a call's return label, a label
     with more than one predecessor, `entry`, a branch target nested
@@ -204,10 +206,12 @@ def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable
     frame of `stk` (a list of (segment, values) frames) label by label, each
     testing the cap `cap` and counting a step, until a call, the exit,
     another resume point or the cap, and loops at its own label.  Stars
-    follow the scheduler `kind`: always-then, always-else, `nxt() < 0.5`
-    (uniform) or a chooser (greedy-*).  Sampling variables draw `nxt()`
-    through their thresholds as `sample_from_uniform` does; an EvalError is
-    raised again naming its label.
+    follow the scheduler `kind`: always-then, always-else, a uniform draw
+    below 0.5 (uniform) or a chooser (greedy-*).  Sampling variables map a
+    uniform draw through their thresholds as `sample_from_uniform` does; an
+    EvalError is raised again naming its label.  A uniform draw pops the
+    list `dr` (the run's next draws, last first) and calls `nxt()`, which
+    refills it and returns the next draw, only when `dr` is empty.
     """
     segs = {}
     for fidx, fn in enumerate(cfg.functions):
@@ -223,7 +227,7 @@ def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable
     for fname, start in todo:
         lines += _segment(cfg, sf, cfg.function(fname), start, segs, todo, kind, stars)
     params = "".join(f", c{k}" for k in range(len(stars)))
-    source = "\n".join([f"def make(nxt, cap, stk{params}):", *lines,
+    source = "\n".join([f"def make(nxt, dr, cap, stk{params}):", "    pop = dr.pop", *lines,
                         f"    return {segs[entry]}", ""])
     return compile_lambda(source), stars
 
@@ -253,7 +257,7 @@ def _segment(cfg, sf, fn, start, segs, todo, kind, stars) -> list:
                 if label in fn.branching:
                     test = pred_code(p.pred, names)
                 elif kind == "uniform":
-                    test = "nxt() < 0.5"
+                    test = f"({_DRAW}) < 0.5"
                 else:
                     test = f"c{len(stars)}({', '.join(names.values())})"
                     stars.append((fn, target, edges[1].target))
@@ -276,7 +280,7 @@ def _segment(cfg, sf, fn, start, segs, todo, kind, stars) -> list:
                 for j, svar in enumerate(p.sampling_vars):
                     *cuts, (_, last) = sf.dist(svar).thresholds()
                     chain = "".join(f"{value!r} if u < {cut!r} else " for cut, value in cuts)
-                    lines.append(pad + f"u = nxt(); m{j} = {chain}{last!r}")
+                    lines.append(pad + f"u = {_DRAW}; m{j} = {chain}{last!r}")
                     drawn[svar] = f"m{j}"
                 if p.var is not None:
                     code = expr_code(p.expr, {**drawn, **names})

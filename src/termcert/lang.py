@@ -152,8 +152,29 @@ class Call:
 
 @dataclass(frozen=True)
 class Seq:
+    """`first; second`.  Equality, hashing, printing and pickling walk the
+    statements of the sequence in a loop (`_seq_items`) rather than one
+    Python frame per statement, so long sequences do not exhaust the stack.
+    Since `;` is associative, sequences of equal statements are equal
+    however they are nested."""
+
     first: "Stmt"
     second: "Stmt"
+
+    def __eq__(self, other):
+        if not isinstance(other, Seq):
+            return NotImplemented
+        return list(_seq_items(self)) == list(_seq_items(other))
+
+    def __hash__(self):
+        return hash(tuple(_seq_items(self)))
+
+    def __repr__(self):
+        *items, last = map(repr, _seq_items(self))
+        return "".join(f"Seq(first={item}, second=" for item in items) + last + ")" * len(items)
+
+    def __reduce__(self):
+        return _seq, (list(_seq_items(self)),)
 
 
 Stmt = Union[Skip, Assign, IfBool, IfStar, While, Call, Seq]

@@ -1,16 +1,22 @@
 """Reproducible, splittable random streams.
 
 Every consumer of randomness owns an (seed, stream) pair mapped onto a
-counter-based Philox generator.  Identical pairs give identical draw
+counter-based Philox4x64-10 generator.  Identical pairs give identical draw
 sequences on every platform, and distinct stream indices give streams that
 are independent for practical purposes, so per-run streams can be handed to
 parallel workers without coordination.
 
-A stream is opened either as a new generator (`make_generator`) or by
-re-keying an existing Philox generator in place (`rekey`).  The simulator's
-run loop does the latter: each worker builds one generator, and run `i`
-keys it to (seed, i) at its first draw.  Both ways give the same draws for
-the same pair, since both take the key from `_key`.
+A stream is read in one of three ways, all with the key from `_key`, so all
+three give the same draws for the same pair:
+
+- `make_generator` opens a new numpy generator on it;
+- `rekey` restarts an existing Philox generator on it, in place;
+- `philox_doubles` computes the first draws of many consecutive streams at
+  once, as numpy does, in one vectorised pass over the streams.
+
+The simulator uses the last for the first draws of a block of runs (most
+runs need only a few), and re-keys one generator per worker for a run that
+draws past them.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 _KEY_MASK = (1 << 64) - 1
+_LOW = (1 << 32) - 1
+_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
+_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Philox4x64 key schedule
 
 
 def _key(seed: int, stream: int) -> list:
@@ -46,3 +55,38 @@ def rekey(gen: np.random.Generator, seed: int, stream: int) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def philox_doubles(seed: int, lo: int, n: int, blocks: int) -> np.ndarray:
+    """Row i holds the first 4·blocks draws of `make_generator(seed, lo + i)
+    .random()`, for i < n: Philox4x64-10 on counters 1..blocks (numpy
+    increments the counter before each block) under the keys (lo + i, seed),
+    each output word x read as the double (x >> 11)·2^-53."""
+    import numpy as np
+
+    u64 = np.uint64
+    stream_key, seed_key = _key(seed, lo)
+    k0 = np.arange(n, dtype=u64) + u64(stream_key)  # wraps mod 2^64, as the mask does
+    k1 = np.full(1, seed_key, dtype=u64)  # an array: numpy warns when a scalar wraps
+    bump0, bump1 = u64(_BUMP[0]), u64(_BUMP[1])
+    mul0, mul1 = ((u64(m), u64(m & _LOW), u64(m >> 32)) for m in _MUL)  # numpy scalars, once
+    zero = np.zeros((blocks, n), dtype=u64)
+    c0, c1, c2, c3 = np.arange(1, blocks + 1, dtype=u64)[:, None] + zero, zero, zero, zero
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + bump0, k1 + bump1
+        hi0, lo0 = _mulhilo(*mul0, c0)
+        hi1, lo1 = _mulhilo(*mul1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).transpose(1, 0, 2).reshape(n, 4 * blocks)
+    return (words >> u64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _mulhilo(m, m0, m1, x: np.ndarray) -> tuple:
+    """(high, low) 64-bit words of the 128-bit product m·x, where m0 and m1
+    are the 32-bit halves of m; the high word is built from the halves'
+    products, since numpy has no 128-bit integers."""
+    x0, x1 = x & _LOW, x >> 32
+    p01, p10 = m0 * x1, m1 * x0
+    mid = (m0 * x0 >> 32) + (p01 & _LOW) + (p10 & _LOW)
+    return m1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), m * x

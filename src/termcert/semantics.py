@@ -24,7 +24,7 @@ from ._compile import cert_value, compile_runner, value_le
 from .certificates import Certificate
 from .cfg import Cfg, CfgFunction
 from .distributions import SamplingFunction
-from .rng import make_generator, rekey
+from .rng import make_generator, philox_doubles, rekey
 from .valuation import Valuation
 
 Z95 = 1.959963984540054
@@ -159,33 +159,55 @@ def _finalize(acc: Dict, runs: int, max_steps: int, k_list: Sequence[int],
 # Simulation: the run loop calls the CFG's compiled segments
 # ---------------------------------------------------------------------------
 
+_ROW = 8  # draws per run computed ahead, by whole Philox blocks of 4
+_BLOCK = 1024  # runs whose first _ROW draws one kernel call computes
+
+
 class _Uniforms:
-    """The uniform draws of the current run: its stream (seed, run) is keyed
-    into the worker's one generator at the run's first draw, then read in
-    buffers of 64 and then 256 draws, held as Python floats."""
+    """The uniform draws of one worker's runs below `hi`, run `i` from the
+    Philox stream (seed, i).  `dr` holds the current run's next draws,
+    last first, for the run loop to pop; `next` refills it and returns the
+    next draw.  At a run's first draw it takes the run's row of _ROW draws,
+    and when the run is outside the rows at hand it first computes the rows
+    of the next _BLOCK runs in one `philox_doubles` call.  A run that draws
+    past its row re-keys the worker's one generator to its stream, skips
+    the row's Philox blocks, and reads on 256 draws at a time.  Each draw
+    depends on (seed, run) alone, so how runs fall into blocks cannot
+    change a draw."""
 
-    __slots__ = ("gen", "seed", "run", "buf", "idx")
+    __slots__ = ("seed", "hi", "dr", "rows", "base", "gen", "run", "drawn")
 
-    def __init__(self, gen, seed: int):
-        self.gen = gen
-        self.seed = seed
+    def __init__(self, seed: int, hi: int):
+        self.seed, self.hi = seed, hi
+        self.dr: list = []
+        self.rows = ()  # the current block's rows, each last draw first
+        self.base = 0
+        self.gen = None  # opened at the first run that draws past its row
 
     def start(self, run: int) -> None:
         self.run = run
-        self.buf = None
-        self.idx = 0
+        self.drawn = 0
+        self.dr.clear()
 
     def next(self) -> float:
-        buf = self.buf
-        if buf is None:
-            rekey(self.gen, self.seed, self.run)
-            buf = self.buf = self.gen.random(64).tolist()
-        elif self.idx >= len(buf):
-            buf = self.buf = self.gen.random(256).tolist()
-            self.idx = 0
-        u = buf[self.idx]
-        self.idx += 1
-        return u
+        run, dr = self.run, self.dr
+        if not self.drawn:
+            if not 0 <= run - self.base < len(self.rows):
+                self.base, n = run, min(_BLOCK, self.hi - run)
+                self.rows = philox_doubles(self.seed, run, n, _ROW // 4)[:, ::-1]
+            # a row at a time: Python floats for a whole block at once left
+            # the heap fragmented, some MB larger after a simulation
+            dr += self.rows[run - self.base].tolist()
+            self.drawn = _ROW
+        else:
+            if self.drawn == _ROW:
+                if self.gen is None:
+                    self.gen = make_generator(self.seed)
+                rekey(self.gen, self.seed, run)
+                self.gen.bit_generator.advance(_ROW // 4)
+            dr += self.gen.random(256)[::-1].tolist()
+            self.drawn += 256
+        return dr.pop()
 
 
 def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: int,
@@ -196,9 +218,9 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
     make, stars = compile_runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
     ks = sorted(k_list)
     acc = {"terminated": 0, "sum": 0, "sumsq": 0, "tail": {k: 0 for k in ks}}
-    uniforms = _Uniforms(make_generator(seed), seed)  # re-keyed by each run that draws
+    uniforms = _Uniforms(seed, hi)
     stack: list = []
-    entry = (make(uniforms.next, max_steps, stack,
+    entry = (make(uniforms.next, uniforms.dr, max_steps, stack,
                   *(scheduler._greedy(*star) for star in stars)), entry_vals)
 
     for run in range(lo, hi):

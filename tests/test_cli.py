@@ -131,8 +131,7 @@ def test_bounds_at_an_infinite_entry_value(capsys):
 
 def test_a_long_statement_sequence_passes_every_command(tmp_path, capsys):
     # 5,000 assignments in a row: no walker may recurse once per statement.
-    # Programs this deep are compared by their CFG dumps, since dataclass
-    # equality on the statement tree would recurse
+    # The printed program is compared with the source by its CFG dump
     n = 5000
     prog, printed, cert = (tmp_path / name for name in ("long.prob", "printed.prob", "long.cert"))
     prog.write_text("f(n) {\n" + ";\n".join(["  n := n + 1"] * n) + "\n}\n")

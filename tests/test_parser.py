@@ -115,6 +115,24 @@ def test_round_trip_fixtures():
         assert parse_program(pretty_print(labelled)) == prog
 
 
+def test_long_sequences_compare_hash_print_and_pickle():
+    # 5,000 statements in a row: equality, hashing, repr and pickling walk
+    # the sequence in a loop, and nested sequences compare by statements
+    import pickle
+
+    source = "f(n) {\n" + ";\n".join(["  n := n + 1"] * 5000) + ";\n  skip\n}\n"
+    p, q = parse_program(source), parse_program(source)
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == repr(q) and repr(p).count("Seq(first=") == 5000
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and hash(copy) == hash(p)
+    assert p != parse_program(source.replace("skip", "n := n - 1"))
+    a, b, c = Skip(), Call("g", ()), Skip()
+    assert Seq(Seq(a, b), c) == Seq(a, Seq(b, c)) != Seq(a, b)
+    assert hash(Seq(Seq(a, b), c)) == hash(Seq(a, Seq(b, c)))
+    assert repr(Seq(a, b)) == f"Seq(first={a!r}, second={b!r})"
+
+
 def test_labelling_is_deterministic():
     prog = parse_program(fixture_text("halving_game.prob"))
     a = label_program(prog)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from termcert.rng import make_generator, rekey
+from termcert.rng import make_generator, philox_doubles, rekey
+from termcert.semantics import _BLOCK, _ROW, _Uniforms
 
 MASK = (1 << 64) - 1
 SEEDS = [0, 2**64 - 1, -3, 2**70 + 5]
 STREAMS = [0, 1, 2**64 - 1]
+# around the kernel's 32-bit halves, and up to where stream + i wraps to 0
+KERNEL_STREAMS = [0, 2**32 - 1, 2**32, 2**64 - 2, 2**64 - 1]
 
 
 def chunked(gen, sizes):
@@ -49,3 +52,35 @@ def test_rekey_restarts_a_stream(seed):
     first = gen.random(300)
     rekey(gen, seed, 4)
     assert np.array_equal(gen.random(300), first)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4])
+def test_block_kernel_matches_numpy(blocks):
+    # row i of the kernel holds the first 4 * blocks draws of the stream
+    # lo + i, taken mod 2^64 like every stream index
+    for seed in SEEDS:
+        for lo in KERNEL_STREAMS:
+            rows = philox_doubles(seed, lo, 3, blocks)
+            assert rows.shape == (3, 4 * blocks)
+            for i, row in enumerate(rows):
+                assert np.array_equal(row, make_generator(seed, lo + i).random(4 * blocks))
+
+
+def draws(uniforms, run, n):
+    """The first n draws of `run`, taken as the compiled run loop takes them."""
+    uniforms.start(run)
+    dr = uniforms.dr
+    return [dr.pop() if dr else uniforms.next() for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_run_draws_continue_past_the_block_row(seed):
+    # draws 0.._ROW-1 come from a block row and draws _ROW..599 from the
+    # re-keyed generator; runs on either side of a block boundary, runs that
+    # draw nothing, and a run started again all read their own stream
+    hi = 2**64 + _BLOCK + 2
+    uniforms = _Uniforms(seed, hi)
+    for run, n in [(2**64 - 2, 600), (2**64 - 1, 0), (2**64, 3), (2**64, 600),
+                   (2**64 + _BLOCK - 3, _ROW), (2**64 + _BLOCK - 2, 9),
+                   (2**64 + _BLOCK + 1, 600), (2**64 - 2, 5)]:
+        assert draws(uniforms, run, n) == make_generator(seed, run).random(n).tolist()

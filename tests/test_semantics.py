@@ -261,9 +261,9 @@ def test_compiled_runner_matches_single_step_reference(gen_seed):
 
 def test_long_runs_draw_the_streams_of_the_reference():
     # every run draws more than 320 uniforms (a coin per iteration, at least
-    # 330 iterations, plus r on the then-branch), so each run refills its
-    # buffer at least once past the first 64 draws; the worker's re-keyed
-    # generator must still give every run the stream (seed, run)
+    # 330 iterations, plus r on the then-branch), so each run draws past its
+    # row of 8 and refills from the worker's re-keyed generator at least
+    # twice; every run must still get the stream (seed, run)
     from termcert.cfg import build_cfg
     from termcert.distributions import DiscreteDist, SamplingFunction
     from termcert.lang import label_program
@@ -285,6 +285,29 @@ def test_long_runs_draw_the_streams_of_the_reference():
         assert stats.sumsq_steps == sum(t * t for t in ref)
         assert simulate(cfg, sf, entry, sched, runs=6, max_steps=cap, seed=seed,
                         workers=2) == stats
+
+
+def test_runs_across_draw_blocks_match_the_reference(halving, inline_pool, monkeypatch):
+    # 2 * _BLOCK + 3 runs cross two block boundaries on one worker and
+    # others on two, where the second worker's blocks start at run 1025;
+    # about one uniform run in ten draws past its row
+    import os
+
+    from termcert.semantics import _BLOCK
+
+    sizes = inline_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg, sf, _ = halving
+    entry = StackElement("f", 1, Valuation({"n": 5}))
+    sched, runs, cap, seed = Scheduler("uniform"), 2 * _BLOCK + 3, 100_000, 1105
+    stats = simulate(cfg, sf, entry, sched, runs=runs, max_steps=cap, k_list=[30], seed=seed)
+    assert simulate(cfg, sf, entry, sched, runs=runs, max_steps=cap, k_list=[30], seed=seed,
+                    workers=2) == stats
+    assert sizes == [2]
+    ref = [_reference_run(cfg, sf, entry, sched, cap, seed, run) for run in range(runs)]
+    assert stats.terminated == runs
+    assert stats.sum_steps == sum(ref)
+    assert stats.sumsq_steps == sum(t * t for t in ref)
 
 
 def _loop_program(then_branch="n := n - r"):

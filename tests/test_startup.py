@@ -73,6 +73,10 @@ if sys.argv[4] == "commands":
         "--tail", "9")
     cli("check --workers 2", "check", prog, "--cert", cert, "--kind", "ranking",
         "--dist", dist, "--box", "n=-5..5", "--workers", "2")
+elif sys.argv[4] == "draws":
+    for sched in ("always-then", "uniform"):  # always-then never reaches g's draw of r
+        cli("simulate " + sched, "simulate", prog, "--entry", "f", "--args", "n=5",
+            "--dist", dist, "--runs", "20", "--workers", "1", "--scheduler", sched)
 else:
     concurrent.futures.ProcessPoolExecutor = RecordingPool
     cli("simulate --workers 2", "simulate", prog, "--entry", "f", "--args", "n=5",
@@ -98,6 +102,12 @@ def test_commands_load_numpy_mpmath_and_the_pool_only_when_used():
     assert seen["bounds --n"] == ["mpmath"]  # the float concentration rows
     assert seen["lab"] == ["numpy", "mpmath"]
     assert seen["check --workers 2"] == list(HEAVY)
+
+
+def test_simulate_loads_numpy_at_the_first_draw():
+    seen = probe("draws")
+    assert seen["simulate always-then"] == []
+    assert seen["simulate uniform"] == ["numpy"]
 
 
 def test_simulate_loads_numpy_before_its_pool_starts():
