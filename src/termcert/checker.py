@@ -18,6 +18,7 @@ compiled once per label (see `_compile`).
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -35,6 +36,14 @@ from .cfg import Cfg, branch_targets, single_edge, star_targets
 from .distributions import SamplingFunction
 from .lang import EvalError
 from .valuation import Valuation
+
+# Conditions `run_check` checks in the calling process before it starts a
+# pool: about one pool start-up's worth of work.  Importing the pool module
+# takes about 35 ms and starting two workers 17-26 ms, against 100-230k
+# conditions/s in the sweep (2-core VM, Python 3.11).  A count, not a clock,
+# so which processes start depends on the inputs alone.
+_SERIAL_CONDITIONS = 10_000
+
 
 class CheckerError(ValueError):
     pass
@@ -330,9 +339,11 @@ def _kind_params(kind: str, cert: Certificate, **overrides) -> CertParams:
 
 def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
                   sf: SamplingFunction, box: VerifyBox,
-                  units: Tuple[Tuple[int, Tuple[str, int]], ...]) -> Dict:
-    """Scan the (index, (fname, label)) units in order.  An evaluation error
-    stops the scan and is returned with its unit index."""
+                  units: Tuple[Tuple[int, Tuple[str, int]], ...], budget=math.inf) -> Dict:
+    """Scan the (index, (fname, label)) units in order, stopping before the
+    first unit that would start once `conditions` reaches `budget`; "left"
+    holds the units not scanned.  An evaluation error stops the scan and is
+    returned with its unit index."""
     row = _KINDS[kind]
     ops = cfg._ops
     stanzas = {
@@ -343,7 +354,11 @@ def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
     failures: List[ConditionFailure] = []
     checked = skipped = conditions = 0
     error = None
-    for index, (fname, label) in units:
+    left = ()
+    for at, (index, (fname, label)) in enumerate(units):
+        if conditions >= budget:
+            left = units[at:]
+            break
         pvars = cfg.function(fname).pvars
         stanza, law = stanzas[(fname, label)], laws[(fname, label)]
         plain, every = _label_conditions(row, ops[(fname, label)][0])
@@ -379,6 +394,7 @@ def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
         "skipped": skipped,
         "conditions": conditions,
         "error": error,
+        "left": left,
     }
 
 
@@ -393,6 +409,10 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
     neither does which evaluation error is raised: the first in scan order,
     naming the point whose conditions raised it.  At most `workers`
     processes run, and never more than the labels or the machine's cores.
+    With more than one worker, labels are checked in this process until
+    their conditions reach _SERIAL_CONDITIONS; only the labels left, if two
+    or more, go to a process pool.  So a check within that budget runs in
+    one process and loads no pool module.
     """
     if kind not in CHECK_KINDS:
         raise CheckerError(f"unknown check kind {kind!r}; choose from {CHECK_KINDS}")
@@ -408,16 +428,20 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
         for label in fn.labels()
     ))
     workers = min(workers, len(units), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = [_check_labels(kind, cert, params, cfg, sf, box, units)]
-    else:
+    parts = [_check_labels(kind, cert, params, cfg, sf, box, units,
+                           _SERIAL_CONDITIONS if workers > 1 else math.inf)]
+    left = parts[0]["left"]
+    workers = min(workers, len(left))
+    if workers == 1:  # one label left: a pool of one would only add its start-up
+        parts.append(_check_labels(kind, cert, params, cfg, sf, box, left))
+    elif workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_check_labels, kind, cert, params, cfg, sf, box, units[i::workers])
+                pool.submit(_check_labels, kind, cert, params, cfg, sf, box, left[i::workers])
                 for i in range(workers)
             ]
-            parts = [f.result() for f in futures]
+            parts += [f.result() for f in futures]
     errors = [p["error"] for p in parts if p["error"] is not None]
     if errors:
         raise min(errors, key=lambda e: e[0])[1]

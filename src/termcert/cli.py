@@ -99,7 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", default="", help="comma-separated thresholds for P(T >= k)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=0,
-                   help="0 = all available cores")
+                   help="most processes to use, 0 = all available cores; a "
+                        "simulation within about 250k steps runs in one process "
+                        "and starts no pool")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -160,7 +162,10 @@ def _parse_args_binding(spec: str) -> Dict[str, int]:
         if "=" not in part:
             raise CliError(f"bad --args entry {part!r}; expected name=value")
         name, _, value = part.partition("=")
-        out[name.strip()] = _int(value, "--args value")
+        name = name.strip()
+        if name in out:
+            raise CliError(f"duplicate --args entry for {name!r}")
+        out[name] = _int(value, "--args value")
     return out
 
 

@@ -161,6 +161,12 @@ def _finalize(acc: Dict, runs: int, max_steps: int, k_list: Sequence[int],
 
 _ROW = 8  # draws per run computed ahead, by whole Philox blocks of 4
 _BLOCK = 1024  # runs whose first _ROW draws one kernel call computes
+# Steps `simulate` runs in the calling process before it starts a pool: about
+# one pool start-up's worth of work.  Importing the pool module takes about
+# 35 ms and starting two workers 17-26 ms, against 4-5M steps/s in the run
+# loop (2-core VM, Python 3.11).  A step count, not a clock, so which
+# processes start depends on the inputs alone.
+_SERIAL_STEPS = 250_000
 
 
 class _Uniforms:
@@ -211,19 +217,28 @@ class _Uniforms:
 
 
 def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: int,
-               entry_vals: tuple, scheduler: Scheduler, lo: int, hi: int,
-               max_steps: int, k_list: Tuple[int, ...], seed: int) -> Dict:
+               entry_vals: tuple, scheduler: Scheduler, max_steps: int,
+               k_list: Tuple[int, ...], seed: int, lo: int, hi: int,
+               budget=math.inf) -> Tuple[Dict, int]:
     """Runs lo..hi-1 on an explicit stack of (segment, values) frames, top
-    last; see `_compile.compile_runner` for what a segment does."""
+    last; see `_compile.compile_runner` for what a segment does.  Stops
+    before the first run that would start once the steps spent (a censored
+    run spends max_steps) reach `budget`.  Returns the runs' acc and the
+    first run not taken."""
     make, stars = compile_runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
     ks = sorted(k_list)
-    acc = {"terminated": 0, "sum": 0, "sumsq": 0, "tail": {k: 0 for k in ks}}
+    tail = dict.fromkeys(ks, 0)
     uniforms = _Uniforms(seed, hi)
     stack: list = []
     entry = (make(uniforms.next, uniforms.dr, max_steps, stack,
                   *(scheduler._greedy(*star) for star in stars)), entry_vals)
 
+    spent = censored = sumsq = 0
+    end = hi
     for run in range(lo, hi):
+        if spent >= budget:
+            end = run
+            break
         uniforms.start(run)
         stack.append(entry)
         steps = 0
@@ -231,18 +246,20 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
             segment, vals = stack[-1]
             steps = segment(vals, steps)
 
-        if stack:  # censored at the step cap: T > max_steps
+        spent += steps  # a segment stops at the cap, so a censored run spent max_steps
+        if stack:  # censored at the step cap: T > max_steps, counted in every tail below
             stack.clear()
-            for k in ks:
-                acc["tail"][k] += 1
+            censored += 1
         else:
-            acc["terminated"] += 1
-            acc["sum"] += steps
-            acc["sumsq"] += steps * steps
+            sumsq += steps * steps
             for k in ks:
                 if steps >= k:
-                    acc["tail"][k] += 1
-    return acc
+                    tail[k] += 1
+    for k in ks:
+        tail[k] += censored
+    acc = {"terminated": end - lo - censored, "sum": spent - censored * max_steps,
+           "sumsq": sumsq, "tail": tail}
+    return acc, end
 
 
 def _merge_acc(a: Dict, b: Dict) -> Dict:
@@ -262,7 +279,11 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
 
     Each run owns the stream (seed, run-index), so results are bit-identical
     for any worker count.  At most `workers` processes run, and never more
-    than `runs` or the machine's cores.  Runs stopped at `max_steps` are censored: they
+    than `runs` or the machine's cores.  With more than one worker, runs
+    0, 1, ... run in this process until their steps reach _SERIAL_STEPS; only
+    the runs left, if two or more, go to a process pool, in contiguous
+    ranges.  So a simulation within that budget runs in one process and
+    loads no pool module.  Runs stopped at `max_steps` are censored: they
     are excluded from the mean and counted as mass at or beyond every
     requested tail threshold (all thresholds must be <= max_steps, which
     makes tail estimates unbiased).
@@ -290,25 +311,20 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
         raise SemanticsError(f"no distribution for sampling variables {missing}")
     entry_vals = tuple(entry.valuation[v] for v in fn.pvars)
 
+    job = (cfg, sf, entry.fname, entry.label, entry_vals, scheduler, max_steps, k_list, seed)
     workers = min(workers, runs, os.cpu_count() or 1)
-    if workers <= 1:
-        acc = _run_range(cfg, sf, entry.fname, entry.label, entry_vals,
-                         scheduler, 0, runs, max_steps, k_list, seed)
-    else:
-        import numpy  # noqa: F401  (loaded before the pool forks, so no worker imports it)
+    acc, done = _run_range(*job, 0, runs, _SERIAL_STEPS if workers > 1 else math.inf)
+    workers = min(workers, runs - done)
+    if workers == 1:  # one run left: a pool of one would only add its start-up
+        acc = _merge_acc(acc, _run_range(*job, done, runs)[0])
+    elif workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = [(runs * i) // workers for i in range(workers + 1)]
+        bounds = [done + ((runs - done) * i) // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_range, cfg, sf, entry.fname, entry.label,
-                            entry_vals, scheduler, bounds[i], bounds[i + 1],
-                            max_steps, k_list, seed)
-                for i in range(workers)
-            ]
-            accs = [f.result() for f in futures]
-        acc = accs[0]
-        for extra in accs[1:]:
-            acc = _merge_acc(acc, extra)
+            futures = [pool.submit(_run_range, *job, bounds[i], bounds[i + 1])
+                       for i in range(workers)]
+            for f in futures:
+                acc = _merge_acc(acc, f.result()[0])
 
     return _finalize(acc, runs, max_steps, k_list, seed, scheduler.kind)

@@ -37,10 +37,15 @@ def inline_pool(monkeypatch):
     """Replace concurrent.futures.ProcessPoolExecutor, which the checker and
     the simulator import when they start a pool, by one that runs each task
     in this process and records the pool sizes asked for, so that a process
-    count can be tested without starting a process.  Usage:
-    `sizes = inline_pool()`."""
+    count can be tested without starting a process.  Both serial budgets are
+    set to 0, so all work goes to the pool, split as `workers` asks; a test
+    may set a budget again.  Usage: `sizes = inline_pool()`."""
 
     def install():
+        from termcert import checker, semantics
+
+        monkeypatch.setattr(checker, "_SERIAL_CONDITIONS", 0)
+        monkeypatch.setattr(semantics, "_SERIAL_STEPS", 0)
         sizes = []
 
         class InlinePool:

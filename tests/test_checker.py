@@ -305,7 +305,10 @@ def test_box_parsing():
         VerifyBox.parse("oops")
 
 
-def test_reports_identical_across_workers_and_reruns(halving):
+def test_reports_identical_across_workers_and_reruns(halving, monkeypatch):
+    from termcert import checker
+
+    monkeypatch.setattr(checker, "_SERIAL_CONDITIONS", 0)  # a real pool checks every label
     cfg, sf, cert = halving
     box = VerifyBox.parse("n=-20..20")
     a = check_ranking(cert, cfg, sf, box)
@@ -332,6 +335,49 @@ def test_process_count_is_clamped_to_cores_and_labels(halving, inline_pool, monk
     assert check_ranking(unit, skip, skip_sf, box, workers=5000) == \
         check_ranking(unit, skip, skip_sf, box)
     assert sizes == [3, 2]  # the skip program has two labels
+
+
+def test_serial_head_may_end_at_any_label(halving, inline_pool, monkeypatch):
+    # budgets from each label's conditions in scan order stop the head
+    # before label 0, 1, 6 (the last of f), 11 (the last) or after all of
+    # them; the report (failures included) is that of one worker, and the
+    # pool gets the labels left.  An evaluation error in the head, at (f, 6),
+    # starts no pool; with a zero budget both errors come from the pool and
+    # the first in scan order is raised
+    import os
+    from itertools import accumulate
+
+    from termcert import checker
+    from termcert.certificates import CertificateError
+
+    sizes = inline_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg, sf, cert = halving
+    box = VerifyBox.parse("n=-20..20")
+    params = checker._kind_params("cdb", cert, delta=Fraction(2))
+    units = tuple(enumerate((fn.name, label) for fn in cfg.functions for label in fn.labels()))
+    assert len(units) == 12
+    spent = list(accumulate(
+        (checker._check_labels("cdb", cert, params, cfg, sf, box, units[i:i + 1])["conditions"]
+         for i in range(len(units))), initial=0))
+    serial = run_check("cdb", cert, cfg, sf, box, params)
+    assert not serial.passed
+    for head in (0, 1, 6, 11, 12):
+        monkeypatch.setattr(checker, "_SERIAL_CONDITIONS", spent[head])
+        for workers in (2, 3):
+            sizes.clear()
+            assert run_check("cdb", cert, cfg, sf, box, params, workers=workers) == serial
+            left = len(units) - head
+            assert sizes == ([min(workers, left)] if left > 1 else []), (head, workers)
+
+    negative = parse_certificate("eps=1\nf@6: 0 - 1\ng@4: 0 - 2\n")
+    for budget, pools in ((1000, []), (0, [2])):  # (f, 6) is reached within 1000
+        monkeypatch.setattr(checker, "_SERIAL_CONDITIONS", budget)
+        sizes.clear()
+        with pytest.raises(CertificateError) as exc:
+            check_ranking(negative, cfg, sf, box, workers=2)
+        assert str(exc.value) == "certificate value -1 at (f, 6, {n=-20}) is negative"
+        assert sizes == pools
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,8 @@ def test_bad_entry_and_missing_distribution_messages(capsys):
         (("--entry", "f@x", "--dist", HALVING_DIST),
          "bad --entry label 'x'; expected an integer"),
         (("--entry", "f"), "no distribution for sampling variables ['r']; pass --dist"),
+        (("--entry", "f", "--args", "n=5,n=6", "--dist", HALVING_DIST),
+         "duplicate --args entry for 'n'"),
     ]
     for extra, message in cases:
         code, out, err = run_cli(capsys, "simulate", HALVING, "--runs", "3", *extra)
@@ -290,6 +292,11 @@ def test_bad_entry_and_missing_distribution_messages(capsys):
         "--entry", "g@9")
     assert code == 2
     assert err == "error: function 'g' has no label 9\n"
+    code, out, err = run_cli(
+        capsys, "bounds", HALVING, "--cert", HALVING_CERT, "--kind", "cdb",
+        "--entry", "f", "--args", "n=5 n=6", "--k", "112")
+    assert (code, out) == (2, "")
+    assert err == "error: duplicate --args entry for 'n'\n"
 
 
 def test_negative_run_count_exits_two(capsys):

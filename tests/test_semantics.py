@@ -290,13 +290,18 @@ def test_long_runs_draw_the_streams_of_the_reference():
 def test_runs_across_draw_blocks_match_the_reference(halving, inline_pool, monkeypatch):
     # 2 * _BLOCK + 3 runs cross two block boundaries on one worker and
     # others on two, where the second worker's blocks start at run 1025;
-    # about one uniform run in ten draws past its row
+    # about one uniform run in ten draws past its row.  Then serial heads
+    # ending at each run around a block boundary and at both ends: the
+    # budget is the steps of the runs before that run, so the head stops
+    # there and the pool takes contiguous ranges of the rest
     import os
+    from itertools import accumulate
 
+    from termcert import semantics
     from termcert.semantics import _BLOCK
 
     sizes = inline_pool()
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg, sf, _ = halving
     entry = StackElement("f", 1, Valuation({"n": 5}))
     sched, runs, cap, seed = Scheduler("uniform"), 2 * _BLOCK + 3, 100_000, 1105
@@ -308,6 +313,29 @@ def test_runs_across_draw_blocks_match_the_reference(halving, inline_pool, monke
     assert stats.terminated == runs
     assert stats.sum_steps == sum(ref)
     assert stats.sumsq_steps == sum(t * t for t in ref)
+
+    run_range, ranges = semantics._run_range, []
+
+    def recorded(*args):  # the job's 9 arguments, then lo, hi and the budget if any
+        acc, end = run_range(*args)
+        ranges.append((args[9], end))
+        return acc, end
+
+    monkeypatch.setattr(semantics, "_run_range", recorded)
+    spent = list(accumulate(ref, initial=0))  # spent[h]: steps of runs 0..h-1
+    for head in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, runs - 1, runs):
+        monkeypatch.setattr(semantics, "_SERIAL_STEPS", spent[head])
+        for workers in (2, 3):
+            sizes.clear()
+            ranges.clear()
+            assert simulate(cfg, sf, entry, sched, runs=runs, max_steps=cap, k_list=[30],
+                            seed=seed, workers=workers) == stats, (head, workers)
+            left = runs - head
+            assert sizes == ([min(workers, left)] if left > 1 else []), (head, workers)
+            assert ranges[0] == (0, head)
+            assert [lo for lo, _ in ranges[1:]] == [end for _, end in ranges[:-1]]
+            assert ranges[-1][1] == runs
+            assert len(ranges) == 1 + (sizes[0] if sizes else left)
 
 
 def _loop_program(then_branch="n := n - r"):
@@ -367,15 +395,20 @@ ILL_DEFINED = [  # (program, its error from the entry f(n=3))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_ill_defined_arithmetic_names_the_label_it_happened_at(workers, halving, inline_pool):
+def test_ill_defined_arithmetic_names_the_label_it_happened_at(workers, halving, inline_pool,
+                                                               monkeypatch):
     # in a guard, an update, call arguments and a greedy stanza read at a star
+    import os
+
+    from termcert import semantics
     from termcert.cfg import build_cfg
     from termcert.certificates import CertificateError, parse_certificate
     from termcert.distributions import SamplingFunction
     from termcert.lang import EvalError, label_program
     from termcert.parser import parse_program
 
-    inline_pool()
+    sizes = inline_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sf = SamplingFunction.from_mapping({})
     for text, message in ILL_DEFINED:
         cfg = build_cfg(label_program(parse_program(text)))
@@ -399,6 +432,21 @@ def test_ill_defined_arithmetic_names_the_label_it_happened_at(workers, halving,
             with pytest.raises(CertificateError) as exc:
                 simulate(cfg, sf, entry, sched, runs=runs, max_steps=100, workers=workers)
             assert str(exc.value) == "certificate value -1 at (f, 3, {n=1}) is negative"
+
+    # with seed 0, runs 0-2 take the then-branch in 2 steps and run 3 divides
+    # by 0: in the serial head (which then starts no pool), and in the pool
+    # after a head of run 0 alone
+    cfg = build_cfg(label_program(parse_program(
+        "f(n) { if star then skip else n := n div (n - n) fi }")))
+    entry = StackElement("f", 1, Valuation({"n": 3}))
+    for budget, pools in ((100, []), (2, [2])):
+        monkeypatch.setattr(semantics, "_SERIAL_STEPS", budget)
+        sizes.clear()
+        with pytest.raises(EvalError) as exc:
+            simulate(cfg, SamplingFunction.from_mapping({}), entry, Scheduler("uniform"),
+                     runs=4, max_steps=100, seed=0, workers=workers)
+        assert str(exc.value) == "floor division by non-positive value 0 at (f, 3)"
+        assert sizes == (pools if workers > 1 else [])
 
 
 def test_deep_nesting_and_long_straight_lines_run():

@@ -24,8 +24,8 @@ ENV = dict(os.environ,
 HEAVY = ("numpy", "mpmath", "concurrent.futures.process")
 
 # Runs each step in one interpreter and prints, per step, the modules of
-# HEAVY loaded after it.  The pool steps see two cores, so they start a pool
-# on any machine; the recording pool at the end runs its tasks in process.
+# HEAVY loaded after it.  The `--workers 2` steps see two cores on any
+# machine; the recording pool of the last mode runs its tasks in process.
 PROBE = """
 import concurrent.futures, contextlib, io, json, os, sys
 from concurrent.futures import Future
@@ -77,10 +77,16 @@ elif sys.argv[4] == "draws":
     for sched in ("always-then", "uniform"):  # always-then never reaches g's draw of r
         cli("simulate " + sched, "simulate", prog, "--entry", "f", "--args", "n=5",
             "--dist", dist, "--runs", "20", "--workers", "1", "--scheduler", sched)
-else:
+else:  # the README's simulate at 200 runs; then uniform, whose head is run 0 alone
     concurrent.futures.ProcessPoolExecutor = RecordingPool
-    cli("simulate --workers 2", "simulate", prog, "--entry", "f", "--args", "n=5",
-        "--dist", dist, "--runs", "20", "--workers", "2")
+    cli("simulate greedy-max", "simulate", prog, "--entry", "f", "--args", "n=5",
+        "--dist", dist, "--scheduler", "greedy-max", "--cert", cert, "--runs", "200",
+        "--max-steps", "100000", "--tail", "112", "--seed", "1105", "--workers", "2")
+    seen["greedy-max started a pool"] = "pool constructed" in seen
+    import termcert.semantics
+    termcert.semantics._SERIAL_STEPS = 1
+    cli("simulate uniform", "simulate", prog, "--entry", "f", "--args", "n=5",
+        "--dist", dist, "--runs", "200", "--workers", "2")
 print(json.dumps(seen))
 """
 
@@ -101,7 +107,7 @@ def test_commands_load_numpy_mpmath_and_the_pool_only_when_used():
         assert seen[step] == [], step
     assert seen["bounds --n"] == ["mpmath"]  # the float concentration rows
     assert seen["lab"] == ["numpy", "mpmath"]
-    assert seen["check --workers 2"] == list(HEAVY)
+    assert seen["check --workers 2"] == ["numpy", "mpmath"]  # lab's: 132 conditions start no pool
 
 
 def test_simulate_loads_numpy_at_the_first_draw():
@@ -110,8 +116,12 @@ def test_simulate_loads_numpy_at_the_first_draw():
     assert seen["simulate uniform"] == ["numpy"]
 
 
-def test_simulate_loads_numpy_before_its_pool_starts():
+def test_small_simulations_start_no_pool_and_forked_workers_inherit_numpy():
+    # the README's greedy-max simulation never draws, and within the serial
+    # budget it starts no pool; a head that drew loaded numpy before the pool
     seen = probe("simulate")
+    assert seen["simulate greedy-max"] == []
+    assert seen["greedy-max started a pool"] is False
     assert seen["pool constructed"] == ["numpy"]
 
 
