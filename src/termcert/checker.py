@@ -18,8 +18,6 @@ compiled once per label (see `_compile`).
 
 from __future__ import annotations
 
-import math
-import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,18 +29,14 @@ from ._compile import (MISS, OP_ASSIGN, OP_BRANCH, OP_CALL, OP_EXIT, OP_NONDET, 
                        point_text)
 from ._compile import format_value as _fmt
 from ._compile import value_le as _le
-from .certificates import Certificate, CertificateError, CertParams
+from ._pool import fan_out
+from .certificates import Certificate, CertParams
 from .cfg import Cfg, branch_targets, single_edge, star_targets
 from .distributions import SamplingFunction
 from .lang import EvalError
 from .valuation import Valuation
 
-# Conditions `run_check` checks in the calling process before it starts a
-# pool: about one pool start-up's worth of work.  Importing the pool module
-# takes about 35 ms and starting two workers 17-26 ms, against 100-230k
-# conditions/s in the sweep (2-core VM, Python 3.11).  A count, not a clock,
-# so which processes start depends on the inputs alone.
-_SERIAL_CONDITIONS = 10_000
+_SERIAL_CONDITIONS = 10_000  # `fan_out`'s budget: 100-230k conditions/s in the sweep
 
 
 class CheckerError(ValueError):
@@ -338,12 +332,12 @@ def _kind_params(kind: str, cert: Certificate, **overrides) -> CertParams:
 
 
 def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
-                  sf: SamplingFunction, box: VerifyBox,
-                  units: Tuple[Tuple[int, Tuple[str, int]], ...], budget=math.inf) -> Dict:
-    """Scan the (index, (fname, label)) units in order, stopping before the
-    first unit that would start once `conditions` reaches `budget`; "left"
-    holds the units not scanned.  An evaluation error stops the scan and is
-    returned with its unit index."""
+                  sf: SamplingFunction, box: VerifyBox, units: Tuple[Tuple[str, int], ...],
+                  lo: int, hi: int, budget: float) -> Tuple[tuple, int]:
+    """Scan the (fname, label) units lo..hi-1 in order, stopping before the
+    first unit that would start once `conditions` reaches `budget`.  Returns
+    (failures, points, skipped, conditions) and the first unit not scanned;
+    an evaluation error stops the scan and is raised, naming its point."""
     row = _KINDS[kind]
     ops = cfg._ops
     stanzas = {
@@ -353,12 +347,12 @@ def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
     laws = {key: _law(ops[key], key[0], stanzas, sf) for key in stanzas}
     failures: List[ConditionFailure] = []
     checked = skipped = conditions = 0
-    error = None
-    left = ()
-    for at, (index, (fname, label)) in enumerate(units):
+    end = hi
+    for at in range(lo, hi):
         if conditions >= budget:
-            left = units[at:]
+            end = at
             break
+        fname, label = units[at]
         pvars = cfg.function(fname).pvars
         stanza, law = stanzas[(fname, label)], laws[(fname, label)]
         plain, every = _label_conditions(row, ops[(fname, label)][0])
@@ -382,20 +376,9 @@ def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
                         failures.append(ConditionFailure(
                             fname, label, name, tuple(zip(pvars, vals)),
                             _fmt(lhs), _fmt(rhs), detail))
-        except EvalError as exc:
-            error = (index, EvalError(f"{exc} at {point_text(fname, label, pvars, vals)}"))
-            break
-        except CertificateError as exc:  # names its point already
-            error = (index, exc)
-            break
-    return {
-        "failures": failures,
-        "checked": checked,
-        "skipped": skipped,
-        "conditions": conditions,
-        "error": error,
-        "left": left,
-    }
+        except EvalError as exc:  # a CertificateError names its point already
+            raise EvalError(f"{exc} at {point_text(fname, label, pvars, vals)}") from None
+    return (failures, checked, skipped, conditions), end
 
 
 def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
@@ -407,12 +390,10 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
     report contains, per (function, label, condition), the first failing box
     point in lexicographic order; verdicts do not depend on `workers`, and
     neither does which evaluation error is raised: the first in scan order,
-    naming the point whose conditions raised it.  At most `workers`
-    processes run, and never more than the labels or the machine's cores.
-    With more than one worker, labels are checked in this process until
-    their conditions reach _SERIAL_CONDITIONS; only the labels left, if two
-    or more, go to a process pool.  So a check within that budget runs in
-    one process and loads no pool module.
+    naming the point whose conditions raised it.  `_pool.fan_out` spreads
+    the labels over at most `workers` processes (0: one per core) in
+    contiguous ranges, after a head of labels in this process whose
+    conditions reach _SERIAL_CONDITIONS.
     """
     if kind not in CHECK_KINDS:
         raise CheckerError(f"unknown check kind {kind!r}; choose from {CHECK_KINDS}")
@@ -422,32 +403,14 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
         for name in fn.pvars:
             box.interval(name)  # raises if the box misses a variable
 
-    units = tuple(enumerate(
-        (fn.name, label)
-        for fn in sorted(cfg.functions, key=lambda f: f.name)
-        for label in fn.labels()
-    ))
-    workers = min(workers, len(units), os.cpu_count() or 1)
-    parts = [_check_labels(kind, cert, params, cfg, sf, box, units,
-                           _SERIAL_CONDITIONS if workers > 1 else math.inf)]
-    left = parts[0]["left"]
-    workers = min(workers, len(left))
-    if workers == 1:  # one label left: a pool of one would only add its start-up
-        parts.append(_check_labels(kind, cert, params, cfg, sf, box, left))
-    elif workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_check_labels, kind, cert, params, cfg, sf, box, left[i::workers])
-                for i in range(workers)
-            ]
-            parts += [f.result() for f in futures]
-    errors = [p["error"] for p in parts if p["error"] is not None]
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-
+    units = tuple((fn.name, label)
+                  for fn in sorted(cfg.functions, key=lambda f: f.name)
+                  for label in fn.labels())
+    parts = fan_out(_check_labels, (kind, cert, params, cfg, sf, box, units), len(units),
+                    workers, _SERIAL_CONDITIONS)
+    found, points, skipped, conditions = zip(*parts)
     failures = sorted(
-        (f for part in parts for f in part["failures"]),
+        (f for part in found for f in part),
         key=lambda f: (f.fname, f.label, f.condition),
     )
     return CheckReport(
@@ -456,9 +419,9 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
         box=box.render(),
         params=params,
         failures=tuple(failures),
-        points_checked=sum(p["checked"] for p in parts),
-        points_skipped=sum(p["skipped"] for p in parts),
-        conditions_checked=sum(p["conditions"] for p in parts),
+        points_checked=sum(points),
+        points_skipped=sum(skipped),
+        conditions_checked=sum(conditions),
         cert_digest=cert.digest(),
     )
 

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +22,7 @@ from .certificates import Certificate, CertificateError, load_certificate
 from .cfg import Cfg, build_cfg, dump_cfg
 from .checker import CHECK_KINDS, CheckerError, VerifyBox, _kind_params, run_check
 from .distributions import (DistributionError, SamplingFunction, load_distributions,
-                            parse_fraction)
+                            merge_distributions, parse_fraction)
 from .lab import LabError, TAGS, analytic, simulate_lab
 from .lang import EvalError, label_program, pretty_print
 from .parser import ParseError, load_program
@@ -83,7 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps")
     p.add_argument("--delta")
     p.add_argument("--zeta")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="most processes to use, 0 = all available cores; a check "
+                        "within about 10k conditions runs in one process")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_check)
 
@@ -143,12 +144,8 @@ def _load_cfg(path: str) -> Cfg:
 
 
 def _sampling_function(cfg: Cfg, dist_path: Optional[str]) -> SamplingFunction:
-    dists: Dict = dict(cfg.builtin_dists)
-    if dist_path:
-        for name, dist in load_distributions(dist_path).items():
-            if name in dists:
-                raise CliError(f"distribution for {name!r} defined twice")
-            dists[name] = dist
+    dists = merge_distributions(cfg.builtin_dists,
+                                load_distributions(dist_path) if dist_path else {})
     missing = [v for v in cfg.sampling_vars if v not in dists]
     if missing:
         raise CliError(
@@ -288,8 +285,7 @@ def _cmd_check(args) -> int:
     params = _kind_params(args.kind, cert, **{
         name: parse_fraction(getattr(args, name)) for name in ("eps", "delta", "zeta")
         if getattr(args, name) is not None})
-    report = run_check(args.kind, cert, cfg, sf, box, params,
-                       workers=max(_workers(args.workers), 1))
+    report = run_check(args.kind, cert, cfg, sf, box, params, workers=_workers(args.workers))
     meta = _meta(box=report.box, cert=cert)
     meta["kind"] = report.kind
     meta["passed"] = report.passed
@@ -319,10 +315,9 @@ def _cmd_simulate(args) -> int:
     if args.scheduler.startswith("greedy") and cert is None:
         raise CliError(f"scheduler {args.scheduler!r} requires --cert")
     scheduler = Scheduler(args.scheduler, cert)
-    workers = _workers(args.workers) or os.cpu_count() or 1
     stats = simulate(cfg, sf, entry, scheduler, runs=args.runs,
                      max_steps=args.max_steps, k_list=_int_list(args.tail),
-                     seed=args.seed, workers=workers)
+                     seed=args.seed, workers=_workers(args.workers))
     meta = _meta(seed=args.seed, cert=cert)
     meta.update(entry=f"{entry.fname}@{entry.label}", scheduler=args.scheduler,
                 runs=stats.runs, max_steps=stats.max_steps)

@@ -158,6 +158,18 @@ class SamplingFunction:
             yield Valuation({n: v for n, (v, _) in zip(names, combo)}), weight
 
 
+def merge_distributions(builtin, extra: Mapping[str, DiscreteDist]) -> Dict[str, DiscreteDist]:
+    """A program's `bernoulli` distributions, as (name, dist) pairs, and
+    `extra`, such as a distribution file's; a variable both define is an
+    error."""
+    merged = dict(builtin)
+    for name, dist in extra.items():
+        if name in merged:
+            raise DistributionError(f"distribution for {name!r} defined twice")
+        merged[name] = dist
+    return merged
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse `3`, `1/4`, or `0.5` as an exact rational."""
     text = text.strip()

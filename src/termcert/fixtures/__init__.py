@@ -20,7 +20,8 @@ from typing import Dict, Tuple
 
 from ..certificates import Certificate, parse_certificate
 from ..cfg import Cfg, build_cfg
-from ..distributions import DiscreteDist, SamplingFunction, parse_distributions
+from ..distributions import (DiscreteDist, SamplingFunction, merge_distributions,
+                             parse_distributions)
 from ..lang import Program, label_program
 from ..parser import parse_program
 
@@ -53,12 +54,7 @@ def load_dist_fixture(name: str) -> Dict[str, DiscreteDist]:
 
 def sampling_function_for(cfg: Cfg, file_dists: Dict[str, DiscreteDist] | None = None) -> SamplingFunction:
     """Combine file-provided and parser-builtin (bernoulli) distributions."""
-    merged: Dict[str, DiscreteDist] = dict(cfg.builtin_dists)
-    for name, dist in (file_dists or {}).items():
-        if name in merged:
-            raise ValueError(f"distribution for {name!r} defined twice")
-        merged[name] = dist
-    return SamplingFunction.from_mapping(merged)
+    return SamplingFunction.from_mapping(merge_distributions(cfg.builtin_dists, file_dists or {}))
 
 
 def halving_game() -> Tuple[Cfg, SamplingFunction, Certificate]:

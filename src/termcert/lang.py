@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 from .distributions import DiscreteDist
@@ -227,9 +228,15 @@ class Program:
     def builtin_dist_map(self) -> Dict[str, DiscreteDist]:
         return dict(self.builtin_dists)
 
+    @cached_property
+    def _program_vars(self) -> frozenset:
+        """Every identifier that is a program variable somewhere in the
+        program (see `program_variables`); one walk per program."""
+        return frozenset(_classify_program_variables(self))
+
     def sampling_variables(self) -> Tuple[str, ...]:
         """All sampling variables, in first-occurrence order."""
-        program_vars = _classify_program_variables(self)
+        program_vars = self._program_vars
         seen = []
         for f in self.functions:
             for stmt in iter_statements(f.body):
@@ -280,7 +287,7 @@ def program_variables(prog: Program, fname: str) -> Tuple[str, ...]:
     argument; identifiers used only on assignment right-hand sides are
     sampling variables.
     """
-    program_vars = _classify_program_variables(prog)
+    program_vars = prog._program_vars
     f = prog.function(fname)
     names: Set[str] = set(f.params)
     for stmt in iter_statements(f.body):

@@ -15,12 +15,12 @@ against lives in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ._compile import cert_value, compile_runner, value_le
+from ._pool import fan_out
 from .certificates import Certificate
 from .cfg import Cfg, CfgFunction
 from .distributions import SamplingFunction
@@ -124,20 +124,19 @@ def wilson_interval(count: int, n: int, z: float = Z95) -> Tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _finalize(acc: Dict, runs: int, max_steps: int, k_list: Sequence[int],
+def _finalize(totals: Sequence[int], runs: int, max_steps: int, k_list: Sequence[int],
               seed: int, scheduler_kind: str) -> RunStats:
-    terminated = acc["terminated"]
+    terminated, sum_steps, sumsq_steps, *counts = totals
     mean = halfwidth = None
     if terminated > 0:
-        mean = acc["sum"] / terminated
+        mean = sum_steps / terminated
         if terminated > 1:
-            var = (acc["sumsq"] - terminated * mean * mean) / (terminated - 1)
+            var = (sumsq_steps - terminated * mean * mean) / (terminated - 1)
             halfwidth = Z95 * math.sqrt(max(var, 0.0) / terminated)
         else:
             halfwidth = float("inf")
     tails = []
-    for k in k_list:
-        count = acc["tail"][k]
+    for k, count in zip(k_list, counts):
         lo, hi = wilson_interval(count, runs)
         tails.append(TailEstimate(k, count, count / runs if runs else 0.0, lo, hi))
     return RunStats(
@@ -150,8 +149,8 @@ def _finalize(acc: Dict, runs: int, max_steps: int, k_list: Sequence[int],
         tails=tuple(tails),
         seed=seed,
         scheduler=scheduler_kind,
-        sum_steps=acc["sum"],
-        sumsq_steps=acc["sumsq"],
+        sum_steps=sum_steps,
+        sumsq_steps=sumsq_steps,
     )
 
 
@@ -161,12 +160,7 @@ def _finalize(acc: Dict, runs: int, max_steps: int, k_list: Sequence[int],
 
 _ROW = 8  # draws per run computed ahead, by whole Philox blocks of 4
 _BLOCK = 1024  # runs whose first _ROW draws one kernel call computes
-# Steps `simulate` runs in the calling process before it starts a pool: about
-# one pool start-up's worth of work.  Importing the pool module takes about
-# 35 ms and starting two workers 17-26 ms, against 4-5M steps/s in the run
-# loop (2-core VM, Python 3.11).  A step count, not a clock, so which
-# processes start depends on the inputs alone.
-_SERIAL_STEPS = 250_000
+_SERIAL_STEPS = 250_000  # `fan_out`'s budget: 4-5M steps/s in the run loop
 
 
 class _Uniforms:
@@ -219,15 +213,15 @@ class _Uniforms:
 def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: int,
                entry_vals: tuple, scheduler: Scheduler, max_steps: int,
                k_list: Tuple[int, ...], seed: int, lo: int, hi: int,
-               budget=math.inf) -> Tuple[Dict, int]:
+               budget: float) -> Tuple[tuple, int]:
     """Runs lo..hi-1 on an explicit stack of (segment, values) frames, top
     last; see `_compile.compile_runner` for what a segment does.  Stops
     before the first run that would start once the steps spent (a censored
-    run spends max_steps) reach `budget`.  Returns the runs' acc and the
-    first run not taken."""
+    run spends max_steps) reach `budget`.  Returns the runs' (terminated,
+    steps, squared steps, *tail counts in k_list's order) and the first run
+    not taken."""
     make, stars = compile_runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
-    ks = sorted(k_list)
-    tail = dict.fromkeys(ks, 0)
+    tail = dict.fromkeys(k_list, 0)
     uniforms = _Uniforms(seed, hi)
     stack: list = []
     entry = (make(uniforms.next, uniforms.dr, max_steps, stack,
@@ -252,23 +246,11 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
             censored += 1
         else:
             sumsq += steps * steps
-            for k in ks:
+            for k in k_list:
                 if steps >= k:
                     tail[k] += 1
-    for k in ks:
-        tail[k] += censored
-    acc = {"terminated": end - lo - censored, "sum": spent - censored * max_steps,
-           "sumsq": sumsq, "tail": tail}
-    return acc, end
-
-
-def _merge_acc(a: Dict, b: Dict) -> Dict:
-    return {
-        "terminated": a["terminated"] + b["terminated"],
-        "sum": a["sum"] + b["sum"],
-        "sumsq": a["sumsq"] + b["sumsq"],
-        "tail": {k: a["tail"][k] + b["tail"][k] for k in a["tail"]},
-    }
+    return (end - lo - censored, spent - censored * max_steps, sumsq,
+            *(count + censored for count in tail.values())), end
 
 
 def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
@@ -278,15 +260,12 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
     """Monte Carlo estimate of termination-time statistics.
 
     Each run owns the stream (seed, run-index), so results are bit-identical
-    for any worker count.  At most `workers` processes run, and never more
-    than `runs` or the machine's cores.  With more than one worker, runs
-    0, 1, ... run in this process until their steps reach _SERIAL_STEPS; only
-    the runs left, if two or more, go to a process pool, in contiguous
-    ranges.  So a simulation within that budget runs in one process and
-    loads no pool module.  Runs stopped at `max_steps` are censored: they
-    are excluded from the mean and counted as mass at or beyond every
-    requested tail threshold (all thresholds must be <= max_steps, which
-    makes tail estimates unbiased).
+    for any worker count.  `_pool.fan_out` spreads the runs over at most
+    `workers` processes (0: one per core) in contiguous ranges, after a
+    head of runs in this process whose steps reach _SERIAL_STEPS.  Runs
+    stopped at `max_steps` are censored: they are excluded from the mean
+    and counted as mass at or beyond every requested tail threshold (all
+    thresholds must be <= max_steps, which makes tail estimates unbiased).
     """
     if entry.fname not in cfg.function_names():
         raise SemanticsError(f"no function named {entry.fname!r}")
@@ -312,19 +291,6 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
     entry_vals = tuple(entry.valuation[v] for v in fn.pvars)
 
     job = (cfg, sf, entry.fname, entry.label, entry_vals, scheduler, max_steps, k_list, seed)
-    workers = min(workers, runs, os.cpu_count() or 1)
-    acc, done = _run_range(*job, 0, runs, _SERIAL_STEPS if workers > 1 else math.inf)
-    workers = min(workers, runs - done)
-    if workers == 1:  # one run left: a pool of one would only add its start-up
-        acc = _merge_acc(acc, _run_range(*job, done, runs)[0])
-    elif workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [done + ((runs - done) * i) // workers for i in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_range, *job, bounds[i], bounds[i + 1])
-                       for i in range(workers)]
-            for f in futures:
-                acc = _merge_acc(acc, f.result()[0])
-
-    return _finalize(acc, runs, max_steps, k_list, seed, scheduler.kind)
+    parts = fan_out(_run_range, job, runs, workers, _SERIAL_STEPS)
+    return _finalize([sum(column) for column in zip(*parts)], runs, max_steps, k_list,
+                     seed, scheduler.kind)

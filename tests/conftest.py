@@ -34,12 +34,13 @@ def coins():
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace concurrent.futures.ProcessPoolExecutor, which the checker and
-    the simulator import when they start a pool, by one that runs each task
-    in this process and records the pool sizes asked for, so that a process
-    count can be tested without starting a process.  Both serial budgets are
-    set to 0, so all work goes to the pool, split as `workers` asks; a test
-    may set a budget again.  Usage: `sizes = inline_pool()`."""
+    """Replace concurrent.futures.ProcessPoolExecutor, which `_pool.fan_out`
+    imports when it starts a pool for the checker or the simulator, by one
+    that runs each task in this process and records the pool sizes asked
+    for, so that a process count can be tested without starting a process.
+    Both serial budgets are set to 0, so all work goes to the pool, split as
+    `workers` asks; a test may set a budget again.  Usage: `sizes =
+    inline_pool()`."""
 
     def install():
         from termcert import checker, semantics

@@ -142,3 +142,19 @@ def test_floor_division_rounds_toward_negative_infinity():
     cfg = load_cfg_fixture("halving_game")
     payload = cfg.function("f").out_edges(3)[0].payload
     assert value_passing(payload, Valuation({"n": -3})) == Valuation({"n": -2})
+
+
+def test_build_cfg_classifies_program_variables_once(monkeypatch):
+    # which identifiers are program variables is a whole-program question;
+    # asking it once per function made lowering quadratic in the functions
+    from termcert import lang
+
+    prog = label_program(parse_program(
+        "\n".join(f"f{i}(n) {{ n := n - r{i} }}" for i in range(50))))
+    classify, walks = lang._classify_program_variables, []
+    monkeypatch.setattr(lang, "_classify_program_variables",
+                        lambda p: walks.append(p) or classify(p))
+    cfg = build_cfg(prog)
+    assert len(walks) == 1
+    assert cfg.sampling_vars == tuple(sorted(f"r{i}" for i in range(50)))
+    assert {fn.pvars for fn in cfg.functions} == {("n",)}

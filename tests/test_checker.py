@@ -341,9 +341,10 @@ def test_serial_head_may_end_at_any_label(halving, inline_pool, monkeypatch):
     # budgets from each label's conditions in scan order stop the head
     # before label 0, 1, 6 (the last of f), 11 (the last) or after all of
     # them; the report (failures included) is that of one worker, and the
-    # pool gets the labels left.  An evaluation error in the head, at (f, 6),
-    # starts no pool; with a zero budget both errors come from the pool and
-    # the first in scan order is raised
+    # pool gets the labels left in contiguous ranges.  An evaluation error
+    # in the head, at (f, 6), starts no pool; with a zero budget both pool
+    # ranges raise and the first error in scan order is raised
+    import math
     import os
     from itertools import accumulate
 
@@ -355,29 +356,51 @@ def test_serial_head_may_end_at_any_label(halving, inline_pool, monkeypatch):
     cfg, sf, cert = halving
     box = VerifyBox.parse("n=-20..20")
     params = checker._kind_params("cdb", cert, delta=Fraction(2))
-    units = tuple(enumerate((fn.name, label) for fn in cfg.functions for label in fn.labels()))
+    units = tuple((fn.name, label) for fn in cfg.functions for label in fn.labels())
     assert len(units) == 12
+    job = ("cdb", cert, params, cfg, sf, box, units)
     spent = list(accumulate(
-        (checker._check_labels("cdb", cert, params, cfg, sf, box, units[i:i + 1])["conditions"]
-         for i in range(len(units))), initial=0))
+        (checker._check_labels(*job, i, i + 1, math.inf)[0][3] for i in range(len(units))),
+        initial=0))
     serial = run_check("cdb", cert, cfg, sf, box, params)
     assert not serial.passed
-    for head in (0, 1, 6, 11, 12):
-        monkeypatch.setattr(checker, "_SERIAL_CONDITIONS", spent[head])
+
+    check_labels, ranges = checker._check_labels, []
+
+    def recorded(*args):  # the job's 7 arguments, then lo, hi and the budget
+        try:
+            part, end = check_labels(*args)
+        except CertificateError:
+            ranges.append((args[7], None))
+            raise
+        ranges.append((args[7], end))
+        return part, end
+
+    monkeypatch.setattr(checker, "_check_labels", recorded)
+    for head in (0, 1, 6, 11, 12):  # g's exit label has no cdb conditions
+        monkeypatch.setattr(checker, "_SERIAL_CONDITIONS", spent[head] if head < 12 else math.inf)
         for workers in (2, 3):
             sizes.clear()
+            ranges.clear()
             assert run_check("cdb", cert, cfg, sf, box, params, workers=workers) == serial
             left = len(units) - head
             assert sizes == ([min(workers, left)] if left > 1 else []), (head, workers)
+            assert ranges[0] == (0, head)
+            assert [lo for lo, _ in ranges[1:]] == [end for _, end in ranges[:-1]]
+            assert ranges[-1][1] == len(units)
+            assert len(ranges) == 1 + (sizes[0] if sizes else left)
 
     negative = parse_certificate("eps=1\nf@6: 0 - 1\ng@4: 0 - 2\n")
-    for budget, pools in ((1000, []), (0, [2])):  # (f, 6) is reached within 1000
+    for budget, pools, raised in ((1000, [], [(0, None)]),  # (f, 6) is reached within 1000
+                                  (0, [2], [(0, 0), (0, None), (6, None)])):
         monkeypatch.setattr(checker, "_SERIAL_CONDITIONS", budget)
         sizes.clear()
+        ranges.clear()
         with pytest.raises(CertificateError) as exc:
             check_ranking(negative, cfg, sf, box, workers=2)
         assert str(exc.value) == "certificate value -1 at (f, 6, {n=-20}) is negative"
         assert sizes == pools
+        assert ranges == raised
 
 
 # ---------------------------------------------------------------------------

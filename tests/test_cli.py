@@ -299,6 +299,22 @@ def test_bad_entry_and_missing_distribution_messages(capsys):
     assert err == "error: duplicate --args entry for 'n'\n"
 
 
+def test_distribution_defined_twice_exits_two(capsys, tmp_path):
+    # the parser names bernoulli(1/2)'s coin _bern1; a file defining it too clashes
+    prog = tmp_path / "coin.prob"
+    prog.write_text("f(x) { x := bernoulli(1/2) }\n")
+    dist = tmp_path / "coin.dist"
+    dist.write_text("_bern1: 0 1/2; 1 1/2\n")
+    cert = tmp_path / "coin.cert"
+    cert.write_text("eps=1\nf@1: 1\n")
+    for argv in (("simulate", str(prog), "--entry", "f", "--runs", "3"),
+                 ("check", str(prog), "--cert", str(cert), "--kind", "ranking",
+                  "--box", "x=0..1")):
+        code, out, err = run_cli(capsys, *argv, "--dist", str(dist))
+        assert (code, out) == (2, "")
+        assert err == "error: distribution for '_bern1' defined twice\n"
+
+
 def test_negative_run_count_exits_two(capsys):
     for argv in (("simulate", HALVING, "--dist", HALVING_DIST, "--entry", "f",
                   "--args", "n=5", "--tail", "10"),
@@ -325,3 +341,26 @@ def test_simulate_rejects_negative_workers(capsys, inline_pool):
     assert (code, out) == (2, "")
     assert err == "error: bad --workers -7; expected a nonnegative integer\n"
     assert sizes == []
+
+
+def test_zero_workers_means_every_core(capsys, halving, inline_pool, monkeypatch):
+    # in the CLI and the library alike: min(3 cores, labels or runs left)
+    import os
+
+    from termcert import Scheduler, StackElement, Valuation, simulate
+
+    sizes = inline_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, _, _ = run_cli(
+        capsys, "check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
+        "--dist", HALVING_DIST, "--box", "n=-20..20", "--workers", "0")
+    assert code == 0
+    cfg, sf, _ = halving
+    entry = StackElement("f", 1, Valuation({"n": 5}))
+    for runs in (2, 50):
+        simulate(cfg, sf, entry, Scheduler("uniform"), runs=runs, max_steps=1000, workers=0)
+    code, _, _ = run_cli(
+        capsys, "simulate", HALVING, "--dist", HALVING_DIST, "--entry", "f",
+        "--args", "n=5", "--runs", "10", "--workers", "0")
+    assert code == 0
+    assert sizes == [3, 2, 3, 3]

@@ -151,3 +151,12 @@ def test_entry_point_matches_in_process_main(capsys):
         code = main(argv)
         assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out), argv[0]
         assert code == (1 if "12.99" in argv else 0)
+
+
+def test_one_module_decides_how_work_is_spread_over_processes():
+    # the simulator and the checker both go through _pool.fan_out
+    package = Path(termcert.__file__).resolve().parent
+    for path in package.rglob("*.py"):
+        if path.name != "_pool.py":
+            text = path.read_text(encoding="utf-8")
+            assert "concurrent.futures" not in text and "cpu_count" not in text, path.name
