@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from termcert import Scheduler, StackElement, Valuation, simulate
 from termcert.bounds import cert_value_at, sqrt_tail
-from termcert.checker import VerifyBox, check_super, theta_fixpoint
+from termcert.cfg import theta_fixpoint
+from termcert.checker import VerifyBox, check_super
 from termcert.fixtures import random_walk
 
 cfg, sf, cert = random_walk()

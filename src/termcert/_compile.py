@@ -2,9 +2,9 @@
 certificate stanzas and the simulator's run loop, compiled to Python.
 
 Everything that evaluates a program or a certificate goes through here: the
-checker, the run loop, the schedulers, `Certificate.value` and
-`cfg.value_passing`.  The interpretive reference that the tests compare
-against lives in `tests/oracles.py`.
+checker, the run loop, the schedulers and `Certificate.value`.  The
+interpretive reference that the tests compare against lives in
+`tests/oracles.py`.
 
 Arithmetic stays exact: program values are Python ints, certificate values
 ints or Fractions, and the helpers enforce the integer-arithmetic side
@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
-from .lang import And, BinOp, Cmp, Const, EvalError, Expr, InfConst, Not, Or, Pow, Pred, Var
+from .lang import (_PRECEDENCE, And, BinOp, Cmp, Const, EvalError, Expr, InfConst, Not, Or, Pow,
+                   Pred, Var)
 
 OP_BRANCH, OP_ASSIGN, OP_CALL, OP_NONDET, OP_EXIT = range(5)
 
@@ -68,8 +69,11 @@ _NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "_negative": _negat
               "MISS": MISS, "EvalError": EvalError, "__builtins__": {}}
 
 
-def expr_code(expr: Expr, names: Dict[str, str]) -> str:
-    """Render `expr` as Python source, each variable as `names` renders it."""
+def expr_code(expr: Expr, names: Dict[str, str], parent: int = 0) -> str:
+    """Render `expr` as Python source, each variable as `names` renders it,
+    in parentheses only where the operator around it, of precedence
+    `parent`, needs them; so a left-deep sum of any length has none for
+    CPython's limit of 200 nested parentheses to count."""
     if isinstance(expr, Const):
         value = expr.value
         if value.denominator == 1:
@@ -80,11 +84,12 @@ def expr_code(expr: Expr, names: Dict[str, str]) -> str:
             return names[expr.name]
         raise EvalError(f"unbound variable {expr.name!r}")
     if isinstance(expr, BinOp):
-        left = expr_code(expr.left, names)
-        right = expr_code(expr.right, names)
         if expr.op == "div":
-            return f"_idiv({left}, {right})"
-        return f"({left} {expr.op} {right})"
+            return f"_idiv({expr_code(expr.left, names)}, {expr_code(expr.right, names)})"
+        prec = _PRECEDENCE[expr.op]
+        text = (f"{expr_code(expr.left, names, prec)} {expr.op} "
+                f"{expr_code(expr.right, names, prec + 1)}")
+        return f"({text})" if prec < parent else text
     if isinstance(expr, Pow):
         return f"_ipow({expr_code(expr.base, names)}, {expr_code(expr.exponent, names)})"
     if isinstance(expr, InfConst):

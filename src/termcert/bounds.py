@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+from . import InputError
 from ._compile import format_value
 from .certificates import Certificate
-from .cfg import Cfg
-from .checker import theta_fixpoint
+from .cfg import Cfg, StackElement, theta_fixpoint
 from .lang import EvalError
-from .semantics import StackElement
 
 if TYPE_CHECKING:
     import mpmath
@@ -29,7 +28,7 @@ _DPS = 40
 _Value = Union[int, Fraction, None]  # a certificate value; None is inf
 
 
-class BoundError(ValueError):
+class BoundError(InputError, ValueError):
     pass
 
 

@@ -22,13 +22,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple, Union
 
+from . import InputError
 from ._compile import cert_value, compile_stanza
 from .lang import Expr, Pred, format_expr, format_pred
 from .parser import ParseError, TokenStream, parse_expr, parse_pred, tokenize
 from .valuation import Valuation
 
+CHECK_KINDS = ("ranking", "cdb", "db", "super")  # the families `checker` and `bounds` know
 
-class CertificateError(ValueError):
+
+class CertificateError(InputError, ValueError):
     pass
 
 
@@ -126,6 +129,11 @@ class Certificate:
         return cert_value(self._stanza(fname, label, nu.variables, is_terminal), nu.values)
 
     def digest(self) -> str:
+        """SHA-256 of the source text, or else of `render()`, once per certificate."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         text = self.source_text if self.source_text is not None else self.render()
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 

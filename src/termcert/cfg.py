@@ -11,16 +11,17 @@ triples:
     nondeterministic    two star edges with a recorded then/else orientation
 
 The statement labels assigned by the frontend are reused verbatim, so the
-graphs line up with the labelled listings that certificates refer to.
+graphs line up with the labelled listings that certificates refer to.  A
+`StackElement` is a point of these graphs, and `theta_fixpoint` an analysis
+of them alone, which the `super` family's bounds need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
-from ._compile import OpTable, compile_call_args
 from .lang import (
     Assign,
     Call,
@@ -45,6 +46,13 @@ from .valuation import Valuation
 
 class CfgError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class StackElement:
+    fname: str
+    label: int
+    valuation: Valuation
 
 
 @dataclass(frozen=True)
@@ -163,8 +171,9 @@ class Cfg:
         return tuple(f.name for f in self.functions)
 
     @cached_property
-    def _ops(self) -> OpTable:
-        """Compiled per-label ops (see `_compile.compile_op`), each built once."""
+    def _ops(self):
+        """Per-label ops (`_compile.OpTable`), each compiled once."""
+        from ._compile import OpTable  # here, so that the `cfg` command compiles nothing
         return OpTable(self)
 
     def __getstate__(self):
@@ -284,12 +293,6 @@ def _edge_sort_key(t: Transition):
     return (t.source, branch_rank, t.target)
 
 
-def value_passing(call: CallPayload, nu: Valuation) -> Valuation:
-    """Callee entry valuation: parameters from arguments, all else zero."""
-    args_fn = compile_call_args(call, nu.variables)
-    return Valuation.from_tuples(call.callee_vars, args_fn(nu.values))
-
-
 def star_targets(fn: CfgFunction, label: int) -> Tuple[int, int]:
     """(then-target, else-target) of a nondeterministic label."""
     then = orelse = None
@@ -337,3 +340,82 @@ def dump_cfg(cfg: Cfg) -> str:
         for t in fn.transitions:
             lines.append(f"  {t.source} --[{t.payload.render()}]--> {t.target}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass
+class ThetaIndex:
+    """Least fixpoint of labels that reach an assignment label or the
+    terminal label within a bounded number of deterministic-progress steps,
+    with that bound per label."""
+
+    members: frozenset
+    K: Dict[Tuple[str, int], int]
+    m_star: int
+    all_covered: bool
+    K_max: int
+    K_max_by_function: Dict[str, int] = field(default_factory=dict)
+
+    def covered(self, fname: str, label: int) -> bool:
+        return (fname, label) in self.members
+
+
+def theta_fixpoint(cfg: Cfg) -> ThetaIndex:
+    """Iterate the closure; stabilizes within the total label count.
+
+    Base set: assignment labels and the terminal label, at distance 0.  A
+    call label joins once its continuation and the callee's entry are in,
+    at the sum of their distances plus one; a branching or nondeterministic
+    label joins once both its targets are in, one past the larger distance.
+    """
+    members = set()
+    K: Dict[Tuple[str, int], int] = {}
+    for fn in cfg.functions:
+        for label in fn.assignment | {fn.exit}:
+            members.add((fn.name, label))
+            K[(fn.name, label)] = 0
+
+    m_star = 0
+    while True:
+        added = []
+        for fn in cfg.functions:
+            for label in sorted(fn.call):
+                if (fn.name, label) in members:
+                    continue
+                edge = single_edge(fn, label)
+                payload = edge.payload
+                callee = cfg.function(payload.callee)
+                if ((fn.name, edge.target) in members
+                        and (payload.callee, callee.entry) in members):
+                    added.append((fn.name, label))
+                    K[(fn.name, label)] = (K[(fn.name, edge.target)]
+                                           + K[(payload.callee, callee.entry)] + 1)
+            for label in sorted(fn.branching | fn.nondet):
+                if (fn.name, label) in members:
+                    continue
+                if label in fn.branching:
+                    _, t1, t2 = branch_targets(fn, label)
+                else:
+                    t1, t2 = star_targets(fn, label)
+                if (fn.name, t1) in members and (fn.name, t2) in members:
+                    added.append((fn.name, label))
+                    K[(fn.name, label)] = 1 + max(K[(fn.name, t1)], K[(fn.name, t2)])
+        if not added:
+            break
+        members.update(added)
+        m_star += 1
+
+    all_labels = [(fn.name, label) for fn in cfg.functions for label in fn.labels()]
+    all_covered = all(pair in members for pair in all_labels)
+    k_values = [K[pair] for pair in members]
+    by_function: Dict[str, int] = {}
+    for fn in cfg.functions:
+        ks = [K[(fn.name, label)] for label in fn.labels() if (fn.name, label) in members]
+        by_function[fn.name] = max(ks) if ks else 0
+    return ThetaIndex(
+        members=frozenset(members),
+        K=K,
+        m_star=m_star,
+        all_covered=all_covered,
+        K_max=max(k_values) if k_values else 0,
+        K_max_by_function=by_function,
+    )

@@ -19,27 +19,27 @@ compiled once per label (see `_compile`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from . import InputError
 from ._compile import (MISS, OP_ASSIGN, OP_BRANCH, OP_CALL, OP_EXIT, OP_NONDET, cert_value,
                        point_text)
 from ._compile import format_value as _fmt
 from ._compile import value_le as _le
 from ._pool import fan_out
-from .certificates import Certificate, CertParams
-from .cfg import Cfg, branch_targets, single_edge, star_targets
+from .certificates import CHECK_KINDS, Certificate, CertParams
+from .cfg import Cfg
 from .distributions import SamplingFunction
 from .lang import EvalError
-from .valuation import Valuation
 
 _SERIAL_CONDITIONS = 10_000  # `fan_out`'s budget: 100-230k conditions/s in the sweep
 
 
-class CheckerError(ValueError):
+class CheckerError(InputError, ValueError):
     pass
 
 
@@ -90,12 +90,6 @@ class VerifyBox:
         ranges = [range(self.interval(n)[0], self.interval(n)[1] + 1)
                   for n in variables]
         return product(*ranges)
-
-    def points(self, variables: Sequence[str]) -> Iterator[Valuation]:
-        """All box valuations over `variables`, lexicographic in sorted order."""
-        names = tuple(sorted(variables))
-        for combo in self.tuples(names):
-            yield Valuation.from_tuples(names, combo)
 
     def size(self, variables: Sequence[str]) -> int:
         total = 1
@@ -284,7 +278,7 @@ class _Kind:
     finite_only: bool = True
 
 
-_KINDS = {
+_KINDS = {  # a row per family of CHECK_KINDS, in its order
     "ranking": _Kind(("eps",), ("eps",), (
         ("assign-expected-decrease", "decrease",
          lambda law, h, p: _at_most(_plus(p.eps, law.value), h)),
@@ -304,7 +298,6 @@ _KINDS = {
         ("assign-jump-floor", None, lambda law, h, p: _at_least(law.change(h), p.delta)),
     ), zero_at_exit=True, nonzero=True),
 }
-CHECK_KINDS = tuple(_KINDS)
 
 _TERMINAL_ZERO = ("terminal-zero", lambda law, h, p: (h == 0, h, 0, ""))
 _NONZERO = ("nonterminal-nonzero", lambda law, h, p: (h != 0, h, "> 0", ""))
@@ -449,86 +442,3 @@ def check_super(cert: Certificate, cfg: Cfg, sf: SamplingFunction, box: VerifyBo
                 workers: int = 1) -> CheckReport:
     params = _kind_params("super", cert, delta=delta, zeta=zeta)
     return run_check("super", cert, cfg, sf, box, params, workers)
-
-
-# ---------------------------------------------------------------------------
-# Reachability-of-assignment fixpoint
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ThetaIndex:
-    """Least fixpoint of labels that reach an assignment label or the
-    terminal label within a bounded number of deterministic-progress steps,
-    with that bound per label."""
-
-    members: frozenset
-    K: Dict[Tuple[str, int], int]
-    m_star: int
-    all_covered: bool
-    K_max: int
-    K_max_by_function: Dict[str, int] = field(default_factory=dict)
-
-    def covered(self, fname: str, label: int) -> bool:
-        return (fname, label) in self.members
-
-
-def theta_fixpoint(cfg: Cfg) -> ThetaIndex:
-    """Iterate the closure; stabilizes within the total label count.
-
-    Base set: assignment labels and the terminal label, at distance 0.  A
-    call label joins once its continuation and the callee's entry are in,
-    at the sum of their distances plus one; a branching or nondeterministic
-    label joins once both its targets are in, one past the larger distance.
-    """
-    members = set()
-    K: Dict[Tuple[str, int], int] = {}
-    for fn in cfg.functions:
-        for label in fn.assignment | {fn.exit}:
-            members.add((fn.name, label))
-            K[(fn.name, label)] = 0
-
-    m_star = 0
-    while True:
-        added = []
-        for fn in cfg.functions:
-            for label in sorted(fn.call):
-                if (fn.name, label) in members:
-                    continue
-                edge = single_edge(fn, label)
-                payload = edge.payload
-                callee = cfg.function(payload.callee)
-                if ((fn.name, edge.target) in members
-                        and (payload.callee, callee.entry) in members):
-                    added.append((fn.name, label))
-                    K[(fn.name, label)] = (K[(fn.name, edge.target)]
-                                           + K[(payload.callee, callee.entry)] + 1)
-            for label in sorted(fn.branching | fn.nondet):
-                if (fn.name, label) in members:
-                    continue
-                if label in fn.branching:
-                    _, t1, t2 = branch_targets(fn, label)
-                else:
-                    t1, t2 = star_targets(fn, label)
-                if (fn.name, t1) in members and (fn.name, t2) in members:
-                    added.append((fn.name, label))
-                    K[(fn.name, label)] = 1 + max(K[(fn.name, t1)], K[(fn.name, t2)])
-        if not added:
-            break
-        members.update(added)
-        m_star += 1
-
-    all_labels = [(fn.name, label) for fn in cfg.functions for label in fn.labels()]
-    all_covered = all(pair in members for pair in all_labels)
-    k_values = [K[pair] for pair in members]
-    by_function: Dict[str, int] = {}
-    for fn in cfg.functions:
-        ks = [K[(fn.name, label)] for label in fn.labels() if (fn.name, label) in members]
-        by_function[fn.name] = max(ks) if ks else 0
-    return ThetaIndex(
-        members=frozenset(members),
-        K=K,
-        m_star=m_star,
-        all_covered=all_covered,
-        K_max=max(k_values) if k_values else 0,
-        K_max_by_function=by_function,
-    )

@@ -4,36 +4,32 @@ Subcommands: parse | cfg | simulate | check | bounds | lab.  Exit status is
 0 on success (and on a passing check), 1 when a check fails (the
 counterexample is printed), and 2 on usage or input errors.  Reports embed
 the tool version, the seed, the box, and the certificate digest, and repeat
-runs with identical flags byte-for-byte.
+runs with identical flags byte-for-byte.  Each subcommand imports only the
+termcert modules it runs, so `import termcert.cli` loads none.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import __version__
-from .bounds import BoundError, bound_rows
-from .certificates import Certificate, CertificateError, load_certificate
-from .cfg import Cfg, build_cfg, dump_cfg
-from .checker import CHECK_KINDS, CheckerError, VerifyBox, _kind_params, run_check
-from .distributions import (DistributionError, SamplingFunction, load_distributions,
-                            merge_distributions, parse_fraction)
-from .lab import LabError, TAGS, analytic, simulate_lab
-from .lang import EvalError, label_program, pretty_print
-from .parser import ParseError, load_program
-from .semantics import SCHEDULER_KINDS, Scheduler, SemanticsError, StackElement, simulate
-from .valuation import Valuation
+from . import InputError, __version__
+
+if TYPE_CHECKING:
+    from .certificates import Certificate
+    from .cfg import Cfg, StackElement
+    from .distributions import SamplingFunction
 
 USAGE_ERROR = 2
 CHECK_FAIL = 1
 
 
-class CliError(Exception):
+class CliError(InputError):
     pass
 
 
@@ -45,11 +41,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.handler(args)
-    except (ParseError, CertificateError, DistributionError, CheckerError,
-            SemanticsError, BoundError, LabError, EvalError, CliError,
-            FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+
+
+def _one_of(module: str, name: str) -> Callable[[str], str]:
+    """An argparse type for the values of the tuple `name` in `module`, loaded on use."""
+    def check(value: str) -> str:
+        choices = getattr(importlib.import_module(f".{module}", __package__), name)
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+        return value
+    return check
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check certificate conditions over a box")
     p.add_argument("program")
     p.add_argument("--cert", required=True)
-    p.add_argument("--kind", required=True, choices=CHECK_KINDS)
+    p.add_argument("--kind", required=True, type=_one_of("certificates", "CHECK_KINDS"))
     p.add_argument("--dist", help="distribution file for sampling variables")
     p.add_argument("--box", action="append", required=True,
                    help="box entries like n=-100..100 (repeatable, comma-separable)")
@@ -93,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", required=True, help="function name, or name@label")
     p.add_argument("--args", default="", help="entry bindings like n=5,m=2 (rest 0)")
     p.add_argument("--dist")
-    p.add_argument("--scheduler", default="uniform", choices=SCHEDULER_KINDS)
+    p.add_argument("--scheduler", default="uniform",
+                   type=_one_of("semantics", "SCHEDULER_KINDS"))
     p.add_argument("--cert", help="certificate for the greedy schedulers")
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--max-steps", type=int, default=10**6)
@@ -109,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bounds from a (checked) certificate")
     p.add_argument("program")
     p.add_argument("--cert", required=True)
-    p.add_argument("--kind", required=True, choices=CHECK_KINDS)
+    p.add_argument("--kind", required=True, type=_one_of("certificates", "CHECK_KINDS"))
     p.add_argument("--entry", required=True)
     p.add_argument("--args", default="")
     p.add_argument("--dist")
@@ -119,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("lab", help="counterexample processes: analytic vs simulated")
-    p.add_argument("--example", required=True, choices=TAGS)
+    p.add_argument("--example", required=True, type=_one_of("lab", "TAGS"))
     p.add_argument("--alpha", type=float)
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
@@ -136,14 +142,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _load_labelled(path: str):
+    from .lang import label_program
+    from .parser import load_program
     return label_program(load_program(path))
 
 
 def _load_cfg(path: str) -> Cfg:
+    from .cfg import build_cfg
     return build_cfg(_load_labelled(path))
 
 
 def _sampling_function(cfg: Cfg, dist_path: Optional[str]) -> SamplingFunction:
+    from .distributions import SamplingFunction, load_distributions, merge_distributions
     dists = merge_distributions(cfg.builtin_dists,
                                 load_distributions(dist_path) if dist_path else {})
     missing = [v for v in cfg.sampling_vars if v not in dists]
@@ -167,6 +177,8 @@ def _parse_args_binding(spec: str) -> Dict[str, int]:
 
 
 def _entry_element(cfg: Cfg, entry_spec: str, args_spec: str) -> StackElement:
+    from .cfg import StackElement
+    from .valuation import Valuation
     fname, _, label_text = entry_spec.partition("@")
     if fname not in cfg.function_names():
         raise CliError(f"no function named {fname!r}")
@@ -240,6 +252,7 @@ def _emit(fmt: str, meta: Dict, headers: Sequence[str], rows: Sequence[Sequence]
 # ---------------------------------------------------------------------------
 
 def _cmd_parse(args) -> int:
+    from .lang import pretty_print
     prog = _load_labelled(args.program)
     if args.format == "json":
         payload = _meta()
@@ -255,6 +268,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_cfg(args) -> int:
+    from .cfg import dump_cfg
     cfg = _load_cfg(args.program)
     if args.format == "json":
         payload = _meta()
@@ -278,6 +292,9 @@ def _cmd_cfg(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .certificates import load_certificate
+    from .checker import VerifyBox, _kind_params, run_check
+    from .distributions import parse_fraction
     cfg = _load_cfg(args.program)
     cert = load_certificate(args.cert)
     sf = _sampling_function(cfg, args.dist)
@@ -308,6 +325,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .certificates import load_certificate
+    from .semantics import Scheduler, simulate
     cfg = _load_cfg(args.program)
     sf = _sampling_function(cfg, args.dist)
     entry = _entry_element(cfg, args.entry, args.args)
@@ -337,6 +356,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import bound_rows
+    from .certificates import load_certificate
     cfg = _load_cfg(args.program)
     cert = load_certificate(args.cert)
     entry = _entry_element(cfg, args.entry, args.args)
@@ -358,6 +379,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_lab(args) -> int:
+    from .lab import simulate_lab
     result = simulate_lab(args.example, runs=args.runs, horizon=args.horizon,
                           seed=args.seed, alpha=args.alpha,
                           tail_ns=_int_list(args.tail))

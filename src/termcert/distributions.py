@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
+from . import InputError
 from .valuation import Valuation
 
 JOINT_SUPPORT_WARN_LIMIT = 10_000
 
 
-class DistributionError(ValueError):
+class DistributionError(InputError, ValueError):
     """Malformed distribution data."""
 
 
@@ -135,10 +136,6 @@ class SamplingFunction:
         for _, d in self.entries:
             size *= len(d.support)
         return size
-
-    def joint_support(self) -> Iterator[Tuple[Valuation, Fraction]]:
-        """All joint sampling valuations with their exact weights."""
-        yield from self.joint_support_over(self.variables)
 
     def joint_support_over(self, variables: Sequence[str]) -> Iterator[Tuple[Valuation, Fraction]]:
         """Joint support restricted to a subset of the sampling variables.

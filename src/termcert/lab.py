@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from .rng import make_generator
-from .semantics import TailEstimate, Z95, wilson_interval
+from . import InputError
+from .rng import Z95, TailEstimate, make_generator, wilson_interval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,7 +37,7 @@ TAGS = ("nonnegativity", "cbounded", "noconcentration", "randomwalk", "positivit
 _DPS = 30
 
 
-class LabError(ValueError):
+class LabError(InputError, ValueError):
     pass
 
 

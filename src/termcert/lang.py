@@ -16,10 +16,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
+from . import InputError
 from .distributions import DiscreteDist
 
 
-class EvalError(ArithmeticError):
+class EvalError(InputError, ArithmeticError):
     """Expression evaluation left the integers (bad `div` operand or exponent)."""
 
 

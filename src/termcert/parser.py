@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from . import InputError
 from .distributions import DiscreteDist, parse_fraction
 from .lang import (
     And,
@@ -58,7 +59,7 @@ from .lang import (
 )
 
 
-class ParseError(ValueError):
+class ParseError(InputError, ValueError):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         self.line = line
         self.col = col

@@ -16,12 +16,15 @@ three give the same draws for the same pair:
 
 The simulator uses the last for the first draws of a block of runs (most
 runs need only a few), and re-keys one generator per worker for a run that
-draws past them.
+draws past them.  `TailEstimate`, `wilson_interval` and `Z95` are the
+estimates that both the simulator and the process lab report.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,6 +33,27 @@ _KEY_MASK = (1 << 64) - 1
 _LOW = (1 << 32) - 1
 _MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
 _BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Philox4x64 key schedule
+
+Z95 = 1.959963984540054
+
+
+@dataclass(frozen=True)
+class TailEstimate:
+    k: int
+    count: int
+    p_hat: float
+    lo: float
+    hi: float
+
+
+def wilson_interval(count: int, n: int, z: float = Z95) -> Tuple[float, float]:
+    if n == 0:
+        return (0.0, 1.0)
+    p = count / n
+    denom = 1 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    return (max(0.0, center - half), min(1.0, center + half))
 
 
 def _key(seed: int, stream: int) -> list:

@@ -9,7 +9,9 @@ pair, and a segment runs its function label by label, one step per label,
 until a call, the exit or the step cap.  An assignment draws the sampling
 variables it reads when it runs, and a scheduler resolves every
 nondeterministic label.  The single-step reference the run loop is tested
-against lives in `tests/oracles.py`.
+against lives in `tests/oracles.py`.  `StackElement` (from `cfg`) and
+`TailEstimate`, `wilson_interval` and `Z95` (from `rng`) remain names of
+this module.
 """
 
 from __future__ import annotations
@@ -19,26 +21,17 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
+from . import InputError
 from ._compile import cert_value, compile_runner, value_le
 from ._pool import fan_out
 from .certificates import Certificate
-from .cfg import Cfg, CfgFunction
+from .cfg import Cfg, CfgFunction, StackElement
 from .distributions import SamplingFunction
-from .rng import make_generator, philox_doubles, rekey
-from .valuation import Valuation
-
-Z95 = 1.959963984540054
+from .rng import Z95, TailEstimate, make_generator, philox_doubles, rekey, wilson_interval
 
 
-class SemanticsError(ValueError):
+class SemanticsError(InputError, ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class StackElement:
-    fname: str
-    label: int
-    valuation: Valuation
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +78,6 @@ class Scheduler:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TailEstimate:
-    k: int
-    count: int
-    p_hat: float
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
 class RunStats:
     runs: int
     terminated: int
@@ -112,16 +96,6 @@ class RunStats:
             if t.k == k:
                 return t
         raise KeyError(f"no tail estimate for k={k}")
-
-
-def wilson_interval(count: int, n: int, z: float = Z95) -> Tuple[float, float]:
-    if n == 0:
-        return (0.0, 1.0)
-    p = count / n
-    denom = 1 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
 
 
 def _finalize(totals: Sequence[int], runs: int, max_steps: int, k_list: Sequence[int],

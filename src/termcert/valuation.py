@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Iterator, Mapping, Tuple
 
 
 class Valuation:
@@ -19,13 +19,6 @@ class Valuation:
         items = sorted(bindings.items())
         self._vars: Tuple[str, ...] = tuple(k for k, _ in items)
         self._values: Tuple[int, ...] = tuple(int(v) for _, v in items)
-
-    @classmethod
-    def from_tuples(cls, variables: Tuple[str, ...], values: Tuple[int, ...]) -> "Valuation":
-        v = object.__new__(cls)
-        v._vars = variables
-        v._values = values
-        return v
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -50,17 +43,6 @@ class Valuation:
 
     def __len__(self) -> int:
         return len(self._vars)
-
-    def updated(self, var: str, value: int) -> "Valuation":
-        if var not in self._vars:
-            raise KeyError(f"variable {var!r} is not declared in this valuation")
-        return Valuation.from_tuples(
-            self._vars,
-            tuple(value if v == var else old for v, old in zip(self._vars, self._values)),
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(zip(self._vars, self._values))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Valuation):

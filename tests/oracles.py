@@ -118,7 +118,15 @@ def apply_update(payload, nu, mu) -> Valuation:
         return nu
     value = eval_expr(payload.expr, nu, mu)
     assert value.denominator == 1
-    return nu.updated(payload.var, value.numerator)
+    return Valuation({var: value.numerator if var == payload.var else old
+                      for var, old in zip(nu.variables, nu.values)})
+
+
+def box_points(box, variables):
+    """All valuations of the box over `variables`, lexicographic in sorted order."""
+    names = tuple(sorted(variables))
+    for combo in box.tuples(names):
+        yield Valuation(dict(zip(names, combo)))
 
 
 def pass_values(payload, nu) -> Valuation:
@@ -361,7 +369,7 @@ def brute_force_min_delta(cert, cfg, sf, box):
     worst = Fraction(0)
     for fn in cfg.functions:
         for label in fn.labels():
-            for nu in box.points(fn.pvars):
+            for nu in box_points(box, fn.pvars):
                 if cert_match(cert, fn.name, label, nu) is None:
                     continue
                 h_here = h_at(cert, cfg, fn.name, label, nu)
@@ -388,7 +396,7 @@ def brute_force_max_jump(cert, cfg, sf, box):
     saw_infinite = False
     for fn in cfg.functions:
         for label in fn.labels():
-            for nu in box.points(fn.pvars):
+            for nu in box_points(box, fn.pvars):
                 if cert_match(cert, fn.name, label, nu) is None:
                     continue
                 h_here = h_at(cert, cfg, fn.name, label, nu)

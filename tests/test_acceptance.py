@@ -20,8 +20,8 @@ from oracles import (
 )
 
 from termcert.bounds import cert_value_at, markov_tail, sqrt_tail, upper_expected, lower_expected
-from termcert.cfg import dump_cfg
-from termcert.checker import VerifyBox, check_cdb, check_ranking, check_super, theta_fixpoint
+from termcert.cfg import dump_cfg, theta_fixpoint
+from termcert.checker import VerifyBox, check_cdb, check_ranking, check_super
 from termcert.lab import analytic, fit_tail_slope, simulate_lab
 from termcert.semantics import SCHEDULER_KINDS, Scheduler, StackElement, simulate
 from termcert.valuation import Valuation

@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from termcert.certificates import CertificateError, CertParams, parse_certificate
+from termcert.certificates import Certificate, CertificateError, CertParams, parse_certificate
 from termcert.valuation import Valuation
 
 
@@ -107,6 +108,40 @@ def test_div_and_power_helpers_match_the_oracle():
             assert got[1] == want[1], (op, a, b)
         if type(a) is int and type(b) is int:
             assert got == _outcome(helper, Fraction(a), Fraction(b)), (op, a, b)
+
+
+def test_compiled_expressions_keep_the_grouping_they_need():
+    # expr_code drops the parentheses an operator does not need; every
+    # grouping below differs in value from its unparenthesised reading
+    import oracles
+    from termcert._compile import compile_update
+    from termcert.parser import TokenStream, parse_expr, tokenize
+
+    for text in ("a - (b - c)", "(a - b) - c", "a - (b + c)", "(a + b) * c", "a * (b - c)",
+                 "a * (b * c) - c", "-3 * a - -3", "(a - b) div c", "2 ^ (b - c) * c",
+                 "a - b * c", "a * b - c"):
+        expr = parse_expr(TokenStream(tokenize(text)))
+        update = compile_update("a", expr, ("a", "b", "c"), ())
+        for vals in ((7, 2, 1), (-5, 3, 2), (4, 4, 3)):
+            nu = Valuation(dict(zip("abc", vals)))
+            assert update(vals, ())[0] == oracles.eval_expr(expr, nu), (text, vals)
+
+
+def test_digest_renders_once_per_certificate(halving, monkeypatch):
+    # a certificate without source text is digested from render(), which a
+    # check of it runs once however often the certificate is checked
+    from termcert.checker import VerifyBox, run_check
+
+    cfg, sf, cert = halving
+    bare = Certificate(cert.stanzas, cert.params)
+    want = hashlib.sha256(bare.render().encode("utf-8")).hexdigest()[:16]
+    calls = []
+    render = Certificate.render
+    monkeypatch.setattr(Certificate, "render", lambda self: calls.append(self) or render(self))
+    for _ in range(3):
+        assert run_check("ranking", bare, cfg, sf, VerifyBox.parse("n=0..3")).cert_digest == want
+    assert bare.digest() == want and len(calls) == 1
+    assert cert.digest() == hashlib.sha256(cert.source_text.encode("utf-8")).hexdigest()[:16]
 
 
 def test_params_header_parses():

@@ -1,18 +1,20 @@
 from pathlib import Path
 
-from termcert.cfg import (
-    CallPayload,
-    build_cfg,
-    dump_cfg,
-    star_targets,
-    value_passing,
-)
+from termcert._compile import compile_call_args
+from termcert.cfg import CallPayload, build_cfg, dump_cfg, star_targets
 from termcert.fixtures import load_cfg_fixture
 from termcert.lang import label_program
 from termcert.parser import parse_program
 from termcert.valuation import Valuation
 
 GOLDEN = Path(__file__).parent / "golden" / "halving_game_cfg.txt"
+
+
+def value_passing(call, nu):
+    """Callee entry valuation through the compiled call: parameters from
+    arguments, all else zero."""
+    values = compile_call_args(call, nu.variables)(nu.values)
+    return Valuation(dict(zip(call.callee_vars, values)))
 
 
 def edge_set(fn):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    box_points,
     brute_force_max_jump,
     brute_force_min_delta,
     cert_match,
@@ -19,9 +20,8 @@ from termcert.checker import (
     check_ranking,
     check_super,
     run_check,
-    theta_fixpoint,
 )
-from termcert.cfg import build_cfg
+from termcert.cfg import build_cfg, theta_fixpoint
 from termcert.fixtures import sampling_function_for
 from termcert.lang import label_program
 from termcert.parser import parse_program
@@ -33,6 +33,14 @@ BOX50 = VerifyBox.parse("n=-50..50")
 # ---------------------------------------------------------------------------
 # ranking conditions
 # ---------------------------------------------------------------------------
+
+def test_the_condition_table_has_a_row_per_certificate_family():
+    # the CLI offers CHECK_KINDS for --kind without loading the checker
+    from termcert.certificates import CHECK_KINDS
+    from termcert.checker import _KINDS
+
+    assert tuple(_KINDS) == CHECK_KINDS
+
 
 def test_ranking_passes_for_halving_game(halving):
     cfg, sf, cert = halving
@@ -223,7 +231,7 @@ def test_super_conditions_hold_for_halving_certificate_too(halving):
     floor = None
     for fn in cfg.functions:
         for label in sorted(fn.assignment):
-            for nu in BOX100.points(fn.pvars):
+            for nu in box_points(BOX100, fn.pvars):
                 if cert_match(cert, fn.name, label, nu) is None:
                     continue
                 h_here = h_at(cert, cfg, fn.name, label, nu)

@@ -150,6 +150,22 @@ def test_a_long_statement_sequence_passes_every_command(tmp_path, capsys):
     assert code == 0 and "verdict=pass" in out
 
 
+def test_a_long_sum_passes_simulate_and_check(tmp_path, capsys):
+    # 250-term sums, left-deep, in an update and a certificate piece: past
+    # CPython's 200 nested parentheses if every term had its own
+    prog, cert = tmp_path / "sum.prob", tmp_path / "sum.cert"
+    prog.write_text("f(n) {\n  n := n" + " + 1" * 249 + ";\n"
+                    "  while n > 0 do\n    n := n - 1\n  od\n}\n")
+    cert.write_text("eps=1\nf@1: [n >= 0] 2*n" + " + 2" * 250 + "\n"
+                    "f@2: [n >= 0] 2*n + 1\nf@3: [n >= 1] 2*n\nf@4: 0\n")
+    code, out, _ = run_cli(capsys, "simulate", str(prog), "--entry", "f", "--runs", "3",
+                           "--workers", "1")
+    assert code == 0 and "mean_T      500 " in out  # n = 249, then 249 loop rounds
+    code, out, _ = run_cli(capsys, "check", str(prog), "--cert", str(cert), "--kind", "ranking",
+                           "--box", "n=0..2")
+    assert code == 0 and "verdict=pass" in out  # tight: 2n + 500 = 1 + (2(n + 249) + 1)
+
+
 def test_simulate_table_and_determinism(capsys):
     argv = ("simulate", HALVING, "--entry", "f", "--args", "n=5",
             "--dist", HALVING_DIST, "--scheduler", "uniform",

@@ -53,7 +53,7 @@ def test_sampling_is_reproducible_per_stream():
 def test_joint_support_sums_to_one():
     half = DiscreteDist.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
     sf = SamplingFunction.from_mapping({"a": half, "b": biased(), "c": half})
-    total = sum(w for _, w in sf.joint_support())
+    total = sum(w for _, w in sf.joint_support_over(sf.variables))
     assert total == 1
 
 

@@ -21,15 +21,8 @@ from hypothesis import strategies as st
 import oracles
 from extreal import ExtReal
 from termcert.certificates import CertPiece, Certificate, CertificateError, CertParams
-from termcert.cfg import build_cfg, single_edge
-from termcert.checker import (
-    VerifyBox,
-    check_cdb,
-    check_db,
-    check_ranking,
-    check_super,
-    theta_fixpoint,
-)
+from termcert.cfg import build_cfg, single_edge, theta_fixpoint
+from termcert.checker import VerifyBox, check_cdb, check_db, check_ranking, check_super
 from termcert.distributions import DiscreteDist, DistributionError, SamplingFunction
 from termcert.lang import (
     And,
@@ -258,7 +251,7 @@ def test_distribution_normalization(data):
         with pytest.raises(DistributionError):
             DiscreteDist.from_pairs(broken)
     sf = SamplingFunction.from_mapping({"a": dist, "b": dist})
-    assert sum(w for _, w in sf.joint_support()) == 1
+    assert sum(w for _, w in sf.joint_support_over(sf.variables)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +326,7 @@ def test_compiled_certificate_value_matches_interpretive_reference(seed):
 
     for fn in cfg.functions:
         for label in fn.labels():
-            for nu in BOX.points(fn.pvars):
+            for nu in oracles.box_points(BOX, fn.pvars):
                 points = [(fn.name, label, nu)]
                 cls = fn.label_class(label)
                 if cls == "assignment":

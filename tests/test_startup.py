@@ -1,4 +1,5 @@
-"""Start-up: which heavy modules a command loads, and the real entry point.
+"""Start-up: which termcert and heavy modules a command loads, and the real
+entry point.
 
 These tests start fresh interpreters, because this process has long since
 loaded numpy, mpmath and the process-pool module through other tests.
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import termcert
 from termcert.cli import main
@@ -160,3 +163,68 @@ def test_one_module_decides_how_work_is_spread_over_processes():
         if path.name != "_pool.py":
             text = path.read_text(encoding="utf-8")
             assert "concurrent.futures" not in text and "cpu_count" not in text, path.name
+
+
+# Runs one command in a fresh interpreter (no command at all for "-") and
+# prints the termcert modules loaded after it, without the package's name.
+LOADED = """
+import contextlib, io, json, sys
+import termcert, termcert.cli
+if sys.argv[1:] != ["-"]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        termcert.cli.main(sys.argv[1:])
+print(json.dumps(sorted(m[len("termcert."):] for m in sys.modules
+                        if m.startswith("termcert."))))
+"""
+
+
+def loaded_modules(argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_package_and_the_cli_loads_no_other_module():
+    assert loaded_modules(["-"]) == {"cli"}
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    parse, cfg, check, check_cdb, bounds, simulate, lab = map(loaded_modules, README_COMMANDS)
+    assert not parse & {"cfg", "_compile", "checker", "semantics", "bounds", "lab"}
+    assert not cfg & {"_compile", "certificates", "checker", "semantics", "bounds", "lab"}
+    for checked in (check, check_cdb):
+        assert "checker" in checked and not checked & {"semantics", "bounds", "lab"}
+    assert "bounds" in bounds and not bounds & {"checker", "semantics", "lab"}
+    assert "semantics" in simulate and not simulate & {"checker", "bounds", "lab"}
+    assert "lab" in lab and not lab & {"lang", "parser", "cfg", "semantics"}
+
+
+def test_every_public_name_resolves():
+    assert termcert.__all__ == sorted(set(termcert.__all__)) and len(termcert.__all__) > 50
+    for name in termcert.__all__:
+        value = getattr(termcert, name)
+        assert name in dir(termcert)
+        assert getattr(sys.modules[f"termcert.{termcert._HOME[name]}"], name) is value, name
+    with pytest.raises(AttributeError):
+        termcert.no_such_name
+
+
+KINDS = "'ranking', 'cdb', 'db', 'super'"
+
+
+@pytest.mark.parametrize("argv, bad, choices", [
+    (["check", HALVING, "--cert", HALVING_CERT, "--kind", "rank", "--box", "n=0..1"],
+     "rank", KINDS),
+    (["bounds", HALVING, "--cert", HALVING_CERT, "--kind", "rank", "--entry", "f"],
+     "rank", KINDS),
+    (["simulate", HALVING, "--entry", "f", "--runs", "1", "--scheduler", "greedy"], "greedy",
+     "'greedy-max', 'greedy-min', 'always-then', 'always-else', 'uniform'"),
+    (["lab", "--example", "walk", "--runs", "1", "--horizon", "1"], "walk",
+     "'nonnegativity', 'cbounded', 'noconcentration', 'randomwalk', 'positivity'"),
+])
+def test_an_invalid_option_value_exits_two_naming_the_choices(argv, bad, choices, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"invalid choice: {bad!r} (choose from {choices})" in capsys.readouterr().err
