@@ -10,12 +10,12 @@ before rounding to a double.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from . import InputError
 from ._compile import format_value
+from ._record import record
 from .certificates import Certificate
 from .cfg import Cfg, StackElement, theta_fixpoint
 from .lang import EvalError
@@ -32,7 +32,7 @@ class BoundError(InputError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoundReport:
     """One computed bound with the data needed to audit it."""
 
@@ -126,7 +126,7 @@ def concentration_tail(eps: Fraction, zeta: Fraction, entry_value: _Value,
         return float(min(exact, mpmath.mpf(1))), float(factored)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SqrtTailResult:
     ok: bool
     bound: Optional[float]

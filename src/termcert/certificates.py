@@ -17,13 +17,13 @@ File format (``#`` comments allowed)::
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import InputError
 from ._compile import cert_value, compile_stanza
+from ._record import record
 from .lang import Expr, Pred, format_expr, format_pred
 from .parser import ParseError, TokenStream, parse_expr, parse_pred, tokenize
 from .valuation import Valuation
@@ -35,7 +35,7 @@ class CertificateError(InputError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CertPiece:
     guard: Optional[Pred]  # None means `true`
     expr: Expr
@@ -47,7 +47,7 @@ class CertPiece:
         return f"[{format_pred(self.guard)}] {body}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CertParams:
     """Decrease/increase parameters attached to a certificate.
 
@@ -80,7 +80,7 @@ class CertParams:
                 raise CertificateError(f"certificate parameter {name!r} is required here")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Certificate:
     stanzas: Tuple[Tuple[Tuple[str, int], Tuple[CertPiece, ...]], ...]
     params: CertParams = CertParams()

@@ -18,10 +18,10 @@ of them alone, which the `super` family's bounds need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
+from ._record import field, record
 from .lang import (
     Assign,
     Call,
@@ -48,14 +48,14 @@ class CfgError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StackElement:
     fname: str
     label: int
     valuation: Valuation
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PredPayload:
     """Guard of one branching edge; `negated` marks the complement edge."""
 
@@ -67,7 +67,7 @@ class PredPayload:
         return f"not ({text})" if self.negated else text
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UpdatePayload:
     """Update function of an assignment edge; identity when var is None."""
 
@@ -81,7 +81,7 @@ class UpdatePayload:
         return f"{self.var} := {format_expr(self.expr)}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CallPayload:
     """Callee plus the value-passing function of a call edge."""
 
@@ -95,7 +95,7 @@ class CallPayload:
         return f"call {self.callee}({inner})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StarPayload:
     branch: str  # "then" or "else"
 
@@ -106,14 +106,14 @@ class StarPayload:
 Payload = Union[PredPayload, UpdatePayload, CallPayload, StarPayload]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Transition:
     source: int
     payload: Payload
     target: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CfgFunction:
     name: str
     pvars: Tuple[str, ...]
@@ -155,7 +155,7 @@ class CfgFunction:
         raise CfgError(f"{self.name} has no label {label}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cfg:
     functions: Tuple[CfgFunction, ...]
     sampling_vars: Tuple[str, ...]
@@ -342,7 +342,7 @@ def dump_cfg(cfg: Cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
+@record
 class ThetaIndex:
     """Least fixpoint of labels that reach an assignment label or the
     terminal label within a bounded number of deterministic-progress steps,

@@ -19,7 +19,6 @@ compiled once per label (see `_compile`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -31,6 +30,7 @@ from ._compile import (MISS, OP_ASSIGN, OP_BRANCH, OP_CALL, OP_EXIT, OP_NONDET, 
 from ._compile import format_value as _fmt
 from ._compile import value_le as _le
 from ._pool import fan_out
+from ._record import record
 from .certificates import CHECK_KINDS, Certificate, CertParams
 from .cfg import Cfg
 from .distributions import SamplingFunction
@@ -47,7 +47,7 @@ class CheckerError(InputError, ValueError):
 # Verification boxes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VerifyBox:
     """Inclusive integer intervals, one per program variable."""
 
@@ -106,7 +106,7 @@ class VerifyBox:
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConditionFailure:
     fname: str
     label: int
@@ -125,7 +125,7 @@ class ConditionFailure:
         return text
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckReport:
     kind: str
     passed: bool
@@ -263,7 +263,7 @@ def _law(op: tuple, fname: str, stanzas: Dict, sf: SamplingFunction) -> Optional
     return None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Kind:
     """One certificate family.  A condition is (its name at an assignment,
     its name after `call-`, `branch-` or `nondet-`, or None to bind at

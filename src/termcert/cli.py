@@ -11,10 +11,7 @@ termcert modules it runs, so `import termcert.cli` loads none.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
-import io
-import json
 import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -223,14 +220,21 @@ def _meta(seed: Optional[int] = None, box: Optional[str] = None,
     return meta
 
 
+def _print_json(payload: Dict) -> None:
+    import json  # the default table and text output needs no json
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _emit(fmt: str, meta: Dict, headers: Sequence[str], rows: Sequence[Sequence],
           text_extra: str = "") -> None:
     if fmt == "json":
         payload = dict(meta)
         payload["rows"] = [dict(zip(headers, row)) for row in rows]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return
     if fmt == "csv":
+        import csv  # like json, loaded only for its --format
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
@@ -261,7 +265,7 @@ def _cmd_parse(args) -> int:
             for f in prog.functions
         ]
         payload["sampling_variables"] = list(prog.sampling_variables())
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         sys.stdout.write(pretty_print(prog))
     return 0
@@ -285,7 +289,7 @@ def _cmd_cfg(args) -> int:
             }
             for fn in sorted(cfg.functions, key=lambda f: f.name)
         ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         sys.stdout.write(dump_cfg(cfg))
     return 0
@@ -309,7 +313,7 @@ def _cmd_check(args) -> int:
     if args.format == "json":
         payload = dict(meta)
         payload["report"] = report.to_json_dict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     elif args.format == "csv":
         headers = ["function", "label", "condition", "point", "lhs", "rhs", "detail"]
         rows = [

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from . import InputError
+from ._record import record
 from .valuation import Valuation
 
 JOINT_SUPPORT_WARN_LIMIT = 10_000
@@ -25,7 +25,7 @@ class DistributionError(InputError, ValueError):
     """Malformed distribution data."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiscreteDist:
     """Finite support distribution over the integers.
 
@@ -97,7 +97,7 @@ def sample_from_uniform(thresholds: Tuple[Tuple[float, int], ...], u: float) -> 
     return thresholds[-1][1]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SamplingFunction:
     """Per-variable distributions plus the induced joint distribution."""
 

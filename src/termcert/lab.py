@@ -23,10 +23,10 @@ an exact analytic law to compare the simulation against:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from . import InputError
+from ._record import record
 from .rng import Z95, TailEstimate, make_generator, wilson_interval
 
 if TYPE_CHECKING:
@@ -118,7 +118,7 @@ def analytic(tag: str, query: str, n: Optional[int] = None,
     raise LabError(f"unknown query {query!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabResult:
     tag: str
     alpha: Optional[float]

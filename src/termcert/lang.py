@@ -11,12 +11,12 @@ to an AST equal to the original.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 from . import InputError
+from ._record import field, record
 from .distributions import DiscreteDist
 
 
@@ -28,7 +28,7 @@ class EvalError(InputError, ArithmeticError):
 # Expressions and predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Const:
     value: Fraction
 
@@ -36,25 +36,25 @@ class Const:
         object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinOp:
     op: str  # one of + - * div
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pow:
     base: "Expr"
     exponent: "Expr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InfConst:
     """The literal `inf`; only certificate expressions may contain it."""
 
@@ -62,25 +62,25 @@ class InfConst:
 Expr = Union[Const, Var, BinOp, Pow, InfConst]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cmp:
     op: str  # one of < <= > >=
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not:
     inner: "Pred"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And:
     left: "Pred"
     right: "Pred"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or:
     left: "Pred"
     right: "Pred"
@@ -111,19 +111,19 @@ def pred_variables(pred: Pred) -> Set[str]:
 # Statements, functions, programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Skip:
     label: Optional[int] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign:
     var: str
     expr: Expr
     label: Optional[int] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IfBool:
     cond: Pred
     then: "Stmt"
@@ -131,28 +131,28 @@ class IfBool:
     label: Optional[int] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IfStar:
     then: "Stmt"
     orelse: "Stmt"
     label: Optional[int] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While:
     cond: Pred
     body: "Stmt"
     label: Optional[int] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Call:
     fname: str
     args: Tuple[Expr, ...]
     label: Optional[int] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Seq:
     """`first; second`.  Equality, hashing, printing and pickling walk the
     statements of the sequence in a loop (`_seq_items`) rather than one
@@ -182,7 +182,7 @@ class Seq:
 Stmt = Union[Skip, Assign, IfBool, IfStar, While, Call, Seq]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunctionEntity:
     name: str
     params: Tuple[str, ...]
@@ -209,7 +209,7 @@ def _normalize_stmt(stmt: "Stmt") -> "Stmt":
     return stmt
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Program:
     functions: Tuple[FunctionEntity, ...]
     # Distributions introduced by bernoulli(...) desugaring, keyed by the

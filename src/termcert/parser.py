@@ -27,11 +27,11 @@ anywhere in the program is a sampling variable, and must occur exactly once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import InputError
+from ._record import record
 from .distributions import DiscreteDist, parse_fraction
 from .lang import (
     And,
@@ -66,7 +66,7 @@ class ParseError(InputError, ValueError):
         super().__init__(f"{line}:{col}: {message}" if line else message)
 
 
-@dataclass
+@record
 class Token:
     kind: str
     text: str
@@ -122,6 +122,16 @@ class TokenStream:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses, unary minuses, `^`s and `not`s open
+
+    def enter(self, tok: Token) -> None:
+        """Open one more nested level at `tok`, within MAX_NESTING."""
+        if self.depth >= MAX_NESTING:
+            raise _too_deep(tok)
+        self.depth += 1
+
+    def leave(self) -> None:
+        self.depth -= 1
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -149,26 +159,63 @@ class TokenStream:
 # Expressions and predicates (shared with the certificate format)
 # ---------------------------------------------------------------------------
 
+# How deeply an expression or predicate may nest, counted two ways: the
+# operators on any path of its tree, and the parentheses, unary minuses,
+# `^`s and `not`s open at any point of its text.  Walkers over the tree
+# (printing, compiling, `==`, pickling) recurse up to three frames per tree
+# level, and the parser three per open parenthesis, so at this limit both
+# stay inside Python's recursion limit of 1000 frames.  A 250-term sum is
+# 249 operators deep.
+MAX_NESTING = 256
+
+
+def _too_deep(tok: Token) -> ParseError:
+    return ParseError(f"expression nested more than {MAX_NESTING} levels deep",
+                      tok.line, tok.col)
+
+
+def _within_limit(tree, tok: Token):
+    """`tree`, if it is at most MAX_NESTING operators deep."""
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise _too_deep(tok)
+        if isinstance(node, (BinOp, Cmp, And, Or)):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, Pow):
+            stack += ((node.base, depth + 1), (node.exponent, depth + 1))
+        elif isinstance(node, Not):
+            stack.append((node.inner, depth + 1))
+    return tree
+
+
 def parse_expr(ts: TokenStream, allow_inf: bool = False) -> Expr:
-    node = _parse_term(ts, allow_inf)
-    while ts.peek().kind in ("+", "-"):
-        op = ts.next().kind
-        node = BinOp(op, node, _parse_term(ts, allow_inf))
-    return node
+    tok = ts.peek()
+    return _within_limit(_parse_sum(ts, allow_inf), tok)
 
 
-def _parse_term(ts: TokenStream, allow_inf: bool) -> Expr:
-    node = _parse_factor(ts, allow_inf)
-    while ts.peek().kind in ("*", "div"):
+def _parse_sum(ts: TokenStream, allow_inf: bool) -> Expr:
+    """A sum of products, both left-associative, in one frame."""
+    total = op = None
+    while True:
+        node = _parse_factor(ts, allow_inf)
+        while ts.peek().kind in ("*", "div"):
+            mul = ts.next().kind
+            node = BinOp(mul, node, _parse_factor(ts, allow_inf))
+        total = node if total is None else BinOp(op, total, node)
+        if ts.peek().kind not in ("+", "-"):
+            return total
         op = ts.next().kind
-        node = BinOp(op, node, _parse_factor(ts, allow_inf))
-    return node
 
 
 def _parse_factor(ts: TokenStream, allow_inf: bool) -> Expr:
     node = _parse_atom(ts, allow_inf)
-    if ts.accept("^"):
-        return Pow(node, _parse_factor(ts, allow_inf))
+    tok = ts.accept("^")
+    if tok is not None:
+        ts.enter(tok)
+        node = Pow(node, _parse_factor(ts, allow_inf))
+        ts.leave()
     return node
 
 
@@ -189,7 +236,10 @@ def _parse_atom(ts: TokenStream, allow_inf: bool) -> Expr:
         if nxt.kind in ("int", "frac", "dec"):  # fold negative literals
             inner = _parse_atom(ts, allow_inf)
             return Const(-inner.value)
-        return BinOp("-", Const(Fraction(0)), _parse_atom(ts, allow_inf))
+        ts.enter(tok)
+        node = BinOp("-", Const(Fraction(0)), _parse_atom(ts, allow_inf))
+        ts.leave()
+        return node
     if tok.kind == "ident":
         ts.next()
         return Var(tok.text)
@@ -201,7 +251,9 @@ def _parse_atom(ts: TokenStream, allow_inf: bool) -> Expr:
         return InfConst()
     if tok.kind == "(":
         ts.next()
-        node = parse_expr(ts, allow_inf)
+        ts.enter(tok)
+        node = _parse_sum(ts, allow_inf)
+        ts.leave()
         ts.expect(")")
         return node
     raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}",
@@ -209,6 +261,11 @@ def _parse_atom(ts: TokenStream, allow_inf: bool) -> Expr:
 
 
 def parse_pred(ts: TokenStream) -> Pred:
+    tok = ts.peek()
+    return _within_limit(_parse_pred_disj(ts), tok)
+
+
+def _parse_pred_disj(ts: TokenStream) -> Pred:
     node = _parse_pred_conj(ts)
     while ts.accept("or"):
         node = Or(node, _parse_pred_conj(ts))
@@ -223,31 +280,36 @@ def _parse_pred_conj(ts: TokenStream) -> Pred:
 
 
 def _parse_pred_atom(ts: TokenStream) -> Pred:
-    if ts.accept("not"):
-        return Not(_parse_pred_atom(ts))
+    tok = ts.accept("not")
+    if tok is not None:
+        ts.enter(tok)
+        node = Not(_parse_pred_atom(ts))
+        ts.leave()
+        return node
     if ts.peek().kind == "(":
         # Either a parenthesized predicate or a parenthesized arithmetic
         # expression starting a comparison; try the comparison first.
-        saved = ts.pos
+        saved = ts.pos, ts.depth
         try:
             return _parse_cmp(ts)
         except ParseError:
-            ts.pos = saved
-        ts.expect("(")
-        node = parse_pred(ts)
+            ts.pos, ts.depth = saved
+        ts.enter(ts.expect("("))
+        node = _parse_pred_disj(ts)
+        ts.leave()
         ts.expect(")")
         return node
     return _parse_cmp(ts)
 
 
 def _parse_cmp(ts: TokenStream) -> Pred:
-    left = parse_expr(ts)
+    left = _parse_sum(ts, False)
     tok = ts.peek()
     if tok.kind not in ("<", "<=", ">", ">="):
         raise ParseError(f"expected a comparison operator, found {tok.text!r}",
                          tok.line, tok.col)
     ts.next()
-    return Cmp(tok.kind, left, parse_expr(ts))
+    return Cmp(tok.kind, left, _parse_sum(ts, False))
 
 
 # ---------------------------------------------------------------------------

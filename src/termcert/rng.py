@@ -23,8 +23,9 @@ estimates that both the simulator and the process lab report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
+
+from ._record import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,7 +38,7 @@ _BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Philox4x64 key schedule
 Z95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TailEstimate:
     k: int
     count: int

@@ -17,13 +17,13 @@ this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import InputError
 from ._compile import cert_value, compile_runner, value_le
 from ._pool import fan_out
+from ._record import field, record
 from .certificates import Certificate
 from .cfg import Cfg, CfgFunction, StackElement
 from .distributions import SamplingFunction
@@ -42,7 +42,7 @@ SCHEDULER_KINDS = ("greedy-max", "greedy-min", "always-then", "always-else", "un
 _CHOICES = 4096  # greedy choices remembered per star label and worker
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scheduler:
     """Memoryless policy over nondeterministic configurations.
 
@@ -77,7 +77,7 @@ class Scheduler:
 # Run statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunStats:
     runs: int
     terminated: int

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from termcert.cli import main
 from termcert.fixtures import fixture_path
 
@@ -164,6 +166,20 @@ def test_a_long_sum_passes_simulate_and_check(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", str(prog), "--cert", str(cert), "--kind", "ranking",
                            "--box", "n=0..2")
     assert code == 0 and "verdict=pass" in out  # tight: 2n + 500 = 1 + (2(n + 249) + 1)
+
+
+@pytest.mark.parametrize("expr, col", [
+    ("n" + " + 1" * 1499, 8),  # 1,499 operators deep; reported where it starts
+    ("(" * 300 + "n" + ")" * 300, 8 + 256),  # reported at the 257th parenthesis
+], ids=["sum-of-1500-terms", "parentheses-300-deep"])
+def test_nesting_beyond_the_limit_exits_two_naming_it(tmp_path, capsys, expr, col):
+    prog = tmp_path / "deep.prob"
+    prog.write_text(f"f(n) {{\n  n := {expr}\n}}\n")
+    for command in ("parse", "cfg"):
+        code, out, err = run_cli(capsys, command, str(prog))
+        assert (code, out) == (2, "")
+        assert err == f"error: 2:{col}: expression nested more than 256 levels deep\n"
+        assert "Traceback" not in err
 
 
 def test_simulate_table_and_determinism(capsys):

@@ -7,8 +7,10 @@ loaded numpy, mpmath and the process-pool module through other tests.
 
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -166,31 +168,36 @@ def test_one_module_decides_how_work_is_spread_over_processes():
 
 
 # Runs one command in a fresh interpreter (no command at all for "-") and
-# prints the termcert modules loaded after it, without the package's name.
+# prints every module loaded after it.
 LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import termcert, termcert.cli
 if sys.argv[1:] != ["-"]:
     with contextlib.redirect_stdout(io.StringIO()):
         termcert.cli.main(sys.argv[1:])
-print(json.dumps(sorted(m[len("termcert."):] for m in sys.modules
-                        if m.startswith("termcert."))))
+print(*sorted(sys.modules))
 """
 
 
+@lru_cache(maxsize=None)
 def loaded_modules(argv):
     proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def termcert_modules(argv):
+    """The termcert modules loaded after `argv`, without the package's name."""
+    return {m[len("termcert."):] for m in loaded_modules(tuple(argv)) if m.startswith("termcert.")}
 
 
 def test_importing_the_package_and_the_cli_loads_no_other_module():
-    assert loaded_modules(["-"]) == {"cli"}
+    assert termcert_modules(["-"]) == {"cli"}
 
 
 def test_each_command_loads_only_the_modules_it_runs():
-    parse, cfg, check, check_cdb, bounds, simulate, lab = map(loaded_modules, README_COMMANDS)
+    parse, cfg, check, check_cdb, bounds, simulate, lab = map(termcert_modules, README_COMMANDS)
     assert not parse & {"cfg", "_compile", "checker", "semantics", "bounds", "lab"}
     assert not cfg & {"_compile", "certificates", "checker", "semantics", "bounds", "lab"}
     for checked in (check, check_cdb):
@@ -198,6 +205,26 @@ def test_each_command_loads_only_the_modules_it_runs():
     assert "bounds" in bounds and not bounds & {"checker", "semantics", "lab"}
     assert "semantics" in simulate and not simulate & {"checker", "bounds", "lab"}
     assert "lab" in lab and not lab & {"lang", "parser", "cfg", "semantics"}
+
+
+def test_commands_load_no_dataclasses_and_json_or_csv_only_for_their_format():
+    for argv in README_COMMANDS:
+        loaded = loaded_modules(tuple(argv))
+        assert not loaded & {"dataclasses", "json", "csv"}, argv[0]
+        # numpy, which lab loads, imports inspect itself
+        assert argv[0] == "lab" or "inspect" not in loaded, argv[0]
+    for argv, fmt in ((README_COMMANDS[0], "json"), (README_COMMANDS[2], "json"),
+                      (README_COMMANDS[2], "csv"), (README_COMMANDS[4], "csv")):
+        loaded = loaded_modules((*argv, "--format", fmt))
+        assert not loaded & {"dataclasses", "json", "csv"} - {fmt}, (argv[0], fmt)
+        assert fmt in loaded, (argv[0], fmt)
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(termcert.__file__).resolve().parent
+    for path in package.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(from|import) dataclasses\b", text, re.M), path.name
 
 
 def test_every_public_name_resolves():
