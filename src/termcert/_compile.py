@@ -112,9 +112,15 @@ def pred_code(pred: Pred, names: Dict[str, str]) -> str:
 @lru_cache(maxsize=2048)
 def compile_lambda(source: str) -> Callable:
     """The function that `source`, a lambda or one `def`, makes; random and
-    repeated programs share many."""
+    repeated programs share many.  Code that Python cannot compile, such as
+    an operator chain the parser accepts that nests more than 200
+    parentheses deep, raises an EvalError."""
     scope: Dict[str, Callable] = {}
-    exec(source if source.startswith("def ") else f"_ = {source}", _NAMESPACE, scope)
+    try:
+        exec(source if source.startswith("def ") else f"_ = {source}", _NAMESPACE, scope)
+    except (SyntaxError, RecursionError) as exc:
+        raise EvalError("expression nested too deeply to compile: Python allows 200 nested"
+                        f" parentheses ({getattr(exc, 'msg', exc)})") from None
     return scope.popitem()[1]
 
 

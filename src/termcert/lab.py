@@ -180,9 +180,12 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
     """Simulate the recurrence and aggregate termination-time statistics.
 
     Increment laws are time-inhomogeneous but identical across runs, so the
-    whole cohort advances one step at a time as a vector.  Runs alive at the
-    horizon are censored; they count toward every requested survival level
-    (exact, since T > horizon >= n) and are excluded from the mean.
+    whole cohort advances one step at a time as a vector (the random walk
+    a block of steps at a time, drawn and scanned in chunks of at most
+    2^16 steps, so memory does not grow with runs x block).  Runs
+    alive at the horizon are censored; they count toward every requested
+    survival level (exact, since T > horizon >= n) and are excluded from
+    the mean.
     """
     import numpy as np
     if tag not in TAGS:
@@ -236,48 +239,64 @@ def _simulate_two_point(gen: np.random.Generator, tag: str, alpha: float,
 
     `nonnegativity` uses the running-sum form (no reset on nonpositive
     values); the others reset, which for stopping-time purposes is the same
-    as freezing the run at its first nonpositive value.
+    as freezing the run at its first nonpositive value.  `x` holds the
+    values of the `alive` runs in order, and both drop a run when it stops.
     """
     import numpy as np
     T = np.zeros(runs, dtype=np.int64)
     x = np.full(runs, initial_value(tag), dtype=np.float64)
     alive = np.arange(runs)
     for n in range(1, horizon + 1):
+        if alive.size == 0:
+            break
         law = step_law(tag, n, alpha if tag == "noconcentration" else None)
         (up_val, p_up), (down_val, _) = law
-        u = gen.random(alive.size)
-        x[alive] += np.where(u < p_up, up_val, down_val)
-        hit = x[alive] <= 0
+        x += np.where(gen.random(alive.size) < p_up, up_val, down_val)
+        hit = x <= 0
         if hit.any():
             T[alive[hit]] = n
-            alive = alive[~hit]
-            if alive.size == 0:
-                break
+            alive, x = alive[~hit], x[~hit]
     return T
 
 
+_CHUNK_DRAWS = 1 << 16  # walk draws per `gen.integers` call, at most
+
+
 def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndarray:
-    """Symmetric +-1 walk from 1 absorbed at 0, stepped in cumsum blocks."""
+    """Symmetric +-1 walk from 1 absorbed at 0, stepped in cumsum blocks.
+
+    Each block takes its steps from one (alive x block) int8 draw, row by
+    row: the block schedule decides which draw goes to which run, so it
+    must not change without changing the statistics.  The matrix is drawn
+    and scanned a chunk of rows at a time, so memory stays bounded whatever
+    the cohort.  numpy's int8 `integers` takes 4 draws from each 32-bit word
+    and starts a fresh word on every call, so chunks whose row counts are
+    multiples of 4 read exactly the bytes of the one big call.  Prefix sums
+    fit int16 (|sum| <= block <= 4096); `x` stays int64, since it can grow
+    past int16 on long horizons.
+    """
     import numpy as np
     T = np.zeros(runs, dtype=np.int64)
-    x = np.ones(runs, dtype=np.int64)
+    x = np.ones(runs, dtype=np.int64)  # the values of the `alive` runs, in order
     alive = np.arange(runs)
     done_steps = 0
     while alive.size and done_steps < horizon:
         block = int(max(64, min(4096, 4_000_000 // max(alive.size, 1))))
         block = min(block, horizon - done_steps)
-        steps = gen.integers(0, 2, size=(alive.size, block), dtype=np.int8)
-        walk = np.cumsum(steps.astype(np.int32) * 2 - 1, axis=1, dtype=np.int64)
-        walk += x[alive, None]
-        hit_mask = walk <= 0
-        any_hit = hit_mask.any(axis=1)
-        first = np.argmax(hit_mask, axis=1)
-        hits = np.flatnonzero(any_hit)
-        if hits.size:
-            T[alive[hits]] = done_steps + first[hits] + 1
-        survivors = np.flatnonzero(~any_hit)
-        x[alive[survivors]] = walk[survivors, -1]
-        alive = alive[survivors]
+        rows = _CHUNK_DRAWS // block // 4 * 4  # at least 16
+        keep = np.ones(alive.size, dtype=bool)
+        for lo in range(0, alive.size, rows):
+            steps = gen.integers(0, 2, size=(min(rows, alive.size - lo), block), dtype=np.int8)
+            steps *= 2
+            steps -= 1
+            walk = np.cumsum(steps, axis=1, dtype=np.int16)
+            hit_mask = walk <= -x[lo:lo + rows, None]
+            hits = np.flatnonzero(hit_mask.any(axis=1))
+            if hits.size:
+                T[alive[lo + hits]] = done_steps + np.argmax(hit_mask[hits], axis=1) + 1
+                keep[lo + hits] = False
+            x[lo:lo + rows] += walk[:, -1]
+        alive, x = alive[keep], x[keep]
         done_steps += block
     return T
 

@@ -22,6 +22,7 @@ from extreal import INF, ZERO, ExtReal, extreal_max, extreal_sum_weighted
 from termcert.certificates import CertificateError
 from termcert.cfg import branch_targets, single_edge, star_targets
 from termcert.distributions import sample_from_uniform
+from termcert.lab import initial_value, step_law
 from termcert.lang import And, BinOp, Cmp, Const, EvalError, InfConst, Not, Or, Pow, Var
 from termcert.rng import make_generator
 from termcert.semantics import StackElement
@@ -455,3 +456,51 @@ def walk_loop_tail_exact(k: int) -> Fraction:
     if j <= 0:
         return Fraction(1)
     return walk_first_passage_survival_exact(j - 1)
+
+
+# ---------------------------------------------------------------------------
+# Process lab: per-run scalar reference of `termcert.lab`'s vector kernels.
+# Both read the draws in the layout the kernels were first written with:
+# the random walk takes one (alive, block) int8 `integers` call per block,
+# row i stepping the i-th run still alive; the two-point processes take one
+# `random(alive)` call per step, entry i for the i-th run still alive.
+# The laws themselves come from `lab.step_law` and `lab.initial_value`.
+# ---------------------------------------------------------------------------
+
+def walk_stopping_times(gen, runs: int, horizon: int) -> list:
+    """T per run (0 = censored) of the +-1 walk from 1, absorbed at 0."""
+    T, x = [0] * runs, [1] * runs
+    alive, done = list(range(runs)), 0
+    while alive and done < horizon:
+        block = min(max(64, min(4096, 4_000_000 // len(alive))), horizon - done)
+        still = []
+        for i, row in zip(alive, gen.integers(0, 2, size=(len(alive), block),
+                                              dtype=np.int8).tolist()):
+            for j, up in enumerate(row):
+                x[i] += 1 if up else -1
+                if x[i] <= 0:
+                    T[i] = done + j + 1
+                    break
+            else:
+                still.append(i)
+        alive, done = still, done + block
+    return T
+
+
+def two_point_stopping_times(gen, tag: str, alpha, runs: int, horizon: int) -> list:
+    """T per run (0 = censored) of a two-point lab process."""
+    T, x = [0] * runs, [initial_value(tag)] * runs
+    alive = list(range(runs))
+    for n in range(1, horizon + 1):
+        if not alive:
+            break
+        (up, p_up), (down, _) = step_law(tag, n, alpha if tag == "noconcentration" else None)
+        still = []
+        for i, u in zip(alive, gen.random(len(alive)).tolist()):
+            x[i] += up if u < p_up else down
+            if x[i] <= 0:
+                T[i] = n
+            else:
+                still.append(i)
+        alive = still
+    return T

@@ -182,6 +182,32 @@ def test_nesting_beyond_the_limit_exits_two_naming_it(tmp_path, capsys, expr, co
         assert "Traceback" not in err
 
 
+_DEEP = 250  # within the parser's 256 levels, past Python's 200 parentheses
+_HALF = _DEEP // 2
+
+
+@pytest.mark.parametrize("update, guard", [
+    ("n" + " - (n" * _DEEP + ")" * _DEEP, "n > 0"),
+    ("n" + " div 1" * _DEEP, "n > 0"),
+    ("1" + " ^ 1" * _DEEP, "n > 0"),
+    ("-" * _DEEP + "n", "n > 0"),
+    ("n - 1", " and ".join(["n > 0"] * _HALF) + " or n > 1" * _HALF),
+    ("n - 1", "not " * _DEEP + "n <= 0"),
+], ids=["right-nested-minus", "div-chain", "pow-chain", "unary-minus", "and-or", "not"])
+def test_nesting_past_python_parentheses_exits_two_naming_it(tmp_path, capsys, update, guard):
+    prog, cert = tmp_path / "deep.prob", tmp_path / "deep.cert"
+    prog.write_text(f"f(n) {{\n  while {guard} do\n    n := {update}\n  od\n}}\n")
+    cert.write_text("eps=1\nf@1: 0\nf@2: 0\nf@3: 0\n")
+    for argv in (("simulate", str(prog), "--entry", "f", "--args", "n=1", "--runs", "2",
+                  "--workers", "1"),
+                 ("check", str(prog), "--cert", str(cert), "--kind", "ranking",
+                  "--box", "n=0..1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: expression nested too deeply to compile: Python allows 200"
+                       " nested parentheses (too many nested parentheses)\n")
+
+
 def test_simulate_table_and_determinism(capsys):
     argv = ("simulate", HALVING, "--entry", "f", "--args", "n=5",
             "--dist", HALVING_DIST, "--scheduler", "uniform",

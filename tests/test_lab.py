@@ -1,9 +1,15 @@
 import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from termcert.lab import LabError, analytic, fit_tail_slope, simulate_lab, step_law
+import oracles
+from termcert import lab
+from termcert.lab import TAGS, LabError, analytic, fit_tail_slope, simulate_lab, step_law
 from termcert.rng import make_generator
 
 
@@ -145,3 +151,79 @@ def test_fit_tail_slope_recovers_exponent():
     assert slope == pytest.approx(-2.0, abs=0.01)
     with pytest.raises(LabError):
         fit_tail_slope([10], [100], 1000)
+
+
+def _reference_stopping_times(tag, runs, horizon, seed, alpha):
+    gen = make_generator(seed, 0)
+    if tag == "randomwalk":
+        return oracles.walk_stopping_times(gen, runs, horizon)
+    return oracles.two_point_stopping_times(gen, tag, alpha, runs, horizon)
+
+
+def _assert_matches_reference(tag, runs, horizon, seed, alpha=None):
+    """The whole survival histogram, the counts and the mean agree with the
+    per-run scalar reference."""
+    result = simulate_lab(tag, runs=runs, horizon=horizon, seed=seed, alpha=alpha,
+                          tail_ns=range(horizon + 1))
+    T = _reference_stopping_times(tag, runs, horizon, seed, alpha)
+    stopped = [t for t in T if t]
+    assert (result.terminated, result.censored) == (len(stopped), runs - len(stopped))
+    assert [s.count for s in result.survivals] == [
+        sum(1 for t in T if t == 0 or t > n) for n in range(horizon + 1)]
+    assert result.mean == (sum(stopped) / len(stopped) if stopped else None)
+
+
+@settings(max_examples=40)
+@given(tag=st.sampled_from(TAGS), runs=st.integers(0, 3000), horizon=st.integers(1, 3000),
+       seed=st.integers(0, 2**64 - 1))
+def test_lab_kernels_match_the_scalar_reference(tag, runs, horizon, seed):
+    # past 976 runs the walk's first block is shorter than 4096 steps (1333
+    # at 3000 runs), so horizons cross blocks; a horizon also cuts a block to
+    # lengths that are not multiples of 4, where only chunks of 4k rows keep
+    # the 32-bit words of the draws whole
+    _assert_matches_reference(tag, runs, horizon, seed, 2.0 if tag == "noconcentration" else None)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 2**64 - 1])
+def test_long_walks_match_the_scalar_reference(seed):
+    # a few of 200 walks outlive several 4096-step blocks and pass 32767
+    # steps, where x may outgrow the prefix sums' int16
+    _assert_matches_reference("randomwalk", 200, 40_000, seed)
+
+
+class _StepStream:
+    """A stand-in generator whose walk steps are `ups` ones, then zeros, in
+    draw order whatever the call shapes."""
+
+    def __init__(self, ups):
+        self.left = ups
+
+    def integers(self, low, high, size, dtype):
+        steps = np.zeros(size, dtype=dtype)
+        flat = steps.reshape(-1)
+        flat[:self.left] = 1
+        self.left -= min(self.left, flat.size)
+        return steps
+
+
+def test_walk_keeps_values_past_int16():
+    ups = 36_000  # climbs to 36001, then needs 36001 steps down to 0
+    for kernel in (lab._simulate_walk, oracles.walk_stopping_times):
+        assert list(kernel(_StepStream(ups), 1, 80_000)) == [2 * ups + 1]
+        assert list(kernel(_StepStream(ups), 1, 2 * ups)) == [0]
+
+
+def test_walk_memory_does_not_grow_with_the_cohort():
+    tracemalloc.start()
+    try:
+        simulate_lab("randomwalk", runs=50_000, horizon=1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_an_empty_cohort_steps_no_laws():
+    # cbounded's up-step 2^(n-1) leaves the doubles after n = 1024
+    result = simulate_lab("cbounded", runs=0, horizon=2000, tail_ns=[2000])
+    assert (result.terminated, result.censored, result.survival(2000).count) == (0, 0, 0)
