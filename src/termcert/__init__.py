@@ -24,8 +24,8 @@ _EXPORTS = {
                "concentration_tail", "lower_expected", "markov_tail", "upper_expected"),
     "certificates": ("CertificateError", "Certificate", "CertParams", "CertPiece",
                      "load_certificate", "parse_certificate"),
-    "cfg": ("Cfg", "CfgError", "CfgFunction", "StackElement", "ThetaIndex", "Transition",
-            "build_cfg", "dump_cfg", "theta_fixpoint"),
+    "cfg": ("Cfg", "CfgError", "CfgFunction", "StackElement", "ThetaIndex", "build_cfg",
+            "dump_cfg", "theta_fixpoint"),
     "checker": ("CheckReport", "CheckerError", "ConditionFailure", "VerifyBox", "check_cdb",
                 "check_db", "check_ranking", "check_super", "run_check"),
     "distributions": ("DiscreteDist", "DistributionError", "SamplingFunction",

@@ -1,8 +1,12 @@
-"""The single evaluator of termcert: expressions, guards, CFG payloads,
-certificate stanzas and the simulator's run loop, compiled to Python.
+"""The single evaluator of termcert: expressions, guards, certificate
+stanzas, the CFG's update and call nodes, and the simulator's run loop,
+compiled to Python.
 
 Everything that evaluates a program or a certificate goes through here: the
-checker, the run loop, the schedulers and `Certificate.value`.  The
+checker compiles a node's guard (`compile_pred`), update (`compile_update`)
+or argument passing (`compile_call_args`) as it reaches the node's label;
+`compile_runner` emits one function per resume point of the node table, and
+`Certificate.value` and the schedulers use `compile_stanza`.  The
 interpretive reference that the tests compare against lives in
 `tests/oracles.py`.
 
@@ -26,8 +30,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .lang import (_PRECEDENCE, And, BinOp, Cmp, Const, EvalError, Expr, InfConst, Not, Or, Pow,
                    Pred, Var)
-
-OP_BRANCH, OP_ASSIGN, OP_CALL, OP_NONDET, OP_EXIT = range(5)
 
 MISS = object()
 
@@ -148,58 +150,17 @@ def compile_update(var: Optional[str], expr: Optional[Expr],
     return compile_lambda(f"lambda v, m: {_tuple(slots)}")
 
 
-def _args_code(payload, names: Dict[str, str]) -> str:
-    """The callee valuation tuple of a call: parameters bound, locals zero."""
-    by_param = dict(zip(payload.params, payload.args))
+def _args_code(site, names: Dict[str, str]) -> str:
+    """The callee valuation tuple of a call node (`cfg.CallSite`):
+    parameters bound, locals zero."""
+    by_param = dict(zip(site.params, site.args))
     return _tuple(expr_code(by_param[name], names) if name in by_param else "0"
-                  for name in payload.callee_vars)
+                  for name in site.callee_vars)
 
 
-def compile_call_args(payload, caller_pvars: Tuple[str, ...]) -> Callable:
+def compile_call_args(site, caller_pvars: Tuple[str, ...]) -> Callable:
     """fn(v) -> callee valuation tuple."""
-    return compile_lambda(f"lambda v: {_args_code(payload, _slots(caller_pvars, 'v'))}")
-
-
-def compile_op(cfg, fname: str, label: int) -> tuple:
-    """The op of (fname, label), in the one format every consumer reads:
-
-        (OP_BRANCH, guard_fn, true_target, false_target)
-        (OP_ASSIGN, update_fn, sampling_vars, target)
-        (OP_CALL, args_fn, callee, callee_entry, target)
-        (OP_NONDET, then_target, else_target)
-        (OP_EXIT,)
-
-    Each consumer adds its own distribution data (joint-support outcomes,
-    sampling thresholds) to the assignment ops.
-    """
-    fn = cfg.function(fname)
-    if label == fn.exit:
-        return (OP_EXIT,)
-    edges = fn.out_edges(label)  # sorted: the true/then edge comes first
-    if not edges:
-        raise KeyError(f"{fname} has no label {label}")
-    p, target = edges[0].payload, edges[0].target
-    if label in fn.branching:
-        return (OP_BRANCH, compile_pred(p.pred, fn.pvars), target, edges[1].target)
-    if label in fn.nondet:
-        return (OP_NONDET, target, edges[1].target)
-    if label in fn.call:
-        return (OP_CALL, compile_call_args(p, fn.pvars),
-                p.callee, cfg.function(p.callee).entry, target)
-    return (OP_ASSIGN, compile_update(p.var, p.expr, fn.pvars, p.sampling_vars),
-            p.sampling_vars, target)
-
-
-class OpTable(dict):
-    """(fname, label) -> op of one CFG, compiled on first lookup."""
-
-    def __init__(self, cfg):
-        super().__init__()
-        self.cfg = cfg
-
-    def __missing__(self, key):
-        op = self[key] = compile_op(self.cfg, *key)
-        return op
+    return compile_lambda(f"lambda v: {_args_code(site, _slots(caller_pvars, 'v'))}")
 
 
 _NESTING = 40  # branch levels per segment; deeper code starts a segment of its own
@@ -218,16 +179,17 @@ def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable
     testing the cap `cap` and counting a step, until a call, the exit,
     another resume point or the cap, and loops at its own label.  Stars
     follow the scheduler `kind`: always-then, always-else, a uniform draw
-    below 0.5 (uniform) or a chooser (greedy-*).  Sampling variables map a
-    uniform draw through their thresholds as `sample_from_uniform` does; an
-    EvalError is raised again naming its label.  A uniform draw pops the
-    list `dr` (the run's next draws, last first) and calls `nxt()`, which
-    refills it and returns the next draw, only when `dr` is empty.
+    below 0.5 (uniform) or a chooser (greedy-*).  A sampling variable maps a
+    uniform draw u to the first value whose cumulative threshold exceeds u,
+    or else the last value; an EvalError is raised again naming its label.
+    A uniform draw pops the list `dr` (the run's next draws, last first) and
+    calls `nxt()`, which refills it and returns the next draw, only when
+    `dr` is empty.
     """
     segs = {}
     for fidx, fn in enumerate(cfg.functions):
-        indegree = Counter(t.target for t in fn.transitions)
-        starts = {fn.entry, *(t.target for t in fn.transitions if t.source in fn.call),
+        indegree = Counter(t for node in fn.nodes.values() for t in node.targets)
+        starts = {fn.entry, *(node.target for node in fn.nodes.values() if node.kind == "call"),
                   *(label for label, n in indegree.items() if n > 1)}
         if fn.name == entry[0]:
             starts.add(entry[1])
@@ -260,43 +222,44 @@ def _segment(cfg, sf, fn, start, segs, todo, kind, stars) -> list:
                 lines.append(pad + "if st >= cap: return st")
             lines.append(pad + "st += 1")
             where = f'except EvalError as e: raise EvalError(f"{{e}} at ({fn.name}, {label})") from None'
-            edges = fn.out_edges(label)  # sorted: the true/then edge comes first
-            p, target = edges[0].payload, edges[0].target
-            if label in fn.nondet and kind.startswith("always"):
-                target = edges[kind == "always-else"].target
-            elif label in fn.branching or label in fn.nondet:
-                if label in fn.branching:
-                    test = pred_code(p.pred, names)
+            node = fn.nodes[label]
+            if node.kind == "nondet" and kind.startswith("always"):
+                target = node.orelse if kind == "always-else" else node.then
+            elif node.kind in ("branching", "nondet"):
+                yes, no = node.targets
+                if node.kind == "branching":
+                    test = pred_code(node.pred, names)
                 elif kind == "uniform":
                     test = f"({_DRAW}) < 0.5"
                 else:
                     test = f"c{len(stars)}({', '.join(names.values())})"
-                    stars.append((fn, target, edges[1].target))
+                    stars.append((fn, yes, no))
                 lines.extend([pad + f"try: b = {test}", pad + where, pad + "if b:"])
-                goto(target, pad + "    ", vals)
+                goto(yes, pad + "    ", vals)
                 lines.append(pad + "else:")
-                goto(edges[1].target, pad + "    ", vals)
+                goto(no, pad + "    ", vals)
                 return
-            elif label in fn.call:
-                callee = f"({segs[p.callee, cfg.function(p.callee).entry]}, a)"
-                lines.extend([pad + f"try: a = {_args_code(p, names)}", pad + where])
-                if target == fn.exit:
+            elif node.kind == "call":
+                callee = f"({segs[node.callee, cfg.function(node.callee).entry]}, a)"
+                lines.extend([pad + f"try: a = {_args_code(node, names)}", pad + where])
+                if node.target == fn.exit:
                     lines.extend([pad + f"stk[-1] = {callee}", pad + "return st"])
                 else:
-                    lines.extend([pad + f"stk[-1] = ({segs[fn.name, target]}, {vals})",
+                    lines.extend([pad + f"stk[-1] = ({segs[fn.name, node.target]}, {vals})",
                                   pad + f"stk.append({callee})", pad + "return st"])
                 return
             else:
                 drawn = {}
-                for j, svar in enumerate(p.sampling_vars):
+                for j, svar in enumerate(node.sampling_vars):
                     *cuts, (_, last) = sf.dist(svar).thresholds()
                     chain = "".join(f"{value!r} if u < {cut!r} else " for cut, value in cuts)
                     lines.append(pad + f"u = {_DRAW}; m{j} = {chain}{last!r}")
                     drawn[svar] = f"m{j}"
-                if p.var is not None:
-                    code = expr_code(p.expr, {**drawn, **names})
-                    lines.extend([pad + f"try: {names[p.var]} = {code}", pad + where])
+                if node.var is not None:
+                    code = expr_code(node.expr, {**drawn, **names})
+                    lines.extend([pad + f"try: {names[node.var]} = {code}", pad + where])
                     vals = fresh
+                target = node.target
             if not inline(target):
                 return goto(target, pad, vals)
             label = target

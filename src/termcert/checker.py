@@ -12,8 +12,9 @@ when such a point shows up as a *successor* its value is infinity.  Ranking's
 conditions hold vacuously where the value is infinite.
 
 All arithmetic is exact (integers and rationals), so verdicts are
-reproducible bit for bit; guards, updates and certificate pieces are
-compiled once per label (see `_compile`).
+reproducible bit for bit; a label's guard, update or argument passing and
+its certificate stanzas are compiled when the scan reaches the label (see
+`_compile`).
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import InputError
-from ._compile import (MISS, OP_ASSIGN, OP_BRANCH, OP_CALL, OP_EXIT, OP_NONDET, cert_value,
+from ._compile import (MISS, cert_value, compile_call_args, compile_pred, compile_update,
                        point_text)
 from ._compile import format_value as _fmt
 from ._compile import value_le as _le
 from ._pool import fan_out
 from ._record import record
 from .certificates import CHECK_KINDS, Certificate, CertParams
-from .cfg import Cfg
+from .cfg import Cfg, CfgFunction
 from .distributions import SamplingFunction
 from .lang import EvalError
 
@@ -236,31 +237,35 @@ class _Law:
         return True, None, cap, ""
 
 
-def _law(op: tuple, fname: str, stanzas: Dict, sf: SamplingFunction) -> Optional[_Law]:
-    """The successor law of a label from its compiled op; None at the exit."""
-    code = op[0]
-    if code == OP_ASSIGN:
-        _, update, svars, target = op
-        after = stanzas[(fname, target)]
+def _stanza(cert: Certificate, fn: CfgFunction, label: int) -> Callable:
+    return cert._stanza(fn.name, label, fn.pvars, label == fn.exit)
+
+
+def _law(cert: Certificate, cfg: Cfg, sf: SamplingFunction, fn: CfgFunction,
+         label: int) -> Optional[_Law]:
+    """The successor law at a label of `fn`, from its node; None at the exit."""
+    if label == fn.exit:
+        return None
+    node = fn.nodes[label]
+    if node.kind == "assignment":
+        update = compile_update(node.var, node.expr, fn.pvars, node.sampling_vars)
+        after, svars = _stanza(cert, fn, node.target), node.sampling_vars
         support = list(sf.joint_support_over(svars))
         moves = [tuple(mu[s] for s in svars) for mu, _ in support]
         return _Law(lambda vals: [cert_value(after, update(vals, m)) for m in moves],
                     [w for _, w in support],
                     [", ".join(f"{s}={mu[s]}" for s in svars) for mu, _ in support])
-    if code == OP_CALL:
-        _, args_fn, callee, callee_entry, target = op
-        enter, back = stanzas[(callee, callee_entry)], stanzas[(fname, target)]
+    if node.kind == "call":
+        args_fn, callee = compile_call_args(node, fn.pvars), cfg.function(node.callee)
+        enter, back = _stanza(cert, callee, callee.entry), _stanza(cert, fn, node.target)
         return _Law(lambda vals: (_plus(cert_value(enter, args_fn(vals)),
                                         cert_value(back, vals)),))
-    if code == OP_BRANCH:
-        _, pred_fn, t1, t2 = op
-        yes, no = stanzas[(fname, t1)], stanzas[(fname, t2)]
+    if node.kind == "branching":
+        pred_fn = compile_pred(node.pred, fn.pvars)
+        yes, no = _stanza(cert, fn, node.yes), _stanza(cert, fn, node.no)
         return _Law(lambda vals: (cert_value(yes if pred_fn(vals) else no, vals),))
-    if code == OP_NONDET:
-        _, t1, t2 = op
-        then, other = stanzas[(fname, t1)], stanzas[(fname, t2)]
-        return _Law(lambda vals: (cert_value(then, vals), cert_value(other, vals)))
-    return None
+    then, other = _stanza(cert, fn, node.then), _stanza(cert, fn, node.orelse)
+    return _Law(lambda vals: (cert_value(then, vals), cert_value(other, vals)))
 
 
 @record(frozen=True)
@@ -301,18 +306,19 @@ _KINDS = {  # a row per family of CHECK_KINDS, in its order
 
 _TERMINAL_ZERO = ("terminal-zero", lambda law, h, p: (h == 0, h, 0, ""))
 _NONZERO = ("nonterminal-nonzero", lambda law, h, p: (h != 0, h, "> 0", ""))
-_PREFIX = {OP_CALL: "call-", OP_BRANCH: "branch-", OP_NONDET: "nondet-"}
+_PREFIX = {"call": "call-", "branching": "branch-", "nondet": "nondet-"}
 
 
-def _label_conditions(kind: _Kind, code: int):
+def _label_conditions(kind: _Kind, label_class: str):
     """(name, condition) pairs binding at every covered point, and all."""
-    if code == OP_EXIT:
+    if label_class == "terminal":
         plain = (_TERMINAL_ZERO,) if kind.zero_at_exit else ()
         return plain, plain
     plain = (_NONZERO,) if kind.nonzero else ()
-    return plain, plain + tuple((name if code == OP_ASSIGN else _PREFIX[code] + suffix, cond)
+    assign = label_class == "assignment"
+    return plain, plain + tuple((name if assign else _PREFIX[label_class] + suffix, cond)
                                 for name, suffix, cond in kind.conditions
-                                if code == OP_ASSIGN or suffix)
+                                if assign or suffix)
 
 
 def _kind_params(kind: str, cert: Certificate, **overrides) -> CertParams:
@@ -330,14 +336,9 @@ def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
     """Scan the (fname, label) units lo..hi-1 in order, stopping before the
     first unit that would start once `conditions` reaches `budget`.  Returns
     (failures, points, skipped, conditions) and the first unit not scanned;
-    an evaluation error stops the scan and is raised, naming its point."""
+    an evaluation error stops the scan and is raised, naming its point.  A
+    unit's stanza and successor law are built when the scan reaches it."""
     row = _KINDS[kind]
-    ops = cfg._ops
-    stanzas = {
-        (fn.name, label): cert._stanza(fn.name, label, fn.pvars, label == fn.exit)
-        for fn in cfg.functions for label in fn.labels()
-    }
-    laws = {key: _law(ops[key], key[0], stanzas, sf) for key in stanzas}
     failures: List[ConditionFailure] = []
     checked = skipped = conditions = 0
     end = hi
@@ -346,9 +347,10 @@ def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
             end = at
             break
         fname, label = units[at]
-        pvars = cfg.function(fname).pvars
-        stanza, law = stanzas[(fname, label)], laws[(fname, label)]
-        plain, every = _label_conditions(row, ops[(fname, label)][0])
+        fn = cfg.function(fname)
+        pvars = fn.pvars
+        stanza, law = _stanza(cert, fn, label), _law(cert, cfg, sf, fn, label)
+        plain, every = _label_conditions(row, fn.label_class(label))
         seen_failed: set = set()
         try:
             for vals in box.tuples(pvars):

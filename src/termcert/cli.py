@@ -283,8 +283,8 @@ def _cmd_cfg(args) -> int:
                 "entry": fn.entry,
                 "exit": fn.exit,
                 "edges": [
-                    {"source": t.source, "payload": t.payload.render(), "target": t.target}
-                    for t in fn.transitions
+                    {"source": source, "payload": text, "target": target}
+                    for source, text, target in fn.edges()
                 ],
             }
             for fn in sorted(cfg.functions, key=lambda f: f.name)

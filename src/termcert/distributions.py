@@ -90,13 +90,6 @@ class DiscreteDist:
         return "; ".join(f"{v} {p}" for v, p in self.support)
 
 
-def sample_from_uniform(thresholds: Tuple[Tuple[float, int], ...], u: float) -> int:
-    for cutoff, v in thresholds:
-        if u < cutoff:
-            return v
-    return thresholds[-1][1]
-
-
 @record(frozen=True)
 class SamplingFunction:
     """Per-variable distributions plus the induced joint distribution."""

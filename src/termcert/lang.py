@@ -225,10 +225,6 @@ class Program:
     def function_names(self) -> Tuple[str, ...]:
         return tuple(f.name for f in self.functions)
 
-    @property
-    def builtin_dist_map(self) -> Dict[str, DiscreteDist]:
-        return dict(self.builtin_dists)
-
     @cached_property
     def _program_vars(self) -> frozenset:
         """Every identifier that is a program variable somewhere in the
@@ -413,7 +409,7 @@ def format_pred(pred: Pred, parent_prec: int = 0) -> str:
 
 def pretty_print(prog: Program) -> str:
     """Concrete syntax that re-parses to a structurally equal program."""
-    builtin = prog.builtin_dist_map
+    builtin = dict(prog.builtin_dists)
     chunks = []
     for f in prog.functions:
         lines = [f"{f.name}({', '.join(f.params)}) {{"]

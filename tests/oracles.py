@@ -20,8 +20,6 @@ import numpy as np
 
 from extreal import INF, ZERO, ExtReal, extreal_max, extreal_sum_weighted
 from termcert.certificates import CertificateError
-from termcert.cfg import branch_targets, single_edge, star_targets
-from termcert.distributions import sample_from_uniform
 from termcert.lab import initial_value, step_law
 from termcert.lang import And, BinOp, Cmp, Const, EvalError, InfConst, Not, Or, Pow, Var
 from termcert.rng import make_generator
@@ -114,12 +112,13 @@ def h_at(cert, cfg, fname, label, nu):
     return cert_value(cert, fname, label, nu, is_terminal=label == fn.exit)
 
 
-def apply_update(payload, nu, mu) -> Valuation:
-    if payload.var is None:
+def apply_update(node, nu, mu) -> Valuation:
+    """The valuation after an assignment node (`cfg.Update`)."""
+    if node.var is None:
         return nu
-    value = eval_expr(payload.expr, nu, mu)
+    value = eval_expr(node.expr, nu, mu)
     assert value.denominator == 1
-    return Valuation({var: value.numerator if var == payload.var else old
+    return Valuation({var: value.numerator if var == node.var else old
                       for var, old in zip(nu.variables, nu.values)})
 
 
@@ -130,9 +129,10 @@ def box_points(box, variables):
         yield Valuation(dict(zip(names, combo)))
 
 
-def pass_values(payload, nu) -> Valuation:
-    bindings = {v: 0 for v in payload.callee_vars}
-    for param, arg in zip(payload.params, payload.args):
+def pass_values(site, nu) -> Valuation:
+    """The callee's entry valuation at a call node (`cfg.CallSite`)."""
+    bindings = {v: 0 for v in site.callee_vars}
+    for param, arg in zip(site.params, site.args):
         bindings[param] = int(eval_expr(arg, nu))
     return Valuation(bindings)
 
@@ -159,28 +159,32 @@ def step(state, action, mu_prime, cfg) -> MdpState:
         return MdpState((), mu_prime)
     top, rest = state.config[0], state.config[1:]
     fn = cfg.function(top.fname)
-    cls = fn.label_class(top.label)
+    cls, node = fn.label_class(top.label), fn.nodes[top.label]
     nu = top.valuation
     if cls == "call":
-        edge = single_edge(fn, top.label)
-        callee = StackElement(edge.payload.callee, cfg.function(edge.payload.callee).entry,
-                              pass_values(edge.payload, nu))
-        if edge.target != fn.exit:
-            rest = (StackElement(top.fname, edge.target, nu),) + rest
+        callee = StackElement(node.callee, cfg.function(node.callee).entry,
+                              pass_values(node, nu))
+        if node.target != fn.exit:
+            rest = (StackElement(top.fname, node.target, nu),) + rest
         return MdpState((callee,) + rest, mu_prime)
     if cls == "assignment":
-        edge = single_edge(fn, top.label)
-        nu = apply_update(edge.payload, nu, mu_prime)
-        target = edge.target
+        nu = apply_update(node, nu, mu_prime)
+        target = node.target
     elif cls == "branching":
-        pred, t_true, t_false = branch_targets(fn, top.label)
-        target = t_true if eval_pred(pred, nu) else t_false
+        target = node.yes if eval_pred(node.pred, nu) else node.no
     else:
-        t_then, t_else = star_targets(fn, top.label)
-        target = t_then if action == ACTION_THEN else t_else
+        target = node.then if action == ACTION_THEN else node.orelse
     if target == fn.exit:
         return MdpState(rest, mu_prime)
     return MdpState((StackElement(top.fname, target, nu),) + rest, mu_prime)
+
+
+def sample_from_uniform(thresholds, u: float) -> int:
+    """Inverse CDF: the first value whose cumulative threshold exceeds u."""
+    for cutoff, v in thresholds:
+        if u < cutoff:
+            return v
+    return thresholds[-1][1]
 
 
 def draws(dist, seed, stream, n):
@@ -190,17 +194,25 @@ def draws(dist, seed, stream, n):
             for u in make_generator(seed, stream).random(n).tolist()]
 
 
+VALUE_BITS = 4096  # a coin run ends once a value grows past this many bits
+
+
 def coin_run(cfg, sf, entry, seed, max_steps):
     """The states of one run from `entry`, of at most `max_steps` steps, that
     flips a fair coin at each nondeterministic label.  Coins and each step's
     joint sample are drawn from the stream (seed, 0), through the
-    simulator's sampler."""
+    simulator's sampler.  The run also ends at a state holding a value of
+    more than VALUE_BITS bits: an update such as `m := m * m * (-1 - m)`
+    cubes its value on every loop turn, and exact arithmetic on such values
+    would not finish within the step bound's worth of time."""
     us = iter(make_generator(seed).random((1 + len(sf.variables)) * max_steps).tolist())
     states = [MdpState((entry,), Valuation({}))]
-    while not states[-1].terminated and len(states) <= max_steps:
+    while not states[-1].terminated and len(states) <= max_steps and all(
+            abs(value).bit_length() <= VALUE_BITS
+            for element in states[-1].config for value in element.valuation.values):
         top = states[-1].config[0]
         action = ACTION_TAU
-        if top.label in cfg.function(top.fname).nondet:
+        if cfg.function(top.fname).label_class(top.label) == "nondet":
             action = ACTION_THEN if next(us) < 0.5 else ACTION_ELSE
         mu = Valuation({s: sample_from_uniform(sf.dist(s).thresholds(), next(us))
                         for s in sf.variables})
@@ -211,7 +223,8 @@ def coin_run(cfg, sf, entry, seed, max_steps):
 def greedy_takes_then(cert, kind, cfg, top) -> bool:
     """greedy-max takes the larger certificate value, greedy-min the smaller,
     both the then-branch on ties."""
-    t_then, t_else = star_targets(cfg.function(top.fname), top.label)
+    star = cfg.function(top.fname).nodes[top.label]
+    t_then, t_else = star.then, star.orelse
     h_then = h_at(cert, cfg, top.fname, t_then, top.valuation)
     h_else = h_at(cert, cfg, top.fname, t_else, top.valuation)
     return h_then >= h_else if kind == "greedy-max" else h_then <= h_else
@@ -225,28 +238,24 @@ def successor_profile(cert, cfg, sf, fname, label, nu):
     """(kind, data) describing the h-values one step after (fname, label, nu)."""
     fn = cfg.function(fname)
     cls = fn.label_class(label)
+    if cls == "terminal":
+        return ("terminal", None)
+    node = fn.nodes[label]
     if cls == "assignment":
-        edge = single_edge(fn, label)
         outcomes = []
-        for mu, w in sf.joint_support_over(edge.payload.sampling_vars):
-            outcomes.append((w, h_at(cert, cfg, fname, edge.target,
-                                     apply_update(edge.payload, nu, mu))))
+        for mu, w in sf.joint_support_over(node.sampling_vars):
+            outcomes.append((w, h_at(cert, cfg, fname, node.target, apply_update(node, nu, mu))))
         return ("assignment", outcomes)
     if cls == "call":
-        edge = single_edge(fn, label)
-        callee = cfg.function(edge.payload.callee)
-        total = (h_at(cert, cfg, edge.payload.callee, callee.entry,
-                      pass_values(edge.payload, nu))
-                 + h_at(cert, cfg, fname, edge.target, nu))
+        callee = cfg.function(node.callee)
+        total = (h_at(cert, cfg, node.callee, callee.entry, pass_values(node, nu))
+                 + h_at(cert, cfg, fname, node.target, nu))
         return ("one", total)
     if cls == "branching":
-        pred, t1, t2 = branch_targets(fn, label)
-        target = t1 if eval_pred(pred, nu) else t2
+        target = node.yes if eval_pred(node.pred, nu) else node.no
         return ("one", h_at(cert, cfg, fname, target, nu))
-    if cls == "nondet":
-        t1, t2 = star_targets(fn, label)
-        return ("pair", (h_at(cert, cfg, fname, t1, nu), h_at(cert, cfg, fname, t2, nu)))
-    return ("terminal", None)
+    return ("pair", (h_at(cert, cfg, fname, node.then, nu),
+                     h_at(cert, cfg, fname, node.orelse, nu)))
 
 
 def point_conditions(kind, params, cert, cfg, sf, fname, label, nu):
@@ -276,7 +285,7 @@ def point_conditions(kind, params, cert, cfg, sf, fname, label, nu):
     _, data = successor_profile(cert, cfg, sf, fname, label, nu)
 
     if cls == "assignment":
-        svars = single_edge(fn, label).payload.sampling_vars
+        svars = fn.nodes[label].sampling_vars
         texts = [", ".join(f"{s}={mu[s]}" for s in svars)
                  for mu, _ in sf.joint_support_over(svars)]
         mean = ZERO

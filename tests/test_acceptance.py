@@ -62,8 +62,8 @@ def test_criterion_1_cfg_dump_matches_golden(halving):
     gate.check(dump == GOLDEN_CFG.read_text(), "dump equals frozen golden file")
     f = cfg.function("f")
     g = cfg.function("g")
-    gate.check(len(f.transitions) == 8 and len(g.transitions) == 5,
-               f"edge counts f={len(f.transitions)} g={len(g.transitions)} (8/5)")
+    edges_f, edges_g = len(list(f.edges())), len(list(g.edges()))
+    gate.check(edges_f == 8 and edges_g == 5, f"edge counts f={edges_f} g={edges_g} (8/5)")
     gate.finish()
 
 

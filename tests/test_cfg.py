@@ -1,7 +1,7 @@
 from pathlib import Path
 
 from termcert._compile import compile_call_args
-from termcert.cfg import CallPayload, build_cfg, dump_cfg, star_targets
+from termcert.cfg import Branch, CallSite, Star, Update, build_cfg, dump_cfg
 from termcert.fixtures import load_cfg_fixture
 from termcert.lang import label_program
 from termcert.parser import parse_program
@@ -10,15 +10,15 @@ from termcert.valuation import Valuation
 GOLDEN = Path(__file__).parent / "golden" / "halving_game_cfg.txt"
 
 
-def value_passing(call, nu):
+def value_passing(site, nu):
     """Callee entry valuation through the compiled call: parameters from
     arguments, all else zero."""
-    values = compile_call_args(call, nu.variables)(nu.values)
-    return Valuation(dict(zip(call.callee_vars, values)))
+    values = compile_call_args(site, nu.variables)(nu.values)
+    return Valuation(dict(zip(site.callee_vars, values)))
 
 
 def edge_set(fn):
-    return {(t.source, t.payload.render(), t.target) for t in fn.transitions}
+    return set(fn.edges())
 
 
 def test_halving_game_exact_edges(halving):
@@ -35,8 +35,8 @@ def test_halving_game_exact_edges(halving):
         (6, "id", 7),
     }
     assert f.entry == 1 and f.exit == 7
-    assert f.branching == {1} and f.nondet == {2}
-    assert f.call == {3, 4, 5} and f.assignment == {6}
+    assert [f.label_class(label) for label in f.labels()] == [
+        "branching", "nondet", "call", "call", "call", "assignment", "terminal"]
 
     g = cfg.function("g")
     assert edge_set(g) == {
@@ -55,6 +55,7 @@ def test_skip_program_lowers_to_identity_edge():
     assert edge_set(fn) == {(1, "id", 2)}
     assert fn.exit == 2
     assert fn.label_class(1) == "assignment"
+    assert fn.nodes == {1: Update(None, None, (), 2)}
 
 
 def test_while_loop_head_doubles_as_body_continuation(walk):
@@ -68,43 +69,43 @@ def test_while_loop_head_doubles_as_body_continuation(walk):
         (2, "n := n + s", 1),
     }
     assert g.entry == 1 and g.exit == 3
+    assert isinstance(g.nodes[2], Update) and g.nodes[2].target == 1
 
 
 def test_out_degree_invariant_per_label_class(halving, walk, coins):
+    # one node per label but the exit, whose targets are its edges' targets
     for cfg in (halving[0], walk[0], coins[0]):
         for fn in cfg.functions:
-            for label in fn.labels():
-                edges = fn.out_edges(label)
-                cls = fn.label_class(label)
-                if cls in ("assignment", "call"):
-                    assert len(edges) == 1
-                elif cls in ("branching", "nondet"):
-                    assert len(edges) == 2
-                else:
-                    assert edges == ()
+            assert sorted(fn.nodes) == [label for label in fn.labels() if label != fn.exit]
+            for label, node in fn.nodes.items():
+                assert node.kind == fn.label_class(label)
+                assert len(node.targets) == (2 if node.kind in ("branching", "nondet") else 1)
+                assert [target for _, target in node.edges()] == list(node.targets)
+            assert fn.label_class(fn.exit) == "terminal"
 
 
 def test_branching_predicates_are_exact_complements(halving):
     cfg, _, _ = halving
-    fn = cfg.function("f")
-    edges = fn.out_edges(1)
-    pos = [t for t in edges if not t.payload.negated][0]
-    neg = [t for t in edges if t.payload.negated][0]
-    assert pos.payload.pred is neg.payload.pred
+    node = cfg.function("f").nodes[1]
+    assert isinstance(node, Branch) and (node.yes, node.no) == (2, 6)
+    (pos, _), (neg, _) = node.edges()
+    assert neg == f"not ({pos})"
 
 
 def test_star_orientation_recorded(halving):
     cfg, _, _ = halving
-    assert star_targets(cfg.function("f"), 2) == (3, 5)
+    node = cfg.function("f").nodes[2]
+    assert node == Star(3, 5) and node.targets == (3, 5)
+    assert list(node.edges()) == [("star:then", 3), ("star:else", 5)]
 
 
 def test_value_passing_examples(halving):
     cfg, _, _ = halving
     f = cfg.function("f")
-    call_at_3 = f.out_edges(3)[0].payload
-    assert isinstance(call_at_3, CallPayload)
+    call_at_3 = f.nodes[3]
+    assert isinstance(call_at_3, CallSite)
     assert value_passing(call_at_3, Valuation({"n": 5})) == Valuation({"n": 2})
-    call_at_5 = f.out_edges(5)[0].payload
+    call_at_5 = f.nodes[5]
     assert value_passing(call_at_5, Valuation({"n": 1})) == Valuation({"n": 0})
 
 
@@ -112,8 +113,7 @@ def test_value_passing_defaults_locals_to_zero():
     prog = label_program(parse_program(
         "f(n) { g(n + 1) } g(m) { x := m; x := x + 1 }"))
     cfg = build_cfg(prog)
-    payload = cfg.function("f").out_edges(1)[0].payload
-    passed = value_passing(payload, Valuation({"n": 4}))
+    passed = value_passing(cfg.function("f").nodes[1], Valuation({"n": 4}))
     assert passed == Valuation({"m": 5, "x": 0})
 
 
@@ -123,10 +123,11 @@ def test_every_label_reachable(halving, walk, coins):
         for fn in cfg.functions:
             seen, frontier = {fn.entry}, [fn.entry]
             while frontier:
-                for t in fn.out_edges(frontier.pop()):
-                    if t.target not in seen:
-                        seen.add(t.target)
-                        frontier.append(t.target)
+                label = frontier.pop()
+                for target in fn.nodes[label].targets if label != fn.exit else ():
+                    if target not in seen:
+                        seen.add(target)
+                        frontier.append(target)
             assert seen == set(fn.labels())
 
 
@@ -142,8 +143,7 @@ def test_dump_is_deterministic(halving):
 
 def test_floor_division_rounds_toward_negative_infinity():
     cfg = load_cfg_fixture("halving_game")
-    payload = cfg.function("f").out_edges(3)[0].payload
-    assert value_passing(payload, Valuation({"n": -3})) == Valuation({"n": -2})
+    assert value_passing(cfg.function("f").nodes[3], Valuation({"n": -3})) == Valuation({"n": -2})
 
 
 def test_build_cfg_classifies_program_variables_once(monkeypatch):

@@ -403,6 +403,7 @@ def test_simulate_rejects_negative_workers(capsys, inline_pool):
 
 def test_zero_workers_means_every_core(capsys, halving, inline_pool, monkeypatch):
     # in the CLI and the library alike: min(3 cores, labels or runs left)
+    # workers, this process and a pool of the others
     import os
 
     from termcert import Scheduler, StackElement, Valuation, simulate
@@ -421,4 +422,4 @@ def test_zero_workers_means_every_core(capsys, halving, inline_pool, monkeypatch
         capsys, "simulate", HALVING, "--dist", HALVING_DIST, "--entry", "f",
         "--args", "n=5", "--runs", "10", "--workers", "0")
     assert code == 0
-    assert sizes == [3, 2, 3, 3]
+    assert sizes == [2, 1, 2, 2]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from extreal import ExtReal
 from termcert.certificates import CertPiece, Certificate, CertificateError, CertParams
-from termcert.cfg import build_cfg, single_edge, theta_fixpoint
+from termcert.cfg import build_cfg, theta_fixpoint
 from termcert.checker import VerifyBox, check_cdb, check_db, check_ranking, check_super
 from termcert.distributions import DiscreteDist, DistributionError, SamplingFunction
 from termcert.lang import (
@@ -233,7 +233,7 @@ def test_stack_discipline(seed):
         assert delta in (-1, 0, 1)
         if delta == 1:
             top = before.config[0]
-            assert top.label in cfg.function(top.fname).call
+            assert cfg.function(top.fname).label_class(top.label) == "call"
 
 
 @settings(max_examples=1000)
@@ -285,7 +285,7 @@ def test_cfg_out_degree_invariant(seed):
     cfg = build_cfg(rand_program(seed))
     for fn in cfg.functions:
         for label in fn.labels():
-            out = len(fn.out_edges(label))
+            out = len(list(fn.nodes[label].edges())) if label in fn.nodes else 0
             cls = fn.label_class(label)
             expected = {"assignment": 1, "call": 1, "branching": 2,
                         "nondet": 2, "terminal": 0}[cls]
@@ -300,8 +300,10 @@ def test_theta_stabilizes_within_label_count(seed):
     total_labels = sum(len(fn.labels()) for fn in cfg.functions)
     assert theta.m_star <= total_labels
     for fn in cfg.functions:
-        for label in fn.assignment | {fn.exit}:
-            assert theta.covered(fn.name, label)
+        for label in fn.labels():
+            if fn.label_class(label) not in ("assignment", "terminal"):
+                continue
+            assert (fn.name, label) in theta.members
             assert theta.K[(fn.name, label)] == 0
 
 
@@ -328,18 +330,16 @@ def test_compiled_certificate_value_matches_interpretive_reference(seed):
         for label in fn.labels():
             for nu in oracles.box_points(BOX, fn.pvars):
                 points = [(fn.name, label, nu)]
-                cls = fn.label_class(label)
+                cls, node = fn.label_class(label), fn.nodes.get(label)
                 if cls == "assignment":
-                    edge = single_edge(fn, label)
-                    points += [(fn.name, edge.target, oracles.apply_update(edge.payload, nu, mu))
-                               for mu, _ in sf.joint_support_over(edge.payload.sampling_vars)]
+                    points += [(fn.name, node.target, oracles.apply_update(node, nu, mu))
+                               for mu, _ in sf.joint_support_over(node.sampling_vars)]
                 elif cls == "call":
-                    edge = single_edge(fn, label)
-                    callee = cfg.function(edge.payload.callee)
-                    points += [(callee.name, callee.entry, oracles.pass_values(edge.payload, nu)),
-                               (fn.name, edge.target, nu)]
+                    callee = cfg.function(node.callee)
+                    points += [(callee.name, callee.entry, oracles.pass_values(node, nu)),
+                               (fn.name, node.target, nu)]
                 elif cls != "terminal":
-                    points += [(fn.name, t.target, nu) for t in fn.out_edges(label)]
+                    points += [(fn.name, target, nu) for target in node.targets]
                 for fname, lab, point in points:
                     terminal = lab == cfg.function(fname).exit
                     assert (_value_or_error(kernel_value, fname, lab, point, is_terminal=terminal)

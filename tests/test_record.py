@@ -20,7 +20,7 @@ import pytest
 
 import termcert
 from termcert._record import _MISSING
-from termcert.cfg import CfgFunction, StarPayload, Transition, UpdatePayload
+from termcert.cfg import CfgFunction, Star, Update
 from termcert.certificates import Certificate, CertParams, CertPiece
 from termcert.distributions import DiscreteDist
 from termcert.lang import Assign, Cmp, Const, FunctionEntity, Seq, Skip, Var
@@ -34,8 +34,7 @@ A, B = Assign("x", N), Assign("n", Const(2), 5)
 HALF = DiscreteDist.bernoulli(F(1, 2))
 PIECE = CertPiece(LESS, Const(3))
 FN = FunctionEntity("f", ("n",), Seq(A, B))
-CFG_FN = CfgFunction("f", ("n",), 1, 2, frozenset(), frozenset({1}), frozenset(), frozenset(),
-                     (Transition(1, UpdatePayload("n", N), 2),))
+CFG_FN = CfgFunction("f", ("n",), 1, 3, {1: Update("n", N, (), 2), 2: Star(1, 3)})
 TAIL = TailEstimate(3, 1, 0.1, 0.0, 0.4)
 
 # Constructor argument lists per record class: equal and unequal pairs,
@@ -61,13 +60,12 @@ SAMPLES = {
                             ("f", ("n",), Seq(A, Seq(B, Skip())), 9), ("g", (), Skip())],
     "lang.Program": [((FN,),), ((FN,), (("_bern1", HALF),))],
     "cfg.StackElement": [("f", 1, Valuation({"n": 1})), ("f", 2, Valuation({"n": 1}))],
-    "cfg.PredPayload": [(LESS,), (LESS, True), (LESS, False)],
-    "cfg.UpdatePayload": [(None, None), ("x", Var("r"), ("r",))],
-    "cfg.CallPayload": [("f", ("n",), (N,), ("n",)), ("g", (), (), ())],
-    "cfg.StarPayload": [("then",), ("else",)],
-    "cfg.Transition": [(1, StarPayload("then"), 2), (1, StarPayload("else"), 3)],
+    "cfg.Branch": [(LESS, 2, 3), (LESS, 3, 2), (MORE, 2, 3)],
+    "cfg.Update": [(None, None, (), 2), ("x", Var("r"), ("r",), 2), ("x", Var("r"), ("r",), 3)],
+    "cfg.CallSite": [("f", ("n",), (N,), ("n",), 2), ("g", (), (), (), 2)],
+    "cfg.Star": [(2, 3), (3, 2)],
     "cfg.CfgFunction": [tuple(getattr(CFG_FN, name) for name in CfgFunction._record_fields),
-                        ("g", (), 1, 1, frozenset(), frozenset(), frozenset(), frozenset(), ())],
+                        ("g", (), 1, 1, {})],
     "cfg.Cfg": [((CFG_FN,), ()), ((CFG_FN,), ("r",), (("r", HALF),))],
     "cfg.ThetaIndex": [(frozenset({("f", 1)}), {("f", 1): 0}, 0, True, 0),
                        (frozenset(), {}, 1, False, 2, {"f": 2})],
