@@ -22,6 +22,7 @@ an exact analytic law to compare the simulation against:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -44,7 +45,7 @@ class LabError(InputError, ValueError):
 def _needs_alpha(tag: str, alpha: Optional[float]) -> float:
     if tag != "noconcentration":
         return 0.0
-    if alpha is None or alpha <= 1:
+    if alpha is None or not alpha > 1:
         raise LabError("noconcentration needs alpha > 1")
     return float(alpha)
 
@@ -180,9 +181,10 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
     """Simulate the recurrence and aggregate termination-time statistics.
 
     Increment laws are time-inhomogeneous but identical across runs, so the
-    whole cohort advances one step at a time as a vector (the random walk
-    a block of steps at a time, drawn and scanned in chunks of at most
-    2^16 steps, so memory does not grow with runs x block).  Runs
+    whole cohort advances one step at a time as a vector.  The random walk
+    advances a block of steps at a time: it reads its draws as whole 32-bit
+    words, at most 2^16 steps per call, and scans them eight steps per
+    byte-table lookup, so memory does not grow with runs x block.  Runs
     alive at the horizon are censored; they count toward every requested
     survival level (exact, since T > horizon >= n) and are excluded from
     the mean.
@@ -240,42 +242,56 @@ def _simulate_two_point(gen: np.random.Generator, tag: str, alpha: float,
     `nonnegativity` uses the running-sum form (no reset on nonpositive
     values); the others reset, which for stopping-time purposes is the same
     as freezing the run at its first nonpositive value.  `x` holds the
-    values of the `alive` runs in order, and both drop a run when it stops.
+    values of the `alive` runs in order; both keep the runs above 0 by index.
     """
     import numpy as np
     T = np.zeros(runs, dtype=np.int64)
     x = np.full(runs, initial_value(tag), dtype=np.float64)
     alive = np.arange(runs)
+    law_alpha = alpha if tag == "noconcentration" else None
     for n in range(1, horizon + 1):
         if alive.size == 0:
             break
-        law = step_law(tag, n, alpha if tag == "noconcentration" else None)
-        (up_val, p_up), (down_val, _) = law
+        (up_val, p_up), (down_val, _) = step_law(tag, n, law_alpha)
         x += np.where(gen.random(alive.size) < p_up, up_val, down_val)
-        hit = x <= 0
-        if hit.any():
-            T[alive[hit]] = n
-            alive, x = alive[~hit], x[~hit]
+        live = np.flatnonzero(x > 0)
+        if live.size < alive.size:
+            T[alive[x <= 0]] = n
+            alive, x = alive.take(live), x.take(live)
     return T
 
 
 _CHUNK_DRAWS = 1 << 16  # walk draws per `gen.integers` call, at most
 
 
-def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndarray:
-    """Symmetric +-1 walk from 1 absorbed at 0, stepped in cumsum blocks.
+@functools.lru_cache(maxsize=None)
+def _byte_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per byte of eight walk steps (bit i: step i + 1 goes down): the net
+    move, the lowest prefix sum less it, and row k - 1's first step <= -k."""
+    import numpy as np
+    down = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    prefix = np.cumsum(1 - 2 * down.astype(np.int16), axis=1)
+    net = prefix[:, -1]
+    first = (prefix <= -np.arange(1, 9, dtype=np.int16)[:, None, None]).argmax(axis=2) + 1
+    return net, prefix.min(axis=1) - net, first
 
-    Each block takes its steps from one (alive x block) int8 draw, row by
-    row: the block schedule decides which draw goes to which run, so it
-    must not change without changing the statistics.  The matrix is drawn
-    and scanned a chunk of rows at a time, so memory stays bounded whatever
-    the cohort.  numpy's int8 `integers` takes 4 draws from each 32-bit word
-    and starts a fresh word on every call, so chunks whose row counts are
-    multiples of 4 read exactly the bytes of the one big call.  Prefix sums
-    fit int16 (|sum| <= block <= 4096); `x` stays int64, since it can grow
-    past int16 on long horizons.
+
+def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndarray:
+    """Symmetric +-1 walk from 1 absorbed at 0, scanned eight steps a byte.
+
+    Each block takes its steps from one (alive x block) draw, row by row:
+    the block schedule decides which draw goes to which run, so it must not
+    change without changing the statistics.  That draw is numpy's int8
+    `integers(0, 2)`: the top bit of each byte of 32-bit words, low byte
+    first.  Reading the words here gives the same steps and generator state.
+    Each call starts on a fresh word, so chunks of at most 2^16 steps in
+    multiples of 4 rows read the one big call's bytes in bounded memory.
+    Down-steps are packed eight to a byte (pad bits act as up-steps), prefix
+    sums run over bytes, and the byte tables find the step that reaches 0.
+    `x` stays int64: it can outgrow int16 on long horizons.
     """
     import numpy as np
+    net, low, first = _byte_tables()
     T = np.zeros(runs, dtype=np.int64)
     x = np.ones(runs, dtype=np.int64)  # the values of the `alive` runs, in order
     alive = np.arange(runs)
@@ -286,16 +302,22 @@ def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndar
         rows = _CHUNK_DRAWS // block // 4 * 4  # at least 16
         keep = np.ones(alive.size, dtype=bool)
         for lo in range(0, alive.size, rows):
-            steps = gen.integers(0, 2, size=(min(rows, alive.size - lo), block), dtype=np.int8)
-            steps *= 2
-            steps -= 1
-            walk = np.cumsum(steps, axis=1, dtype=np.int16)
-            hit_mask = walk <= -x[lo:lo + rows, None]
+            r = min(rows, alive.size - lo)
+            words = gen.integers(0, 2**32, size=-(-r * block // 4), dtype=np.uint32)
+            steps = words.astype("<u4", copy=False).view(np.uint8)[:r * block]
+            packed = np.packbits((steps < 0x80).reshape(r, block), axis=1, bitorder="little")
+            ends = np.cumsum(net.take(packed), axis=1, dtype=np.int16)
+            xs = x[lo:lo + r]
+            floor = -np.minimum(xs, 8192).astype(np.int16)  # a block is <= 4096 steps
+            hit_mask = ends + low.take(packed) <= floor[:, None]
             hits = np.flatnonzero(hit_mask.any(axis=1))
             if hits.size:
-                T[alive[lo + hits]] = done_steps + np.argmax(hit_mask[hits], axis=1) + 1
+                g = hit_mask[hits].argmax(axis=1)
+                byte = packed[hits, g]
+                below = ends[hits, g] - net.take(byte) - floor[hits]  # 1..8
+                T[alive[lo + hits]] = done_steps + 8 * g + first[below - 1, byte]
                 keep[lo + hits] = False
-            x[lo:lo + rows] += walk[:, -1]
+            xs += ends[:, -1] + block % -8  # less the pad's up-steps
         alive, x = alive[keep], x[keep]
         done_steps += block
     return T

@@ -279,6 +279,23 @@ def test_lab_with_no_runs_prints_zero_survival(capsys):
     assert "tail P(T > 9),0.01,closed form,0,0.5" in out.splitlines()
 
 
+@pytest.mark.parametrize("alpha", ["nan", "1"])
+def test_lab_rejects_alpha_not_above_one(capsys, alpha):
+    assert run_cli(
+        capsys, "lab", "--example", "noconcentration", "--alpha", alpha, "--runs", "100",
+        "--horizon", "10") == (2, "", "error: noconcentration needs alpha > 1\n")
+
+
+def test_lab_accepts_infinite_alpha(capsys):
+    # every up-step has probability 1, so T = 1 and every tail is 0
+    code, out, err = run_cli(
+        capsys, "lab", "--example", "noconcentration", "--alpha", "inf", "--runs", "100",
+        "--horizon", "10", "--tail", "1", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert "expected_T,1,closed form,1,0" in out.splitlines()
+    assert "tail P(T > 1),0,closed form,0,0.0185" in out.splitlines()
+
+
 def test_coin_loop_check_without_dist_file(capsys):
     # the only sampling variable is the desugared coin, so no --dist needed
     code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -168,8 +169,10 @@ def _assert_matches_reference(tag, runs, horizon, seed, alpha=None):
     T = _reference_stopping_times(tag, runs, horizon, seed, alpha)
     stopped = [t for t in T if t]
     assert (result.terminated, result.censored) == (len(stopped), runs - len(stopped))
-    assert [s.count for s in result.survivals] == [
-        sum(1 for t in T if t == 0 or t > n) for n in range(horizon + 1)]
+    stops_at, surviving = Counter(stopped), [runs]  # P(T > 0) counts every run
+    for n in range(1, horizon + 1):
+        surviving.append(surviving[-1] - stops_at[n])
+    assert [s.count for s in result.survivals] == surviving
     assert result.mean == (sum(stopped) / len(stopped) if stopped else None)
 
 
@@ -184,6 +187,11 @@ def test_lab_kernels_match_the_scalar_reference(tag, runs, horizon, seed):
     _assert_matches_reference(tag, runs, horizon, seed, 2.0 if tag == "noconcentration" else None)
 
 
+def test_the_benchmark_walk_matches_the_scalar_reference():
+    # 50,000 walks start on 80-step blocks, drawn in chunks of 816 rows
+    _assert_matches_reference("randomwalk", 50_000, 1000, 12)
+
+
 @pytest.mark.parametrize("seed", [0, 2, 2**64 - 1])
 def test_long_walks_match_the_scalar_reference(seed):
     # a few of 200 walks outlive several 4096-step blocks and pass 32767
@@ -193,15 +201,16 @@ def test_long_walks_match_the_scalar_reference(seed):
 
 class _StepStream:
     """A stand-in generator whose walk steps are `ups` ones, then zeros, in
-    draw order whatever the call shapes."""
+    draw order whatever the call shapes: int8 draws of 1, or bytes of 0x80
+    in the 32-bit words that the lab kernel reads."""
 
     def __init__(self, ups):
         self.left = ups
 
     def integers(self, low, high, size, dtype):
         steps = np.zeros(size, dtype=dtype)
-        flat = steps.reshape(-1)
-        flat[:self.left] = 1
+        flat = steps.reshape(-1).view(np.uint8)
+        flat[:self.left] = 1 if steps.dtype == np.int8 else 0x80
         self.left -= min(self.left, flat.size)
         return steps
 

@@ -84,3 +84,24 @@ def test_run_draws_continue_past_the_block_row(seed):
                    (2**64 + _BLOCK - 3, _ROW), (2**64 + _BLOCK - 2, 9),
                    (2**64 + _BLOCK + 1, 600), (2**64 - 2, 5)]:
         assert draws(uniforms, run, n) == make_generator(seed, run).random(n).tolist()
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, comparable with ==."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_coin_bytes_are_the_top_bits_of_word_bytes(seed):
+    # numpy's int8 integers(0, 2) reads 4 draws from each 32-bit word, low
+    # byte first, and returns each byte's top bit; the walk reads the words
+    # itself.  Odd word counts leave half of a 64-bit Philox output in the
+    # generator's buffer, and partial last words discard their other bytes.
+    coins, words = make_generator(seed, 0), make_generator(seed, 0)
+    for size in [1, 2, 3, 5, 9, 13, 4, 6, 21, 8, 4097, 7, 65_539, 12]:
+        got = coins.integers(0, 2, size=size, dtype=np.int8)
+        word = words.integers(0, 2**32, size=-(-size // 4), dtype=np.uint32)
+        assert np.array_equal(got, word.astype("<u4").view(np.uint8)[:size] >> 7)
+        assert _plain(coins.bit_generator.state) == _plain(words.bit_generator.state)
