@@ -221,8 +221,7 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
             halfwidth = float("inf")
 
     survivals = []
-    for n in tail_ns:
-        count = int(((T > n) | ~finished).sum())
+    for n, count in zip(tail_ns, _survival_counts(T, tail_ns)):
         lo, hi = wilson_interval(count, runs)
         survivals.append(TailEstimate(n, count, count / runs if runs else 0.0, lo, hi))
 
@@ -233,6 +232,16 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
         mean=mean, mean_halfwidth=halfwidth,
         survivals=tuple(survivals),
     )
+
+
+def _survival_counts(T: np.ndarray, levels: Sequence[int]) -> list:
+    """Per level n, the runs with T > n or censored (T = 0), from one
+    histogram of T summed from the top; it is as long as the largest T, not
+    the horizon."""
+    import numpy as np
+    hist = np.bincount(T, minlength=1)
+    at_least = np.append(hist[::-1].cumsum()[::-1], 0)  # at_least[t]: runs with T >= t
+    return [int(hist[0] + at_least[min(n + 1, hist.size)]) for n in levels]
 
 
 def _simulate_two_point(gen: np.random.Generator, tag: str, alpha: float,

@@ -134,7 +134,9 @@ def _finalize(totals: Sequence[int], runs: int, max_steps: int, k_list: Sequence
 
 _ROW = 8  # draws per run computed ahead, by whole Philox blocks of 4
 _BLOCK = 1024  # runs whose first _ROW draws one kernel call computes
-_SERIAL_STEPS = 250_000  # `fan_out`'s budget: 4-5M steps/s in the run loop
+# `fan_out`'s budget, 4-5M steps/s in the run loop; a draw-free simulation
+# runs once whatever its run count, so it stays within the budget
+_SERIAL_STEPS = 250_000
 
 
 class _Uniforms:
@@ -191,9 +193,10 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
     """Runs lo..hi-1 on an explicit stack of (segment, values) frames, top
     last; see `_compile.compile_runner` for what a segment does.  Stops
     before the first run that would start once the steps spent (a censored
-    run spends max_steps) reach `budget`.  Returns the runs' (terminated,
-    steps, squared steps, *tail counts in k_list's order) and the first run
-    not taken."""
+    run spends max_steps) reach `budget`.  A run that draws nothing is
+    every run of the range, so it is counted for the rest of the range and
+    the loop ends.  Returns the runs' (terminated, steps, squared steps,
+    *tail counts in k_list's order) and the first run not taken."""
     make, stars = compile_runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
     tail = dict.fromkeys(k_list, 0)
     uniforms = _Uniforms(seed, hi)
@@ -214,15 +217,18 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
             segment, vals = stack[-1]
             steps = segment(vals, steps)
 
-        spent += steps  # a segment stops at the cap, so a censored run spent max_steps
+        copies = 1 if uniforms.drawn else hi - run
+        spent += steps * copies  # a segment stops at the cap, so a censored run spent max_steps
         if stack:  # censored at the step cap: T > max_steps, counted in every tail below
             stack.clear()
-            censored += 1
+            censored += copies
         else:
-            sumsq += steps * steps
+            sumsq += steps * steps * copies
             for k in k_list:
                 if steps >= k:
-                    tail[k] += 1
+                    tail[k] += copies
+        if not uniforms.drawn:
+            break
     return (end - lo - censored, spent - censored * max_steps, sumsq,
             *(count + censored for count in tail.values())), end
 
@@ -240,6 +246,8 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
     stopped at `max_steps` are censored: they are excluded from the mean
     and counted as mass at or beyond every requested tail threshold (all
     thresholds must be <= max_steps, which makes tail estimates unbiased).
+    Every run starts from `entry`, so when one run draws no random number
+    all runs are that run, and it is simulated once.
     """
     if entry.fname not in cfg.function_names():
         raise SemanticsError(f"no function named {entry.fname!r}")

@@ -236,3 +236,17 @@ def test_an_empty_cohort_steps_no_laws():
     # cbounded's up-step 2^(n-1) leaves the doubles after n = 1024
     result = simulate_lab("cbounded", runs=0, horizon=2000, tail_ns=[2000])
     assert (result.terminated, result.censored, result.survival(2000).count) == (0, 0, 0)
+
+
+@settings(max_examples=60)
+@given(runs=st.integers(0, 400), horizon=st.integers(1, 300), censored=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_survival_counts_match_a_count_per_level(runs, horizon, censored, seed):
+    # T as the kernels return it: stopping times in 1..horizon, 0 for a
+    # censored run; levels 0 and horizon included, and levels past the
+    # largest T, where only censored runs count
+    rng = np.random.default_rng(seed)
+    T = rng.integers(1, rng.integers(1, horizon, endpoint=True), size=runs, endpoint=True)
+    T[rng.random(runs) < censored] = 0
+    levels = sorted({0, horizon, *rng.integers(0, horizon, size=5, endpoint=True).tolist()})
+    assert lab._survival_counts(T, levels) == [int(((T > n) | (T == 0)).sum()) for n in levels]

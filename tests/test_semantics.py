@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -397,7 +398,8 @@ ILL_DEFINED = [  # (program, its error from the entry f(n=3))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ill_defined_arithmetic_names_the_label_it_happened_at(workers, halving, inline_pool,
                                                                monkeypatch):
-    # in a guard, an update, call arguments and a greedy stanza read at a star
+    # in a guard, an update, call arguments and a greedy stanza read at a star;
+    # the ILL_DEFINED programs draw nothing, so their first run is every run
     import os
 
     from termcert import semantics
@@ -410,11 +412,11 @@ def test_ill_defined_arithmetic_names_the_label_it_happened_at(workers, halving,
     sizes = inline_pool()
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sf = SamplingFunction.from_mapping({})
-    for text, message in ILL_DEFINED:
+    for (text, message), runs in itertools.product(ILL_DEFINED, (4, 100_000)):
         cfg = build_cfg(label_program(parse_program(text)))
         entry = StackElement("f", 1, Valuation({"n": 3}))
         with pytest.raises(EvalError) as exc:
-            simulate(cfg, sf, entry, Scheduler("uniform"), runs=4, max_steps=100,
+            simulate(cfg, sf, entry, Scheduler("uniform"), runs=runs, max_steps=100,
                      workers=workers)
         assert str(exc.value) == message
     cfg, sf, _ = halving
@@ -447,6 +449,70 @@ def test_ill_defined_arithmetic_names_the_label_it_happened_at(workers, halving,
                      runs=4, max_steps=100, seed=0, workers=workers)
         assert str(exc.value) == "floor division by non-positive value 0 at (f, 3)"
         assert sizes == (pools if workers > 1 else [])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_draw_free_run_that_never_ends_is_run_once(workers, inline_pool, monkeypatch):
+    # every run is censored at 10^6 steps, 10^11 steps if run one by one.
+    # With no serial budget each range simulates one run; with a budget of 1
+    # the head's one run is every run, and no pool starts
+    import os
+    import time
+
+    from termcert import semantics
+    from termcert.cfg import build_cfg
+    from termcert.distributions import SamplingFunction
+    from termcert.lang import label_program
+    from termcert.parser import parse_program
+
+    sizes = inline_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = build_cfg(label_program(parse_program("f(n) { while n >= 0 do n := n + 1 od }")))
+    entry = StackElement("f", 1, Valuation({"n": 0}))
+    runs, cap = 100_000, 1_000_000
+    for budget in (0, 1):
+        monkeypatch.setattr(semantics, "_SERIAL_STEPS", budget)
+        sizes.clear()
+        start = time.perf_counter()
+        stats = simulate(cfg, SamplingFunction.from_mapping({}), entry, Scheduler("uniform"),
+                         runs=runs, max_steps=cap, k_list=[1, 2, cap], workers=workers)
+        assert time.perf_counter() - start < 1.0
+        assert (stats.terminated, stats.censored, stats.mean) == (0, runs, None)
+        assert [t.count for t in stats.tails] == [runs] * 3
+        assert sizes == ([1] if workers > 1 and not budget else [])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_draw_free_runs_match_the_reference(workers, inline_pool, monkeypatch):
+    # no star and no sampling variable: a uniform run draws nothing, and the
+    # one run simulated gives every run's statistics, terminated (a
+    # recursion, then a loop) or censored
+    import os
+
+    from termcert.cfg import build_cfg
+    from termcert.distributions import SamplingFunction
+    from termcert.lang import label_program
+    from termcert.parser import parse_program
+
+    inline_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sf = SamplingFunction.from_mapping({})
+    sched, runs, seed = Scheduler("uniform"), 50, 3
+    recursion = "f(n) { if n >= 2 then f(n - 1); f(n - 2) else skip fi }"
+    loop = "f(n) { while n >= 1 do if n >= 3 then n := n - 2 else n := n - 1 fi od }"
+    for text, cap in ((recursion, 10_000), (loop, 10_000), (loop, 5)):
+        cfg = build_cfg(label_program(parse_program(text)))
+        entry = StackElement("f", 1, Valuation({"n": 9}))
+        ks = sorted({1, cap // 2, cap})
+        stats = simulate(cfg, sf, entry, sched, runs=runs, max_steps=cap, k_list=ks, seed=seed,
+                         workers=workers)
+        ref = [_reference_run(cfg, sf, entry, sched, cap, seed, run) for run in range(runs)]
+        done = [t for t in ref if t is not None]
+        assert (stats.terminated, stats.censored) == (len(done), runs - len(done)), text
+        assert stats.sum_steps == sum(done)
+        assert stats.sumsq_steps == sum(t * t for t in done)
+        assert [t.count for t in stats.tails] == [sum(t is None or t >= k for t in ref)
+                                                  for k in ks]
 
 
 def test_deep_nesting_and_long_straight_lines_run():

@@ -82,11 +82,12 @@ elif sys.argv[4] == "draws":
     for sched in ("always-then", "uniform"):  # always-then never reaches g's draw of r
         cli("simulate " + sched, "simulate", prog, "--entry", "f", "--args", "n=5",
             "--dist", dist, "--runs", "20", "--workers", "1", "--scheduler", sched)
-else:  # the README's simulate at 200 runs; then uniform, whose head is run 0 alone
+else:  # the README's simulate at 200 and 20000 runs; then uniform, whose head is run 0 alone
     concurrent.futures.ProcessPoolExecutor = RecordingPool
-    cli("simulate greedy-max", "simulate", prog, "--entry", "f", "--args", "n=5",
-        "--dist", dist, "--scheduler", "greedy-max", "--cert", cert, "--runs", "200",
-        "--max-steps", "100000", "--tail", "112", "--seed", "1105", "--workers", "2")
+    for runs in ("200", "20000"):
+        cli("simulate greedy-max " + runs, "simulate", prog, "--entry", "f", "--args", "n=5",
+            "--dist", dist, "--scheduler", "greedy-max", "--cert", cert, "--runs", runs,
+            "--max-steps", "100000", "--tail", "112", "--seed", "1105", "--workers", "2")
     seen["greedy-max started a pool"] = "pool constructed" in seen
     import termcert.semantics
     termcert.semantics._SERIAL_STEPS = 1
@@ -122,10 +123,13 @@ def test_simulate_loads_numpy_at_the_first_draw():
 
 
 def test_small_simulations_start_no_pool_and_forked_workers_inherit_numpy():
-    # the README's greedy-max simulation never draws, and within the serial
-    # budget it starts no pool; a head that drew loaded numpy before the pool
+    # the README's greedy-max simulation never draws, so its first run is
+    # every run: at 200 runs and at the README's 20000 (880k steps, past the
+    # serial budget) it starts no pool; a head that drew loaded numpy before
+    # the pool
     seen = probe("simulate")
-    assert seen["simulate greedy-max"] == []
+    assert seen["simulate greedy-max 200"] == []
+    assert seen["simulate greedy-max 20000"] == []
     assert seen["greedy-max started a pool"] is False
     assert seen["pool constructed"] == ["numpy"]
 
