@@ -10,8 +10,9 @@ before rounding to a double.
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import InputError
 from ._compile import format_value
@@ -20,10 +21,9 @@ from .certificates import Certificate
 from .cfg import Cfg, StackElement, theta_fixpoint
 from .lang import EvalError
 
-if TYPE_CHECKING:
-    import mpmath
-
-_DPS = 40
+# 40 significant digits, and exponents as wide as decimal allows, so that a
+# factor like exp(eps*value/(eps+zeta)^2) overflows only the final float
+_CONTEXT = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 _Value = Union[int, Fraction, None]  # a certificate value; None is inf
 
@@ -41,22 +41,6 @@ class BoundReport:
     params: Dict[str, str]
     value: Union[str, float]
     validity: str = ""
-
-    def to_json_dict(self) -> Dict:
-        return {
-            "rule": self.rule,
-            "entry": self.entry,
-            "params": dict(self.params),
-            "value": self.value,
-            "validity": self.validity,
-        }
-
-    def render(self) -> str:
-        params = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        text = f"{self.rule}: {self.value}   [{params}]"
-        if self.validity:
-            text += f"   valid: {self.validity}"
-        return text
 
 
 def cert_value_at(cert: Certificate, cfg: Cfg, entry: StackElement) -> _Value:
@@ -117,13 +101,12 @@ def concentration_tail(eps: Fraction, zeta: Fraction, entry_value: _Value,
     if Fraction(n) * eps <= h0:
         raise BoundError(
             f"n={n} is outside the validity domain n > {h0}/{eps} = {h0/eps}")
-    import mpmath  # only the float tail formulas load it; the rational rows never do
-    with mpmath.workdps(_DPS):
+    with localcontext(_CONTEXT):
         denom = 2 * n * (eps + zeta) ** 2
-        exact = mpmath.e ** (-_mpf((eps * n - h0) ** 2 / denom))
-        factored = (mpmath.e ** _mpf(eps * h0 / (eps + zeta) ** 2)
-                    * mpmath.e ** (-_mpf(eps * eps * n / (2 * (eps + zeta) ** 2))))
-        return float(min(exact, mpmath.mpf(1))), float(factored)
+        exact = (-_dec((eps * n - h0) ** 2 / denom)).exp()
+        factored = (_dec(eps * h0 / (eps + zeta) ** 2).exp()
+                    * (-_dec(eps * eps * n / (2 * (eps + zeta) ** 2))).exp())
+        return float(min(exact, 1)), float(factored)
 
 
 @record(frozen=True)
@@ -133,28 +116,20 @@ class SqrtTailResult:
     k: int
     min_valid_k: Optional[int] = None
 
-    def render(self) -> str:
-        if self.ok:
-            return f"P(T >= {self.k}) <= {self.bound:.6g}"
-        return (f"k={self.k} too small for this bound; "
-                f"smallest usable k is {self.min_valid_k}")
 
-
-def _mpf(q: Fraction) -> mpmath.mpf:
-    import mpmath
-    q = Fraction(q)
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+def _dec(q: Union[int, Fraction]) -> Decimal:
+    """q rounded once to the current context."""
+    return Decimal(q.numerator) / q.denominator
 
 
 def _smallness_holds(zeta: Fraction, delta: Fraction, k: int) -> bool:
     """exp(c*t) - (1 + c*t + c^2 t^2/2) <= (delta^2/4) t^2 at t = 1/sqrt(k),
     with c the per-outcome difference bound."""
-    import mpmath
-    with mpmath.workdps(_DPS):
-        t = 1 / mpmath.sqrt(k)
-        c = _mpf(zeta)
-        lhs = mpmath.e ** (c * t) - (1 + c * t + c * c * t * t / 2)
-        rhs = _mpf(Fraction(delta) ** 2 / 4) * t * t
+    with localcontext(_CONTEXT):
+        t = 1 / Decimal(k).sqrt()
+        c = _dec(zeta)
+        lhs = (c * t).exp() - (1 + c * t + c * c * t * t / 2)
+        rhs = _dec(Fraction(delta) ** 2 / 4) * t * t
         return lhs <= rhs
 
 
@@ -199,14 +174,13 @@ def sqrt_tail(entry_value: _Value, delta: Fraction, zeta: Fraction,
     periods = k // K
     if periods == 0:
         return SqrtTailResult(ok=True, bound=1.0, k=k)
-    import mpmath
-    with mpmath.workdps(_DPS):
-        t = 1 / mpmath.sqrt(k)
-        numerator = 1 - mpmath.e ** (-_mpf(entry_value) * t)
-        base = 1 + _mpf(delta ** 2 / 4) * t * t
-        denominator = 1 - base ** (-periods)
+    with localcontext(_CONTEXT):
+        t = 1 / Decimal(k).sqrt()
+        numerator = 1 - (-_dec(entry_value) * t).exp()
+        base = 1 + _dec(delta ** 2 / 4) * t * t
+        denominator = 1 - base ** -periods
         bound = numerator / denominator
-        return SqrtTailResult(ok=True, bound=float(min(bound, mpmath.mpf(1))), k=k)
+        return SqrtTailResult(ok=True, bound=float(min(bound, 1)), k=k)
 
 
 def bound_rows(kind: str, cert: Certificate, cfg: Cfg, entry: StackElement,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from decimal import Context, Decimal, localcontext
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from . import InputError
@@ -35,7 +36,7 @@ if TYPE_CHECKING:
 
 TAGS = ("nonnegativity", "cbounded", "noconcentration", "randomwalk", "positivity")
 
-_DPS = 30
+_CONTEXT = Context(prec=40)  # the closed forms' working precision
 
 
 class LabError(InputError, ValueError):
@@ -78,45 +79,66 @@ def step_law(tag: str, n: int, alpha: Optional[float] = None) -> Tuple[Tuple[flo
 
 def analytic(tag: str, query: str, n: Optional[int] = None,
              alpha: Optional[float] = None) -> float:
-    """Exact value of a supported query, evaluated at high precision.
+    """Exact value of a supported query, evaluated at 40 significant digits
+    with `decimal` and rounded once to a float.
 
     Queries: ``prob_nonterm``, ``expected_T``, ``tail`` (P(T > n), needs n).
     Unsupported (tag, query) pairs raise LabError.
     """
-    import mpmath
     if tag not in TAGS:
         raise LabError(f"unknown process {tag!r}; choose from {TAGS}")
     alpha_f = _needs_alpha(tag, alpha)
-    if query == "tail":
-        if n is None or n < 0:
-            raise LabError("tail query needs n >= 0")
-        with mpmath.workdps(_DPS):
+    with localcontext(_CONTEXT):
+        if query == "tail":
+            if n is None or n < 0:
+                raise LabError("tail query needs n >= 0")
             if tag == "nonnegativity":
-                return float(mpmath.e ** (-mpmath.fsum(
-                    mpmath.mpf(1) / (j * j) for j in range(1, n + 1))))
+                return float(Decimal(-sum(1 / Decimal(j * j) for j in range(1, n + 1))).exp())
             if tag == "cbounded":
-                return float(mpmath.mpf(2) ** (-n))
+                return math.ldexp(1.0, -n)
             if tag == "noconcentration":
-                return float(mpmath.mpf(n + 1) ** (-alpha_f))
+                return float(Decimal(n + 1) ** -Decimal(alpha_f))
             if tag == "randomwalk":
-                return math.comb(n, n // 2) / 2.0 ** n if n < 1020 else float(
-                    mpmath.binomial(n, n // 2) / mpmath.mpf(2) ** n)
+                return math.comb(n, n // 2) / 2 ** n  # int division rounds once
             return 1.0 if n == 0 else 0.5
-    if query == "prob_nonterm":
-        with mpmath.workdps(_DPS):
+        if query == "prob_nonterm":
             if tag == "nonnegativity":
-                return float(mpmath.e ** (-(mpmath.pi ** 2) / 6))
+                return float((-_zeta(Decimal(2))).exp())
             if tag in ("cbounded", "noconcentration", "randomwalk"):
                 return 0.0
             return 0.5
-    if query == "expected_T":
-        if tag == "cbounded":
-            return 2.0
-        if tag == "noconcentration":
-            with mpmath.workdps(_DPS):
-                return float(mpmath.zeta(alpha_f))
-        raise LabError(f"expected_T is not finite/supported for {tag!r}")
+        if query == "expected_T":
+            if tag == "cbounded":
+                return 2.0
+            if tag == "noconcentration":
+                return float(_zeta(Decimal(alpha_f)))
+            raise LabError(f"expected_T is not finite/supported for {tag!r}")
     raise LabError(f"unknown query {query!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _borwein_weights() -> Tuple[int, ...]:
+    """d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) for k = 0..n, n = 70."""
+    n = 70
+    d = [0]
+    for i in range(n + 1):
+        d.append(d[-1] + n * math.factorial(n + i - 1) * 4 ** i
+                 // (math.factorial(n - i) * math.factorial(2 * i)))
+    return tuple(d[1:])
+
+
+def _zeta(s: Decimal) -> Decimal:
+    """The Riemann zeta function at real s > 1, in the current context.
+
+    P. Borwein, "An efficient algorithm for the Riemann zeta function"
+    (2000), algorithm 2: the alternating series eta(s) weighted by d_k,
+    divided by 1 - 2^(1-s).  With 70 terms the series misses eta(s), which
+    is at least ln 2, by less than 3 / (3 + sqrt 8)^70 < 1e-53.
+    """
+    d = _borwein_weights()
+    n = len(d) - 1
+    eta = sum((-1) ** k * (d[k] - d[n]) / Decimal(k + 1) ** s for k in range(n))
+    return -eta / (d[n] * (1 - Decimal(2) ** (1 - s)))
 
 
 @record(frozen=True)

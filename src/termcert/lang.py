@@ -286,32 +286,30 @@ def program_variables(prog: Program, fname: str) -> Tuple[str, ...]:
     """
     program_vars = prog._program_vars
     f = prog.function(fname)
+    names = _bound_variables(f)
+    for stmt in iter_statements(f.body):
+        if isinstance(stmt, Assign):
+            names |= expr_variables(stmt.expr) & program_vars
+    return tuple(sorted(names))
+
+
+def _bound_variables(f: FunctionEntity) -> Set[str]:
+    """The parameters of `f` and the names its body assigns, or reads in a
+    predicate or a call argument: program variables wherever they appear."""
     names: Set[str] = set(f.params)
     for stmt in iter_statements(f.body):
         if isinstance(stmt, Assign):
             names.add(stmt.var)
-            names |= expr_variables(stmt.expr) & program_vars
         elif isinstance(stmt, (IfBool, While)):
             names |= pred_variables(stmt.cond)
         elif isinstance(stmt, Call):
             for arg in stmt.args:
                 names |= expr_variables(arg)
-    return tuple(sorted(names))
+    return names
 
 
 def _classify_program_variables(prog: Program) -> Set[str]:
-    out: Set[str] = set()
-    for f in prog.functions:
-        out |= set(f.params)
-        for stmt in iter_statements(f.body):
-            if isinstance(stmt, Assign):
-                out.add(stmt.var)
-            elif isinstance(stmt, (IfBool, While)):
-                out |= pred_variables(stmt.cond)
-            elif isinstance(stmt, Call):
-                for arg in stmt.args:
-                    out |= expr_variables(arg)
-    return out
+    return set().union(*map(_bound_variables, prog.functions))
 
 
 # ---------------------------------------------------------------------------

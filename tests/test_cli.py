@@ -296,6 +296,15 @@ def test_lab_accepts_infinite_alpha(capsys):
     assert "tail P(T > 1),0,closed form,0,0.0185" in out.splitlines()
 
 
+def test_lab_infinite_alpha_tail_at_zero_is_one(capsys):
+    # T >= 1, so P(T > 0) = (0 + 1)^-inf = 1
+    code, out, err = run_cli(
+        capsys, "lab", "--example", "noconcentration", "--alpha", "inf", "--runs", "100",
+        "--horizon", "10", "--tail", "0,1", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert "tail P(T > 0),1,closed form,1,0.0185" in out.splitlines()
+
+
 def test_coin_loop_check_without_dist_file(capsys):
     # the only sampling variable is the desugared coin, so no --dist needed
     code, out, _ = run_cli(

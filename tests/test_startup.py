@@ -111,9 +111,9 @@ def test_commands_load_numpy_mpmath_and_the_pool_only_when_used():
     for step in ("import termcert", "import termcert.cli", "parse", "cfg", "check",
                  "bounds --k"):
         assert seen[step] == [], step
-    assert seen["bounds --n"] == ["mpmath"]  # the float concentration rows
-    assert seen["lab"] == ["numpy", "mpmath"]
-    assert seen["check --workers 2"] == ["numpy", "mpmath"]  # lab's: 132 conditions start no pool
+    assert seen["bounds --n"] == []  # the float concentration rows
+    assert seen["lab"] == ["numpy"]
+    assert seen["check --workers 2"] == ["numpy"]  # lab's: 132 conditions start no pool
 
 
 def test_simulate_loads_numpy_at_the_first_draw():
