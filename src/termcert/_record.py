@@ -22,13 +22,13 @@ Supported, with the meaning `dataclasses` gives it:
   `__hash__` over them for frozen classes, none for the others
 - `__repr__` over the shown fields
 
-A method the class writes itself (say `__eq__`, `__hash__` or `__repr__`) is
-kept; one that defines `__eq__` keeps its own `__hash__` too.  A class's
-fields and their specs are in its `_record_fields`.  Instances keep their
-`__dict__`, so `cached_property` works and pickling needs nothing special.
-The generated `__init__` sets fields as `dataclasses` does: writing through
-`__dict__` would construct faster, but on Python 3.11 it makes every later
-attribute read of the instance about 4x slower.
+A class that writes `__eq__`, `__hash__` or `__repr__` itself is refused
+with a `TypeError`, so a method it writes is never silently replaced.  A
+class's fields and their specs are in its `_record_fields`.  Instances keep
+their `__dict__`, so `cached_property` works and pickling needs nothing
+special.  The generated `__init__` sets fields as `dataclasses` does:
+writing through `__dict__` would construct faster, but on Python 3.11 it
+makes every later attribute read of the instance about 4x slower.
 """
 
 _MISSING = object()
@@ -72,6 +72,9 @@ def _repr(self):
 
 
 def _build(cls, frozen):
+    written = sorted({"__eq__", "__hash__", "__repr__"} & cls.__dict__.keys())
+    if written:
+        raise TypeError(f"record class {cls.__qualname__} writes {', '.join(written)}")
     namespace = {"_set": object.__setattr__, "_MISSING": _MISSING}
     fields, params, body = {}, [], []
     for name in cls.__dict__.get("__annotations__", {}):
@@ -101,27 +104,23 @@ def _build(cls, frozen):
     mine = "".join(f"self.{name}," for name in compared)
     theirs = "".join(f"other.{name}," for name in compared)
     source = [f"def __init__(self, {', '.join(params)}):",
-              *(f" {line}" for line in body or ["pass"])]
-    methods = ["__init__"]
-    if "__eq__" not in cls.__dict__:
-        source += ["def __eq__(self, other):",
-                   " if other.__class__ is self.__class__:",
-                   f"  return ({mine}) == ({theirs})",
-                   " return NotImplemented"]
-        methods.append("__eq__")
-        if frozen:
-            source += ["def __hash__(self):", f" return hash(({mine}))"]
-            methods.append("__hash__")
-        else:
-            cls.__hash__ = None
+              *(f" {line}" for line in body or ["pass"]),
+              "def __eq__(self, other):",
+              " if other.__class__ is self.__class__:",
+              f"  return ({mine}) == ({theirs})",
+              " return NotImplemented"]
+    methods = ["__init__", "__eq__"]
+    if frozen:
+        source += ["def __hash__(self):", f" return hash(({mine}))"]
+        methods.append("__hash__")
+    else:
+        cls.__hash__ = None
     exec("\n".join(source), namespace)
     for method in methods:
         function = namespace[method]
         function.__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, function)
-
-    if "__repr__" not in cls.__dict__:
-        cls.__repr__ = _repr
+    cls.__repr__ = _repr
     if frozen:
         cls.__setattr__ = _frozen_setattr
         cls.__delattr__ = _frozen_delattr

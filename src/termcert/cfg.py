@@ -12,7 +12,9 @@ label aside; a node is what its label does, and its successors:
     Star(then, orelse)           a nondeterministic label: two branches with
                                  a recorded then/else orientation
 
-A node's `kind` is its label class, `targets` its successor labels in the
+A sequence adds no node: its items lower in order, each flowing to the
+next item's label and the last to what follows the sequence.  A node's
+`kind` is its label class, `targets` its successor labels in the
 function, and `edges()` its outgoing edges as `dump_cfg` renders them.  The
 statement labels assigned by the frontend are reused verbatim, so the
 graphs line up with the labelled listings that certificates refer to.  A
@@ -34,7 +36,6 @@ from .lang import (
     IfStar,
     Pred,
     Program,
-    Seq,
     Skip,
     Stmt,
     While,
@@ -196,34 +197,32 @@ def build_cfg(prog: Program) -> Cfg:
 def _lower_function(f: FunctionEntity, pvars, params, sampling) -> CfgFunction:
     nodes: Dict[int, Node] = {}
 
-    def lower(stmt: Stmt, next_label: int) -> None:
-        """Add the nodes of `stmt`, with control flowing to `next_label` after."""
-        if isinstance(stmt, Seq):
-            items = list(_seq_items(stmt))
-            for item, after in zip(items, items[1:]):
-                lower(item, after.label)
-            lower(items[-1], next_label)
-            return
-        lab = stmt.label
-        if isinstance(stmt, Skip):
-            nodes[lab] = Update(None, None, (), next_label)
-        elif isinstance(stmt, Assign):
-            used = tuple(sorted(expr_variables(stmt.expr) & sampling))
-            nodes[lab] = Update(stmt.var, stmt.expr, used, next_label)
-        elif isinstance(stmt, Call):
-            nodes[lab] = CallSite(stmt.fname, params[stmt.fname], stmt.args,
-                                  pvars[stmt.fname], next_label)
-        elif isinstance(stmt, (IfBool, IfStar)):
-            yes, no = _first_label(stmt.then), _first_label(stmt.orelse)
-            nodes[lab] = Branch(stmt.cond, yes, no) if isinstance(stmt, IfBool) else Star(yes, no)
-            lower(stmt.then, next_label)
-            lower(stmt.orelse, next_label)
-        elif isinstance(stmt, While):
-            # The loop head doubles as the body's continuation.
-            nodes[lab] = Branch(stmt.cond, _first_label(stmt.body), next_label)
-            lower(stmt.body, lab)
-        else:
-            raise CfgError(f"cannot lower {stmt!r}")
+    def lower(block: Stmt, next_label: int) -> None:
+        """Add the nodes of `block`, a statement or a sequence, with control
+        flowing to `next_label` after it: one Python frame per nesting level."""
+        items = _seq_items(block)
+        for stmt, after in zip(items, [item.label for item in items[1:]] + [next_label]):
+            lab = stmt.label
+            if isinstance(stmt, Skip):
+                nodes[lab] = Update(None, None, (), after)
+            elif isinstance(stmt, Assign):
+                used = tuple(sorted(expr_variables(stmt.expr) & sampling))
+                nodes[lab] = Update(stmt.var, stmt.expr, used, after)
+            elif isinstance(stmt, Call):
+                nodes[lab] = CallSite(stmt.fname, params[stmt.fname], stmt.args,
+                                      pvars[stmt.fname], after)
+            elif isinstance(stmt, (IfBool, IfStar)):
+                yes, no = _first_label(stmt.then), _first_label(stmt.orelse)
+                nodes[lab] = (Branch(stmt.cond, yes, no) if isinstance(stmt, IfBool)
+                              else Star(yes, no))
+                lower(stmt.then, after)
+                lower(stmt.orelse, after)
+            elif isinstance(stmt, While):
+                # The loop head doubles as the body's continuation.
+                nodes[lab] = Branch(stmt.cond, _first_label(stmt.body), after)
+                lower(stmt.body, lab)
+            else:
+                raise CfgError(f"cannot lower {stmt!r}")
 
     lower(f.body, f.terminal_label)
     return CfgFunction(f.name, pvars[f.name], _first_label(f.body), f.terminal_label,
@@ -231,9 +230,7 @@ def _lower_function(f: FunctionEntity, pvars, params, sampling) -> CfgFunction:
 
 
 def _first_label(stmt: Stmt) -> int:
-    while isinstance(stmt, Seq):
-        stmt = stmt.first
-    return stmt.label
+    return _seq_items(stmt)[0].label
 
 
 def dump_cfg(cfg: Cfg) -> str:

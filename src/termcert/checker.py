@@ -381,7 +381,8 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
               workers: int = 1) -> CheckReport:
     """Check one condition family over the box.
 
-    `params` overrides the parameters carried in the certificate file.  The
+    `params` overrides the parameters the family carries from the
+    certificate file (`_kind_params`), as `check_<kind>` and the CLI do.  The
     report contains, per (function, label, condition), the first failing box
     point in lexicographic order; verdicts do not depend on `workers`, and
     neither does which evaluation error is raised: the first in scan order,
@@ -392,8 +393,11 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
     """
     if kind not in CHECK_KINDS:
         raise CheckerError(f"unknown check kind {kind!r}; choose from {CHECK_KINDS}")
-    params = params if params is not None else cert.params
+    params = params if params is not None else _kind_params(kind, cert)
     params.require(*_KINDS[kind].requires)
+    missing = [s for s in cfg.sampling_vars if s not in sf.variables]
+    if missing:
+        raise CheckerError(f"no distribution for sampling variables {missing}")
     for fn in cfg.functions:
         for name in fn.pvars:
             box.interval(name)  # raises if the box misses a variable

@@ -354,22 +354,20 @@ def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndar
     return T
 
 
-def fit_tail_slope(ns: Sequence[int], counts: Sequence[int], runs: int,
-                   min_count: int = 25, shift: int = 1) -> float:
+def fit_tail_slope(ns: Sequence[int], counts: Sequence[int], runs: int) -> float:
     """Weighted log-log slope of an empirical survival curve.
 
-    The abscissa is log(n + shift); with shift 1 it counts completed trials,
-    which is the natural argument for survival functions of first-failure
-    times (P(T > n) depends on the n+1 trials survived).  Points with fewer
-    than `min_count` surviving runs are dropped, and the rest are weighted
-    by their counts, approximating inverse variance of log P-hat under
-    Poisson noise.
+    The abscissa is log(n + 1), which counts completed trials: the natural
+    argument for survival functions of first-failure times (P(T > n)
+    depends on the n+1 trials survived).  Points with fewer than 25
+    surviving runs are dropped, and the rest are weighted by their counts,
+    approximating inverse variance of log P-hat under Poisson noise.
     """
     import numpy as np
     xs, ys, ws = [], [], []
     for n, count in zip(ns, counts):
-        if count >= min_count and n + shift >= 1:
-            xs.append(math.log(n + shift))
+        if count >= 25 and n >= 0:
+            xs.append(math.log(n + 1))
             ys.append(math.log(count / runs))
             ws.append(float(count))
     if len(xs) < 2:

@@ -154,29 +154,16 @@ class Call:
 
 @record(frozen=True)
 class Seq:
-    """`first; second`.  Equality, hashing, printing and pickling walk the
-    statements of the sequence in a loop (`_seq_items`) rather than one
-    Python frame per statement, so long sequences do not exhaust the stack.
-    Since `;` is associative, sequences of equal statements are equal
-    however they are nested."""
+    """`s1; s2; ...; sn` as one node.  `;` is associative, so sequences
+    among the items are spliced in: equality does not depend on how the
+    statements were grouped, and `==`, `hash`, `repr` and pickling walk the
+    items as a tuple rather than one Python frame per statement."""
 
-    first: "Stmt"
-    second: "Stmt"
+    items: Tuple["Stmt", ...]
 
-    def __eq__(self, other):
-        if not isinstance(other, Seq):
-            return NotImplemented
-        return list(_seq_items(self)) == list(_seq_items(other))
-
-    def __hash__(self):
-        return hash(tuple(_seq_items(self)))
-
-    def __repr__(self):
-        *items, last = map(repr, _seq_items(self))
-        return "".join(f"Seq(first={item}, second=" for item in items) + last + ")" * len(items)
-
-    def __reduce__(self):
-        return _seq, (list(_seq_items(self)),)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "items",
+                           tuple(s for item in self.items for s in _seq_items(item)))
 
 
 Stmt = Union[Skip, Assign, IfBool, IfStar, While, Call, Seq]
@@ -188,25 +175,6 @@ class FunctionEntity:
     params: Tuple[str, ...]
     body: Stmt
     terminal_label: Optional[int] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        # `;` is associative, so statement sequences are canonicalized to a
-        # right-nested spine; equality then ignores how callers grouped them.
-        object.__setattr__(self, "body", _normalize_stmt(self.body))
-
-
-def _normalize_stmt(stmt: "Stmt") -> "Stmt":
-    if isinstance(stmt, Seq):
-        return _seq([_normalize_stmt(s) for s in _seq_items(stmt)])
-    if isinstance(stmt, IfBool):
-        return IfBool(stmt.cond, _normalize_stmt(stmt.then),
-                      _normalize_stmt(stmt.orelse), stmt.label)
-    if isinstance(stmt, IfStar):
-        return IfStar(_normalize_stmt(stmt.then), _normalize_stmt(stmt.orelse),
-                      stmt.label)
-    if isinstance(stmt, While):
-        return While(stmt.cond, _normalize_stmt(stmt.body), stmt.label)
-    return stmt
 
 
 @record(frozen=True)
@@ -255,25 +223,10 @@ def iter_statements(stmt: Stmt) -> Iterator[Stmt]:
             yield from iter_statements(item.body)
 
 
-def _seq_items(stmt: Stmt) -> Iterator[Stmt]:
+def _seq_items(stmt: Stmt) -> Tuple[Stmt, ...]:
     """The statements of a sequence in order; any other statement is its
-    own one item.  A loop, not a recursion, so long sequences do not nest
-    Python frames."""
-    stack = [stmt]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Seq):
-            stack += (item.second, item.first)
-        else:
-            yield item
-
-
-def _seq(items) -> Stmt:
-    """The right-nested sequence of a nonempty list of statements."""
-    node = items[-1]
-    for item in reversed(items[:-1]):
-        node = Seq(item, node)
-    return node
+    own one item."""
+    return stmt.items if isinstance(stmt, Seq) else (stmt,)
 
 
 def program_variables(prog: Program, fname: str) -> Tuple[str, ...]:
@@ -334,7 +287,7 @@ def _label_function(f: FunctionEntity) -> FunctionEntity:
 
     def visit(stmt: Stmt) -> Stmt:
         if isinstance(stmt, Seq):
-            return _seq([visit(item) for item in _seq_items(stmt)])
+            return Seq(tuple(map(visit, stmt.items)))
         lab = next(counter)
         if isinstance(stmt, Skip):
             return Skip(label=lab)
@@ -408,54 +361,33 @@ def format_pred(pred: Pred, parent_prec: int = 0) -> str:
 def pretty_print(prog: Program) -> str:
     """Concrete syntax that re-parses to a structurally equal program."""
     builtin = dict(prog.builtin_dists)
-    chunks = []
-    for f in prog.functions:
-        lines = [f"{f.name}({', '.join(f.params)}) {{"]
-        lines.extend(_pp_stmt(s, 1, builtin) for s in _seq_items(f.body))
-        # statement separator: every line but the last gets a ';'
-        body = ";\n".join(lines[1:])
-        chunks.append(lines[0] + "\n" + body + "\n}")
-    return "\n\n".join(chunks) + "\n"
+    return "\n\n".join(f"{f.name}({', '.join(f.params)}) {{\n{_pp_stmt(f.body, 1, builtin)}\n}}"
+                       for f in prog.functions) + "\n"
 
 
 def _pp_stmt(stmt: Stmt, depth: int, builtin: Dict[str, DiscreteDist]) -> str:
+    """The lines of `stmt`, a statement or a sequence, at `depth`, joined by
+    the separator `;`: one Python frame per level of nesting."""
     pad = "  " * depth
-    if isinstance(stmt, Skip):
-        return f"{pad}skip"
-    if isinstance(stmt, Assign):
-        if isinstance(stmt.expr, Var) and stmt.expr.name in builtin:
-            dist = builtin[stmt.expr.name]
-            p = dist.prob(1)
-            return f"{pad}{stmt.var} := bernoulli({p.numerator}/{p.denominator})"
-        return f"{pad}{stmt.var} := {format_expr(stmt.expr)}"
-    if isinstance(stmt, Call):
-        args = ", ".join(format_expr(a) for a in stmt.args)
-        return f"{pad}{stmt.fname}({args})"
-    if isinstance(stmt, IfBool):
-        return (
-            f"{pad}if {format_pred(stmt.cond)} then\n"
-            + _pp_block(stmt.then, depth + 1, builtin)
-            + f"\n{pad}else\n"
-            + _pp_block(stmt.orelse, depth + 1, builtin)
-            + f"\n{pad}fi"
-        )
-    if isinstance(stmt, IfStar):
-        return (
-            f"{pad}if star then\n"
-            + _pp_block(stmt.then, depth + 1, builtin)
-            + f"\n{pad}else\n"
-            + _pp_block(stmt.orelse, depth + 1, builtin)
-            + f"\n{pad}fi"
-        )
-    if isinstance(stmt, While):
-        return (
-            f"{pad}while {format_pred(stmt.cond)} do\n"
-            + _pp_block(stmt.body, depth + 1, builtin)
-            + f"\n{pad}od"
-        )
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _pp_block(stmt: Stmt, depth: int, builtin: Dict[str, DiscreteDist]) -> str:
-    return ";\n".join(_pp_stmt(s, depth, builtin) for s in _seq_items(stmt))
-
+    lines = []
+    for item in _seq_items(stmt):
+        if isinstance(item, Skip):
+            lines.append(f"{pad}skip")
+        elif isinstance(item, Assign):
+            if isinstance(item.expr, Var) and item.expr.name in builtin:
+                p = builtin[item.expr.name].prob(1)
+                lines.append(f"{pad}{item.var} := bernoulli({p.numerator}/{p.denominator})")
+            else:
+                lines.append(f"{pad}{item.var} := {format_expr(item.expr)}")
+        elif isinstance(item, Call):
+            lines.append(f"{pad}{item.fname}({', '.join(map(format_expr, item.args))})")
+        elif isinstance(item, (IfBool, IfStar)):
+            cond = format_pred(item.cond) if isinstance(item, IfBool) else "star"
+            lines.append(f"{pad}if {cond} then\n{_pp_stmt(item.then, depth + 1, builtin)}\n"
+                         f"{pad}else\n{_pp_stmt(item.orelse, depth + 1, builtin)}\n{pad}fi")
+        elif isinstance(item, While):
+            lines.append(f"{pad}while {format_pred(item.cond)} do\n"
+                         f"{_pp_stmt(item.body, depth + 1, builtin)}\n{pad}od")
+        else:
+            raise TypeError(f"not a statement: {item!r}")
+    return ";\n".join(lines)

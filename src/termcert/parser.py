@@ -22,6 +22,12 @@ and rewrites the statement into an ordinary assignment from that variable.
 Sampling variables are recognized structurally: an identifier that is never
 a parameter, never assigned, and never used in a predicate or call argument
 anywhere in the program is a sampling variable, and must occur exactly once.
+
+Nesting is bounded by MAX_NESTING, counted over expressions and statements
+together: each open parenthesis, unary minus, `^`, `not` and `if` or
+`while` body is one level, and deeper input is a ParseError, not a
+RecursionError in the parser or in a later walker.  A statement sequence is
+one flat `Seq` however long it is.
 """
 
 from __future__ import annotations
@@ -50,11 +56,11 @@ from .lang import (
     Pow,
     Pred,
     Program,
+    Seq,
     Skip,
     Stmt,
     Var,
     While,
-    _seq,
     iter_statements,
 )
 
@@ -122,7 +128,7 @@ class TokenStream:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0  # parentheses, unary minuses, `^`s and `not`s open
+        self.depth = 0  # parentheses, unary minuses, `^`s, `not`s, `if`s and `while`s open
 
     def enter(self, tok: Token) -> None:
         """Open one more nested level at `tok`, within MAX_NESTING."""
@@ -159,19 +165,23 @@ class TokenStream:
 # Expressions and predicates (shared with the certificate format)
 # ---------------------------------------------------------------------------
 
-# How deeply an expression or predicate may nest, counted two ways: the
-# operators on any path of its tree, and the parentheses, unary minuses,
-# `^`s and `not`s open at any point of its text.  Walkers over the tree
+# How deeply an expression, predicate or statement may nest, counted two
+# ways: the operators on any path of an expression's tree, and the
+# parentheses, unary minuses, `^`s, `not`s and `if`/`while` bodies open at
+# any point of the program text.  Walkers over an expression tree
 # (printing, compiling, `==`, pickling) recurse up to three frames per tree
-# level, and the parser three per open parenthesis, so at this limit both
-# stay inside Python's recursion limit of 1000 frames.  A 250-term sum is
-# 249 operators deep.
+# level, the parser three per open parenthesis and two per open body, and
+# the commands' walkers over statements (labelling, printing, lowering) at
+# most two per body, so at this limit all stay inside Python's recursion
+# limit of 1000 frames.  `==`, `hash` and pickling of a whole statement
+# tree take about ten frames per body, and are not bounded by this limit.
+# A 250-term sum is 249 operators deep.
 MAX_NESTING = 256
 
 
 def _too_deep(tok: Token) -> ParseError:
-    return ParseError(f"expression nested more than {MAX_NESTING} levels deep",
-                      tok.line, tok.col)
+    what = "statement" if tok.kind in ("if", "while") else "expression"
+    return ParseError(f"{what} nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
 
 
 def _within_limit(tree, tok: Token):
@@ -350,7 +360,7 @@ class _ProgramParser:
             if self.ts.peek().kind in ("}", "else", "fi", "od", "eof"):
                 break  # trailing separator
             stmts.append(self.parse_stmt())
-        return _seq(stmts)
+        return stmts[0] if len(stmts) == 1 else Seq(tuple(stmts))
 
     def parse_stmt(self) -> Stmt:
         tok = self.ts.peek()
@@ -359,25 +369,23 @@ class _ProgramParser:
             return Skip()
         if tok.kind == "if":
             self.ts.next()
-            if self.ts.accept("star"):
-                self.ts.expect("then")
-                then = self.parse_stmt_seq()
-                self.ts.expect("else")
-                orelse = self.parse_stmt_seq()
-                self.ts.expect("fi")
-                return IfStar(then, orelse)
-            cond = parse_pred(self.ts)
+            star = self.ts.accept("star")
+            cond = None if star else parse_pred(self.ts)
             self.ts.expect("then")
+            self.ts.enter(tok)
             then = self.parse_stmt_seq()
             self.ts.expect("else")
             orelse = self.parse_stmt_seq()
+            self.ts.leave()
             self.ts.expect("fi")
-            return IfBool(cond, then, orelse)
+            return IfStar(then, orelse) if star else IfBool(cond, then, orelse)
         if tok.kind == "while":
             self.ts.next()
             cond = parse_pred(self.ts)
             self.ts.expect("do")
+            self.ts.enter(tok)
             body = self.parse_stmt_seq()
+            self.ts.leave()
             self.ts.expect("od")
             return While(cond, body)
         if tok.kind == "ident":

@@ -47,13 +47,15 @@ class TailEstimate:
     hi: float
 
 
-def wilson_interval(count: int, n: int, z: float = Z95) -> Tuple[float, float]:
+def wilson_interval(count: int, n: int) -> Tuple[float, float]:
+    """The 95% Wilson score interval (z = Z95) of `count` successes in `n`
+    trials; all of [0, 1] when there are no trials."""
     if n == 0:
         return (0.0, 1.0)
     p = count / n
-    denom = 1 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    denom = 1 + Z95 * Z95 / n
+    center = (p + Z95 * Z95 / (2 * n)) / denom
+    half = Z95 * math.sqrt(p * (1 - p) / n + Z95 * Z95 / (4 * n * n)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 

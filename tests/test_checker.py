@@ -22,6 +22,7 @@ from termcert.checker import (
     run_check,
 )
 from termcert.cfg import build_cfg, theta_fixpoint
+from termcert.distributions import SamplingFunction
 from termcert.fixtures import sampling_function_for
 from termcert.lang import label_program
 from termcert.parser import parse_program
@@ -288,6 +289,12 @@ def test_unknown_kind_rejected(halving):
     cfg, sf, cert = halving
     with pytest.raises(CheckerError):
         run_check("nope", cert, cfg, sf, BOX100)
+
+
+def test_missing_distribution_rejected_by_name(halving):
+    cfg, _, cert = halving
+    with pytest.raises(CheckerError, match=r"no distribution for sampling variables \['r'\]"):
+        run_check("ranking", cert, cfg, SamplingFunction(()), BOX100)
 
 
 def test_missing_parameter_rejected(walk):

@@ -182,6 +182,35 @@ def test_nesting_beyond_the_limit_exits_two_naming_it(tmp_path, capsys, expr, co
         assert "Traceback" not in err
 
 
+def _nested(levels):
+    """`levels` nested `if`, `while` and `if star` bodies, each a `skip` and
+    the next level, around the deepest sum the parser accepts."""
+    text = "n := n" + " + 1" * 256  # 256 operators deep
+    for level in range(levels):
+        text = ("if n >= 0 then skip; {} else skip fi", "while n < 1 do skip; {} od",
+                "if star then skip; {} else skip fi")[level % 3].format(text)
+    return f"f(n) {{\n  {text}\n}}\n"
+
+
+def test_statements_nested_to_the_limit_pass_every_command(tmp_path, capsys):
+    prog, cert = tmp_path / "deep.prob", tmp_path / "deep.cert"
+    prog.write_text(_nested(256))
+    cert.write_text("eps=1\nf@1: 0\n")
+    for want, argv in ((0, ("parse",)), (0, ("cfg",)),
+                       (1, ("check", "--cert", str(cert), "--kind", "ranking", "--box", "n=0..1")),
+                       (0, ("simulate", "--entry", "f", "--args", "n=0", "--runs", "5",
+                            "--max-steps", "2000", "--workers", "1"))):
+        code, out, err = run_cli(capsys, argv[0], str(prog), *argv[1:])
+        assert (code, err) == (want, "") and out, argv
+    source = _nested(257)
+    prog.write_text(source)
+    col = source.splitlines()[1].rindex("if ") + 1  # the innermost `if`, 257th level
+    for command in ("parse", "cfg"):
+        code, out, err = run_cli(capsys, command, str(prog))
+        assert (code, out) == (2, "")
+        assert err == f"error: 2:{col}: statement nested more than 256 levels deep\n"
+
+
 _DEEP = 250  # within the parser's 256 levels, past Python's 200 parentheses
 _HALF = _DEEP // 2
 
@@ -226,6 +255,21 @@ def test_simulate_greedy_requires_cert(capsys):
         "--scheduler", "greedy-max", "--runs", "10")
     assert code == 2
     assert "requires --cert" in err
+
+
+@pytest.mark.parametrize("kind", ["ranking", "cdb", "db", "super"])
+def test_run_check_reports_what_check_kind_and_the_cli_report(capsys, halving, kind):
+    # one rule for the parameters a report carries: the family's own
+    from termcert import checker
+    from termcert.checker import VerifyBox, run_check
+
+    cfg, sf, cert = halving
+    box = VerifyBox.parse("n=-3..3")
+    report = run_check(kind, cert, cfg, sf, box).to_json_dict()
+    assert getattr(checker, f"check_{kind}")(cert, cfg, sf, box).to_json_dict() == report
+    _, out, _ = run_cli(capsys, "check", HALVING, "--cert", HALVING_CERT, "--dist", HALVING_DIST,
+                        "--kind", kind, "--box", "n=-3..3", "--format", "json")
+    assert json.loads(out)["report"] == report
 
 
 def test_json_output_mirrors_table(capsys):

@@ -96,15 +96,12 @@ def rand_stmt(rnd: random.Random, depth: int = 2, allow_call: bool = False):
                       rand_stmt(rnd, depth - 1, allow_call))
     if roll < 0.9:
         return While(rand_pred(rnd), rand_stmt(rnd, depth - 1, allow_call))
-    return Seq(rand_stmt(rnd, depth - 1, allow_call),
-               rand_stmt(rnd, depth - 1, allow_call))
+    return Seq((rand_stmt(rnd, depth - 1, allow_call),
+                rand_stmt(rnd, depth - 1, allow_call)))
 
 
 def _chain(parts):
-    node = parts[-1]
-    for s in reversed(parts[:-1]):
-        node = Seq(s, node)
-    return node
+    return parts[0] if len(parts) == 1 else Seq(tuple(parts))
 
 
 def rand_program(seed: int) -> Program:
