@@ -6,7 +6,7 @@ Everything that evaluates a program or a certificate goes through here: the
 checker compiles a node's guard (`compile_pred`), update (`compile_update`)
 or argument passing (`compile_call_args`) as it reaches the node's label;
 `compile_runner` emits one function per resume point of the node table, and
-`Certificate.value` and the schedulers use `compile_stanza`.  The
+`Certificate.value` and the schedulers use `stanza_source`.  The
 interpretive reference that the tests compare against lives in
 `tests/oracles.py`.
 
@@ -285,15 +285,16 @@ def _segment(cfg, sf, fn, start, segs, todo, kind, stars) -> list:
     return lines
 
 
-def compile_stanza(pieces, fname: str, label: int, pvars: Tuple[str, ...],
-                   is_terminal: bool) -> Callable:
-    """fn(v) -> the first matching piece's value (None for `inf`), or MISS.
+def stanza_source(pieces, fname: str, label: int, pvars: Tuple[str, ...],
+                  is_terminal: bool) -> str:
+    """Source of fn(v) -> the first matching piece's value (None for `inf`),
+    or MISS, for `compile_lambda`.
 
     A terminal label with no stanza at all is 0.  A negative value raises
     CertificateError naming the point.
     """
     if not pieces:
-        return compile_lambda("lambda v: 0" if is_terminal else "lambda v: MISS")
+        return "lambda v: 0" if is_terminal else "lambda v: MISS"
     pidx = _slots(pvars, "v")
     code = "MISS"
     for piece in reversed(pieces):
@@ -308,7 +309,7 @@ def compile_stanza(pieces, fname: str, label: int, pvars: Tuple[str, ...],
             code = value
         else:
             code = f"({value} if {pred_code(piece.guard, pidx)} else {code})"
-    return compile_lambda(f"lambda v: {code}")
+    return f"lambda v: {code}"
 
 
 def cert_value(stanza: Callable, vals: tuple):

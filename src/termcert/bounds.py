@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import InputError
 from ._compile import format_value
 from ._record import record
-from .certificates import Certificate
+from .certificates import CHECK_KINDS, Certificate
 from .cfg import Cfg, StackElement, theta_fixpoint
 from .lang import EvalError
 
@@ -39,7 +39,7 @@ class BoundReport:
     rule: str
     entry: str
     params: Dict[str, str]
-    value: Union[str, float]
+    value: str
     validity: str = ""
 
 
@@ -187,47 +187,39 @@ def bound_rows(kind: str, cert: Certificate, cfg: Cfg, entry: StackElement,
                ks: Tuple[int, ...], ns: Tuple[int, ...]) -> List[BoundReport]:
     """The bounds a `kind` certificate gives at `entry`: P(T >= k) rows for
     each k in `ks`, concentration rows for each n in `ns`."""
+    if kind not in CHECK_KINDS:
+        raise BoundError(f"unknown certificate kind {kind!r}; expected one of "
+                         f"{', '.join(CHECK_KINDS)}")
     params = cert.params
     value = cert_value_at(cert, cfg, entry)
     value_text = format_value(value)
     entry_text = f"({entry.fname}, {entry.label}, {entry.valuation})"
     rows: List[BoundReport] = []
 
+    def row(rule: str, text: str, validity: str, **shown) -> None:
+        rows.append(BoundReport(rule, entry_text, {k: str(v) for k, v in shown.items()},
+                                text, validity))
+
     if kind in ("ranking", "cdb", "db"):
         params.require("eps")
-        rows.append(BoundReport(
-            "expected-time-upper", entry_text,
-            {"eps": str(params.eps), "value": value_text},
-            format_value(upper_expected(cert, params.eps, value))))
+        row("expected-time-upper", format_value(upper_expected(cert, params.eps, value)), "",
+            eps=params.eps, value=value_text)
         for k in ks:
-            rows.append(BoundReport(
-                "tail-markov", entry_text,
-                {"eps": str(params.eps), "value": value_text, "k": str(k)},
-                str(markov_tail(params.eps, value, k)),
-                validity="any k >= 1"))
+            row("tail-markov", str(markov_tail(params.eps, value, k)), "any k >= 1",
+                eps=params.eps, value=value_text, k=k)
     if kind == "cdb":
         params.require("delta")
-        rows.append(BoundReport(
-            "expected-time-lower", entry_text,
-            {"delta": str(params.delta), "value": value_text},
-            str(lower_expected(cert, params.delta, value)),
-            validity="finite certificate value at the entry"))
+        row("expected-time-lower", str(lower_expected(cert, params.delta, value)),
+            "finite certificate value at the entry", delta=params.delta, value=value_text)
     if kind == "db":
         params.require("zeta")
         for n in ns:
             exact, factored = concentration_tail(params.eps, params.zeta, value, n)
-            rows.append(BoundReport(
-                "tail-concentration", entry_text,
-                {"eps": str(params.eps), "zeta": str(params.zeta),
-                 "value": value_text, "n": str(n)},
-                f"{exact:.6g}",
-                validity=f"n > value/eps = {value / params.eps}"))
-            rows.append(BoundReport(
-                "tail-concentration-factored", entry_text,
-                {"eps": str(params.eps), "zeta": str(params.zeta),
-                 "value": value_text, "n": str(n)},
-                f"{factored:.6g}",
-                validity="looser product form of the same bound"))
+            shown = dict(eps=params.eps, zeta=params.zeta, value=value_text, n=n)
+            row("tail-concentration", f"{exact:.6g}", f"n > value/eps = {value / params.eps}",
+                **shown)
+            row("tail-concentration-factored", f"{factored:.6g}",
+                "looser product form of the same bound", **shown)
     if kind == "super":
         params.require("delta", "zeta")
         theta = theta_fixpoint(cfg)
@@ -235,25 +227,12 @@ def bound_rows(kind: str, cert: Certificate, cfg: Cfg, entry: StackElement,
             raise BoundError(
                 "the fixpoint does not cover every label; the square-root "
                 "tail bound's hypothesis fails")
-        rows.append(BoundReport(
-            "as-termination", entry_text,
-            {"K_max": str(theta.K_max)},
-            "certified almost-sure termination; tail in O(1/sqrt(k))",
-            validity="without the per-outcome jump cap only O(k^(-1/6)) "
-                     "is certified, with no computable constant"))
+        row("as-termination", "certified almost-sure termination; tail in O(1/sqrt(k))",
+            "without the per-outcome jump cap only O(k^(-1/6)) is certified, with no "
+            "computable constant", K_max=theta.K_max)
         for k in ks:
             res = sqrt_tail(value, params.delta, params.zeta, theta.K_max, k)
-            if res.ok:
-                rows.append(BoundReport(
-                    "tail-sqrt", entry_text,
-                    {"delta": str(params.delta), "zeta": str(params.zeta),
-                     "K": str(theta.K_max), "value": value_text, "k": str(k)},
-                    f"{res.bound:.6g}"))
-            else:
-                rows.append(BoundReport(
-                    "tail-sqrt", entry_text,
-                    {"delta": str(params.delta), "zeta": str(params.zeta),
-                     "K": str(theta.K_max), "value": value_text, "k": str(k)},
-                    "k too small for this bound",
-                    validity=f"smallest usable k is {res.min_valid_k}"))
+            row("tail-sqrt", f"{res.bound:.6g}" if res.ok else "k too small for this bound",
+                "" if res.ok else f"smallest usable k is {res.min_valid_k}",
+                delta=params.delta, zeta=params.zeta, K=theta.K_max, value=value_text, k=k)
     return rows

@@ -7,11 +7,15 @@ stanza.  Points a stanza's guards do not cover are thereby both given the
 value infinity when they appear as successors and treated as outside the
 certificate's declared invariant by the checker.
 
-File format (``#`` comments allowed)::
+File format, read with the program's tokens and ``#`` comments::
 
     eps=1 delta=13 zeta=13
     f@1: [n >= 1] 12*n - 4 ; [n <= 0] 2
     f@7: 0
+
+A line holds either parameters (``name=number ...``) or one stanza
+(``f@L: piece (; piece)* [;]``, a piece ``[guard] expr`` or ``expr``), and
+ends at its end.  Errors name the offending ``line:col``.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import InputError
-from ._compile import cert_value, compile_stanza
+from ._compile import cert_value, compile_lambda, stanza_source
 from ._record import record
 from .lang import Expr, Pred, format_expr, format_pred
-from .parser import ParseError, TokenStream, parse_expr, parse_pred, tokenize
+from .parser import (ParseError, TokenStream, line_streams, parse_expr, parse_line_items,
+                     parse_number, parse_pred)
 from .valuation import Valuation
 
 CHECK_KINDS = ("ranking", "cdb", "db", "super")  # the families `checker` and `bounds` know
@@ -100,23 +105,19 @@ class Certificate:
         return self.stanza_map.get((fname, label), ())
 
     @cached_property
-    def _compiled(self) -> Dict[tuple, Callable]:
+    def _sources(self) -> Dict[tuple, str]:
         return {}
-
-    def __getstate__(self):
-        # lambdas do not pickle; a pool worker compiles its own copy
-        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
 
     def _stanza(self, fname: str, label: int, pvars: Tuple[str, ...],
                 is_terminal: bool) -> Callable:
-        """The compiled stanza over `pvars` (see `_compile.compile_stanza`),
-        built once per certificate object."""
+        """The compiled stanza over `pvars` (see `_compile.stanza_source`), its
+        source built once per certificate object and its code taken from
+        `compile_lambda`'s cache, which all code of the same source shares."""
         key = (fname, label, pvars, is_terminal)
-        stanza = self._compiled.get(key)
-        if stanza is None:
-            stanza = self._compiled[key] = compile_stanza(
-                self.pieces(fname, label), fname, label, pvars, is_terminal)
-        return stanza
+        source = self._sources.get(key)
+        if source is None:
+            source = self._sources[key] = stanza_source(self.pieces(fname, label), *key)
+        return compile_lambda(source)
 
     def value(self, fname: str, label: int, nu: Valuation,
               is_terminal: bool = False) -> Union[int, Fraction, None]:
@@ -138,80 +139,46 @@ class Certificate:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
-        lines = []
-        parts = []
-        for name, value in (("eps", self.params.eps), ("delta", self.params.delta),
-                            ("zeta", self.params.zeta)):
-            if value is not None:
-                parts.append(f"{name}={value}")
-        if parts:
-            lines.append(" ".join(parts))
-        for (fname, label), pieces in self.stanzas:
-            body = " ; ".join(p.render() for p in pieces)
-            lines.append(f"{fname}@{label}: {body}")
+        params = " ".join(f"{name}={value}" for name, value in (
+            ("eps", self.params.eps), ("delta", self.params.delta), ("zeta", self.params.zeta))
+            if value is not None)
+        lines = [params] if params else []
+        lines += [f"{fname}@{label}: " + " ; ".join(p.render() for p in pieces)
+                  for (fname, label), pieces in self.stanzas]
         return "\n".join(lines) + "\n"
 
 
 def parse_certificate(text: str) -> Certificate:
-    params = CertParams()
-    stanzas = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "@" not in line.split(":", 1)[0]:
-            params = _parse_params_line(line, lineno, params)
-            continue
-        head, _, body = line.partition(":")
-        fname, _, label_text = head.partition("@")
-        fname = fname.strip()
-        try:
-            label = int(label_text.strip())
-        except ValueError:
-            raise CertificateError(f"line {lineno}: bad label in {head!r}") from None
-        if not fname.isidentifier():
-            raise CertificateError(f"line {lineno}: bad function name {fname!r}")
-        pieces = tuple(_parse_piece(part, lineno) for part in body.split(";") if part.strip())
-        if not pieces:
-            raise CertificateError(f"line {lineno}: stanza has no pieces")
-        stanzas.append(((fname, label), pieces))
+    values, params, stanzas = dict.fromkeys(("eps", "delta", "zeta")), CertParams(), []
+    try:
+        for ts in line_streams(text):
+            if ts.peek(1).kind == "@":
+                fname = ts.expect("ident", "a function name").text
+                ts.expect("@")
+                label = int(parse_number(ts, ("int",), "a label number"))
+                stanzas.append(((fname, label), tuple(parse_line_items(ts, _parse_piece))))
+                continue
+            while ts.peek().kind != "eof":  # a parameter line; commas separate like spaces
+                if ts.accept(","):
+                    continue
+                tok = ts.expect("ident", "a parameter name")
+                if tok.text not in values:
+                    raise ParseError(f"unknown parameter {tok.text!r}", tok.line, tok.col)
+                ts.expect("=")
+                values[tok.text] = parse_number(ts)
+            params = CertParams(**values)
+    except ParseError as exc:
+        raise CertificateError(str(exc)) from None
     return Certificate(tuple(stanzas), params, source_text=text)
 
 
-def _parse_params_line(line: str, lineno: int, params: CertParams) -> CertParams:
-    values = {"eps": params.eps, "delta": params.delta, "zeta": params.zeta}
-    for part in line.replace(",", " ").split():
-        if "=" not in part:
-            raise CertificateError(f"line {lineno}: expected name=value, found {part!r}")
-        name, _, value = part.partition("=")
-        name = name.strip()
-        if name not in values:
-            raise CertificateError(f"line {lineno}: unknown parameter {name!r}")
-        try:
-            values[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise CertificateError(f"line {lineno}: bad value for {name!r}") from None
-    return CertParams(**values)
-
-
-def _parse_piece(part: str, lineno: int) -> CertPiece:
-    part = part.strip()
+def _parse_piece(ts: TokenStream) -> CertPiece:
     guard: Optional[Pred] = None
-    try:
-        ts = TokenStream(tokenize(part))
-        if ts.accept("["):
-            if not (ts.peek().kind == "true" and ts.peek(1).kind == "]"):
-                guard = parse_pred(ts)
-            else:
-                ts.next()
-            ts.expect("]")
-        expr = parse_expr(ts, allow_inf=True)
-        if ts.peek().kind != "eof":
-            tok = ts.peek()
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    except ParseError as exc:
-        raise CertificateError(f"line {lineno}: {exc}") from None
-    return CertPiece(guard, expr)
+    if ts.accept("["):
+        if ts.accept("true") is None:
+            guard = parse_pred(ts)
+        ts.expect("]")
+    return CertPiece(guard, parse_expr(ts, allow_inf=True))
 
 
 def load_certificate(path: str) -> Certificate:

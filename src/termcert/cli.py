@@ -38,7 +38,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.handler(args)
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -138,10 +138,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # Shared loading helpers
 # ---------------------------------------------------------------------------
 
+def _read(load: Callable, path: str):
+    """`load(path)`; a file that cannot be read, or is not UTF-8, is an input error."""
+    try:
+        return load(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _load_labelled(path: str):
     from .lang import label_program
     from .parser import load_program
-    return label_program(load_program(path))
+    return label_program(_read(load_program, path))
 
 
 def _load_cfg(path: str) -> Cfg:
@@ -152,7 +160,7 @@ def _load_cfg(path: str) -> Cfg:
 def _sampling_function(cfg: Cfg, dist_path: Optional[str]) -> SamplingFunction:
     from .distributions import SamplingFunction, load_distributions, merge_distributions
     dists = merge_distributions(cfg.builtin_dists,
-                                load_distributions(dist_path) if dist_path else {})
+                                _read(load_distributions, dist_path) if dist_path else {})
     missing = [v for v in cfg.sampling_vars if v not in dists]
     if missing:
         raise CliError(
@@ -166,7 +174,6 @@ def _parse_args_binding(spec: str) -> Dict[str, int]:
         if "=" not in part:
             raise CliError(f"bad --args entry {part!r}; expected name=value")
         name, _, value = part.partition("=")
-        name = name.strip()
         if name in out:
             raise CliError(f"duplicate --args entry for {name!r}")
         out[name] = _int(value, "--args value")
@@ -198,6 +205,18 @@ def _int(text: str, what: str) -> int:
         raise CliError(f"bad {what} {text!r}; expected an integer") from None
 
 
+def _number(text: str, what: str):
+    """`text` as one number literal, in the grammar of a certificate's parameters."""
+    from .parser import ParseError, TokenStream, parse_number, tokenize
+    try:
+        ts = TokenStream(tokenize(text))
+        value = parse_number(ts)
+        ts.expect("eof", "the end of the number")
+        return value
+    except ParseError as exc:
+        raise CliError(f"bad {what}: {exc}") from None
+
+
 def _workers(n: int) -> int:
     if n < 0:
         raise CliError(f"bad --workers {n}; expected a nonnegative integer")
@@ -210,14 +229,9 @@ def _int_list(spec: str) -> Tuple[int, ...]:
 
 def _meta(seed: Optional[int] = None, box: Optional[str] = None,
           cert: Optional[Certificate] = None) -> Dict:
-    meta = {"tool": "termcert", "version": __version__}
-    if seed is not None:
-        meta["seed"] = seed
-    if box is not None:
-        meta["box"] = box
-    if cert is not None:
-        meta["cert_digest"] = cert.digest()
-    return meta
+    meta = {"tool": "termcert", "version": __version__, "seed": seed, "box": box,
+            "cert_digest": cert.digest() if cert is not None else None}
+    return {key: value for key, value in meta.items() if value is not None}
 
 
 def _print_json(payload: Dict) -> None:
@@ -298,13 +312,12 @@ def _cmd_cfg(args) -> int:
 def _cmd_check(args) -> int:
     from .certificates import load_certificate
     from .checker import VerifyBox, _kind_params, run_check
-    from .distributions import parse_fraction
     cfg = _load_cfg(args.program)
-    cert = load_certificate(args.cert)
+    cert = _read(load_certificate, args.cert)
     sf = _sampling_function(cfg, args.dist)
     box = VerifyBox.parse(*args.box)
     params = _kind_params(args.kind, cert, **{
-        name: parse_fraction(getattr(args, name)) for name in ("eps", "delta", "zeta")
+        name: _number(getattr(args, name), f"--{name}") for name in ("eps", "delta", "zeta")
         if getattr(args, name) is not None})
     report = run_check(args.kind, cert, cfg, sf, box, params, workers=_workers(args.workers))
     meta = _meta(box=report.box, cert=cert)
@@ -334,7 +347,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_cfg(args.program)
     sf = _sampling_function(cfg, args.dist)
     entry = _entry_element(cfg, args.entry, args.args)
-    cert = load_certificate(args.cert) if args.cert else None
+    cert = _read(load_certificate, args.cert) if args.cert else None
     if args.scheduler.startswith("greedy") and cert is None:
         raise CliError(f"scheduler {args.scheduler!r} requires --cert")
     scheduler = Scheduler(args.scheduler, cert)
@@ -363,7 +376,7 @@ def _cmd_bounds(args) -> int:
     from .bounds import bound_rows
     from .certificates import load_certificate
     cfg = _load_cfg(args.program)
-    cert = load_certificate(args.cert)
+    cert = _read(load_certificate, args.cert)
     entry = _entry_element(cfg, args.entry, args.args)
     rows = bound_rows(args.kind, cert, cfg, entry,
                        _int_list(args.k), _int_list(args.n))

@@ -5,6 +5,9 @@ the induced joint distribution over sampling valuations is the coordinate
 product.  Probabilities are `Fraction`s so that expected-value conditions in
 the certificate checker are decided exactly; floats appear only when drawing
 samples.
+
+The file format, read with the program's tokens and ``#`` comments, has one
+variable per line, ``r: 1 1/4; -1 3/4``; errors name the ``line:col``.
 """
 
 from __future__ import annotations
@@ -66,21 +69,14 @@ class DiscreteDist:
     @classmethod
     def bernoulli(cls, p: Fraction) -> "DiscreteDist":
         p = Fraction(p)
-        if p == 1:
-            return cls.point(1)
-        if p == 0:
-            return cls.point(0)
-        return cls(((0, 1 - p), (1, p)))
+        return cls.point(int(p)) if p in (0, 1) else cls(((0, 1 - p), (1, p)))
 
     @property
     def values(self) -> Tuple[int, ...]:
         return tuple(v for v, _ in self.support)
 
     def prob(self, value: int) -> Fraction:
-        for v, p in self.support:
-            if v == value:
-                return p
-        return Fraction(0)
+        return dict(self.support).get(value, Fraction(0))
 
     def thresholds(self) -> Tuple[Tuple[float, int], ...]:
         """Cumulative float thresholds for inverse-CDF sampling."""
@@ -160,44 +156,25 @@ def merge_distributions(builtin, extra: Mapping[str, DiscreteDist]) -> Dict[str,
     return merged
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse `3`, `1/4`, or `0.5` as an exact rational."""
-    text = text.strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DistributionError(f"bad rational literal {text!r}") from exc
-
-
 def parse_distributions(text: str) -> Dict[str, DiscreteDist]:
-    """Parse the distribution file format.
+    """Parse ``r: value prob (; value prob)* [;]`` lines, each value an
+    integer and each probability an integer, fraction or decimal literal."""
+    # imported here, since parser imports this module
+    from .parser import ParseError, line_streams, parse_line_items, parse_number
 
-    One sampling variable per stanza: ``r: 1 1/4; -1 3/4``.  Blank lines and
-    ``#`` comments are ignored.
-    """
+    def outcome(ts) -> Tuple[int, Fraction]:
+        sign = -1 if ts.accept("-") else 1
+        return sign * int(parse_number(ts, ("int",), "an integer value")), parse_number(ts)
+
     out: Dict[str, DiscreteDist] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise DistributionError(f"line {lineno}: expected 'var: value prob; ...'")
-        name, body = line.split(":", 1)
-        name = name.strip()
-        if not name.isidentifier():
-            raise DistributionError(f"line {lineno}: bad variable name {name!r}")
-        if name in out:
-            raise DistributionError(f"line {lineno}: duplicate stanza for {name!r}")
-        pairs = []
-        for part in body.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            pieces = part.split()
-            if len(pieces) != 2:
-                raise DistributionError(f"line {lineno}: expected 'value prob' in {part!r}")
-            pairs.append((int(pieces[0]), parse_fraction(pieces[1])))
-        out[name] = DiscreteDist.from_pairs(pairs)
+    try:
+        for ts in line_streams(text):
+            tok = ts.expect("ident", "a variable name")
+            if tok.text in out:
+                raise ParseError(f"duplicate stanza for {tok.text!r}", tok.line, tok.col)
+            out[tok.text] = DiscreteDist.from_pairs(parse_line_items(ts, outcome))
+    except ParseError as exc:
+        raise DistributionError(str(exc)) from None
     return out
 
 

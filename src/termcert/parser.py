@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import InputError
 from ._record import record
-from .distributions import DiscreteDist, parse_fraction
+from .distributions import DiscreteDist
 from .lang import (
     And,
     Assign,
@@ -87,14 +87,14 @@ _KEYWORDS = {
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
+    (?P<ws>[ \t]+)
+  | (?P<comment>\#[^\r\n]*)
+  | (?P<nl>\r\n|\r|\n)
   | (?P<frac>\d+/\d+)
   | (?P<dec>\d+\.\d+)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>:=|<=|>=|<|>|\^|[-+*(){},;\[\]@=])
+  | (?P<sym>:=|<=|>=|<|>|\^|[-+*(){},;:\[\]@=])
     """,
     re.VERBOSE,
 )
@@ -148,17 +148,53 @@ class TokenStream:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str, what: str = "") -> Token:
+        """The next token, which must be a `kind`; the error names it `what`."""
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+            raise ParseError(f"expected {what or repr(kind)}, "
+                             f"found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return self.next()
 
     def accept(self, kind: str) -> Optional[Token]:
         if self.peek().kind == kind:
             return self.next()
         return None
+
+
+def line_streams(source: str) -> List[TokenStream]:
+    """`source` tokenized once, as a stream per line that holds a token, each
+    ending in an eof token past its last, so that no line runs on into the next."""
+    lines: Dict[int, List[Token]] = {}
+    for tok in tokenize(source)[:-1]:
+        lines.setdefault(tok.line, []).append(tok)
+    return [TokenStream(toks + [Token("eof", "", line, toks[-1].col + len(toks[-1].text))])
+            for line, toks in lines.items()]
+
+
+def parse_line_items(ts: TokenStream, item: Callable[[TokenStream], object]) -> list:
+    """`: item (; item)* [;]`, up to the end of the line `ts` holds."""
+    ts.expect(":")
+    items = [item(ts)]
+    while ts.accept(";") and ts.peek().kind != "eof":
+        items.append(item(ts))
+    ts.expect("eof", "';' or the end of the line")
+    return items
+
+
+def parse_number(ts: TokenStream, kinds: Tuple[str, ...] = ("int", "frac", "dec"),
+                 what: str = "a number") -> Fraction:
+    """An integer, fraction (`27/2`) or decimal (`13.5`) literal among `kinds`,
+    exactly; the error names it `what`."""
+    # expect raises when the next token's kind is not among `kinds`
+    tok = ts.next() if ts.peek().kind in kinds else ts.expect(kinds[0], what)
+    try:
+        return Fraction(tok.text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {tok.text!r}", tok.line, tok.col) from None
+    except ValueError:  # past the digits Python converts (sys.get_int_max_str_digits)
+        raise ParseError(f"number too long ({len(tok.text)} characters)",
+                         tok.line, tok.col) from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +267,11 @@ def _parse_factor(ts: TokenStream, allow_inf: bool) -> Expr:
 
 def _parse_atom(ts: TokenStream, allow_inf: bool) -> Expr:
     tok = ts.peek()
-    if tok.kind == "int":
-        ts.next()
-        return Const(Fraction(int(tok.text)))
-    if tok.kind in ("frac", "dec"):
-        ts.next()
-        if not allow_inf:
+    if tok.kind in ("int", "frac", "dec"):
+        if tok.kind != "int" and not allow_inf:
             raise ParseError("non-integer constants are only allowed in certificates",
                              tok.line, tok.col)
-        return Const(Fraction(tok.text))
+        return Const(parse_number(ts))
     if tok.kind == "-":
         ts.next()
         nxt = ts.peek()
@@ -410,11 +442,7 @@ class _ProgramParser:
     def _parse_bernoulli_assign(self, target: str) -> Stmt:
         tok = self.ts.expect("bernoulli")
         self.ts.expect("(")
-        p_tok = self.ts.peek()
-        if p_tok.kind not in ("frac", "dec", "int"):
-            raise ParseError("bernoulli expects a probability literal", p_tok.line, p_tok.col)
-        self.ts.next()
-        p = parse_fraction(p_tok.text)
+        p = parse_number(self.ts)
         self.ts.expect(")")
         if not (0 < p < 1):
             raise ParseError(f"bernoulli probability {p} outside (0, 1)", tok.line, tok.col)

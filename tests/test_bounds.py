@@ -186,3 +186,11 @@ def test_sqrt_tail_degenerates_below_one_period(walk):
     v = cert_value_at(cert, cfg, StackElement("f", 1, Valuation({"n": 1})))
     res = sqrt_tail(v, Fraction(1), Fraction(1), K=10, k=5)
     assert res.ok and res.bound == 1.0
+
+
+def test_bound_rows_rejects_an_unknown_kind(halving):
+    from termcert.bounds import bound_rows
+
+    cfg, _, cert = halving
+    with pytest.raises(BoundError, match="ranking, cdb, db, super"):
+        bound_rows("bogus", cert, cfg, StackElement("f", 1, Valuation({"n": 5})), (1,), ())

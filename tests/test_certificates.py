@@ -174,3 +174,35 @@ def test_digest_is_stable(halving):
     assert cert.digest() == cert.digest()
     other = parse_certificate("f@1: 1\n")
     assert cert.digest() != other.digest()
+
+
+def _error(text):
+    with pytest.raises(CertificateError) as exc:
+        parse_certificate(text)
+    return str(exc.value)
+
+
+def test_a_stanza_ends_at_the_end_of_its_line():
+    # read as one expression, the two lines would be 12*n - 4
+    assert _error("f@1: 12*n\n- 4\n").startswith("2:1: ")
+
+
+def test_a_trailing_separator_and_a_true_guard_parse():
+    cert = parse_certificate("f@1: [true] 3 ; [n >= 0] n ;\n")
+    assert [p.guard is None for p in cert.pieces("f", 1)] == [True, False]
+    assert cert.value("f", 1, Valuation({"n": -1})) == 3
+
+
+def test_bad_labels_and_parameters_are_named_by_line_and_column():
+    assert _error("eps=1\nf@x: 1\n") == "2:3: expected a label number, found 'x'"
+    assert _error("# header\neps=1 tau=2\n") == "2:7: unknown parameter 'tau'"
+    assert _error("f@1: 1/0\n") == "1:6: zero denominator in '1/0'"
+
+
+def test_a_bare_carriage_return_ends_a_line():
+    from termcert.distributions import parse_distributions
+
+    cert = parse_certificate("eps=1\rf@1: 2\r\nf@2: 3 # a comment\rf@3: 4\r")
+    assert cert.params.eps == 1 and [k for k, _ in cert.stanzas] == [("f", 1), ("f", 2), ("f", 3)]
+    assert set(parse_distributions("r: 1 1/2; -1 1/2\rs: 0 1\r")) == {"r", "s"}
+    assert _error("f@1: 1\rf@2: x y\r") == "2:8: expected ';' or the end of the line, found 'y'"

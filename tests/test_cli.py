@@ -493,3 +493,62 @@ def test_zero_workers_means_every_core(capsys, halving, inline_pool, monkeypatch
         "--args", "n=5", "--runs", "10", "--workers", "0")
     assert code == 0
     assert sizes == [2, 1, 2, 2]
+
+
+def test_a_non_integer_distribution_value_exits_two_naming_its_position(capsys, tmp_path):
+    dist = tmp_path / "bad.dist"
+    dist.write_text("# a value must be an integer\nr: 1.5 1/2; -1 1/2\n")
+    code, out, err = run_cli(
+        capsys, "check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
+        "--dist", str(dist), "--box", "n=0..1")
+    assert (code, out) == (2, "")
+    assert err == "error: 2:4: expected an integer value, found '1.5'\n"
+
+
+@pytest.mark.parametrize("bad", ["directory", "not-utf-8"])
+@pytest.mark.parametrize("which", ["program", "cert", "dist"])
+def test_an_unreadable_input_file_exits_two(capsys, tmp_path, which, bad):
+    path = tmp_path / f"input.{which}"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\n")  # not UTF-8
+    files = {"program": HALVING, "cert": HALVING_CERT, "dist": HALVING_DIST, which: str(path)}
+    code, out, err = run_cli(
+        capsys, "check", files["program"], "--cert", files["cert"], "--kind", "ranking",
+        "--dist", files["dist"], "--box", "n=0..1")
+    assert (code, out) == (2, "")
+    reason = "Is a directory" if bad == "directory" else "can't decode byte 0xff in position 0"
+    assert err.startswith(f"error: cannot read {path}: ") and reason in err
+
+
+@pytest.mark.parametrize("where", ["program constant", "cert parameter", "cert label",
+                                   "dist probability", "dist value", "--eps"])
+def test_a_number_too_long_for_python_exits_two(capsys, tmp_path, where):
+    digits = "1" * 5000  # past the 4,300 digits int() converts
+    files = {"program": HALVING, "cert": HALVING_CERT, "dist": HALVING_DIST}
+    texts = {"program constant": f"f(n) {{\n  n := {digits}\n}}\n",
+             "cert parameter": f"eps={digits}\nf@1: 0\n", "cert label": f"f@{digits}: 0\n",
+             "dist probability": f"r: 1 {digits}\n", "dist value": f"r: {digits} 1\n"}
+    if where in texts:
+        files[where.split()[0]] = tmp_path / "bad"
+        files[where.split()[0]].write_text(texts[where])
+    extra = ["--eps", digits] if where == "--eps" else []
+    code, out, err = run_cli(
+        capsys, "check", str(files["program"]), "--cert", str(files["cert"]), "--kind", "ranking",
+        "--dist", str(files["dist"]), "--box", "n=0..1", *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("number too long (5000 characters)\n")
+
+
+@pytest.mark.parametrize("value", ["1e-3", "+1", "1_000", ".5"])
+def test_parameter_overrides_take_the_certificate_number_grammar(capsys, value):
+    from termcert.certificates import CertificateError, parse_certificate
+
+    with pytest.raises(CertificateError):
+        parse_certificate(f"eps={value}\n")
+    code, out, err = run_cli(
+        capsys, "check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
+        "--dist", HALVING_DIST, "--box", "n=0..1", f"--eps={value}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --eps: 1:")

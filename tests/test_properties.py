@@ -20,10 +20,13 @@ from hypothesis import strategies as st
 
 import oracles
 from extreal import ExtReal
-from termcert.certificates import CertPiece, Certificate, CertificateError, CertParams
+from termcert import InputError
+from termcert.certificates import (CertPiece, Certificate, CertificateError, CertParams,
+                                   parse_certificate)
 from termcert.cfg import build_cfg, theta_fixpoint
 from termcert.checker import VerifyBox, check_cdb, check_db, check_ranking, check_super
-from termcert.distributions import DiscreteDist, DistributionError, SamplingFunction
+from termcert.distributions import (DiscreteDist, DistributionError, SamplingFunction,
+                                    parse_distributions)
 from termcert.lang import (
     And,
     Assign,
@@ -46,7 +49,7 @@ from termcert.lang import (
     labels_of,
     pretty_print,
 )
-from termcert.parser import parse_program
+from termcert.parser import _KEYWORDS, parse_program
 from termcert.semantics import StackElement
 from termcert.valuation import Valuation
 
@@ -302,6 +305,27 @@ def test_theta_stabilizes_within_label_count(seed):
                 continue
             assert (fn.name, label) in theta.members
             assert theta.K[(fn.name, label)] == 0
+
+
+# the pieces of the three text formats: identifiers, digits, keywords,
+# newlines and symbols.  A line starts with one of the formats' heads, or
+# none, so that many lines get past the head, then has up to four pieces
+# with or without spaces between them.
+_FORMAT_ALPHABET = ("f", "g", "n", "r", "eps", "zeta", "0", "1", "12", *sorted(_KEYWORDS),
+                    "\n", " ", *"@:;[]=<>-+*/^().#{},")
+_FORMAT_LINE = st.tuples(st.sampled_from(("", "f@1:", "r:", "eps=")),
+                         st.lists(st.sampled_from(_FORMAT_ALPHABET), max_size=4),
+                         st.sampled_from(("", " "))).map(lambda t: t[0] + t[2].join(t[1]))
+
+
+@settings(max_examples=200)
+@given(text=st.lists(_FORMAT_LINE, min_size=1, max_size=2).map("\n".join))
+def test_parsers_raise_only_input_errors(text):
+    for parse in (parse_program, parse_certificate, parse_distributions):
+        try:
+            parse(text)
+        except InputError:
+            pass
 
 
 def _value_or_error(value, *args, **kwargs):
