@@ -68,15 +68,14 @@ class VerifyBox:
     def parse(cls, *specs: str) -> "VerifyBox":
         """Parse entries like ``n=-100..100`` (comma-separable)."""
         bounds = []
-        for spec in specs:
-            for part in spec.split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                m = re.fullmatch(r"(\w+)\s*=\s*(-?\d+)\s*\.\.\s*(-?\d+)", part)
-                if not m:
-                    raise CheckerError(f"bad box entry {part!r}; expected var=lo..hi")
+        for part in filter(None, (p.strip() for spec in specs for p in spec.split(","))):
+            m = re.fullmatch(r"(\w+)\s*=\s*(-?\d+)\s*\.\.\s*(-?\d+)", part, re.ASCII)
+            if not m:
+                raise CheckerError(f"bad --box entry {part!r}; expected var=lo..hi")
+            try:
                 bounds.append((m.group(1), int(m.group(2)), int(m.group(3))))
+            except ValueError:  # past the digits Python converts (sys.get_int_max_str_digits)
+                raise CheckerError(f"--box bound too long for {m.group(1)!r}") from None
         return cls(tuple(bounds))
 
     def interval(self, name: str) -> Tuple[int, int]:

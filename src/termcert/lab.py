@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from . import InputError
 from ._record import record
-from .rng import Z95, TailEstimate, make_generator, wilson_interval
+from .rng import Z95, TailEstimate, below, make_generator, wilson_interval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,6 +37,8 @@ if TYPE_CHECKING:
 TAGS = ("nonnegativity", "cbounded", "noconcentration", "randomwalk", "positivity")
 
 _CONTEXT = Context(prec=40)  # the closed forms' working precision
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+_ZIV = Decimal("1e-35")  # far above the Stirling tail's relative error (see `_central_tail`)
 
 
 class LabError(InputError, ValueError):
@@ -99,7 +101,7 @@ def analytic(tag: str, query: str, n: Optional[int] = None,
             if tag == "noconcentration":
                 return float(Decimal(n + 1) ** -Decimal(alpha_f))
             if tag == "randomwalk":
-                return math.comb(n, n // 2) / 2 ** n  # int division rounds once
+                return _central_tail(n)
             return 1.0 if n == 0 else 0.5
         if query == "prob_nonterm":
             if tag == "nonnegativity":
@@ -114,6 +116,21 @@ def analytic(tag: str, query: str, n: Optional[int] = None,
                 return float(_zeta(Decimal(alpha_f)))
             raise LabError(f"expected_T is not finite/supported for {tag!r}")
     raise LabError(f"unknown query {query!r}")
+
+
+def _central_tail(n: int) -> float:
+    """C(n, m) / 2^n for m = n // 2, rounded once.  From n = 10^4 on, 4^-m C(2m, m) =
+    exp(S(2m) - 2 S(m)) / sqrt(pi m) (times n/(n + 1) for odd n), where S(x) = 1/(12x) -
+    1/(360x^3) + ... is Stirling's series, cut where it errs by < 2e-3 x^-11 < 1e-43; kept
+    if _ZIV either side rounds alike (Ziv's test), else the exact, quadratic quotient."""
+    m = n // 2
+    if n >= 10**4:
+        s = sum((Decimal(2) ** -(2 * k + 1) - 2) / (d * Decimal(m) ** (2 * k + 1))
+                for k, d in enumerate((12, -360, 1260, -1680, 1188)))  # S(2m) - 2 S(m)
+        v = s.exp() / (_PI * m).sqrt() * (Decimal(n) / (n + 1) if n % 2 else 1)
+        if float(v * (1 - _ZIV)) == float(v * (1 + _ZIV)):
+            return float(v)
+    return math.comb(n, m) / 2 ** n  # int division rounds once
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,13 +220,13 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
     """Simulate the recurrence and aggregate termination-time statistics.
 
     Increment laws are time-inhomogeneous but identical across runs, so the
-    whole cohort advances one step at a time as a vector.  The random walk
-    advances a block of steps at a time: it reads its draws as whole 32-bit
-    words, at most 2^16 steps per call, and scans them eight steps per
-    byte-table lookup, so memory does not grow with runs x block.  Runs
-    alive at the horizon are censored; they count toward every requested
-    survival level (exact, since T > horizon >= n) and are excluded from
-    the mean.
+    whole cohort advances one step at a time as a vector, its coins cut from
+    raw 64-bit Philox words at integer points.  The random walk advances a
+    block of steps at a time: it reads the bytes of raw words, at most 2^16
+    steps per call, eight steps per byte-table lookup, so memory does not
+    grow with runs x block.  Runs alive at the horizon are censored; they
+    count toward every requested survival level (exact, since T > horizon
+    >= n) and are excluded from the mean, taken with the spread on int64 T.
     """
     import numpy as np
     if tag not in TAGS:
@@ -225,35 +242,23 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
             raise LabError(f"survival level {n} outside [0, horizon]")
 
     gen = make_generator(seed, 0)
-    if tag == "randomwalk":
-        T = _simulate_walk(gen, runs, horizon)
-    else:
-        T = _simulate_two_point(gen, tag, alpha_f, runs, horizon)
+    T = (_simulate_walk(gen, runs, horizon) if tag == "randomwalk"
+         else _simulate_two_point(gen, tag, alpha_f, runs, horizon))
 
-    finished = T > 0
-    terminated = int(finished.sum())
+    terminated = int(np.count_nonzero(T))
     censored = runs - terminated
     mean = halfwidth = None
     if terminated:
-        steps = T[finished].astype(np.float64)
+        steps = T[T > 0] if censored else T  # numpy sums the int64s exactly, in float64
         mean = float(steps.mean())
-        if terminated > 1:
-            halfwidth = float(Z95 * steps.std(ddof=1) / math.sqrt(terminated))
-        else:
-            halfwidth = float("inf")
+        halfwidth = (float(Z95 * steps.std(ddof=1) / math.sqrt(terminated))
+                     if terminated > 1 else float("inf"))
 
-    survivals = []
-    for n, count in zip(tail_ns, _survival_counts(T, tail_ns)):
-        lo, hi = wilson_interval(count, runs)
-        survivals.append(TailEstimate(n, count, count / runs if runs else 0.0, lo, hi))
-
-    return LabResult(
-        tag=tag, alpha=alpha if tag == "noconcentration" else None,
-        runs=runs, horizon=horizon, seed=seed,
-        terminated=terminated, censored=censored,
-        mean=mean, mean_halfwidth=halfwidth,
-        survivals=tuple(survivals),
-    )
+    survivals = tuple(TailEstimate(n, c, c / runs if runs else 0.0, *wilson_interval(c, runs))
+                      for n, c in zip(tail_ns, _survival_counts(T, tail_ns)))
+    return LabResult(tag=tag, alpha=alpha if tag == "noconcentration" else None, runs=runs,
+                     horizon=horizon, seed=seed, terminated=terminated, censored=censored,
+                     mean=mean, mean_halfwidth=halfwidth, survivals=survivals)
 
 
 def _survival_counts(T: np.ndarray, levels: Sequence[int]) -> list:
@@ -272,23 +277,30 @@ def _simulate_two_point(gen: np.random.Generator, tag: str, alpha: float,
 
     `nonnegativity` uses the running-sum form (no reset on nonpositive
     values); the others reset, which for stopping-time purposes is the same
-    as freezing the run at its first nonpositive value.  `x` holds the
-    values of the `alive` runs in order; both keep the runs above 0 by index.
+    as freezing the run at its first nonpositive value.  `below` decides
+    the `alive` runs' up-steps, in order.  While they share one value `v`
+    and only a down-step stops a run (all steps but `positivity`'s after
+    the first), the up-steps survive; else `x` holds each alive run's value.
     """
     import numpy as np
-    T = np.zeros(runs, dtype=np.int64)
-    x = np.full(runs, initial_value(tag), dtype=np.float64)
-    alive = np.arange(runs)
-    law_alpha = alpha if tag == "noconcentration" else None
+    T, alive, x, v = np.zeros(runs, dtype=np.int64), None, None, initial_value(tag)
     for n in range(1, horizon + 1):
-        if alive.size == 0:
+        k = runs if alive is None else alive.size
+        if k == 0:
             break
-        (up_val, p_up), (down_val, _) = step_law(tag, n, law_alpha)
-        x += np.where(gen.random(alive.size) < p_up, up_val, down_val)
-        live = np.flatnonzero(x > 0)
-        if live.size < alive.size:
-            T[alive[x <= 0]] = n
-            alive, x = alive.take(live), x.take(live)
+        (up_val, p_up), (down_val, _) = step_law(tag, n, alpha)
+        stay = below(gen, k, p_up)
+        if x is None and v + down_val <= 0 < v + up_val:
+            v += up_val
+        else:
+            x = np.where(stay, up_val, down_val) + (v if x is None else x)
+            stay = x > 0
+        if alive is None:  # n == 1, where every run is alive
+            T, alive = (~stay).astype(np.int64), np.flatnonzero(stay)
+        elif np.count_nonzero(stay) < k:
+            T[alive[~stay]] = n
+            alive = alive[stay]
+        x = x if x is None or x.size == alive.size else x[stay]
     return T
 
 
@@ -314,8 +326,9 @@ def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndar
     the block schedule decides which draw goes to which run, so it must not
     change without changing the statistics.  That draw is numpy's int8
     `integers(0, 2)`: the top bit of each byte of 32-bit words, low byte
-    first.  Reading the words here gives the same steps and generator state.
-    Each call starts on a fresh word, so chunks of at most 2^16 steps in
+    first, which are the low then the high halves of raw 64-bit words.  A
+    call starts on a fresh 32-bit word, and one of odd length leaves a high
+    half to the next (`carry` keeps it), so chunks of at most 2^16 steps in
     multiples of 4 rows read the one big call's bytes in bounded memory.
     Down-steps are packed eight to a byte (pad bits act as up-steps), prefix
     sums run over bytes, and the byte tables find the step that reaches 0.
@@ -326,7 +339,7 @@ def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndar
     T = np.zeros(runs, dtype=np.int64)
     x = np.ones(runs, dtype=np.int64)  # the values of the `alive` runs, in order
     alive = np.arange(runs)
-    done_steps = 0
+    done_steps, carry = 0, np.empty(0, dtype=np.uint8)
     while alive.size and done_steps < horizon:
         block = int(max(64, min(4096, 4_000_000 // max(alive.size, 1))))
         block = min(block, horizon - done_steps)
@@ -334,8 +347,11 @@ def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndar
         keep = np.ones(alive.size, dtype=bool)
         for lo in range(0, alive.size, rows):
             r = min(rows, alive.size - lo)
-            words = gen.integers(0, 2**32, size=-(-r * block // 4), dtype=np.uint32)
-            steps = words.astype("<u4", copy=False).view(np.uint8)[:r * block]
+            fresh = -(-r * block // 4) - carry.size // 4  # 32-bit words still to draw
+            raw = gen.bit_generator.random_raw(-(-fresh // 2))
+            raw = raw.astype("<u8", copy=False).view(np.uint8)
+            steps = (np.concatenate((carry, raw)) if carry.size else raw)[:r * block]
+            carry = raw[raw.size - 4 * (fresh % 2):]
             packed = np.packbits((steps < 0x80).reshape(r, block), axis=1, bitorder="little")
             ends = np.cumsum(net.take(packed), axis=1, dtype=np.int16)
             xs = x[lo:lo + r]

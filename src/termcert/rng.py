@@ -16,8 +16,8 @@ three give the same draws for the same pair:
 
 The simulator uses the last for the first draws of a block of runs (most
 runs need only a few), and re-keys one generator per worker for a run that
-draws past them.  `TailEstimate`, `wilson_interval` and `Z95` are the
-estimates that both the simulator and the process lab report.
+draws past them.  The process lab reads raw 64-bit words (see `below`).
+`TailEstimate`, `wilson_interval` and `Z95` are the estimates both report.
 """
 
 from __future__ import annotations
@@ -82,6 +82,15 @@ def rekey(gen: np.random.Generator, seed: int, stream: int) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def below(gen: np.random.Generator, k: int, p: float) -> np.ndarray:
+    """`gen.random(k) < p`, decided on k raw words: numpy reads a word w as
+    the double (w >> 11)·2^-53, which is below p exactly when w is below
+    ceil(p·2^53)·2^11.  That cut overflows 64 bits only for p >= 1."""
+    import numpy as np
+    words = gen.bit_generator.random_raw(k)
+    return words < np.uint64(max(0, math.ceil(p * 2**53)) << 11) if p < 1 else words >= 0
 
 
 def philox_doubles(seed: int, lo: int, n: int, blocks: int) -> np.ndarray:

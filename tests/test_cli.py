@@ -541,6 +541,17 @@ def test_a_number_too_long_for_python_exits_two(capsys, tmp_path, where):
     assert err.startswith("error: ") and err.endswith("number too long (5000 characters)\n")
 
 
+@pytest.mark.parametrize("box, message", [
+    ("n=0.." + "1" * 5000, "--box bound too long for 'n'"),  # past the digits int() converts
+    ("n=0..\u0663", "bad --box entry 'n=0..\u0663'; expected var=lo..hi"),  # an Arabic-Indic 3
+], ids=["5000 digits", "non-ASCII digit"])
+def test_a_box_bound_that_is_not_a_convertible_ascii_integer_exits_two(capsys, box, message):
+    code, out, err = run_cli(
+        capsys, "check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
+        "--dist", HALVING_DIST, "--box", box)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["1e-3", "+1", "1_000", ".5"])
 def test_parameter_overrides_take_the_certificate_number_grammar(capsys, value):
     from termcert.certificates import CertificateError, parse_certificate

@@ -1,6 +1,8 @@
 import math
+import time
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -53,6 +55,26 @@ def test_analytic_values():
         partial = float(mpmath.e ** (-mpmath.fsum(
             mpmath.mpf(1) / (j * j) for j in range(1, 11))))
     assert analytic("nonnegativity", "tail", n=10) == pytest.approx(partial, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [9_999, 10_000, 10_001, 10_002, 12_345, 2**15, 2**15 + 1, 50_001])
+def test_randomwalk_tail_past_the_series_cutoff_is_the_rounded_quotient(n):
+    # from n = 10^4 on the tail comes from Stirling's series
+    assert analytic("randomwalk", "tail", n=n) == math.comb(n, n // 2) / 2**n
+
+
+def test_randomwalk_tail_falls_back_to_the_exact_quotient(monkeypatch):
+    # an error interval as wide as the value never rounds to one float
+    monkeypatch.setattr(lab, "_ZIV", Decimal(1))
+    assert analytic("randomwalk", "tail", n=10_001) == math.comb(10_001, 5_000) / 2**10_001
+
+
+def test_randomwalk_tail_at_a_million_steps_is_fast():
+    # the exact quotient alone takes seconds here: quadratic in n
+    start = time.perf_counter()
+    value = analytic("randomwalk", "tail", n=10**6)
+    assert time.perf_counter() - start < 0.2
+    assert value == pytest.approx(1 / math.sqrt(math.pi * 5 * 10**5), rel=1e-6)
 
 
 def test_analytic_unsupported_pairs_raise():
@@ -178,13 +200,14 @@ def _assert_matches_reference(tag, runs, horizon, seed, alpha=None):
 
 @settings(max_examples=40)
 @given(tag=st.sampled_from(TAGS), runs=st.integers(0, 3000), horizon=st.integers(1, 3000),
-       seed=st.integers(0, 2**64 - 1))
-def test_lab_kernels_match_the_scalar_reference(tag, runs, horizon, seed):
+       seed=st.integers(0, 2**64 - 1), alpha=st.sampled_from([1.5, 2.0, 3.0, math.inf]))
+def test_lab_kernels_match_the_scalar_reference(tag, runs, horizon, seed, alpha):
     # past 976 runs the walk's first block is shorter than 4096 steps (1333
     # at 3000 runs), so horizons cross blocks; a horizon also cuts a block to
     # lengths that are not multiples of 4, where only chunks of 4k rows keep
-    # the 32-bit words of the draws whole
-    _assert_matches_reference(tag, runs, horizon, seed, 2.0 if tag == "noconcentration" else None)
+    # the 32-bit words of the draws whole.  An infinite alpha never steps up.
+    alpha = alpha if tag == "noconcentration" else None
+    _assert_matches_reference(tag, runs, horizon, seed, alpha)
 
 
 def test_the_benchmark_walk_matches_the_scalar_reference():
@@ -201,18 +224,26 @@ def test_long_walks_match_the_scalar_reference(seed):
 
 class _StepStream:
     """A stand-in generator whose walk steps are `ups` ones, then zeros, in
-    draw order whatever the call shapes: int8 draws of 1, or bytes of 0x80
-    in the 32-bit words that the lab kernel reads."""
+    draw order whatever the call shapes: int8 draws of 1 for the scalar
+    reference, or bytes of 0x80 in the raw 64-bit words that the lab kernel
+    reads from its `bit_generator`."""
 
     def __init__(self, ups):
         self.left = ups
+        self.bit_generator = self
 
-    def integers(self, low, high, size, dtype):
+    def _draw(self, size, dtype, up):
         steps = np.zeros(size, dtype=dtype)
         flat = steps.reshape(-1).view(np.uint8)
-        flat[:self.left] = 1 if steps.dtype == np.int8 else 0x80
+        flat[:self.left] = up
         self.left -= min(self.left, flat.size)
         return steps
+
+    def integers(self, low, high, size, dtype):
+        return self._draw(size, dtype, 1)
+
+    def random_raw(self, size):
+        return self._draw(size, "<u8", 0x80)
 
 
 def test_walk_keeps_values_past_int16():

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from termcert.rng import make_generator, philox_doubles, rekey
+from termcert.rng import below, make_generator, philox_doubles, rekey
 from termcert.semantics import _BLOCK, _ROW, _Uniforms
 
 MASK = (1 << 64) - 1
@@ -105,3 +107,59 @@ def test_coin_bytes_are_the_top_bits_of_word_bytes(seed):
         word = words.integers(0, 2**32, size=-(-size // 4), dtype=np.uint32)
         assert np.array_equal(got, word.astype("<u4").view(np.uint8)[:size] >> 7)
         assert _plain(coins.bit_generator.state) == _plain(words.bit_generator.state)
+
+
+# the smallest subnormal, 1 - 2^-53 (the largest double below 1), and the
+# nonnegativity law's up-probability exp(-1/n^2) at n = 1000
+CUT_PS = [0.0, 5e-324, 0.25, 0.5, 1 - 2**-53, 1.0, math.exp(-1 / 1000**2)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_integer_cut_points_decide_as_random_does(seed):
+    # `below` on raw words against `random(k) < p` on a twin generator; the
+    # sizes are odd and cross Philox's 4-word buffer
+    doubles, words = make_generator(seed, 0), make_generator(seed, 0)
+    for k in [1, 3, 5, 4099]:
+        for p in CUT_PS:
+            assert np.array_equal(below(words, k, p), doubles.random(k) < p), (k, p)
+    assert _plain(doubles.bit_generator.state) == _plain(words.bit_generator.state)
+
+
+class _Words:
+    """A stand-in generator whose raw words are given."""
+
+    def __init__(self, words):
+        self.bit_generator, self.words = self, np.array(words, dtype=np.uint64)
+
+    def random_raw(self, k):
+        return self.words[:k]
+
+
+@pytest.mark.parametrize("p", CUT_PS)
+def test_integer_cut_points_split_words_at_the_double_boundary(p):
+    # the words on either side of each cut, and both ends of the range,
+    # decide as numpy's double (w >> 11) * 2^-53 does
+    cut = math.ceil(p * 2**53) << 11
+    near = (0, cut - 2**11, cut - 1, cut, cut + 1, 2**64 - 1)
+    words = sorted({w for w in near if 0 <= w < 2**64})
+    doubles = (np.array(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert np.array_equal(below(_Words(words), len(words), p), doubles < p)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_odd_uint32_draws_carry_the_high_half_of_a_raw_word(seed):
+    # integers(0, 2**32, uint32) returns each raw word's low half, then its
+    # high half; a call of odd length leaves the high half to the next call,
+    # which the lab walk keeps itself when it reads raw words
+    ints, raws = make_generator(seed, 0), make_generator(seed, 0)
+    carry = np.empty(0, dtype="<u4")
+    for size in [1, 3, 2, 5, 1, 7, 4097, 65_537, 1, 6, 3, 1]:  # an even total
+        got = ints.integers(0, 2**32, size=size, dtype=np.uint32)
+        fresh = raws.bit_generator.random_raw(-(-(size - carry.size) // 2))
+        stream = np.concatenate((carry, fresh.astype("<u8").view("<u4")))
+        assert np.array_equal(got, stream[:size]), size
+        carry = stream[size:]
+    assert carry.size == 0
+    a, b = _plain(ints.bit_generator.state), _plain(raws.bit_generator.state)
+    del a["uinteger"], b["uinteger"]  # numpy keeps the last high half it handed out
+    assert a == b
