@@ -27,10 +27,11 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import InputError
 from ._compile import cert_value, compile_lambda, stanza_source
+from ._lex import (ParseError, TokenStream, line_streams, parse_items, parse_line_items,
+                   parse_number)
 from ._record import record
 from .lang import Expr, Pred, format_expr, format_pred
-from .parser import (ParseError, TokenStream, line_streams, parse_expr, parse_line_items,
-                     parse_number, parse_pred)
+from .parser import parse_expr, parse_pred
 from .valuation import Valuation
 
 CHECK_KINDS = ("ranking", "cdb", "db", "super")  # the families `checker` and `bounds` know
@@ -149,27 +150,34 @@ class Certificate:
 
 
 def parse_certificate(text: str) -> Certificate:
-    values, params, stanzas = dict.fromkeys(("eps", "delta", "zeta")), CertParams(), []
+    values, params, stanzas = dict.fromkeys(("eps", "delta", "zeta")), CertParams(), {}
+
+    def parameter(ts: TokenStream) -> None:
+        tok = ts.expect("ident", "a parameter name")
+        if tok.text not in values:
+            raise ParseError(f"unknown parameter {tok.text!r}", tok.line, tok.col)
+        ts.expect("=")
+        values[tok.text] = parse_number(ts)
     try:
         for ts in line_streams(text):
+            first = ts.peek()
             if ts.peek(1).kind == "@":
                 fname = ts.expect("ident", "a function name").text
                 ts.expect("@")
-                label = int(parse_number(ts, ("int",), "a label number"))
-                stanzas.append(((fname, label), tuple(parse_line_items(ts, _parse_piece))))
+                key = fname, int(parse_number(ts, ("int",), "a label number"))
+                if key in stanzas:
+                    raise ParseError(f"duplicate certificate stanza {fname}@{key[1]}",
+                                     first.line, first.col)
+                stanzas[key] = tuple(parse_line_items(ts, _parse_piece))
                 continue
-            while ts.peek().kind != "eof":  # a parameter line; commas separate like spaces
-                if ts.accept(","):
-                    continue
-                tok = ts.expect("ident", "a parameter name")
-                if tok.text not in values:
-                    raise ParseError(f"unknown parameter {tok.text!r}", tok.line, tok.col)
-                ts.expect("=")
-                values[tok.text] = parse_number(ts)
-            params = CertParams(**values)
+            parse_items(ts, parameter)  # commas separate like spaces
+            try:
+                params = CertParams(**values)
+            except CertificateError as exc:
+                raise ParseError(str(exc), first.line, first.col) from None
     except ParseError as exc:
         raise CertificateError(str(exc)) from None
-    return Certificate(tuple(stanzas), params, source_text=text)
+    return Certificate(tuple(stanzas.items()), params, source_text=text)
 
 
 def _parse_piece(ts: TokenStream) -> CertPiece:

@@ -19,7 +19,6 @@ its certificate stanzas are compiled when the scan reaches the label (see
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -30,6 +29,7 @@ from ._compile import (MISS, cert_value, compile_call_args, compile_pred, compil
                        point_text)
 from ._compile import format_value as _fmt
 from ._compile import value_le as _le
+from ._lex import ParseError, TokenStream, parse_integer, parse_items, tokenize
 from ._pool import fan_out
 from ._record import record
 from .certificates import CHECK_KINDS, Certificate, CertParams
@@ -66,17 +66,18 @@ class VerifyBox:
 
     @classmethod
     def parse(cls, *specs: str) -> "VerifyBox":
-        """Parse entries like ``n=-100..100`` (comma-separable)."""
-        bounds = []
-        for part in filter(None, (p.strip() for spec in specs for p in spec.split(","))):
-            m = re.fullmatch(r"(\w+)\s*=\s*(-?\d+)\s*\.\.\s*(-?\d+)", part, re.ASCII)
-            if not m:
-                raise CheckerError(f"bad --box entry {part!r}; expected var=lo..hi")
-            try:
-                bounds.append((m.group(1), int(m.group(2)), int(m.group(3))))
-            except ValueError:  # past the digits Python converts (sys.get_int_max_str_digits)
-                raise CheckerError(f"--box bound too long for {m.group(1)!r}") from None
-        return cls(tuple(bounds))
+        """Parse entries like ``n=-100..100``, separated by commas or spaces."""
+        def entry(ts: TokenStream) -> Tuple[str, int, int]:
+            name = ts.expect("ident", "a variable name").text
+            ts.expect("=")
+            lo = parse_integer(ts)
+            ts.expect("..")
+            return name, lo, parse_integer(ts)
+        try:
+            return cls(tuple(bound for spec in specs
+                             for bound in parse_items(TokenStream(tokenize(spec)), entry)))
+        except ParseError as exc:
+            raise CheckerError(f"bad --box: {exc}") from None
 
     def interval(self, name: str) -> Tuple[int, int]:
         for n, lo, hi in self.bounds:

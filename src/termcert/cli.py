@@ -5,7 +5,8 @@ Subcommands: parse | cfg | simulate | check | bounds | lab.  Exit status is
 counterexample is printed), and 2 on usage or input errors.  Reports embed
 the tool version, the seed, the box, and the certificate digest, and repeat
 runs with identical flags byte-for-byte.  Each subcommand imports only the
-termcert modules it runs, so `import termcert.cli` loads none.
+termcert modules it runs, so `import termcert.cli` loads none.  Option
+values are read in the token grammar of programs and files (`_lex`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ USAGE_ERROR = 2
 CHECK_FAIL = 1
 
 
-class CliError(InputError):
-    pass
+class CliError(InputError, argparse.ArgumentTypeError):
+    """A bad option value; argparse reports one that an option's type raises."""
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -80,11 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, type=_one_of("certificates", "CHECK_KINDS"))
     p.add_argument("--dist", help="distribution file for sampling variables")
     p.add_argument("--box", action="append", required=True,
-                   help="box entries like n=-100..100 (repeatable, comma-separable)")
+                   help="box entries like n=-100..100, comma- or space-separated (repeatable)")
     p.add_argument("--eps")
     p.add_argument("--delta")
     p.add_argument("--zeta")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_integer, default=1,
                    help="most processes to use, 0 = all available cores; a check "
                         "within about 10k conditions runs in one process")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
@@ -93,16 +94,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo termination-time statistics")
     p.add_argument("program")
     p.add_argument("--entry", required=True, help="function name, or name@label")
-    p.add_argument("--args", default="", help="entry bindings like n=5,m=2 (rest 0)")
+    p.add_argument("--args", default="", help="entry bindings like n=5,m=-2 (rest 0)")
     p.add_argument("--dist")
     p.add_argument("--scheduler", default="uniform",
                    type=_one_of("semantics", "SCHEDULER_KINDS"))
     p.add_argument("--cert", help="certificate for the greedy schedulers")
-    p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=10**6)
-    p.add_argument("--tail", default="", help="comma-separated thresholds for P(T >= k)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--runs", type=_integer, required=True)
+    p.add_argument("--max-steps", type=_integer, default=10**6)
+    p.add_argument("--tail", default="", help="thresholds for P(T >= k), like 10,100")
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--workers", type=_integer, default=0,
                    help="most processes to use, 0 = all available cores; a "
                         "simulation within about 250k steps runs in one process "
                         "and starts no pool")
@@ -124,10 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lab", help="counterexample processes: analytic vs simulated")
     p.add_argument("--example", required=True, type=_one_of("lab", "TAGS"))
     p.add_argument("--alpha", type=float)
-    p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail", default="", help="comma-separated levels for P(T > n)")
+    p.add_argument("--runs", type=_integer, required=True)
+    p.add_argument("--horizon", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--tail", default="", help="levels for P(T > n), like 10,100")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_lab)
 
@@ -168,63 +169,56 @@ def _sampling_function(cfg: Cfg, dist_path: Optional[str]) -> SamplingFunction:
     return SamplingFunction.from_mapping(dists)
 
 
-def _parse_args_binding(spec: str) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for part in spec.replace(",", " ").split():
-        if "=" not in part:
-            raise CliError(f"bad --args entry {part!r}; expected name=value")
-        name, _, value = part.partition("=")
-        if name in out:
-            raise CliError(f"duplicate --args entry for {name!r}")
-        out[name] = _int(value, "--args value")
-    return out
+def _values(text: str, what: str, item: Optional[Callable] = None, one: bool = False):
+    """`text` read by `_lex.parse_items` with `item` (integers if None), as `bad {what}` if bad."""
+    from ._lex import ParseError, TokenStream, parse_integer, parse_items, tokenize
+    try:
+        return parse_items(TokenStream(tokenize(text)), item or parse_integer, one)
+    except ParseError as exc:
+        raise CliError(f"bad {what}: {exc}") from None
+
+
+def _integer(text: str) -> int:  # the type of the integer options
+    return _values(text, "integer", one=True)
+
+
+def _binding(ts) -> Tuple[str, int]:  # `name=value` in --args
+    from ._lex import parse_integer
+    name = ts.expect("ident", "a variable name").text
+    ts.expect("=")
+    return name, parse_integer(ts)
+
+
+def _entry(ts) -> Tuple[str, Optional[int]]:  # `name` or `name@label` in --entry
+    from ._lex import parse_integer
+    name = ts.expect("ident", "a function name").text
+    return name, parse_integer(ts) if ts.accept("@") else None
 
 
 def _entry_element(cfg: Cfg, entry_spec: str, args_spec: str) -> StackElement:
     from .cfg import StackElement
     from .valuation import Valuation
-    fname, _, label_text = entry_spec.partition("@")
+    fname, label = _values(entry_spec, "--entry", _entry, one=True)
     if fname not in cfg.function_names():
         raise CliError(f"no function named {fname!r}")
     fn = cfg.function(fname)
-    label = _int(label_text, "--entry label") if label_text else fn.entry
+    label = fn.entry if label is None else label
     if label not in fn.labels():
         raise CliError(f"function {fname!r} has no label {label}")
-    bindings = {v: 0 for v in fn.pvars}
-    for name, value in _parse_args_binding(args_spec).items():
+    bindings = dict.fromkeys(fn.pvars)  # None until --args binds it; the rest are 0
+    for name, value in _values(args_spec, "--args", _binding):
         if name not in bindings:
             raise CliError(f"{name!r} is not a program variable of {fname!r}")
+        if bindings[name] is not None:
+            raise CliError(f"duplicate --args entry for {name!r}")
         bindings[name] = value
-    return StackElement(fname, label, Valuation(bindings))
-
-
-def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError(f"bad {what} {text!r}; expected an integer") from None
-
-
-def _number(text: str, what: str):
-    """`text` as one number literal, in the grammar of a certificate's parameters."""
-    from .parser import ParseError, TokenStream, parse_number, tokenize
-    try:
-        ts = TokenStream(tokenize(text))
-        value = parse_number(ts)
-        ts.expect("eof", "the end of the number")
-        return value
-    except ParseError as exc:
-        raise CliError(f"bad {what}: {exc}") from None
+    return StackElement(fname, label, Valuation({v: x or 0 for v, x in bindings.items()}))
 
 
 def _workers(n: int) -> int:
     if n < 0:
         raise CliError(f"bad --workers {n}; expected a nonnegative integer")
     return n
-
-
-def _int_list(spec: str) -> Tuple[int, ...]:
-    return tuple(_int(x, "threshold") for x in spec.replace(",", " ").split())
 
 
 def _meta(seed: Optional[int] = None, box: Optional[str] = None,
@@ -310,6 +304,7 @@ def _cmd_cfg(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from ._lex import parse_number
     from .certificates import load_certificate
     from .checker import VerifyBox, _kind_params, run_check
     cfg = _load_cfg(args.program)
@@ -317,7 +312,8 @@ def _cmd_check(args) -> int:
     sf = _sampling_function(cfg, args.dist)
     box = VerifyBox.parse(*args.box)
     params = _kind_params(args.kind, cert, **{
-        name: _number(getattr(args, name), f"--{name}") for name in ("eps", "delta", "zeta")
+        name: _values(getattr(args, name), f"--{name}", parse_number, one=True)
+        for name in ("eps", "delta", "zeta")
         if getattr(args, name) is not None})
     report = run_check(args.kind, cert, cfg, sf, box, params, workers=_workers(args.workers))
     meta = _meta(box=report.box, cert=cert)
@@ -352,7 +348,7 @@ def _cmd_simulate(args) -> int:
         raise CliError(f"scheduler {args.scheduler!r} requires --cert")
     scheduler = Scheduler(args.scheduler, cert)
     stats = simulate(cfg, sf, entry, scheduler, runs=args.runs,
-                     max_steps=args.max_steps, k_list=_int_list(args.tail),
+                     max_steps=args.max_steps, k_list=_values(args.tail, "--tail"),
                      seed=args.seed, workers=_workers(args.workers))
     meta = _meta(seed=args.seed, cert=cert)
     meta.update(entry=f"{entry.fname}@{entry.label}", scheduler=args.scheduler,
@@ -379,7 +375,7 @@ def _cmd_bounds(args) -> int:
     cert = _read(load_certificate, args.cert)
     entry = _entry_element(cfg, args.entry, args.args)
     rows = bound_rows(args.kind, cert, cfg, entry,
-                       _int_list(args.k), _int_list(args.n))
+                       _values(args.k, "--k"), _values(args.n, "--n"))
     if args.kind in ("cdb", "db"):
         print(f"warning: the eps rows of --kind {args.kind} hold only if "
               "check --kind ranking also passes on this certificate", file=sys.stderr)
@@ -399,7 +395,7 @@ def _cmd_lab(args) -> int:
     from .lab import simulate_lab
     result = simulate_lab(args.example, runs=args.runs, horizon=args.horizon,
                           seed=args.seed, alpha=args.alpha,
-                          tail_ns=_int_list(args.tail))
+                          tail_ns=_values(args.tail, "--tail"))
     meta = _meta(seed=args.seed)
     meta.update(example=args.example, runs=args.runs, horizon=args.horizon)
     if args.alpha is not None:

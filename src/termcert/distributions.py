@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from . import InputError
+from ._lex import ParseError, line_streams, parse_integer, parse_line_items, parse_number
 from ._record import record
 from .valuation import Valuation
 
@@ -159,20 +160,18 @@ def merge_distributions(builtin, extra: Mapping[str, DiscreteDist]) -> Dict[str,
 def parse_distributions(text: str) -> Dict[str, DiscreteDist]:
     """Parse ``r: value prob (; value prob)* [;]`` lines, each value an
     integer and each probability an integer, fraction or decimal literal."""
-    # imported here, since parser imports this module
-    from .parser import ParseError, line_streams, parse_line_items, parse_number
-
-    def outcome(ts) -> Tuple[int, Fraction]:
-        sign = -1 if ts.accept("-") else 1
-        return sign * int(parse_number(ts, ("int",), "an integer value")), parse_number(ts)
-
     out: Dict[str, DiscreteDist] = {}
     try:
         for ts in line_streams(text):
             tok = ts.expect("ident", "a variable name")
             if tok.text in out:
                 raise ParseError(f"duplicate stanza for {tok.text!r}", tok.line, tok.col)
-            out[tok.text] = DiscreteDist.from_pairs(parse_line_items(ts, outcome))
+            pairs = parse_line_items(ts, lambda ts: (parse_integer(ts, "an integer value"),
+                                                     parse_number(ts)))
+            try:
+                out[tok.text] = DiscreteDist.from_pairs(pairs)
+            except DistributionError as exc:  # a line that parsed but does not hold
+                raise ParseError(str(exc), tok.line, tok.col) from None
     except ParseError as exc:
         raise DistributionError(str(exc)) from None
     return out

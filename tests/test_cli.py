@@ -405,7 +405,7 @@ def test_bad_entry_and_missing_distribution_messages(capsys):
         (("--entry", "h", "--dist", HALVING_DIST), "no function named 'h'"),
         (("--entry", "f@99", "--dist", HALVING_DIST), "function 'f' has no label 99"),
         (("--entry", "f@x", "--dist", HALVING_DIST),
-         "bad --entry label 'x'; expected an integer"),
+         "bad --entry: 1:3: expected an integer, found 'x'"),
         (("--entry", "f"), "no distribution for sampling variables ['r']; pass --dist"),
         (("--entry", "f", "--args", "n=5,n=6", "--dist", HALVING_DIST),
          "duplicate --args entry for 'n'"),
@@ -542,8 +542,8 @@ def test_a_number_too_long_for_python_exits_two(capsys, tmp_path, where):
 
 
 @pytest.mark.parametrize("box, message", [
-    ("n=0.." + "1" * 5000, "--box bound too long for 'n'"),  # past the digits int() converts
-    ("n=0..\u0663", "bad --box entry 'n=0..\u0663'; expected var=lo..hi"),  # an Arabic-Indic 3
+    ("n=0.." + "1" * 5000, "bad --box: 1:6: number too long (5000 characters)"),  # past int()'s
+    ("n=0..\u0663", "bad --box: 1:6: unexpected character '\u0663'"),  # an Arabic-Indic 3
 ], ids=["5000 digits", "non-ASCII digit"])
 def test_a_box_bound_that_is_not_a_convertible_ascii_integer_exits_two(capsys, box, message):
     code, out, err = run_cli(
@@ -563,3 +563,89 @@ def test_parameter_overrides_take_the_certificate_number_grammar(capsys, value):
         "--dist", HALVING_DIST, "--box", "n=0..1", f"--eps={value}")
     assert (code, out) == (2, "")
     assert err.startswith("error: bad --eps: 1:")
+
+
+ARABIC_3 = "٣"  # an Arabic-Indic digit three, which int() reads as 3
+SIMULATE = ("simulate", HALVING, "--dist", HALVING_DIST, "--runs", "3")
+FILE_PROBES = {  # a probe's cert or dist file text, and the command that reads it
+    "cert": lambda path: ("check", HALVING, "--cert", path, "--kind", "ranking",
+                          "--dist", HALVING_DIST, "--box", "n=0..1"),
+    "dist": lambda path: ("check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
+                          "--dist", path, "--box", "n=0..1"),
+    "prob": lambda path: ("parse", path),
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((*SIMULATE, "--entry", "f", "--args", f"n={ARABIC_3}"),
+     f"bad --args: 1:3: unexpected character '{ARABIC_3}'"),
+    ((*SIMULATE, "--entry", "f", "--args", "n=1_0"), "bad --args: 1:3: bad number literal '1_0'"),
+    ((*SIMULATE, "--entry", "f", "--args", "n=+3"),
+     "bad --args: 1:3: expected an integer, found '+'"),
+    ((*SIMULATE, "--entry", "f@"), "bad --entry: 1:3: expected an integer, found 'end of input'"),
+    ((*SIMULATE, "--entry", "f@1 g"),
+     "bad --entry: 1:5: expected the end of the value, found 'g'"),
+    ((*SIMULATE, "--entry", "f", "--args", "n=5", "--tail", f"1{ARABIC_3}"),
+     f"bad --tail: 1:2: unexpected character '{ARABIC_3}'"),
+    (("bounds", HALVING, "--cert", HALVING_CERT, "--kind", "cdb", "--entry", "f", "--k", "1_12"),
+     "bad --k: 1:1: bad number literal '1_12'"),
+    (("bounds", HALVING, "--cert", HALVING_CERT, "--kind", "cdb", "--entry", "f", "--n", ARABIC_3),
+     f"bad --n: 1:1: unexpected character '{ARABIC_3}'"),
+    (("check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking", "--dist", HALVING_DIST,
+      "--box", "n=0..3", "--eps", "1e-3"), "bad --eps: 1:1: bad number literal '1e'"),
+    (("check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking", "--dist", HALVING_DIST,
+      "--box", "n=0..3 n"), "bad --box: 1:9: expected '=', found 'end of input'"),
+], ids=["--args digit", "--args groups", "--args plus", "--entry f@", "--entry two items",
+        "--tail digit", "--k groups", "--n digit", "--eps exponent", "--box short"])
+def test_a_value_outside_the_token_grammar_exits_two_naming_its_position(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--seed", ARABIC_3, f"1:1: unexpected character '{ARABIC_3}'"),
+    ("--runs", "1_0", "1:1: bad number literal '1_0'"),
+    ("--max-steps", "+100", "1:1: expected an integer, found '+'"),
+    ("--workers", " 2 3", "1:4: expected the end of the value, found '3'"),
+])
+def test_an_integer_option_outside_the_token_grammar_is_a_usage_error(capsys, option, value,
+                                                                      message):
+    import argparse
+
+    from termcert.cli import _build_parser
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    argv = [*SIMULATE, "--entry", "f", "--runs", "3", option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        commands.choices["simulate"].format_usage()
+        + f"termcert simulate: error: argument {option}: bad integer: {message}\n")
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("cert", "eps=1e-3\nf@1: 0\n", "1:5: bad number literal '1e'"),
+    ("cert", "eps=1delta=13\nf@1: 0\n", "1:5: bad number literal '1delta'"),
+    ("cert", f"eps=1\nf@1: {ARABIC_3}\n", f"2:6: unexpected character '{ARABIC_3}'"),
+    ("cert", "eps=1\nf@1: 0\n  f@1: 1\n", "3:3: duplicate certificate stanza f@1"),
+    ("cert", "eps=3 delta=2\nf@1: 0\n", "1:1: eps=3 exceeds delta=2; the expected decrease "
+                                        "cannot be both at least eps and at most delta"),
+    ("dist", "r: 1 1/4\n", "1:1: probabilities sum to 1/4, not 1"),
+    ("dist", f"r: {ARABIC_3} 1\n", f"1:4: unexpected character '{ARABIC_3}'"),
+    ("prob", f"f(n) {{\n  n := n - {ARABIC_3}\n}}\n", f"2:12: unexpected character '{ARABIC_3}'"),
+], ids=["cert exponent", "cert run-on", "cert digit", "cert duplicate", "cert eps above delta",
+        "dist sum", "dist digit", "prob digit"])
+def test_a_file_outside_the_token_grammar_exits_two_naming_its_position(capsys, tmp_path, kind,
+                                                                       text, message):
+    path = tmp_path / f"probe.{kind}"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, *FILE_PROBES[kind](str(path))) == (2, "", f"error: {message}\n")
+
+
+def test_spaces_around_the_signs_of_a_value_are_allowed(capsys):
+    argv = (*SIMULATE, "--entry", "f", "--tail", "2 ,3", "--workers", "1")
+    assert run_cli(capsys, *argv, "--args", "n = 5") == run_cli(capsys, *argv, "--args", "n=5")
+    code, out, err = run_cli(
+        capsys, "check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
+        "--dist", HALVING_DIST, "--box", "n = - 3 .. 3")
+    assert (code, err) == (0, "") and "box=n=-3..3" in out

@@ -77,7 +77,7 @@ SAMPLES = {
     "distributions.DiscreteDist": [(((0, F(1, 2)), (1, F(1, 2))),), (((1, 1),),),
                                    (((1, F(1, 2)), (0, F(1, 2))),)],
     "distributions.SamplingFunction": [((("r", HALF),),), ((("s", HALF), ("r", HALF)),)],
-    "parser.Token": [("ident", "x", 1, 1), ("int", "2", 1, 3)],
+    "_lex.Token": [("ident", "x", 1, 1), ("int", "2", 1, 3)],
     "checker.VerifyBox": [((("n", 0, 1),),), ((("n", 0, 1), ("m", -1, 1)),)],
     "checker.ConditionFailure": [("f", 1, "c", (("n", 1),), "1", "2"),
                                  ("f", 1, "c", (("n", 1),), "1", "2", "why")],

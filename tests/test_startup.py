@@ -5,6 +5,7 @@ These tests start fresh interpreters, because this process has long since
 loaded numpy, mpmath and the process-pool module through other tests.
 """
 
+import ast
 import json
 import os
 import re
@@ -169,6 +170,27 @@ def test_one_module_decides_how_work_is_spread_over_processes():
         if path.name != "_pool.py":
             text = path.read_text(encoding="utf-8")
             assert "concurrent.futures" not in text and "cpu_count" not in text, path.name
+
+
+def test_one_module_holds_the_token_grammar():
+    # _lex alone uses regular expressions, and it stays a leaf: of termcert it
+    # imports only the package's InputError and _record
+    package = Path(termcert.__file__).resolve().parent
+    for path in package.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        modules = {alias.name for node in imports if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in imports
+                    if isinstance(node, ast.ImportFrom) and node.level == 0}
+        if path.name != "_lex.py":
+            assert "re" not in modules, path.name
+            continue
+        ours = {(node.module, alias.name) for node in imports
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names}
+        assert ours == {(None, "InputError"), ("_record", "record")}
+        assert not {m for m in modules if m.split(".")[0] == "termcert"}
 
 
 # Runs one command in a fresh interpreter (no command at all for "-") and
