@@ -150,77 +150,99 @@ def compile_update(var: Optional[str], expr: Optional[Expr],
     return compile_lambda(f"lambda v, m: {_tuple(slots)}")
 
 
-def _args_code(site, names: Dict[str, str]) -> str:
-    """The callee valuation tuple of a call node (`cfg.CallSite`):
+def _args_code(site, names: Dict[str, str]) -> list:
+    """The code of each value of the callee at a call node (`cfg.CallSite`):
     parameters bound, locals zero."""
     by_param = dict(zip(site.params, site.args))
-    return _tuple(expr_code(by_param[name], names) if name in by_param else "0"
-                  for name in site.callee_vars)
+    return [expr_code(by_param[name], names) if name in by_param else "0"
+            for name in site.callee_vars]
 
 
 def compile_call_args(site, caller_pvars: Tuple[str, ...]) -> Callable:
     """fn(v) -> callee valuation tuple."""
-    return compile_lambda(f"lambda v: {_args_code(site, _slots(caller_pvars, 'v'))}")
+    return compile_lambda(f"lambda v: {_tuple(_args_code(site, _slots(caller_pvars, 'v')))}")
 
 
-_NESTING = 40  # branch levels per segment; deeper code starts a segment of its own
+_NESTING = 40  # branch levels per block; deeper code starts a block of its own
 _DRAW = "pop() if dr else nxt()"  # the run's next uniform draw (compile_runner)
+VALUE_BITS = 4096  # a value longer than this, made by `*` or `^`, censors its run
+
+
+def _censor_long(pad: str, values) -> list:
+    """The lines that censor the run when a value just computed is longer
+    than VALUE_BITS bits, for each (value, code) pair of `values` whose code
+    multiplies or raises: no other operation adds more than a bit."""
+    return [pad + f"if {value}.bit_length() > {VALUE_BITS}: return"
+            for value, code in values if "*" in code or "_ipow(" in code]
 
 
 def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable, list]:
-    """(make, stars): `make(nxt, dr, cap, stk, *choosers)` returns the
-    segment of `entry`; `stars` lists the (function, then, else) of each
-    chooser.
+    """(make, stars): `make(nxt, dr, cap, *choosers)` returns `run(v)`,
+    which runs from `entry` with the values `v` and returns its steps, or
+    None if it is censored; `stars` lists the (function, then, else) of
+    each chooser.
 
-    Each resume point (a function's entry, a call's return label, a label
-    with more than one predecessor, `entry`, a branch target nested
-    _NESTING deep) has a segment `seg(v, steps) -> steps`: it runs the top
-    frame of `stk` (a list of (segment, values) frames) label by label, each
-    testing the cap `cap` and counting a step, until a call, the exit,
-    another resume point or the cap, and loops at its own label.  Stars
-    follow the scheduler `kind`: always-then, always-else, a uniform draw
-    below 0.5 (uniform) or a chooser (greedy-*).  A sampling variable maps a
-    uniform draw u to the first value whose cumulative threshold exceeds u,
-    or else the last value; an EvalError is raised again naming its label.
-    A uniform draw pops the list `dr` (the run's next draws, last first) and
-    calls `nxt()`, which refills it and returns the next draw, only when
-    `dr` is empty.
+    `run` is one loop over the resume points (a function's entry, a call's
+    return label, a label with more than one predecessor, `entry`, a branch
+    target nested _NESTING deep), each a `pc` found by a balanced tree of
+    `pc < k` tests.  A resume point's block unpacks `v` and runs its
+    function label by label, each testing the cap `cap` and counting a
+    step, until a call, the exit or another resume point, and loops at its
+    own label.  A call pushes (return pc, values) on the run's frame stack,
+    unless it is its function's last step, and enters the callee; the exit
+    pops a frame, or ends the run when none is left.  The cap censors the
+    run, and so does an assignment or call argument that `*` or `^` makes
+    longer than VALUE_BITS bits.  Stars follow the scheduler `kind`:
+    always-then, always-else, a uniform draw below 0.5 (uniform) or a
+    chooser (greedy-*).  A sampling variable maps a uniform draw u to the
+    first value whose cumulative threshold exceeds u, or else the last
+    value; an EvalError is raised again naming its label.  A uniform draw
+    pops the list `dr` (the run's next draws, last first) and calls
+    `nxt()`, which refills it and returns the next draw, only when `dr` is
+    empty.
     """
-    segs = {}
-    for fidx, fn in enumerate(cfg.functions):
+    todo = []  # the resume points by pc; grows while it is read, by the deeply nested targets
+    for fn in cfg.functions:
         indegree = Counter(t for node in fn.nodes.values() for t in node.targets)
         starts = {fn.entry, *(node.target for node in fn.nodes.values() if node.kind == "call"),
                   *(label for label, n in indegree.items() if n > 1)}
         if fn.name == entry[0]:
             starts.add(entry[1])
-        segs.update(((fn.name, label), f"s{fidx}_{label}")
-                    for label in sorted(starts - {fn.exit}))
-    stars, lines = [], []
-    todo = list(segs)  # grows while it is read, by the deeply nested targets
-    for fname, start in todo:
-        lines += _segment(cfg, sf, cfg.function(fname), start, segs, todo, kind, stars)
-    params = "".join(f", c{k}" for k in range(len(stars)))
-    source = "\n".join([f"def make(nxt, dr, cap, stk{params}):", "    pop = dr.pop", *lines,
-                        f"    return {segs[entry]}", ""])
-    return compile_lambda(source), stars
+        todo += ((fn.name, label) for label in sorted(starts - {fn.exit}))
+    pcs, stars = {point: pc for pc, point in enumerate(todo)}, []
+    blocks = [_block(cfg, sf, cfg.function(fname), start, pcs, todo, kind, stars)
+              for fname, start in todo]
+    free = ["nxt", "dr", "cap", *(f"c{k}" for k in range(len(stars)))]
+    lines = [f"def make({', '.join(free)}):",  # their values, and dr.pop, as run's own locals
+             f"    def run(v, pop=dr.pop, {', '.join(f'{n}={n}' for n in free)}):",
+             f"        pc, st, stk = {pcs[entry]}, 0, []", "        while True:"]
+
+    def tree(lo, hi, pad):  # the blocks of pcs lo..hi-1
+        if hi - lo == 1:
+            return lines.extend(pad + line for line in blocks[lo])
+        mid = (lo + hi) // 2
+        lines.append(f"{pad}if pc < {mid}:")
+        tree(lo, mid, pad + "    ")
+        lines.append(f"{pad}else:")
+        tree(mid, hi, pad + "    ")
+
+    tree(0, len(blocks), "            ")
+    return compile_lambda("\n".join([*lines, "    return run", ""])), stars
 
 
-def _segment(cfg, sf, fn, start, segs, todo, kind, stars) -> list:
-    """The source lines of the segment of `fn` at `start` (compile_runner)."""
+def _block(cfg, sf, fn, start, pcs, todo, kind, stars) -> list:
+    """The source lines of the block of `fn` at `start` (compile_runner)."""
     names = {var: f"x{i}" for i, var in enumerate(fn.pvars)}
     fresh = _tuple(names.values())
-    lines = [f"    def {segs[fn.name, start]}(v, st):", f"        {fresh} = v",
-             "        while True:"]
+    lines = [f"{fresh} = v", "while True:"]
 
     def inline(label):
-        return label != fn.exit and label != start and (fn.name, label) not in segs
+        return label != fn.exit and label != start and (fn.name, label) not in pcs
 
     def run(label, pad, vals):
         """Emit `label` and the labels after it, up to the jump ending the path."""
         while True:
-            if label != start:
-                lines.append(pad + "if st >= cap: return st")
-            lines.append(pad + "st += 1")
+            lines.extend([pad + "if st >= cap: return", pad + "st += 1"])
             where = f'except EvalError as e: raise EvalError(f"{{e}} at ({fn.name}, {label})") from None'
             node = fn.nodes[label]
             if node.kind == "nondet" and kind.startswith("always"):
@@ -240,13 +262,13 @@ def _segment(cfg, sf, fn, start, segs, todo, kind, stars) -> list:
                 goto(no, pad + "    ", vals)
                 return
             elif node.kind == "call":
-                callee = f"({segs[node.callee, cfg.function(node.callee).entry]}, a)"
-                lines.extend([pad + f"try: a = {_args_code(node, names)}", pad + where])
-                if node.target == fn.exit:
-                    lines.extend([pad + f"stk[-1] = {callee}", pad + "return st"])
-                else:
-                    lines.extend([pad + f"stk[-1] = ({segs[fn.name, node.target]}, {vals})",
-                                  pad + f"stk.append({callee})", pad + "return st"])
+                if node.target != fn.exit:
+                    lines.append(pad + f"stk.append(({pcs[fn.name, node.target]}, {vals}))")
+                args = _args_code(node, names)
+                lines.extend([pad + f"try: v = {_tuple(args)}", pad + where,
+                              *_censor_long(pad, ((f"v[{i}]", a) for i, a in enumerate(args))),
+                              pad + f"pc = {pcs[node.callee, cfg.function(node.callee).entry]}"
+                              "; break"])
                 return
             else:
                 drawn = {}
@@ -257,7 +279,8 @@ def _segment(cfg, sf, fn, start, segs, todo, kind, stars) -> list:
                     drawn[svar] = f"m{j}"
                 if node.var is not None:
                     code = expr_code(node.expr, {**drawn, **names})
-                    lines.extend([pad + f"try: {names[node.var]} = {code}", pad + where])
+                    lines.extend([pad + f"try: {names[node.var]} = {code}", pad + where,
+                                  *_censor_long(pad, [(names[node.var], code)])])
                     vals = fresh
                 target = node.target
             if not inline(target):
@@ -266,22 +289,19 @@ def _segment(cfg, sf, fn, start, segs, todo, kind, stars) -> list:
 
     def goto(label, pad, vals):
         """The code at `label`, or the jump there that ends the path."""
-        if inline(label) and len(pad) > 4 * _NESTING:  # too deep: a segment of its own
-            segs[fn.name, label] = f"{segs[fn.name, start]}_{label}"
+        if inline(label) and len(pad) > 4 * _NESTING:  # too deep: a block of its own
+            pcs[fn.name, label] = len(todo)
             todo.append((fn.name, label))
         if inline(label):
             run(label, pad, vals)
         elif label == fn.exit:
-            lines.extend([pad + "stk.pop()", pad + "return st"])
+            lines.extend([pad + "if not stk: return st", pad + "pc, v = stk.pop(); break"])
         elif label == start:
-            if vals != "v":
-                lines.append(pad + f"v = {vals}")
-            lines.extend([pad + "if st >= cap: return st", pad + "continue"])
+            lines.append(pad + ("continue" if vals == "v" else f"v = {vals}; continue"))
         else:
-            lines.extend([pad + f"stk[-1] = ({segs[fn.name, label]}, {vals})",
-                          pad + "return st"])
+            lines.append(pad + f"pc, v = {pcs[fn.name, label]}, {vals}; break")
 
-    run(start, "            ", "v")
+    run(start, "    ", "v")
     return lines
 
 

@@ -235,6 +235,8 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
         raise LabError("horizon must be at least 1")
     if runs < 0:
         raise LabError(f"runs must be nonnegative, got {runs}")
+    if not 0 <= seed < 2**64:
+        raise LabError(f"seed must be in [0, 2^64), got {seed}")
     alpha_f = _needs_alpha(tag, alpha)
     tail_ns = tuple(sorted(set(int(n) for n in tail_ns)))
     for n in tail_ns:

@@ -3,15 +3,15 @@ Carlo estimation of termination-time statistics.
 
 A run starts from one stack element (function, label, valuation) and takes
 steps until its stack of activation frames is empty; its termination time
-is the number of steps taken.  `simulate` runs the code that
-`_compile.compile_runner` emits per function: a frame is a (segment, values)
-pair, and a segment runs its function label by label, one step per label,
-until a call, the exit or the step cap.  An assignment draws the sampling
-variables it reads when it runs, and a scheduler resolves every
-nondeterministic label.  The single-step reference the run loop is tested
-against lives in `tests/oracles.py`.  `StackElement` (from `cfg`) and
-`TailEstimate`, `wilson_interval` and `Z95` (from `rng`) remain names of
-this module.
+is the number of steps taken.  `simulate` runs the one loop that
+`_compile.compile_runner` emits per program: it takes one step per label,
+jumps between resume points by number, and keeps the run's frames, each a
+(resume point, values) pair, on a list of its own.  An assignment draws
+the sampling variables it reads when it runs, and a scheduler resolves
+every nondeterministic label.  The single-step reference the run loop is
+tested against lives in `tests/oracles.py`.  `StackElement` (from `cfg`)
+and `TailEstimate`, `wilson_interval` and `Z95` (from `rng`) remain names
+of this module.
 """
 
 from __future__ import annotations
@@ -129,14 +129,16 @@ def _finalize(totals: Sequence[int], runs: int, max_steps: int, k_list: Sequence
 
 
 # ---------------------------------------------------------------------------
-# Simulation: the run loop calls the CFG's compiled segments
+# Simulation: each run is one call of the program's compiled run loop
 # ---------------------------------------------------------------------------
 
 _ROW = 8  # draws per run computed ahead, by whole Philox blocks of 4
 _BLOCK = 1024  # runs whose first _ROW draws one kernel call computes
-# `fan_out`'s budget, 4-5M steps/s in the run loop; a draw-free simulation
-# runs once whatever its run count, so it stays within the budget
-_SERIAL_STEPS = 250_000
+# `fan_out`'s budget: about one pool start-up (25-36 ms to import the pool
+# module and start one worker) at the run loop's 5.2M (uniform) to 8.4M
+# (always-else) steps/s on the halving game, 2-core VM, Python 3.11.  A
+# draw-free simulation runs once whatever its run count: within the budget
+_SERIAL_STEPS = 200_000
 
 
 class _Uniforms:
@@ -190,8 +192,8 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
                entry_vals: tuple, scheduler: Scheduler, max_steps: int,
                k_list: Tuple[int, ...], seed: int, lo: int, hi: int,
                budget: float) -> Tuple[tuple, int]:
-    """Runs lo..hi-1 on an explicit stack of (segment, values) frames, top
-    last; see `_compile.compile_runner` for what a segment does.  Stops
+    """Runs lo..hi-1, each a call of the program's compiled run loop (see
+    `_compile.compile_runner`), which keeps the run's frame stack.  Stops
     before the first run that would start once the steps spent (a censored
     run spends max_steps) reach `budget`.  A run that draws nothing is
     every run of the range, so it is counted for the rest of the range and
@@ -200,9 +202,8 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
     make, stars = compile_runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
     tail = dict.fromkeys(k_list, 0)
     uniforms = _Uniforms(seed, hi)
-    stack: list = []
-    entry = (make(uniforms.next, uniforms.dr, max_steps, stack,
-                  *(scheduler._greedy(*star) for star in stars)), entry_vals)
+    walk = make(uniforms.next, uniforms.dr, max_steps,
+                *(scheduler._greedy(*star) for star in stars))
 
     spent = censored = sumsq = 0
     end = hi
@@ -211,16 +212,10 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
             end = run
             break
         uniforms.start(run)
-        stack.append(entry)
-        steps = 0
-        while stack and steps < max_steps:
-            segment, vals = stack[-1]
-            steps = segment(vals, steps)
-
+        steps = walk(entry_vals)
         copies = 1 if uniforms.drawn else hi - run
-        spent += steps * copies  # a segment stops at the cap, so a censored run spent max_steps
-        if stack:  # censored at the step cap: T > max_steps, counted in every tail below
-            stack.clear()
+        spent += (steps or max_steps) * copies  # a censored run (None) counts max_steps
+        if steps is None:  # censored, counted in every tail below
             censored += copies
         else:
             sumsq += steps * steps * copies
@@ -239,15 +234,18 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
              workers: int = 1) -> RunStats:
     """Monte Carlo estimate of termination-time statistics.
 
-    Each run owns the stream (seed, run-index), so results are bit-identical
-    for any worker count.  `_pool.fan_out` spreads the runs over at most
+    Each run owns the stream (seed, run-index), the seed in [0, 2^64), so
+    results are bit-identical for any worker count.  `_pool.fan_out` spreads the runs over at most
     `workers` processes (0: one per core) in contiguous ranges, after a
     head of runs in this process whose steps reach _SERIAL_STEPS.  Runs
     stopped at `max_steps` are censored: they are excluded from the mean
     and counted as mass at or beyond every requested tail threshold (all
     thresholds must be <= max_steps, which makes tail estimates unbiased).
-    Every run starts from `entry`, so when one run draws no random number
-    all runs are that run, and it is simulated once.
+    So is a run at a value that `*` or `^` makes longer than
+    `_compile.VALUE_BITS` bits, which the step cap alone would not stop in
+    reasonable time or memory.  Every run starts from `entry`, so when one
+    run draws no random number all runs are that run, and it is simulated
+    once.
     """
     if entry.fname not in cfg.function_names():
         raise SemanticsError(f"no function named {entry.fname!r}")
@@ -263,6 +261,8 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
         raise SemanticsError("max_steps must be at least 1")
     if runs < 0:
         raise SemanticsError(f"runs must be nonnegative, got {runs}")
+    if not 0 <= seed < 2**64:
+        raise SemanticsError(f"seed must be in [0, 2^64), got {seed}")
     k_list = tuple(sorted(set(int(k) for k in k_list)))
     for k in k_list:
         if k < 1 or k > max_steps:

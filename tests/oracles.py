@@ -197,6 +197,15 @@ def draws(dist, seed, stream, n):
 VALUE_BITS = 4096  # a coin run ends once a value grows past this many bits
 
 
+def grows(expr) -> bool:
+    """Whether `expr` multiplies or raises to a power, the operations that
+    can add more than one bit to a value: the simulator censors a run at a
+    value past VALUE_BITS bits computed by such an expression."""
+    if isinstance(expr, Pow) or isinstance(expr, BinOp) and expr.op == "*":
+        return True
+    return isinstance(expr, BinOp) and (grows(expr.left) or grows(expr.right))
+
+
 def coin_run(cfg, sf, entry, seed, max_steps):
     """The states of one run from `entry`, of at most `max_steps` steps, that
     flips a fair coin at each nondeterministic label.  Coins and each step's

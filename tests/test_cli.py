@@ -451,6 +451,55 @@ def test_negative_run_count_exits_two(capsys):
         assert (code, out, err) == (2, "", "error: runs must be nonnegative, got -5\n")
 
 
+def test_a_runaway_value_censors_its_run(capsys, tmp_path, inline_pool):
+    # squaring from 3 passes 4096 bits at the 12th loop turn, well within
+    # the step cap: the run is censored there instead of squaring on
+    import time
+
+    inline_pool()
+    program = tmp_path / "square.prob"
+    program.write_text("f(x) { while x >= 2 do x := x * x od }\n", encoding="utf-8")
+    outs = []
+    for workers in ("1", "2"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", str(program), "--entry", "f", "--args",
+                                 "x=3", "--runs", "1", "--max-steps", "100", "--workers", workers)
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "")
+        assert "\ncensored    1 " in out and "\nterminated  0 " in out
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+OUTSIDE_64_BITS = ["18446744073709551616", "18446744073709551617", "-18446744073709551615",
+                   "-1"]  # rng keys a stream by the seed's low 64 bits: each would run another's
+
+
+@pytest.mark.parametrize("seed", OUTSIDE_64_BITS)
+def test_simulate_rejects_a_seed_outside_64_bits(capsys, halving, seed):
+    from termcert.semantics import Scheduler, SemanticsError, StackElement, simulate
+    from termcert.valuation import Valuation
+
+    code, out, err = run_cli(capsys, "simulate", HALVING, "--dist", HALVING_DIST, "--entry",
+                             "f", "--args", "n=5", "--runs", "5", "--seed", seed)
+    assert (code, out, err) == (2, "", f"error: seed must be in [0, 2^64), got {seed}\n")
+    cfg, sf, _ = halving
+    with pytest.raises(SemanticsError):
+        simulate(cfg, sf, StackElement("f", 1, Valuation({"n": 5})), Scheduler("uniform"),
+                 runs=5, max_steps=100, seed=int(seed))
+
+
+@pytest.mark.parametrize("seed", OUTSIDE_64_BITS)
+def test_lab_rejects_a_seed_outside_64_bits(capsys, seed):
+    from termcert.lab import LabError, simulate_lab
+
+    code, out, err = run_cli(capsys, "lab", "--example", "randomwalk", "--runs", "5",
+                             "--horizon", "10", "--seed", seed)
+    assert (code, out, err) == (2, "", f"error: seed must be in [0, 2^64), got {seed}\n")
+    with pytest.raises(LabError):
+        simulate_lab("randomwalk", runs=5, horizon=10, seed=int(seed))
+
+
 def test_check_rejects_negative_workers(capsys, inline_pool):
     sizes = inline_pool()
     code, out, err = run_cli(

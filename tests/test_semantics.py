@@ -8,8 +8,8 @@ import pytest
 import oracles
 from oracles import ACTION_ELSE, ACTION_TAU, ACTION_THEN, MdpState, sample_from_uniform, step
 from termcert.rng import make_generator
-from termcert.semantics import (Scheduler, SemanticsError, StackElement, Z95, simulate,
-                                wilson_interval)
+from termcert.semantics import (SCHEDULER_KINDS, Scheduler, SemanticsError, StackElement, Z95,
+                                simulate, wilson_interval)
 from termcert.valuation import Valuation
 
 
@@ -198,7 +198,9 @@ def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
     consuming the same uniform stream as the compiled runner: one draw per
     sampling variable read by the executed assignment, one draw per
     coin-flip decision.  Greedy choices go through the oracle's certificate
-    value, not the scheduler's compiled stanzas."""
+    value, not the scheduler's compiled stanzas.  An assignment or call
+    argument computed with `*` or `^` whose value is longer than VALUE_BITS
+    bits censors the run."""
     gen = make_generator(seed, run_index)
     state = MdpState((entry,), Valuation({}))
     for steps in range(max_steps):
@@ -221,6 +223,12 @@ def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
             else:
                 take_then = scheduler.kind == "always-then"
             action = ACTION_THEN if take_then else ACTION_ELSE
+        node = fn.nodes[top.label]
+        computed = (node.args if cls == "call" else
+                    (node.expr,) if cls == "assignment" and node.var is not None else ())
+        if any(oracles.grows(expr) and oracles.eval_expr(expr, top.valuation, drawn).numerator
+               .bit_length() > oracles.VALUE_BITS for expr in computed):
+            return None
         state = oracles.step(state, action, Valuation(drawn), cfg)
     return max_steps if state.terminated else None  # None: censored
 
@@ -245,7 +253,7 @@ def test_compiled_runner_matches_single_step_reference(gen_seed):
         cert = rand_certificate(prog_seed ^ 0x5EED, cfg)
         entry = StackElement("f", cfg.function("f").entry,
                              Valuation({"m": 1, "n": 2}))
-        for kind in ("uniform", "always-else", "greedy-max", "greedy-min"):
+        for kind in SCHEDULER_KINDS:
             sched = Scheduler(kind, cert)
             cap = 300
             stats = simulate(cfg, sf, entry, sched, runs=40, max_steps=cap, seed=99)
@@ -255,6 +263,133 @@ def test_compiled_runner_matches_single_step_reference(gen_seed):
             assert stats.terminated == len(ref_terminated)
             assert stats.sum_steps == sum(ref_terminated)
             assert stats.sumsq_steps == sum(t * t for t in ref_terminated)
+
+
+FOUR_FUNCTIONS = """
+f(n, m) {
+  while n >= 1 do
+    if star then g(n - 1, m) else h(n - 1, m + 1) fi;
+    n := n - 1 - r;
+    if m >= n then m := m - 1 else m := m + 1 fi;
+    k(m);
+    k(n);
+    if star then skip else m := m - 1 fi
+  od;
+  if m >= 3 then k(m - 3) else skip fi
+}
+g(a, b) {
+  if a >= 2 then
+    f(a div 2, b);
+    if star then k(b) else skip fi
+  else
+    b := b + s
+  fi;
+  while b >= 4 do b := b - 2 od;
+  k(b);
+  if b >= 1 then b := b - 1 else skip fi;
+  if star then b := b * 2 else skip fi
+}
+h(a, b) {
+  while a >= 3 do
+    if b >= a then a := a - 2 else a := a - 1 - t fi;
+    k(a)
+  od;
+  if b >= 2 then k(b - 2) else skip fi;
+  g(a, b - 1)
+}
+k(c) {
+  if c >= 6 then c := c div 2 else skip fi;
+  while c >= 1 do
+    if star then c := c - 1 else c := c - w - 1 fi;
+    if c >= 3 then c := c - 1 else skip fi
+  od
+}
+"""
+FOUR_CERT = """f@3: n * n + m * m
+f@4: (n - m) * (n - m) + 2
+f@12: m * m
+f@13: n * n
+g@4: a * a
+g@5: b * b + 1
+g@14: (a - b) * (a - b)
+g@15: a * a + 1
+k@6: c * c
+k@7: (c - 2) * (c - 2)
+"""
+
+
+def test_a_four_level_pc_tree_matches_the_reference(monkeypatch):
+    # 4 functions with 16 resume points between them, so the run loop finds
+    # a block by a tree of pc tests 4 levels deep; calls, tail calls,
+    # returns, joins and loop heads jump between blocks of every function.
+    # Caps 1, 2, 3 and 7 stop runs inside blocks and at jumps
+    from termcert import _compile
+    from termcert.certificates import parse_certificate
+    from termcert.cfg import build_cfg
+    from termcert.distributions import DiscreteDist, SamplingFunction
+    from termcert.lang import label_program
+    from termcert.parser import parse_program
+
+    sources, compile_lambda = [], _compile.compile_lambda
+    monkeypatch.setattr(_compile, "compile_lambda",
+                        lambda source: sources.append(source) or compile_lambda(source))
+    cfg = build_cfg(label_program(parse_program(FOUR_FUNCTIONS)))
+    half = DiscreteDist.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    sf = SamplingFunction.from_mapping({name: half for name in cfg.sampling_vars})
+    cert = parse_certificate(FOUR_CERT)
+    entry = StackElement("f", 1, Valuation({"n": 6, "m": 2}))
+    terminated = set()
+    for kind, cap in itertools.product(SCHEDULER_KINDS, (300, 1, 2, 3, 7)):
+        sched = Scheduler(kind, cert)
+        stats = simulate(cfg, sf, entry, sched, runs=30, max_steps=cap, k_list=[cap], seed=5)
+        ref = [_reference_run(cfg, sf, entry, sched, cap, 5, run) for run in range(30)]
+        done = [t for t in ref if t is not None]
+        assert stats.terminated == len(done), (kind, cap)
+        assert stats.sum_steps == sum(done)
+        assert stats.sumsq_steps == sum(t * t for t in done)
+        assert stats.tail(cap).count == sum(t is None or t >= cap for t in ref)
+        if cap == 300:
+            terminated.add(stats.terminated)
+    assert len(terminated) > 1  # the schedulers do not all end alike
+    runner = next(source for source in sources if source.startswith("def make("))
+    tests = [line for line in runner.splitlines() if line.lstrip().startswith("if pc < ")]
+    assert len(tests) + 1 == 16
+    depths = {len(line) - len(line.lstrip()) for line in tests}
+    assert len(depths) == 4
+
+
+def test_runaway_values_censor_as_in_the_reference():
+    # x squares on some loop turns, and a call passes x ^ 2; a run whose x
+    # outgrows 4096 bits is censored at the assignment or the call that made
+    # it, however few steps it took, and the other runs end
+    from termcert.cfg import build_cfg
+    from termcert.distributions import SamplingFunction
+    from termcert.lang import label_program
+    from termcert.parser import parse_program
+
+    cfg = build_cfg(label_program(parse_program(
+        "f(n, x) { while n >= 1 do if star then x := x * x else g(x ^ 2); n := n - 1 fi od }\n"
+        "g(y) { skip }")))
+    sf = SamplingFunction.from_mapping({})
+    entry = StackElement("f", 1, Valuation({"n": 12, "x": 3}))
+    for kind in ("uniform", "always-then"):
+        sched = Scheduler(kind)
+        stats = simulate(cfg, sf, entry, sched, runs=200, max_steps=10_000, k_list=[1], seed=4)
+        ref = [_reference_run(cfg, sf, entry, sched, 10_000, 4, run) for run in range(200)]
+        done = [t for t in ref if t is not None]
+        assert (stats.terminated, stats.censored) == (len(done), 200 - len(done))
+        assert stats.sum_steps == sum(done)
+        assert stats.sumsq_steps == sum(t * t for t in done)
+        assert 0 < stats.censored < 200 if kind == "uniform" else stats.censored == 200
+    # at the bound: 2^4095 has 4096 bits and ends its run, 2^4096 censors it
+    cfg = build_cfg(label_program(parse_program(
+        "f(n, x) { while n >= 1 do x := 2 * x; n := n - 1 od }")))
+    for n in (5, 6):
+        entry = StackElement("f", 1, Valuation({"n": n, "x": 2**4090}))
+        stats = simulate(cfg, sf, entry, Scheduler("uniform"), runs=3, max_steps=100)
+        assert stats.censored == (3 if n == 6 else 0)
+        assert _reference_run(cfg, sf, entry, Scheduler("uniform"), 100, 0, 0) == (
+            None if n == 6 else stats.mean)
 
 
 def test_long_runs_draw_the_streams_of_the_reference():
