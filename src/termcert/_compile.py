@@ -5,7 +5,7 @@ compiled to Python.
 Everything that evaluates a program or a certificate goes through here: the
 checker compiles a node's guard (`compile_pred`), update (`compile_update`)
 or argument passing (`compile_call_args`) as it reaches the node's label;
-`compile_runner` emits one function per resume point of the node table, and
+`compile_runner` emits one run loop over the node table's resume points, and
 `Certificate.value` and the schedulers use `stanza_source`.  The
 interpretive reference that the tests compare against lives in
 `tests/oracles.py`.
@@ -67,15 +67,36 @@ def _negative(x, v, fname, label, pvars):
         f"certificate value {x} at {point_text(fname, label, pvars, v)} is negative")
 
 
-_NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "_negative": _negative,
-              "MISS": MISS, "EvalError": EvalError, "__builtins__": {}}
+VALUE_BITS = 4096  # a run loop value longer than this, made by `*` or `^`, censors its run
 
 
-def expr_code(expr: Expr, names: Dict[str, str], parent: int = 0) -> str:
+class Runaway(Exception):
+    """A run loop's power is longer than VALUE_BITS bits: the run is censored."""
+
+
+def _rpow(a, b):
+    """`a ^ b` on ints, raising Runaway if longer than VALUE_BITS bits.  A
+    power has at least (L-1)·b + 1 bits, L being a's length; when that is
+    too long it is never computed, so none of 2·VALUE_BITS bits or more is."""
+    if (abs(a).bit_length() - 1) * b >= VALUE_BITS or (x := _ipow(a, b)).bit_length() > VALUE_BITS:
+        raise Runaway
+    return x
+
+
+_NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "_rpow": _rpow,
+              "_negative": _negative, "MISS": MISS, "EvalError": EvalError,
+              "Runaway": Runaway, "__builtins__": {}}
+
+
+def expr_code(expr: Expr, names: Dict[str, str], parent: int = 0,
+              power: Optional[str] = None) -> str:
     """Render `expr` as Python source, each variable as `names` renders it,
     in parentheses only where the operator around it, of precedence
     `parent`, needs them; so a left-deep sum of any length has none for
-    CPython's limit of 200 nested parentheses to count."""
+    CPython's limit of 200 nested parentheses to count.  A program
+    expression names its `power` helper, `_ipow` or the run loop's
+    `_rpow`; as its values are ints, a `div` by a positive integer literal
+    is `//`.  A certificate's (no `power`) keeps `_idiv` and `_ipow`."""
     if isinstance(expr, Const):
         value = expr.value
         if value.denominator == 1:
@@ -86,28 +107,35 @@ def expr_code(expr: Expr, names: Dict[str, str], parent: int = 0) -> str:
             return names[expr.name]
         raise EvalError(f"unbound variable {expr.name!r}")
     if isinstance(expr, BinOp):
-        if expr.op == "div":
-            return f"_idiv({expr_code(expr.left, names)}, {expr_code(expr.right, names)})"
+        op, right = expr.op, expr.right
+        if op == "div":
+            if not (power and isinstance(right, Const) and right.value.denominator == 1
+                    and right.value > 0):
+                return (f"_idiv({expr_code(expr.left, names, 0, power)}, "
+                        f"{expr_code(right, names, 0, power)})")
+            op = "//"
         prec = _PRECEDENCE[expr.op]
-        text = (f"{expr_code(expr.left, names, prec)} {expr.op} "
-                f"{expr_code(expr.right, names, prec + 1)}")
+        text = (f"{expr_code(expr.left, names, prec, power)} {op} "
+                f"{expr_code(right, names, prec + 1, power)}")
         return f"({text})" if prec < parent else text
     if isinstance(expr, Pow):
-        return f"_ipow({expr_code(expr.base, names)}, {expr_code(expr.exponent, names)})"
+        return (f"{power or '_ipow'}({expr_code(expr.base, names, 0, power)}, "
+                f"{expr_code(expr.exponent, names, 0, power)})")
     if isinstance(expr, InfConst):
         raise EvalError("inf cannot appear inside an arithmetic expression")
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def pred_code(pred: Pred, names: Dict[str, str]) -> str:
+def pred_code(pred: Pred, names: Dict[str, str], power: Optional[str] = None) -> str:
     if isinstance(pred, Cmp):
-        return f"({expr_code(pred.left, names)} {pred.op} {expr_code(pred.right, names)})"
+        return (f"({expr_code(pred.left, names, 0, power)} {pred.op} "
+                f"{expr_code(pred.right, names, 0, power)})")
     if isinstance(pred, Not):
-        return f"(not {pred_code(pred.inner, names)})"
+        return f"(not {pred_code(pred.inner, names, power)})"
     if isinstance(pred, And):
-        return f"({pred_code(pred.left, names)} and {pred_code(pred.right, names)})"
+        return f"({pred_code(pred.left, names, power)} and {pred_code(pred.right, names, power)})"
     if isinstance(pred, Or):
-        return f"({pred_code(pred.left, names)} or {pred_code(pred.right, names)})"
+        return f"({pred_code(pred.left, names, power)} or {pred_code(pred.right, names, power)})"
     raise TypeError(f"not a predicate: {pred!r}")
 
 
@@ -136,7 +164,7 @@ def _tuple(items) -> str:
 
 
 def compile_pred(pred: Pred, pvars: Tuple[str, ...]) -> Callable:
-    return compile_lambda(f"lambda v: {pred_code(pred, _slots(pvars, 'v'))}")
+    return compile_lambda(f"lambda v: {pred_code(pred, _slots(pvars, 'v'), '_ipow')}")
 
 
 def compile_update(var: Optional[str], expr: Optional[Expr],
@@ -145,35 +173,36 @@ def compile_update(var: Optional[str], expr: Optional[Expr],
     """fn(v, m) -> v' where m carries the drawn sampling values in order."""
     if var is None or expr is None:
         return compile_lambda("lambda v, m: v")
-    body = expr_code(expr, {**_slots(sampling_vars, "m"), **_slots(pvars, "v")})
+    body = expr_code(expr, {**_slots(sampling_vars, "m"), **_slots(pvars, "v")}, 0, "_ipow")
     slots = (body if name == var else f"v[{i}]" for i, name in enumerate(pvars))
     return compile_lambda(f"lambda v, m: {_tuple(slots)}")
 
 
-def _args_code(site, names: Dict[str, str]) -> list:
+def _args_code(site, names: Dict[str, str], power: str) -> list:
     """The code of each value of the callee at a call node (`cfg.CallSite`):
     parameters bound, locals zero."""
     by_param = dict(zip(site.params, site.args))
-    return [expr_code(by_param[name], names) if name in by_param else "0"
+    return [expr_code(by_param[name], names, 0, power) if name in by_param else "0"
             for name in site.callee_vars]
 
 
 def compile_call_args(site, caller_pvars: Tuple[str, ...]) -> Callable:
     """fn(v) -> callee valuation tuple."""
-    return compile_lambda(f"lambda v: {_tuple(_args_code(site, _slots(caller_pvars, 'v')))}")
+    args = _args_code(site, _slots(caller_pvars, "v"), "_ipow")
+    return compile_lambda(f"lambda v: {_tuple(args)}")
 
 
 _NESTING = 40  # branch levels per block; deeper code starts a block of its own
 _DRAW = "pop() if dr else nxt()"  # the run's next uniform draw (compile_runner)
-VALUE_BITS = 4096  # a value longer than this, made by `*` or `^`, censors its run
 
 
 def _censor_long(pad: str, values) -> list:
     """The lines that censor the run when a value just computed is longer
     than VALUE_BITS bits, for each (value, code) pair of `values` whose code
-    multiplies or raises: no other operation adds more than a bit."""
+    multiplies: `_rpow` bounds a power, and no other operation adds more
+    than a bit."""
     return [pad + f"if {value}.bit_length() > {VALUE_BITS}: return"
-            for value, code in values if "*" in code or "_ipow(" in code]
+            for value, code in values if "*" in code]
 
 
 def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable, list]:
@@ -185,21 +214,25 @@ def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable
     `run` is one loop over the resume points (a function's entry, a call's
     return label, a label with more than one predecessor, `entry`, a branch
     target nested _NESTING deep), each a `pc` found by a balanced tree of
-    `pc < k` tests.  A resume point's block unpacks `v` and runs its
-    function label by label, each testing the cap `cap` and counting a
-    step, until a call, the exit or another resume point, and loops at its
-    own label.  A call pushes (return pc, values) on the run's frame stack,
-    unless it is its function's last step, and enters the callee; the exit
-    pops a frame, or ends the run when none is left.  The cap censors the
-    run, and so does an assignment or call argument that `*` or `^` makes
-    longer than VALUE_BITS bits.  Stars follow the scheduler `kind`:
-    always-then, always-else, a uniform draw below 0.5 (uniform) or a
-    chooser (greedy-*).  A sampling variable maps a uniform draw u to the
-    first value whose cumulative threshold exceeds u, or else the last
-    value; an EvalError is raised again naming its label.  A uniform draw
-    pops the list `dr` (the run's next draws, last first) and calls
-    `nxt()`, which refills it and returns the next draw, only when `dr` is
-    empty.
+    `pc < k` tests.  A resume point's block unpacks `v`, censors the run if
+    its steps `st` have reached the cap `cap`, and runs its function's
+    labels, branching as they do, until a call, the exit or another resume
+    point, and loops at its own label.  Each path through a block adds its
+    number of labels to `st` once, at its end; a label's ill-defined
+    arithmetic (an EvalError, raised again naming its label) censors the run
+    instead where the label lies past the cap, and a greedy star tests the
+    cap before its chooser, which can raise CertificateError.  A call pushes
+    (return pc, values) on the run's frame stack, unless it is its
+    function's last step, and enters the callee; the exit pops a frame, or
+    ends the run, censored if `st` passed the cap, when none is left.  An
+    assignment or call argument that `*` makes longer than VALUE_BITS bits
+    censors the run, and so does any `^` longer than that (`_rpow`).  Stars
+    follow the scheduler `kind`: always-then, always-else, a uniform draw
+    below 0.5 (uniform) or a chooser (greedy-*).  A sampling variable maps a
+    uniform draw u to the first value whose cumulative threshold exceeds u,
+    or else the last value.  A uniform draw pops the list `dr` (the run's
+    next draws, last first) and calls `nxt()`, which refills it and returns
+    the next draw, only when `dr` is empty.
     """
     todo = []  # the resume points by pc; grows while it is read, by the deeply nested targets
     for fn in cfg.functions:
@@ -215,7 +248,8 @@ def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable
     free = ["nxt", "dr", "cap", *(f"c{k}" for k in range(len(stars)))]
     lines = [f"def make({', '.join(free)}):",  # their values, and dr.pop, as run's own locals
              f"    def run(v, pop=dr.pop, {', '.join(f'{n}={n}' for n in free)}):",
-             f"        pc, st, stk = {pcs[entry]}, 0, []", "        while True:"]
+             f"        pc, st, stk = {pcs[entry]}, 0, []", "        try:",
+             "          while True:"]
 
     def tree(lo, hi, pad):  # the blocks of pcs lo..hi-1
         if hi - lo == 1:
@@ -227,6 +261,7 @@ def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable
         tree(mid, hi, pad + "    ")
 
     tree(0, len(blocks), "            ")
+    lines.append("        except Runaway: return")
     return compile_lambda("\n".join([*lines, "    return run", ""])), stars
 
 
@@ -234,41 +269,44 @@ def _block(cfg, sf, fn, start, pcs, todo, kind, stars) -> list:
     """The source lines of the block of `fn` at `start` (compile_runner)."""
     names = {var: f"x{i}" for i, var in enumerate(fn.pvars)}
     fresh = _tuple(names.values())
-    lines = [f"{fresh} = v", "while True:"]
+    lines = [f"{fresh} = v", "while True:", "    if st >= cap: return"]
 
     def inline(label):
         return label != fn.exit and label != start and (fn.name, label) not in pcs
 
-    def run(label, pad, vals):
-        """Emit `label` and the labels after it, up to the jump ending the path."""
+    def run(label, pad, vals, k):
+        """Emit `label`, after k labels of its path, and the labels after it
+        up to the jump ending the path."""
         while True:
-            lines.extend([pad + "if st >= cap: return", pad + "st += 1"])
-            where = f'except EvalError as e: raise EvalError(f"{{e}} at ({fn.name}, {label})") from None'
+            at = f"st + {k}" if k else "st"  # the steps before `label`
+            where = [pad + "except EvalError as e:", pad + f"    if {at} >= cap: return",
+                     pad + f'    raise EvalError(f"{{e}} at ({fn.name}, {label})") from None']
             node = fn.nodes[label]
             if node.kind == "nondet" and kind.startswith("always"):
                 target = node.orelse if kind == "always-else" else node.then
             elif node.kind in ("branching", "nondet"):
                 yes, no = node.targets
                 if node.kind == "branching":
-                    test = pred_code(node.pred, names)
+                    test = pred_code(node.pred, names, "_rpow")
                 elif kind == "uniform":
                     test = f"({_DRAW}) < 0.5"
                 else:
                     test = f"c{len(stars)}({', '.join(names.values())})"
                     stars.append((fn, yes, no))
-                lines.extend([pad + f"try: b = {test}", pad + where, pad + "if b:"])
-                goto(yes, pad + "    ", vals)
+                    lines.append(pad + f"if {at} >= cap: return")
+                lines.extend([pad + f"try: b = {test}", *where, pad + "if b:"])
+                goto(yes, pad + "    ", vals, k + 1)
                 lines.append(pad + "else:")
-                goto(no, pad + "    ", vals)
+                goto(no, pad + "    ", vals, k + 1)
                 return
             elif node.kind == "call":
                 if node.target != fn.exit:
                     lines.append(pad + f"stk.append(({pcs[fn.name, node.target]}, {vals}))")
-                args = _args_code(node, names)
-                lines.extend([pad + f"try: v = {_tuple(args)}", pad + where,
+                args = _args_code(node, names, "_rpow")
+                lines.extend([pad + f"try: v = {_tuple(args)}", *where,
                               *_censor_long(pad, ((f"v[{i}]", a) for i, a in enumerate(args))),
-                              pad + f"pc = {pcs[node.callee, cfg.function(node.callee).entry]}"
-                              "; break"])
+                              pad + f"st += {k + 1}; "
+                              f"pc = {pcs[node.callee, cfg.function(node.callee).entry]}; break"])
                 return
             else:
                 drawn = {}
@@ -278,30 +316,33 @@ def _block(cfg, sf, fn, start, pcs, todo, kind, stars) -> list:
                     lines.append(pad + f"u = {_DRAW}; m{j} = {chain}{last!r}")
                     drawn[svar] = f"m{j}"
                 if node.var is not None:
-                    code = expr_code(node.expr, {**drawn, **names})
-                    lines.extend([pad + f"try: {names[node.var]} = {code}", pad + where,
+                    code = expr_code(node.expr, {**drawn, **names}, 0, "_rpow")
+                    lines.extend([pad + f"try: {names[node.var]} = {code}", *where,
                                   *_censor_long(pad, [(names[node.var], code)])])
                     vals = fresh
                 target = node.target
+            k += 1
             if not inline(target):
-                return goto(target, pad, vals)
+                return goto(target, pad, vals, k)
             label = target
 
-    def goto(label, pad, vals):
-        """The code at `label`, or the jump there that ends the path."""
+    def goto(label, pad, vals, k):
+        """The code at `label`, after k labels of its path, or the jump there
+        that ends the path and counts its labels."""
         if inline(label) and len(pad) > 4 * _NESTING:  # too deep: a block of its own
             pcs[fn.name, label] = len(todo)
             todo.append((fn.name, label))
         if inline(label):
-            run(label, pad, vals)
+            run(label, pad, vals, k)
         elif label == fn.exit:
-            lines.extend([pad + "if not stk: return st", pad + "pc, v = stk.pop(); break"])
+            lines.extend([pad + f"st += {k}", pad + "if not stk: return st if st <= cap else None",
+                          pad + "pc, v = stk.pop(); break"])
         elif label == start:
-            lines.append(pad + ("continue" if vals == "v" else f"v = {vals}; continue"))
+            lines.append(f"{pad}st += {k}; {'' if vals == 'v' else f'v = {vals}; '}continue")
         else:
-            lines.append(pad + f"pc, v = {pcs[fn.name, label]}, {vals}; break")
+            lines.append(pad + f"st += {k}; pc, v = {pcs[fn.name, label]}, {vals}; break")
 
-    run(start, "    ", "v")
+    run(start, "    ", "v", 0)
     return lines
 
 

@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--workers", type=_integer, default=0,
                    help="most processes to use, 0 = all available cores; a "
-                        "simulation within about 200k steps runs in one process "
+                        "simulation within about 300k steps runs in one process "
                         "and starts no pool")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_simulate)

@@ -10,14 +10,16 @@ A stream is read in one of three ways, all with the key from `_key`, so all
 three give the same draws for the same pair:
 
 - `make_generator` opens a new numpy generator on it;
-- `rekey` restarts an existing Philox generator on it, in place;
+- `rekey` restarts an existing Philox generator on it, in place, at any
+  block of 4 draws;
 - `philox_doubles` computes the first draws of many consecutive streams at
   once, as numpy does, in one vectorised pass over the streams.
 
 The simulator uses the last for the first draws of a block of runs (most
-runs need only a few), and re-keys one generator per worker for a run that
-draws past them.  The process lab reads raw 64-bit words (see `below`).
-`TailEstimate`, `wilson_interval` and `Z95` are the estimates both report.
+runs need only a few), and re-keys one generator per worker, just past
+them, for a run that draws more.  The process lab reads raw 64-bit words
+(see `below`).  `TailEstimate`, `wilson_interval` and `Z95` are the
+estimates both report.
 """
 
 from __future__ import annotations
@@ -71,12 +73,13 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def rekey(gen: np.random.Generator, seed: int, stream: int) -> None:
-    """Restart the Philox generator `gen` on the stream (seed, stream): its
-    next draws are those of a new `make_generator(seed, stream)`."""
+def rekey(gen: np.random.Generator, seed: int, stream: int, skip: int = 0) -> None:
+    """Restart the Philox generator `gen` on the stream (seed, stream), past
+    its first `skip` blocks of 4 draws: its next draws are those of a new
+    `make_generator(seed, stream)` after `4 * skip` draws."""
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": _key(seed, stream)},
+        "state": {"counter": [skip, 0, 0, 0], "key": _key(seed, stream)},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # the buffer is empty
         "has_uint32": 0,

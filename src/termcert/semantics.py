@@ -17,7 +17,9 @@ of this module.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import InputError
@@ -133,99 +135,86 @@ def _finalize(totals: Sequence[int], runs: int, max_steps: int, k_list: Sequence
 # ---------------------------------------------------------------------------
 
 _ROW = 8  # draws per run computed ahead, by whole Philox blocks of 4
+_FIRST = 24  # draws of a run's first read past its row, of 8..256 the fastest on halving
 _BLOCK = 1024  # runs whose first _ROW draws one kernel call computes
 # `fan_out`'s budget: about one pool start-up (25-36 ms to import the pool
-# module and start one worker) at the run loop's 5.2M (uniform) to 8.4M
+# module and start one worker) at the run loop's 8.9M (uniform) to 11.9M
 # (always-else) steps/s on the halving game, 2-core VM, Python 3.11.  A
 # draw-free simulation runs once whatever its run count: within the budget
-_SERIAL_STEPS = 200_000
+_SERIAL_STEPS = 300_000
 
 
 class _Uniforms:
-    """The uniform draws of one worker's runs below `hi`, run `i` from the
-    Philox stream (seed, i).  `dr` holds the current run's next draws,
-    last first, for the run loop to pop; `next` refills it and returns the
-    next draw.  At a run's first draw it takes the run's row of _ROW draws,
-    and when the run is outside the rows at hand it first computes the rows
-    of the next _BLOCK runs in one `philox_doubles` call.  A run that draws
-    past its row re-keys the worker's one generator to its stream, skips
-    the row's Philox blocks, and reads on 256 draws at a time.  Each draw
-    depends on (seed, run) alone, so how runs fall into blocks cannot
-    change a draw."""
+    """The draws of a run past those it was given.  `dr` holds the current
+    run's next draws, last first, for the run loop to pop; `next` refills
+    it and returns the next draw.  At its first call in the run `run`, it
+    re-keys the worker's one generator (opened then) to the Philox stream
+    (seed, run), `skip` blocks of 4 draws in, past the draws the run was
+    given, and reads _FIRST draws; each later call reads twice as many as
+    the last, up to 256, so a run drawing thousands makes few numpy calls."""
 
-    __slots__ = ("seed", "hi", "dr", "rows", "base", "gen", "run", "drawn")
+    __slots__ = ("seed", "run", "skip", "dr", "gen", "size")
 
-    def __init__(self, seed: int, hi: int):
-        self.seed, self.hi = seed, hi
-        self.dr: list = []
-        self.rows = ()  # the current block's rows, each last draw first
-        self.base = 0
-        self.gen = None  # opened at the first run that draws past its row
-
-    def start(self, run: int) -> None:
-        self.run = run
-        self.drawn = 0
-        self.dr.clear()
+    def __init__(self, seed: int, run: int):
+        self.seed, self.run, self.skip, self.dr, self.gen = seed, run, 0, [], None
 
     def next(self) -> float:
-        run, dr = self.run, self.dr
-        if not self.drawn:
-            if not 0 <= run - self.base < len(self.rows):
-                self.base, n = run, min(_BLOCK, self.hi - run)
-                self.rows = philox_doubles(self.seed, run, n, _ROW // 4)[:, ::-1]
-            # a row at a time: Python floats for a whole block at once left
-            # the heap fragmented, some MB larger after a simulation
-            dr += self.rows[run - self.base].tolist()
-            self.drawn = _ROW
-        else:
-            if self.drawn == _ROW:
-                if self.gen is None:
-                    self.gen = make_generator(self.seed)
-                rekey(self.gen, self.seed, run)
-                self.gen.bit_generator.advance(_ROW // 4)
-            dr += self.gen.random(256)[::-1].tolist()
-            self.drawn += 256
-        return dr.pop()
+        if self.run is not None:  # the run's first call
+            if self.gen is None:
+                self.gen = make_generator(self.seed)
+            rekey(self.gen, self.seed, self.run, self.skip)
+            self.run, self.size = None, _FIRST
+        self.dr += self.gen.random(self.size)[::-1].tolist()
+        self.size = min(2 * self.size, 256)
+        return self.dr.pop()
+
+
+def _tally(steps, k_list: Tuple[int, ...], copies: int = 1) -> list:
+    """(terminated, steps, squared steps, *tail counts in k_list's order) of
+    runs taking `steps` each, None for a censored run (counted in every
+    tail), each run counted `copies` times."""
+    done = sorted(t for t in steps if t is not None)
+    censored = len(steps) - len(done)
+    return [term * copies for term in (
+        len(done), sum(done), sum(map(mul, done, done)),
+        *(len(done) - bisect_left(done, k) + censored for k in k_list))]
 
 
 def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: int,
                entry_vals: tuple, scheduler: Scheduler, max_steps: int,
                k_list: Tuple[int, ...], seed: int, lo: int, hi: int,
-               budget: float) -> Tuple[tuple, int]:
+               budget: float) -> Tuple[list, int]:
     """Runs lo..hi-1, each a call of the program's compiled run loop (see
     `_compile.compile_runner`), which keeps the run's frame stack.  Stops
     before the first run that would start once the steps spent (a censored
-    run spends max_steps) reach `budget`.  A run that draws nothing is
-    every run of the range, so it is counted for the rest of the range and
-    the loop ends.  Returns the runs' (terminated, steps, squared steps,
-    *tail counts in k_list's order) and the first run not taken."""
+    run spends max_steps) reach `budget`.  The first run starts with no
+    draws; when it draws none, every run of the range is that run, counted
+    for all of them.  Otherwise one `philox_doubles` call computes the
+    rows of _ROW draws of the next _BLOCK runs, made Python lists at once,
+    and each run starts with its row in `dr`.  Returns the runs'
+    (terminated, steps, squared steps, *tail counts in k_list's order) and
+    the first run not taken."""
     make, stars = compile_runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
-    tail = dict.fromkeys(k_list, 0)
-    uniforms = _Uniforms(seed, hi)
-    walk = make(uniforms.next, uniforms.dr, max_steps,
-                *(scheduler._greedy(*star) for star in stars))
-
-    spent = censored = sumsq = 0
-    end = hi
-    for run in range(lo, hi):
-        if spent >= budget:
-            end = run
-            break
-        uniforms.start(run)
-        steps = walk(entry_vals)
-        copies = 1 if uniforms.drawn else hi - run
-        spent += (steps or max_steps) * copies  # a censored run (None) counts max_steps
-        if steps is None:  # censored, counted in every tail below
-            censored += copies
-        else:
-            sumsq += steps * steps * copies
-            for k in k_list:
-                if steps >= k:
-                    tail[k] += copies
-        if not uniforms.drawn:
-            break
-    return (end - lo - censored, spent - censored * max_steps, sumsq,
-            *(count + censored for count in tail.values())), end
+    if lo == hi or budget <= 0:
+        return _tally((), k_list), lo
+    uniforms = _Uniforms(seed, lo)
+    walk = make(uniforms.next, uniforms.dr, max_steps, *(scheduler._greedy(*s) for s in stars))
+    steps = [walk(entry_vals)]
+    if uniforms.run is not None:  # drew nothing, so no run draws
+        return _tally(steps, k_list, hi - lo), hi
+    totals, spent, end = _tally(steps, k_list), steps[0] or max_steps, lo + 1
+    uniforms.skip = _ROW // 4
+    while end < hi and spent < budget:
+        steps.clear()
+        for row in philox_doubles(seed, end, min(_BLOCK, hi - end), _ROW // 4)[:, ::-1].tolist():
+            if spent >= budget:
+                break
+            uniforms.run, uniforms.dr[:] = end, row
+            steps.append(t := walk(entry_vals))
+            spent += t or max_steps
+            end += 1
+        totals = [a + b for a, b in zip(totals, _tally(steps, k_list))]
+    return totals, end
 
 
 def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,

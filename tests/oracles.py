@@ -35,8 +35,14 @@ ACTION_ELSE = "el"
 # Interpretive reference evaluator
 # ---------------------------------------------------------------------------
 
-def eval_expr(expr, *vals) -> Fraction:
-    """Evaluate under the union of the given valuations (exact arithmetic)."""
+class Runaway(Exception):
+    """A power longer than the `bits` an evaluation allows."""
+
+
+def eval_expr(expr, *vals, bits=None) -> Fraction:
+    """Evaluate under the union of the given valuations (exact arithmetic).
+    With `bits`, a power longer than that many bits raises Runaway; a base
+    of size at least 2 raised past `bits` does so before it is computed."""
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Var):
@@ -45,8 +51,8 @@ def eval_expr(expr, *vals) -> Fraction:
                 return Fraction(v[expr.name])
         raise KeyError(f"unbound variable {expr.name!r}")
     if isinstance(expr, BinOp):
-        a = eval_expr(expr.left, *vals)
-        b = eval_expr(expr.right, *vals)
+        a = eval_expr(expr.left, *vals, bits=bits)
+        b = eval_expr(expr.right, *vals, bits=bits)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
@@ -61,27 +67,32 @@ def eval_expr(expr, *vals) -> Fraction:
             raise EvalError(f"floor division of non-integer {a}")
         return Fraction(a.numerator // b.numerator)
     if isinstance(expr, Pow):
-        base = eval_expr(expr.base, *vals)
-        exp = eval_expr(expr.exponent, *vals)
+        base = eval_expr(expr.base, *vals, bits=bits)
+        exp = eval_expr(expr.exponent, *vals, bits=bits)
         if exp.denominator != 1 or exp < 0:
             raise EvalError(f"exponent {exp} is not a nonnegative integer")
-        return base ** exp.numerator
+        if bits is not None and abs(base) >= 2 and exp > bits:  # at least 2^exp
+            raise Runaway
+        value = base ** exp.numerator
+        if bits is not None and abs(value.numerator).bit_length() > bits:
+            raise Runaway
+        return value
     if isinstance(expr, InfConst):
         raise EvalError("the literal inf is not a finite expression")
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def eval_pred(pred, *vals) -> bool:
+def eval_pred(pred, *vals, bits=None) -> bool:
     if isinstance(pred, Cmp):
-        a = eval_expr(pred.left, *vals)
-        b = eval_expr(pred.right, *vals)
+        a = eval_expr(pred.left, *vals, bits=bits)
+        b = eval_expr(pred.right, *vals, bits=bits)
         return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[pred.op]
     if isinstance(pred, Not):
-        return not eval_pred(pred.inner, *vals)
+        return not eval_pred(pred.inner, *vals, bits=bits)
     if isinstance(pred, And):
-        return eval_pred(pred.left, *vals) and eval_pred(pred.right, *vals)
+        return eval_pred(pred.left, *vals, bits=bits) and eval_pred(pred.right, *vals, bits=bits)
     if isinstance(pred, Or):
-        return eval_pred(pred.left, *vals) or eval_pred(pred.right, *vals)
+        return eval_pred(pred.left, *vals, bits=bits) or eval_pred(pred.right, *vals, bits=bits)
     raise TypeError(f"not a predicate: {pred!r}")
 
 
@@ -112,11 +123,11 @@ def h_at(cert, cfg, fname, label, nu):
     return cert_value(cert, fname, label, nu, is_terminal=label == fn.exit)
 
 
-def apply_update(node, nu, mu) -> Valuation:
+def apply_update(node, nu, mu, bits=None) -> Valuation:
     """The valuation after an assignment node (`cfg.Update`)."""
     if node.var is None:
         return nu
-    value = eval_expr(node.expr, nu, mu)
+    value = eval_expr(node.expr, nu, mu, bits=bits)
     assert value.denominator == 1
     return Valuation({var: value.numerator if var == node.var else old
                       for var, old in zip(nu.variables, nu.values)})
@@ -129,11 +140,11 @@ def box_points(box, variables):
         yield Valuation(dict(zip(names, combo)))
 
 
-def pass_values(site, nu) -> Valuation:
+def pass_values(site, nu, bits=None) -> Valuation:
     """The callee's entry valuation at a call node (`cfg.CallSite`)."""
     bindings = {v: 0 for v in site.callee_vars}
     for param, arg in zip(site.params, site.args):
-        bindings[param] = int(eval_expr(arg, nu))
+        bindings[param] = int(eval_expr(arg, nu, bits=bits))
     return Valuation(bindings)
 
 
@@ -150,11 +161,11 @@ class MdpState:
         return not self.config
 
 
-def step(state, action, mu_prime, cfg) -> MdpState:
+def step(state, action, mu_prime, cfg, bits=None) -> MdpState:
     """One transition of the semantics under the fresh joint sample
     `mu_prime`, which the state keeps and an assignment consumes.  The
     empty configuration is absorbing; `action` is read only at a
-    nondeterministic label."""
+    nondeterministic label.  `bits` bounds every power (`eval_expr`)."""
     if state.terminated:
         return MdpState((), mu_prime)
     top, rest = state.config[0], state.config[1:]
@@ -163,15 +174,15 @@ def step(state, action, mu_prime, cfg) -> MdpState:
     nu = top.valuation
     if cls == "call":
         callee = StackElement(node.callee, cfg.function(node.callee).entry,
-                              pass_values(node, nu))
+                              pass_values(node, nu, bits))
         if node.target != fn.exit:
             rest = (StackElement(top.fname, node.target, nu),) + rest
         return MdpState((callee,) + rest, mu_prime)
     if cls == "assignment":
-        nu = apply_update(node, nu, mu_prime)
+        nu = apply_update(node, nu, mu_prime, bits)
         target = node.target
     elif cls == "branching":
-        target = node.yes if eval_pred(node.pred, nu) else node.no
+        target = node.yes if eval_pred(node.pred, nu, bits=bits) else node.no
     else:
         target = node.then if action == ACTION_THEN else node.orelse
     if target == fn.exit:
@@ -194,15 +205,18 @@ def draws(dist, seed, stream, n):
             for u in make_generator(seed, stream).random(n).tolist()]
 
 
-VALUE_BITS = 4096  # a coin run ends once a value grows past this many bits
+VALUE_BITS = 4096  # a coin run ends once a value or a power grows past this many bits
 
 
 def grows(expr) -> bool:
-    """Whether `expr` multiplies or raises to a power, the operations that
-    can add more than one bit to a value: the simulator censors a run at a
-    value past VALUE_BITS bits computed by such an expression."""
-    if isinstance(expr, Pow) or isinstance(expr, BinOp) and expr.op == "*":
+    """Whether `expr` multiplies, which can add more than one bit to a
+    value: the simulator censors a run at a value past VALUE_BITS bits
+    computed by such an expression, and at any power past VALUE_BITS bits
+    (see `eval_expr`)."""
+    if isinstance(expr, BinOp) and expr.op == "*":
         return True
+    if isinstance(expr, Pow):
+        return grows(expr.base) or grows(expr.exponent)
     return isinstance(expr, BinOp) and (grows(expr.left) or grows(expr.right))
 
 
@@ -211,9 +225,10 @@ def coin_run(cfg, sf, entry, seed, max_steps):
     flips a fair coin at each nondeterministic label.  Coins and each step's
     joint sample are drawn from the stream (seed, 0), through the
     simulator's sampler.  The run also ends at a state holding a value of
-    more than VALUE_BITS bits: an update such as `m := m * m * (-1 - m)`
-    cubes its value on every loop turn, and exact arithmetic on such values
-    would not finish within the step bound's worth of time."""
+    more than VALUE_BITS bits, and before a step that computes a power
+    longer than that: an update such as `m := m * m * (-1 - m)` cubes its
+    value on every loop turn, and exact arithmetic on such values would not
+    finish within the step bound's worth of time."""
     us = iter(make_generator(seed).random((1 + len(sf.variables)) * max_steps).tolist())
     states = [MdpState((entry,), Valuation({}))]
     while not states[-1].terminated and len(states) <= max_steps and all(
@@ -225,7 +240,10 @@ def coin_run(cfg, sf, entry, seed, max_steps):
             action = ACTION_THEN if next(us) < 0.5 else ACTION_ELSE
         mu = Valuation({s: sample_from_uniform(sf.dist(s).thresholds(), next(us))
                         for s in sf.variables})
-        states.append(step(states[-1], action, mu, cfg))
+        try:
+            states.append(step(states[-1], action, mu, cfg, VALUE_BITS))
+        except Runaway:
+            break
     return states
 
 

@@ -127,6 +127,34 @@ def test_compiled_expressions_keep_the_grouping_they_need():
             assert update(vals, ())[0] == oracles.eval_expr(expr, nu), (text, vals)
 
 
+def test_a_literal_divisor_is_floor_division_in_program_code():
+    # in a program expression, whose values are ints, `div` by a positive
+    # integer literal is Python's `//`, grouped as `div` is, in the checker
+    # (`_ipow`) as in the run loop (`_rpow`); any other divisor, and every
+    # certificate expression, keeps `_idiv` and its checks.  Values and
+    # error types agree with the interpretive oracle
+    import oracles
+    from termcert._compile import compile_lambda, expr_code
+    from termcert.parser import TokenStream, parse_expr, tokenize
+
+    names = {"a": "a", "b": "b"}
+    for text, code in [("a div 2", "a // 2"), ("(a - b) div 3", "(a - b) // 3"),
+                       ("a div 2 div 3", "a // 2 // 3"), ("a * b div 2", "a * b // 2"),
+                       ("a - b div 2", "a - b // 2"), ("b * (a div 2)", "b * (a // 2)"),
+                       ("a div b", "_idiv(a, b)"), ("a div 0", "_idiv(a, 0)"),
+                       ("a div -2", "_idiv(a, -2)"), ("(a div 2) ^ 2", "_rpow(a // 2, 2)")]:
+        expr = parse_expr(TokenStream(tokenize(text)))
+        assert expr_code(expr, names, 0, "_rpow") == code, text
+        assert expr_code(expr, names, 0, "_ipow") == code.replace("_rpow", "_ipow"), text
+        assert "//" not in expr_code(expr, names) and "_rpow" not in expr_code(expr, names)
+        fn = compile_lambda(f"lambda a, b: {code}")
+        for a in (-7, -2, 0, 3, 8, 2**70 + 1):
+            for b in (-3, 0, 1, 2, 5):
+                got = _outcome(fn, a, b)
+                want = _outcome(oracles.eval_expr, expr, Valuation({"a": a, "b": b}))
+                assert got[0] == want[0] and (got[0] != "value" or got[1] == want[1]), (text, a, b)
+
+
 def test_digest_renders_once_per_certificate(halving, monkeypatch):
     # a certificate without source text is digested from render(), which a
     # check of it runs once however often the certificate is checked

@@ -217,7 +217,7 @@ _HALF = _DEEP // 2
 
 @pytest.mark.parametrize("update, guard", [
     ("n" + " - (n" * _DEEP + ")" * _DEEP, "n > 0"),
-    ("n" + " div 1" * _DEEP, "n > 0"),
+    ("n" + " div n" * _DEEP, "n > 0"),  # a literal divisor is a flat `//` (below)
     ("1" + " ^ 1" * _DEEP, "n > 0"),
     ("-" * _DEEP + "n", "n > 0"),
     ("n - 1", " and ".join(["n > 0"] * _HALF) + " or n > 1" * _HALF),
@@ -229,12 +229,27 @@ def test_nesting_past_python_parentheses_exits_two_naming_it(tmp_path, capsys, u
     cert.write_text("eps=1\nf@1: 0\nf@2: 0\nf@3: 0\n")
     for argv in (("simulate", str(prog), "--entry", "f", "--args", "n=1", "--runs", "2",
                   "--workers", "1"),
+                 ("simulate", str(prog), "--entry", "f", "--args", "n=1", "--runs", "0"),
                  ("check", str(prog), "--cert", str(cert), "--kind", "ranking",
                   "--box", "n=0..1")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == ("error: expression nested too deeply to compile: Python allows 200"
                        " nested parentheses (too many nested parentheses)\n")
+
+
+def test_a_chain_of_literal_divisions_compiles_for_every_command(tmp_path, capsys):
+    # `div` by a positive literal is `//`, which a left-deep chain of any
+    # length writes with no parentheses, in the checker as in the run loop
+    prog, cert = tmp_path / "chain.prob", tmp_path / "chain.cert"
+    prog.write_text(f"f(n) {{\n  while n > 0 do\n    n := n{' div 1' * _DEEP} - 1\n  od\n}}\n")
+    cert.write_text("eps=1\nf@1: [n >= 0] 2*n + 1\nf@2: [n >= 1] 2*n\nf@3: 0\n")
+    code, out, err = run_cli(capsys, "simulate", str(prog), "--entry", "f", "--args", "n=3",
+                             "--runs", "2", "--workers", "1")
+    assert (code, err) == (0, "") and "\nmean_T      7 " in out
+    code, out, err = run_cli(capsys, "check", str(prog), "--cert", str(cert), "--kind",
+                             "ranking", "--box", "n=0..3")
+    assert (code, err) == (0, "") and "verdict=pass" in out
 
 
 def test_simulate_table_and_determinism(capsys):
@@ -459,6 +474,38 @@ def test_a_runaway_value_censors_its_run(capsys, tmp_path, inline_pool):
     inline_pool()
     program = tmp_path / "square.prob"
     program.write_text("f(x) { while x >= 2 do x := x * x od }\n", encoding="utf-8")
+    outs = []
+    for workers in ("1", "2"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", str(program), "--entry", "f", "--args",
+                                 "x=3", "--runs", "1", "--max-steps", "100", "--workers", workers)
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "")
+        assert "\ncensored    1 " in out and "\nterminated  0 " in out
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_a_runaway_power_censors_its_run(capsys, tmp_path, inline_pool, monkeypatch):
+    # `x := 2 ^ x` from 3 reaches 2 ^ 256 at its third loop turn, and its
+    # fourth would compute 2 ^ (2 ^ 256): the run is censored there.  A
+    # power of more than 2 * VALUE_BITS bits fails the test instead of being
+    # computed, through the run loop's helper or the checker's
+    import time
+
+    from termcert import _compile
+
+    inline_pool()
+    ipow = _compile._ipow
+
+    def bounded(a, b):
+        assert abs(a) <= 1 or abs(a).bit_length() * b <= 2 * _compile.VALUE_BITS, (a, b)
+        return ipow(a, b)
+
+    monkeypatch.setattr(_compile, "_ipow", bounded)
+    monkeypatch.setitem(_compile._NAMESPACE, "_ipow", bounded)
+    program = tmp_path / "tower.prob"
+    program.write_text("f(x) { while x >= 2 do x := 2 ^ x od }\n", encoding="utf-8")
     outs = []
     for workers in ("1", "2"):
         start = time.perf_counter()

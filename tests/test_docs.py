@@ -30,3 +30,22 @@ def test_output_matches_golden(name):
                           env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_the_serial_budgets_are_stated_as_the_program_sets_them(capsys):
+    # the work that `simulate` (steps) and `check` (conditions) do in their
+    # own process before they start a pool, as the README and each
+    # command's `--workers` help state it
+    from termcert import checker, semantics
+    from termcert.cli import main
+
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    for command, budget, unit, prose in (
+            ("simulate", semantics._SERIAL_STEPS, "steps", "have taken about"),
+            ("check", checker._SERIAL_CONDITIONS, "conditions", "checks labels until about")):
+        stated = re.search(rf"{prose} ([\d,]+) {unit}", readme).group(1)
+        assert int(stated.replace(",", "")) == budget, command
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert re.search(rf"within about (\d+)k {unit}", text).group(1) == str(budget // 1000)

@@ -54,6 +54,9 @@ def test_rekey_restarts_a_stream(seed):
     first = gen.random(300)
     rekey(gen, seed, 4)
     assert np.array_equal(gen.random(300), first)
+    for skip in (1, 2, 5):  # past the first `skip` blocks of 4 draws
+        rekey(gen, seed, 4, skip)
+        assert np.array_equal(gen.random(300 - 4 * skip), first[4 * skip:])
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
@@ -68,24 +71,32 @@ def test_block_kernel_matches_numpy(blocks):
                 assert np.array_equal(row, make_generator(seed, lo + i).random(4 * blocks))
 
 
-def draws(uniforms, run, n):
-    """The first n draws of `run`, taken as the compiled run loop takes them."""
-    uniforms.start(run)
+def draws(uniforms, run, n, row=()):
+    """The first n draws of `run`, taken as the compiled run loop takes them:
+    from `row`, the draws the run starts with, last first, then past them."""
+    uniforms.run, uniforms.skip = run, len(row) // 4
     dr = uniforms.dr
+    dr[:] = row
     return [dr.pop() if dr else uniforms.next() for _ in range(n)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_run_draws_continue_past_the_block_row(seed):
-    # draws 0.._ROW-1 come from a block row and draws _ROW..599 from the
-    # re-keyed generator; runs on either side of a block boundary, runs that
-    # draw nothing, and a run started again all read their own stream
-    hi = 2**64 + _BLOCK + 2
-    uniforms = _Uniforms(seed, hi)
+    # each run twice on one worker's generator: given no draws, as the first
+    # run of a range is, and given its row of _ROW draws from the kernel's
+    # block, as every later run is; draws _ROW..599 then come from the
+    # re-keyed generator.  Runs on either side of a block boundary, runs
+    # that draw nothing, and a run started again all read their own stream
+    lo = 2**64 - 2
+    rows = [row for start in (lo, lo + _BLOCK)  # two blocks, as `_run_range` computes them
+            for row in philox_doubles(seed, start, _BLOCK, _ROW // 4)[:, ::-1].tolist()]
+    uniforms = _Uniforms(seed, lo)
     for run, n in [(2**64 - 2, 600), (2**64 - 1, 0), (2**64, 3), (2**64, 600),
                    (2**64 + _BLOCK - 3, _ROW), (2**64 + _BLOCK - 2, 9),
                    (2**64 + _BLOCK + 1, 600), (2**64 - 2, 5)]:
-        assert draws(uniforms, run, n) == make_generator(seed, run).random(n).tolist()
+        want = make_generator(seed, run).random(n).tolist()
+        assert draws(uniforms, run, n) == want
+        assert draws(uniforms, run, n, rows[run - lo]) == want
 
 
 def _plain(state):

@@ -7,6 +7,8 @@ import pytest
 
 import oracles
 from oracles import ACTION_ELSE, ACTION_TAU, ACTION_THEN, MdpState, sample_from_uniform, step
+from termcert.certificates import CertificateError
+from termcert.lang import EvalError
 from termcert.rng import make_generator
 from termcert.semantics import (SCHEDULER_KINDS, Scheduler, SemanticsError, StackElement, Z95,
                                 simulate, wilson_interval)
@@ -155,13 +157,47 @@ def test_simulate_deterministic_under_fixed_seed(halving):
     assert a != c
 
 
-def test_worker_count_does_not_change_results(halving):
+def _recorded_ranges(monkeypatch) -> list:
+    """The (lo, end) of every `_run_range` call from now on, in call order."""
+    from termcert import semantics
+
+    run_range, ranges = semantics._run_range, []
+
+    def recorded(*args):  # the job's 9 arguments, then lo, hi and the budget
+        part, end = run_range(*args)
+        ranges.append((args[9], end))
+        return part, end
+
+    monkeypatch.setattr(semantics, "_run_range", recorded)
+    return ranges
+
+
+def test_worker_count_does_not_change_results(halving, inline_pool, monkeypatch):
+    # on 8 cores, a serial head that a budget of 1,000 steps stops inside
+    # its first block of rows, then 8 ranges of the rest, 7 through the
+    # (inline) pool: each range's first run decides that it draws, and its
+    # blocks end at the range's end
+    import os
+
+    from termcert import semantics
+
+    sizes = inline_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(semantics, "_SERIAL_STEPS", 1000)
+    ranges = _recorded_ranges(monkeypatch)
     cfg, sf, cert = halving
     entry = StackElement("f", 1, Valuation({"n": 5}))
     kw = dict(runs=300, max_steps=10_000, k_list=[30, 112], seed=21)
-    serial = simulate(cfg, sf, entry, Scheduler("uniform"), **kw)
+    serial = simulate(cfg, sf, entry, Scheduler("uniform"), workers=1, **kw)
+    assert ranges == [(0, 300)] and sizes == []
+    ranges.clear()
     parallel = simulate(cfg, sf, entry, Scheduler("uniform"), workers=8, **kw)
     assert serial == parallel
+    assert sizes == [7]
+    ranges.sort()
+    assert len(ranges) == 9 and ranges[0][0] == 0 and 1 < ranges[0][1] < 100
+    assert [lo for lo, _ in ranges[1:]] == [end for _, end in ranges[:-1]]
+    assert ranges[-1][1] == 300
 
 
 def test_censoring_consistent_with_expected_time_tail(halving):
@@ -199,38 +235,54 @@ def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
     sampling variable read by the executed assignment, one draw per
     coin-flip decision.  Greedy choices go through the oracle's certificate
     value, not the scheduler's compiled stanzas.  An assignment or call
-    argument computed with `*` or `^` whose value is longer than VALUE_BITS
-    bits censors the run."""
+    argument computed with `*` whose value is longer than VALUE_BITS bits
+    censors the run, and so does any power longer than that.  An
+    error raised at a step carries the step's number as `step`."""
     gen = make_generator(seed, run_index)
     state = MdpState((entry,), Valuation({}))
     for steps in range(max_steps):
         if state.terminated:
             return steps
-        top = state.config[0]
-        fn = cfg.function(top.fname)
-        cls = fn.label_class(top.label)
-        drawn = {}
-        if cls == "assignment":
-            for svar in fn.nodes[top.label].sampling_vars:
-                u = float(gen.random())
-                drawn[svar] = sample_from_uniform(sf.dist(svar).thresholds(), u)
-        action = ACTION_TAU
-        if cls == "nondet":
-            if scheduler.kind == "uniform":
-                take_then = float(gen.random()) < 0.5
-            elif scheduler.kind.startswith("greedy"):
-                take_then = oracles.greedy_takes_then(scheduler.cert, scheduler.kind, cfg, top)
-            else:
-                take_then = scheduler.kind == "always-then"
-            action = ACTION_THEN if take_then else ACTION_ELSE
-        node = fn.nodes[top.label]
-        computed = (node.args if cls == "call" else
-                    (node.expr,) if cls == "assignment" and node.var is not None else ())
-        if any(oracles.grows(expr) and oracles.eval_expr(expr, top.valuation, drawn).numerator
-               .bit_length() > oracles.VALUE_BITS for expr in computed):
+        try:
+            state = _reference_step(cfg, sf, state, scheduler, gen)
+        except oracles.Runaway:
             return None
-        state = oracles.step(state, action, Valuation(drawn), cfg)
+        except (EvalError, CertificateError) as exc:
+            exc.step = steps + 1
+            raise
+        if state is None:
+            return None
     return max_steps if state.terminated else None  # None: censored
+
+
+def _reference_step(cfg, sf, state, scheduler, gen):
+    """The reference run's next state, drawing from `gen`; None when a value
+    computed grows past VALUE_BITS bits (`_reference_run`)."""
+    top = state.config[0]
+    fn = cfg.function(top.fname)
+    cls = fn.label_class(top.label)
+    drawn = {}
+    if cls == "assignment":
+        for svar in fn.nodes[top.label].sampling_vars:
+            u = float(gen.random())
+            drawn[svar] = sample_from_uniform(sf.dist(svar).thresholds(), u)
+    action = ACTION_TAU
+    if cls == "nondet":
+        if scheduler.kind == "uniform":
+            take_then = float(gen.random()) < 0.5
+        elif scheduler.kind.startswith("greedy"):
+            take_then = oracles.greedy_takes_then(scheduler.cert, scheduler.kind, cfg, top)
+        else:
+            take_then = scheduler.kind == "always-then"
+        action = ACTION_THEN if take_then else ACTION_ELSE
+    node = fn.nodes[top.label]
+    computed = (node.args if cls == "call" else
+                (node.expr,) if cls == "assignment" and node.var is not None else ())
+    bits = oracles.VALUE_BITS
+    if any(oracles.grows(expr) and oracles.eval_expr(expr, top.valuation, drawn, bits=bits)
+           .numerator.bit_length() > bits for expr in computed):
+        return None
+    return oracles.step(state, action, Valuation(drawn), cfg, bits)
 
 
 @pytest.mark.parametrize("gen_seed", [0, 1, 2, 3, 4, 5, 6, 7])
@@ -392,6 +444,141 @@ def test_runaway_values_censor_as_in_the_reference():
             None if n == 6 else stats.mean)
 
 
+def _program(source):
+    from termcert.cfg import build_cfg
+    from termcert.lang import label_program
+    from termcert.parser import parse_program
+
+    return build_cfg(label_program(parse_program(source)))
+
+
+def test_runaway_powers_censor_before_they_are_computed():
+    # `x := 2 ^ x` from 3 reaches 2 ^ 256 at its third turn and would compute
+    # 2 ^ (2 ^ 256) at its fourth: the run is censored there instead, as in
+    # the reference, which decides from the exponent alone.  A power in a
+    # guard or inside a sum censors too.  At the bound, 2 ^ 4095 (4096 bits)
+    # runs on and 2 ^ 4096 censors, in an assignment and in a guard
+    from termcert.distributions import SamplingFunction
+
+    sf = SamplingFunction.from_mapping({})
+    assign = "f(n, x) { while n >= 1 do x := %s; n := n - 1 od }"
+    guard = "f(n, x) { while n >= 1 and 2 ^ x >= 0 do n := n - 1 od }"
+    # (program, x, the loop turn whose power censors the run, or None)
+    cases = [(assign % "2 ^ x", 3, 4), (assign % "2 ^ x", 4095, None),
+             (assign % "2 ^ x", 4096, 1), (assign % "1 + 2 ^ x - 2 ^ x", 4096, 1),
+             (guard, 4095, None), (guard, 4096, 1),
+             (assign % "(-3) ^ x", 2584, None), (assign % "(-3) ^ x", 2585, 1)]
+    for source, x, turn in cases:
+        cfg = _program(source)
+        for n in (1,) if turn is None else (turn - 1, turn):
+            entry = StackElement("f", 1, Valuation({"n": n, "x": x}))
+            for kind in ("uniform", "always-then"):
+                stats = simulate(cfg, sf, entry, Scheduler(kind), runs=2, max_steps=100)
+                assert stats.censored == (2 if n == turn else 0), (source, x, n)
+                assert _reference_run(cfg, sf, entry, Scheduler(kind), 100, 0, 0) == stats.mean
+
+
+ERRORS = "f(n, m) { while n >= 1 do if star then m := m - 1; n := n div m else n := n - 1 fi od }"
+ERRORS_CERT = "f@3: m - 2\nf@5: 0\n"  # f@3 starts the then-branch, f@5 the else-branch
+
+
+def _outcome(cfg, sf, entry, sched, runs, cap):
+    """simulate's statistics, or the type of the error it raised."""
+    try:
+        stats = simulate(cfg, sf, entry, sched, runs=runs, max_steps=cap, seed=3)
+    except (EvalError, CertificateError) as exc:
+        if isinstance(exc, EvalError):
+            assert exc.args[0].endswith(" at (f, 4)"), exc
+        return type(exc)
+    return stats.terminated, stats.sum_steps, stats.sumsq_steps
+
+
+def _reference_outcome(cfg, sf, entry, sched, runs, cap):
+    """`_outcome` as the reference has it, run by run in order."""
+    done = []
+    try:
+        for run in range(runs):
+            done.append(_reference_run(cfg, sf, entry, sched, cap, 3, run))
+    except (EvalError, CertificateError) as exc:
+        return type(exc)
+    done = [t for t in done if t is not None]
+    return len(done), sum(done), sum(t * t for t in done)
+
+
+def test_a_step_count_per_path_censors_and_raises_as_one_per_label():
+    # the run loop counts steps once per path, so an error at a label past
+    # the cap must censor the run, and one within it raise.  m reaches 0 at
+    # the third then-branch, where `n div m` raises at the path's 4th label;
+    # greedy-max's chooser meets f@3's value -1 at m = 1 on the path's 2nd.
+    # Against the reference at caps 1-3 and within 1 of each run's error
+    from termcert.certificates import parse_certificate
+    from termcert.distributions import SamplingFunction
+
+    cfg, sf = _program(ERRORS), SamplingFunction.from_mapping({})
+    cert = parse_certificate(ERRORS_CERT)
+    entry = StackElement("f", 1, Valuation({"n": 40, "m": 3}))
+    runs, raised = 12, set()
+    for kind in SCHEDULER_KINDS:
+        sched = Scheduler(kind, cert)
+        steps = set()
+        for run in range(runs):
+            try:
+                _reference_run(cfg, sf, entry, sched, 10_000, 3, run)
+            except (EvalError, CertificateError) as exc:
+                steps.add(exc.step)
+        caps = {1, 2, 3, *(s + d for s in steps for d in (-1, 0, 1))}
+        for cap in sorted(caps):
+            got = _outcome(cfg, sf, entry, sched, runs, cap)
+            assert got == _reference_outcome(cfg, sf, entry, sched, runs, cap), (kind, cap)
+            if not isinstance(got, tuple):
+                raised.add((kind, got))
+        if kind == "always-then":  # n div 0 at step 12: cap 12 raises, cap 11 censors
+            assert steps == {12}
+            assert _outcome(cfg, sf, entry, sched, 1, 11) == (0, 0, 0)
+            assert _outcome(cfg, sf, entry, sched, 1, 12) is EvalError
+        if kind == "greedy-max":  # the chooser at m = 1 is step 10
+            assert steps == {10}
+            assert _outcome(cfg, sf, entry, sched, 1, 9) == (0, 0, 0)
+            assert _outcome(cfg, sf, entry, sched, 1, 10) is CertificateError
+    assert raised == {("always-then", EvalError), ("uniform", EvalError),
+                      ("greedy-max", CertificateError)}
+
+
+def test_the_run_loop_tests_the_cap_once_per_block_and_greedy_star(monkeypatch):
+    # one `st >= cap` test at the top of each resume point's block and one
+    # before each greedy chooser; every other label tests the cap only in
+    # its EvalError handler, and each path counts its labels once
+    from termcert import _compile
+    from termcert.distributions import DiscreteDist, SamplingFunction
+
+    sources, compile_lambda = [], _compile.compile_lambda
+    monkeypatch.setattr(_compile, "compile_lambda",
+                        lambda source: sources.append(source) or compile_lambda(source))
+    cfg = _program(FOUR_FUNCTIONS)
+    half = DiscreteDist.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    sf = SamplingFunction.from_mapping({name: half for name in cfg.sampling_vars})
+    stars = sum(node.kind == "nondet" for fn in cfg.functions for node in fn.nodes.values())
+    for kind in ("greedy-min", "uniform"):
+        sources.clear()
+        _compile.compile_runner(cfg, sf, kind, ("f", 1))
+        lines = [line.strip() for line in sources[-1].splitlines()]
+        blocks = sum(line.startswith("(x") and line.endswith(" = v") for line in lines)
+        assert blocks == 16
+        tests = [i for i, line in enumerate(lines) if "cap" in line and "st" in line]
+        tops = [i for i in tests
+                if lines[i] == "if st >= cap: return" and lines[i - 1] == "while True:"]
+        assert len(tops) == blocks
+        handled = [i for i in tests if lines[i - 1] == "except EvalError as e:"]
+        greedy = [i for i in tests if lines[i + 1].startswith("try: b = c")]
+        assert len(greedy) == (stars if kind == "greedy-min" else 0)
+        exit_test = "if not stk: return st if st <= cap else None"
+        exits = [i for i in tests if lines[i] == exit_test]
+        assert len(tests) == len(tops) + len(handled) + len(greedy) + len(exits)
+        counts = [i for i, line in enumerate(lines) if "st += " in line]  # each ends a path
+        assert counts and all("; break" in lines[i] or "; continue" in lines[i]
+                              or lines[i + 1] == exit_test for i in counts)
+
+
 def test_long_runs_draw_the_streams_of_the_reference():
     # every run draws more than 320 uniforms (a coin per iteration, at least
     # 330 iterations, plus r on the then-branch), so each run draws past its
@@ -449,14 +636,7 @@ def test_runs_across_draw_blocks_match_the_reference(halving, inline_pool, monke
     assert stats.sum_steps == sum(ref)
     assert stats.sumsq_steps == sum(t * t for t in ref)
 
-    run_range, ranges = semantics._run_range, []
-
-    def recorded(*args):  # the job's 9 arguments, then lo, hi and the budget if any
-        acc, end = run_range(*args)
-        ranges.append((args[9], end))
-        return acc, end
-
-    monkeypatch.setattr(semantics, "_run_range", recorded)
+    ranges = _recorded_ranges(monkeypatch)
     spent = list(accumulate(ref, initial=0))  # spent[h]: steps of runs 0..h-1
     for head in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, runs - 1, runs):
         monkeypatch.setattr(semantics, "_SERIAL_STEPS", spent[head])
