@@ -1,24 +1,23 @@
 """The single evaluator of termcert: expressions, guards, certificate
-stanzas, the CFG's update and call nodes, and the simulator's run loop,
-compiled to Python.
+stanzas, the checker's point loops and the simulator's run loop, compiled
+to Python.
 
-Everything that evaluates a program or a certificate goes through here: the
-checker compiles a node's guard (`compile_pred`), update (`compile_update`)
-or argument passing (`compile_call_args`) as it reaches the node's label;
-`compile_runner` emits one run loop over the node table's resume points, and
-`Certificate.value` and the schedulers use `stanza_source`.  The
-interpretive reference that the tests compare against lives in
+Everything that evaluates a program or a certificate goes through here.
+`stanza_source` renders a certificate stanza, for `Certificate.value`, the
+greedy schedulers and the checker.  The checker's `compile_successors`
+renders the certificate values one step after a point of a label, and
+`scan_source` the loop over a label's box points that tests a family's
+conditions, written as rows of inequalities (`checker._KINDS`).
+`compile_runner` emits one run loop over the node table's resume points.
+The interpretive reference that the tests compare against lives in
 `tests/oracles.py`.
 
 Arithmetic stays exact: program values are Python ints, certificate values
 ints or Fractions, and the helpers enforce the integer-arithmetic side
 conditions (integer operands and a positive divisor for `div`, a
-nonnegative integer exponent for `^`).
-
-A certificate value is an int or Fraction when finite and None for
-infinity.  A compiled stanza returns `MISS` at points none of its guards
-cover, which the checker skips and every other consumer values as infinity
-(`cert_value`).
+nonnegative integer exponent for `^`).  A certificate value is an int or
+Fraction when finite and None for infinity, also at points none of a
+stanza's guards cover, where the checker's stanza returns `MISS` instead.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Dict, Optional, Tuple
 
 from .lang import (_PRECEDENCE, And, BinOp, Cmp, Const, EvalError, Expr, InfConst, Not, Or, Pow,
@@ -85,7 +85,8 @@ def _rpow(a, b):
 
 _NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "_rpow": _rpow,
               "_negative": _negative, "MISS": MISS, "EvalError": EvalError,
-              "Runaway": Runaway, "__builtins__": {}}
+              "Runaway": Runaway, "point_text": point_text, "mul": mul, "abs": abs,
+              "max": max, "sum": sum, "map": map, "zip": zip, "__builtins__": {}}
 
 
 def expr_code(expr: Expr, names: Dict[str, str], parent: int = 0,
@@ -163,21 +164,6 @@ def _tuple(items) -> str:
     return f"({''.join(item + ', ' for item in items)})"
 
 
-def compile_pred(pred: Pred, pvars: Tuple[str, ...]) -> Callable:
-    return compile_lambda(f"lambda v: {pred_code(pred, _slots(pvars, 'v'), '_ipow')}")
-
-
-def compile_update(var: Optional[str], expr: Optional[Expr],
-                   pvars: Tuple[str, ...],
-                   sampling_vars: Tuple[str, ...]) -> Callable:
-    """fn(v, m) -> v' where m carries the drawn sampling values in order."""
-    if var is None or expr is None:
-        return compile_lambda("lambda v, m: v")
-    body = expr_code(expr, {**_slots(sampling_vars, "m"), **_slots(pvars, "v")}, 0, "_ipow")
-    slots = (body if name == var else f"v[{i}]" for i, name in enumerate(pvars))
-    return compile_lambda(f"lambda v, m: {_tuple(slots)}")
-
-
 def _args_code(site, names: Dict[str, str], power: str) -> list:
     """The code of each value of the callee at a call node (`cfg.CallSite`):
     parameters bound, locals zero."""
@@ -186,10 +172,120 @@ def _args_code(site, names: Dict[str, str], power: str) -> list:
             for name in site.callee_vars]
 
 
-def compile_call_args(site, caller_pvars: Tuple[str, ...]) -> Callable:
-    """fn(v) -> callee valuation tuple."""
-    args = _args_code(site, _slots(caller_pvars, "v"), "_ipow")
-    return compile_lambda(f"lambda v: {_tuple(args)}")
+_BOTH = "return (None if a is MISS else a, None if b is MISS else b)"  # two stanzas' values
+
+
+def compile_successors(cert, cfg, sf, fn, label: int) -> Tuple[Callable, tuple, tuple]:
+    """(succ, W, outs) at a label of `fn`: `succ(v)` is the certificate
+    values one step after the point `v`, each an int, Fraction or None (inf,
+    also where no guard covers the point).  An assignment's are one per
+    outcome of its joint support, whose weights are `W` and texts `outs`; a
+    call's the callee entry's and the return label's, whose sum is its
+    successor's; a branch's its taken target's, and a star's its targets'.
+    The node's code is compiled first, then the stanzas, each expression as
+    deep in brackets as in a lambda of its own.  At the exit, `succ` is None."""
+    if label == fn.exit:
+        return None, (), ()
+    node, names, args, weights, outs = fn.nodes[label], _slots(fn.pvars, "v"), [], (), ()
+    targets = [(fn.name, target) for target in node.targets]
+    if node.kind == "assignment":
+        svars, support = node.sampling_vars, list(sf.joint_support_over(node.sampling_vars))
+        update = "v" if node.var is None else _tuple(
+            expr_code(node.expr, {**_slots(svars, "m"), **names}, 0, "_ipow")
+            if name == node.var else code for name, code in names.items())
+        body = ["xs = []", "for m in moves:", f"    x = after({update})" if update == "v" else
+                f"    u = {update}; x = after(u)", "    xs.append(None if x is MISS else x)",
+                "return xs"]
+        args = [[tuple(mu[s] for s in svars) for mu, _ in support]]
+        weights = tuple(w for _, w in support)
+        outs = tuple("outcome {" + ", ".join(f"{s}={mu[s]}" for s in svars) + "}"
+                     for mu, _ in support)
+    elif node.kind == "call":
+        body = [f"u = {_tuple(_args_code(node, names, '_ipow'))}", "a, b = enter(u), back(v)",
+                _BOTH]
+        targets.insert(0, (node.callee, cfg.function(node.callee).entry))
+    elif node.kind == "branching":
+        body = [f"x = yes(v) if {pred_code(node.pred, names, '_ipow')} else no(v)",
+                "return (None if x is MISS else x,)"]
+    else:
+        body = ["a, b = yes(v), no(v)", _BOTH]
+    params = "enter, back" if node.kind == "call" else "moves, after" if args else "yes, no"
+    make = compile_lambda(f"def make({params}):\n    def succ(v):\n"
+                          + "".join(f"        {line}\n" for line in body) + "    return succ\n")
+    stanzas = (cert._stanza(f, t, cfg.function(f).pvars, t == cfg.function(f).exit)
+               for f, t in targets)
+    return make(*args, *stanzas), weights, outs
+
+
+_MEANS = {  # label class -> E and D over its successor values xs (scan_source)
+    "assignment": ("sum(map(mul, W, xs))", "sum([w * abs(x - h) for w, x in zip(W, xs)])"),
+    "call": ("xs[0] + xs[1]", "abs(xs[0] + xs[1] - h)"),
+    "branching": ("xs[0]", "abs(xs[0] - h)"),
+    "nondet": ("max(xs)", "max(abs(xs[0] - h), abs(xs[1] - h))"),
+}
+
+
+def scan_source(label_class: str, rows, finite_only: bool, plain: bool) -> str:
+    """Source of the checker's point loop at a label of `label_class`:
+    `scan(points, here, succ, W, outs, eps, delta, zeta, seen, unit)`
+    returns (points checked, skipped, infinite).  It skips a point where
+    the stanza `here` returns MISS; at a covered point, with value `h`, each
+    condition that fails there and that `seen` lacks sets `seen[name] =
+    (point, lhs, rhs, detail)`.  They are `terminal-zero` at the exit or
+    `nonterminal-nonzero` elsewhere, if `plain`, then, unless `h` is inf and
+    `finite_only`, each row `(name, lhs, op, rhs)` (`checker._Kind`), inf
+    (None) being largest, with `E` and `D` over the successor values
+    `succ(v)` as `_MEANS` has them and `J` each outcome's change at an
+    assignment, naming the first of `outs` to fail, and `D` elsewhere.  An
+    EvalError is raised again naming the point, `unit` being its (function,
+    label, variables)."""
+    names = {code: {word for word in "".join(c if c.isalnum() else " " for c in code).split()
+                    if word in ("h", "E", "D", "J")}  # the values an operand reads
+             for _, lhs, _, rhs in rows for code in (lhs, rhs)}
+    used, assign = set().union(*names.values()), label_class == "assignment"
+
+    def operand(code):  # None (inf) where a value in it is
+        return code if code in names[code] or not names[code] else \
+            f"None if {' or '.join(n + ' is None' for n in sorted(names[code]))} else {code}"
+
+    def fails(op):  # not (small <= big), None (inf) being largest
+        small, big = ("l", "r") if op == "<=" else ("r", "l")
+        return f"{big} is not None and ({small} is None or {small} > {big})"
+
+    pad = " " * 12
+    lines = ["def scan(points, here, succ, W, outs, eps, delta, zeta, seen, unit):",
+             "    checked = skipped = infinite = 0", "    try:", "        for v in points:",
+             pad + "h = here(v)", pad + "if h is MISS:", pad + "    skipped += 1",
+             pad + "    continue", pad + "checked += 1"]
+    if plain:
+        name, test, rhs = (("terminal-zero", "h != 0", "0") if label_class == "terminal"
+                           else ("nonterminal-nonzero", "h == 0", "'> 0'"))
+        lines.append(pad + f"if {test} and {name!r} not in seen: "
+                     f"seen[{name!r}] = (v, h, {rhs}, '')")
+    if rows:
+        lines += [pad + "if h is None:", pad + "    infinite += 1",
+                  pad + "    continue"] * finite_only + [pad + "xs = succ(v)"]
+        spread = "D" in used or "J" in used and not assign
+        if "E" in used or spread:
+            mean, change = _MEANS[label_class]
+            lines += [pad + "if None in xs:", pad + "    E = D = J = None", pad + "else:"]
+            lines += [pad + "    E = " + mean] * ("E" in used)
+            lines += [pad + "    D = J = " + change] * spread
+        for name, lhs, op, rhs in rows:
+            test, record = fails(op), f"{name!r} not in seen: seen[{name!r}]"
+            if assign and "J" in names[lhs] | names[rhs]:
+                lines += [pad + "for x, o in zip(xs, outs):",
+                          pad + "    J = None if x is None else abs(x - h)",
+                          pad + f"    l = {operand(lhs)}; r = {operand(rhs)}",
+                          pad + f"    if {test}:",
+                          pad + f"        if {record} = (v, l, r, o)", pad + "        break"]
+            else:
+                lines += [pad + f"l = {operand(lhs)}; r = {operand(rhs)}",
+                          pad + f"if ({test}) and {record} = (v, l, r, '')"]
+    return "\n".join(lines + [
+        "    except EvalError as e:",
+        '        raise EvalError(f"{e} at {point_text(*unit, v)}") from None',
+        "    return checked, skipped, infinite", ""])
 
 
 _NESTING = 40  # branch levels per block; deeper code starts a block of its own

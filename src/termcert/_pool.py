@@ -7,6 +7,8 @@ import os
 from contextlib import nullcontext
 from typing import Callable, List
 
+from . import InputError
+
 
 def fan_out(work: Callable, job: tuple, n: int, workers: int, budget) -> List:
     """Units 0..n-1 of `job`, run through `work(*job, lo, hi, budget) ->
@@ -24,8 +26,11 @@ def fan_out(work: Callable, job: tuple, n: int, workers: int, budget) -> List:
     loads no pool module.  The units left are split into contiguous ranges,
     one per worker: this process runs the first while a pool of the other
     workers runs the rest.  An exception raised in a part propagates, the
-    first in unit order.
+    first in unit order.  A negative `workers` is an InputError, raised
+    before any unit runs.
     """
+    if workers < 0:
+        raise InputError(f"workers must be nonnegative, got {workers}")
     cores = os.cpu_count() or 1
     workers = min(workers or cores, n, cores)
     part, done = work(*job, 0, n, budget if workers > 1 else math.inf)

@@ -44,7 +44,12 @@ class BoundReport:
 
 
 def cert_value_at(cert: Certificate, cfg: Cfg, entry: StackElement) -> _Value:
+    """The certificate's value at `entry`, a stack element of `cfg`."""
+    if entry.fname not in cfg.function_names():
+        raise BoundError(f"no function named {entry.fname!r}")
     fn = cfg.function(entry.fname)
+    if entry.label not in fn.labels():
+        raise BoundError(f"function {entry.fname!r} has no label {entry.label}")
     try:
         return cert.value(entry.fname, entry.label, entry.valuation,
                           is_terminal=entry.label == fn.exit)

@@ -29,7 +29,7 @@ from . import InputError
 from ._compile import cert_value, compile_lambda, stanza_source
 from ._lex import (ParseError, TokenStream, line_streams, parse_items, parse_line_items,
                    parse_number)
-from ._record import record
+from ._record import field, record
 from .lang import Expr, Pred, format_expr, format_pred
 from .parser import parse_expr, parse_pred
 from .valuation import Valuation
@@ -91,6 +91,9 @@ class Certificate:
     stanzas: Tuple[Tuple[Tuple[str, int], Tuple[CertPiece, ...]], ...]
     params: CertParams = CertParams()
     source_text: Optional[str] = None
+    # (function, label) -> (line, col) of its stanza in `source_text`
+    positions: Dict[Tuple[str, int], Tuple[int, int]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = [k for k, _ in self.stanzas]
@@ -104,6 +107,17 @@ class Certificate:
 
     def pieces(self, fname: str, label: int) -> Tuple[CertPiece, ...]:
         return self.stanza_map.get((fname, label), ())
+
+    def require_labels(self, cfg) -> None:
+        """Raise a CertificateError at the first stanza, in source order, whose
+        (function, label) the CFG `cfg` lacks."""
+        labels = {(fn.name, label) for fn in cfg.functions for label in fn.labels()}
+        stray = min(((self.positions.get(key, (0, 0)), key) for key in self.stanza_map
+                     if key not in labels), default=None)
+        if stray:
+            (line, col), (fname, label) = stray
+            raise CertificateError(str(ParseError(
+                f"certificate stanza {fname}@{label} names no label of the program", line, col)))
 
     @cached_property
     def _sources(self) -> Dict[tuple, str]:
@@ -151,6 +165,7 @@ class Certificate:
 
 def parse_certificate(text: str) -> Certificate:
     values, params, stanzas = dict.fromkeys(("eps", "delta", "zeta")), CertParams(), {}
+    positions: Dict[Tuple[str, int], Tuple[int, int]] = {}
 
     def parameter(ts: TokenStream) -> None:
         tok = ts.expect("ident", "a parameter name")
@@ -169,6 +184,7 @@ def parse_certificate(text: str) -> Certificate:
                     raise ParseError(f"duplicate certificate stanza {fname}@{key[1]}",
                                      first.line, first.col)
                 stanzas[key] = tuple(parse_line_items(ts, _parse_piece))
+                positions[key] = first.line, first.col
                 continue
             parse_items(ts, parameter)  # commas separate like spaces
             try:
@@ -177,7 +193,7 @@ def parse_certificate(text: str) -> Certificate:
                 raise ParseError(str(exc), first.line, first.col) from None
     except ParseError as exc:
         raise CertificateError(str(exc)) from None
-    return Certificate(tuple(stanzas.items()), params, source_text=text)
+    return Certificate(tuple(stanzas.items()), params, text, positions)
 
 
 def _parse_piece(ts: TokenStream) -> CertPiece:

@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta")
     p.add_argument("--workers", type=_integer, default=1,
                    help="most processes to use, 0 = all available cores; a check "
-                        "within about 10k conditions runs in one process")
+                        "within about 8k conditions runs in one process")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(handler=_cmd_check)
 
@@ -156,6 +156,14 @@ def _load_labelled(path: str):
 def _load_cfg(path: str) -> Cfg:
     from .cfg import build_cfg
     return build_cfg(_load_labelled(path))
+
+
+def _load_cert(path: str, cfg: Cfg) -> Certificate:
+    """The certificate at `path`, each stanza of which names a label of `cfg`."""
+    from .certificates import load_certificate
+    cert = _read(load_certificate, path)
+    cert.require_labels(cfg)
+    return cert
 
 
 def _sampling_function(cfg: Cfg, dist_path: Optional[str]) -> SamplingFunction:
@@ -305,10 +313,9 @@ def _cmd_cfg(args) -> int:
 
 def _cmd_check(args) -> int:
     from ._lex import parse_number
-    from .certificates import load_certificate
     from .checker import VerifyBox, _kind_params, run_check
     cfg = _load_cfg(args.program)
-    cert = _read(load_certificate, args.cert)
+    cert = _load_cert(args.cert, cfg)
     sf = _sampling_function(cfg, args.dist)
     box = VerifyBox.parse(*args.box)
     params = _kind_params(args.kind, cert, **{
@@ -338,12 +345,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .certificates import load_certificate
     from .semantics import Scheduler, simulate
     cfg = _load_cfg(args.program)
     sf = _sampling_function(cfg, args.dist)
     entry = _entry_element(cfg, args.entry, args.args)
-    cert = _read(load_certificate, args.cert) if args.cert else None
+    cert = _load_cert(args.cert, cfg) if args.cert else None
     if args.scheduler.startswith("greedy") and cert is None:
         raise CliError(f"scheduler {args.scheduler!r} requires --cert")
     scheduler = Scheduler(args.scheduler, cert)
@@ -370,9 +376,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bounds(args) -> int:
     from .bounds import bound_rows
-    from .certificates import load_certificate
     cfg = _load_cfg(args.program)
-    cert = _read(load_certificate, args.cert)
+    cert = _load_cert(args.cert, cfg)
     entry = _entry_element(cfg, args.entry, args.args)
     rows = bound_rows(args.kind, cert, cfg, entry,
                        _values(args.k, "--k"), _values(args.n, "--n"))

@@ -194,3 +194,13 @@ def test_bound_rows_rejects_an_unknown_kind(halving):
     cfg, _, cert = halving
     with pytest.raises(BoundError, match="ranking, cdb, db, super"):
         bound_rows("bogus", cert, cfg, StackElement("f", 1, Valuation({"n": 5})), (1,), ())
+
+
+def test_cert_value_at_rejects_an_entry_the_program_lacks(halving):
+    # an unknown function, or a label its function lacks, is a BoundError,
+    # not a KeyError or a value of inf
+    cfg, _, cert = halving
+    with pytest.raises(BoundError, match="^no function named 'h'$"):
+        cert_value_at(cert, cfg, StackElement("h", 1, Valuation({"n": 5})))
+    with pytest.raises(BoundError, match="^function 'f' has no label 99$"):
+        cert_value_at(cert, cfg, StackElement("f", 99, Valuation({"n": 5})))

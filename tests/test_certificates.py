@@ -114,17 +114,18 @@ def test_compiled_expressions_keep_the_grouping_they_need():
     # expr_code drops the parentheses an operator does not need; every
     # grouping below differs in value from its unparenthesised reading
     import oracles
-    from termcert._compile import compile_update
+    from termcert._compile import compile_lambda, expr_code
     from termcert.parser import TokenStream, parse_expr, tokenize
 
     for text in ("a - (b - c)", "(a - b) - c", "a - (b + c)", "(a + b) * c", "a * (b - c)",
                  "a * (b * c) - c", "-3 * a - -3", "(a - b) div c", "2 ^ (b - c) * c",
                  "a - b * c", "a * b - c"):
         expr = parse_expr(TokenStream(tokenize(text)))
-        update = compile_update("a", expr, ("a", "b", "c"), ())
+        code = expr_code(expr, {"a": "a", "b": "b", "c": "c"}, 0, "_ipow")
+        update = compile_lambda(f"lambda a, b, c: {code}")
         for vals in ((7, 2, 1), (-5, 3, 2), (4, 4, 3)):
             nu = Valuation(dict(zip("abc", vals)))
-            assert update(vals, ())[0] == oracles.eval_expr(expr, nu), (text, vals)
+            assert update(*vals) == oracles.eval_expr(expr, nu), (text, vals)
 
 
 def test_a_literal_divisor_is_floor_division_in_program_code():

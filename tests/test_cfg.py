@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from termcert._compile import compile_call_args
+from termcert._compile import _args_code, compile_lambda
 from termcert.cfg import Branch, CallSite, Star, Update, build_cfg, dump_cfg
 from termcert.fixtures import load_cfg_fixture
 from termcert.lang import label_program
@@ -13,7 +13,8 @@ GOLDEN = Path(__file__).parent / "golden" / "halving_game_cfg.txt"
 def value_passing(site, nu):
     """Callee entry valuation through the compiled call: parameters from
     arguments, all else zero."""
-    values = compile_call_args(site, nu.variables)(nu.values)
+    args = _args_code(site, {name: f"v[{i}]" for i, name in enumerate(nu.variables)}, "_ipow")
+    values = compile_lambda(f"lambda v: ({''.join(arg + ', ' for arg in args)})")(nu.values)
     return Valuation(dict(zip(site.callee_vars, values)))
 
 

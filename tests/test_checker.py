@@ -311,6 +311,15 @@ def test_box_must_cover_all_program_variables(coins):
         check_ranking(cert, cfg, sf, VerifyBox.parse("i=0..30, n=0..30"))
 
 
+def test_a_negative_worker_count_is_rejected_before_any_label(halving, monkeypatch):
+    from termcert import InputError, checker
+
+    cfg, sf, cert = halving
+    monkeypatch.setattr(checker, "_check_labels", lambda *args: pytest.fail("a label ran"))
+    with pytest.raises(InputError, match="^workers must be nonnegative, got -1$"):
+        run_check("ranking", cert, cfg, sf, BOX50, workers=-1)
+
+
 def test_box_parsing():
     box = VerifyBox.parse("n=-100..100", "c=0..1,i=0..3")
     assert box.interval("n") == (-100, 100)

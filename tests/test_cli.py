@@ -745,3 +745,35 @@ def test_spaces_around_the_signs_of_a_value_are_allowed(capsys):
         capsys, "check", HALVING, "--cert", HALVING_CERT, "--kind", "ranking",
         "--dist", HALVING_DIST, "--box", "n = - 3 .. 3")
     assert (code, err) == (0, "") and "box=n=-3..3" in out
+
+
+# a stanza for a label the halving game lacks (f@99), and one for a function
+# it lacks (zz@1): each command rejects the certificate at the first of them
+STRAY = "eps=1\nf@99: 0\nzz@1: 3\n"
+STRAY_ERR = "error: 2:1: certificate stanza f@99 names no label of the program\n"
+
+
+def test_check_rejects_a_stanza_for_a_label_the_program_lacks(tmp_path, capsys):
+    cert = tmp_path / "stray.cert"
+    cert.write_text(STRAY)
+    assert run_cli(capsys, "check", HALVING, "--cert", str(cert), "--kind", "ranking",
+                   "--dist", HALVING_DIST, "--box", "n=-1..0") == (2, "", STRAY_ERR)
+    cert.write_text("eps=1\nf@1: 1\n# a function the program lacks\n  zz@1: 3\n")
+    assert run_cli(capsys, "check", HALVING, "--cert", str(cert), "--kind", "ranking",
+                   "--dist", HALVING_DIST, "--box", "n=-1..0") == (
+        2, "", "error: 4:3: certificate stanza zz@1 names no label of the program\n")
+
+
+def test_bounds_rejects_a_stanza_for_a_label_the_program_lacks(tmp_path, capsys):
+    cert = tmp_path / "stray.cert"
+    cert.write_text(STRAY)
+    assert run_cli(capsys, "bounds", HALVING, "--cert", str(cert), "--kind", "ranking",
+                   "--entry", "f", "--args", "n=5") == (2, "", STRAY_ERR)
+
+
+def test_simulate_rejects_a_stanza_for_a_label_the_program_lacks(tmp_path, capsys):
+    cert = tmp_path / "stray.cert"
+    cert.write_text(STRAY)
+    assert run_cli(capsys, "simulate", HALVING, "--cert", str(cert), "--entry", "f",
+                   "--args", "n=5", "--dist", HALVING_DIST, "--scheduler", "greedy-max",
+                   "--runs", "10", "--workers", "1") == (2, "", STRAY_ERR)

@@ -124,6 +124,18 @@ def test_simulate_rejects_an_entry_the_cfg_lacks(halving):
         assert str(exc.value) == message
 
 
+def test_simulate_rejects_a_negative_worker_count_before_any_run(halving, monkeypatch):
+    # an InputError from the fan-out, not concurrent.futures' ValueError
+    # after the runs of this process
+    from termcert import InputError, semantics
+
+    cfg, sf, _ = halving
+    monkeypatch.setattr(semantics, "_run_range", lambda *args: pytest.fail("a run ran"))
+    with pytest.raises(InputError, match="^workers must be nonnegative, got -1$"):
+        simulate(cfg, sf, StackElement("f", 1, Valuation({"n": 1})), Scheduler("uniform"),
+                 runs=10, max_steps=10, workers=-1)
+
+
 def test_greedy_max_mean_is_deterministic_for_halving_game(halving):
     # under the greedy-max policy the run from n=5 is deterministic: 44 steps
     cfg, sf, cert = halving
