@@ -83,7 +83,15 @@ def _rpow(a, b):
     return x
 
 
-_NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "_rpow": _rpow,
+def _cpow(a, b):
+    """`a ^ b` in the checker's program code, raising an EvalError where
+    `_rpow` would find it too long, before it is computed."""
+    if type(b) is int and (abs(a).bit_length() - 1) * b >= VALUE_BITS:
+        raise EvalError(f"power longer than {VALUE_BITS} bits")
+    return _ipow(a, b)
+
+
+_NAMESPACE = {"F": Fraction, "_idiv": _idiv, "_ipow": _ipow, "_rpow": _rpow, "_cpow": _cpow,
               "_negative": _negative, "MISS": MISS, "EvalError": EvalError,
               "Runaway": Runaway, "point_text": point_text, "mul": mul, "abs": abs,
               "max": max, "sum": sum, "map": map, "zip": zip, "__builtins__": {}}
@@ -95,9 +103,9 @@ def expr_code(expr: Expr, names: Dict[str, str], parent: int = 0,
     in parentheses only where the operator around it, of precedence
     `parent`, needs them; so a left-deep sum of any length has none for
     CPython's limit of 200 nested parentheses to count.  A program
-    expression names its `power` helper, `_ipow` or the run loop's
-    `_rpow`; as its values are ints, a `div` by a positive integer literal
-    is `//`.  A certificate's (no `power`) keeps `_idiv` and `_ipow`."""
+    expression names its `power` helper, the checker's `_cpow` or the run
+    loop's `_rpow`; as its values are ints, a `div` by a positive integer
+    literal is `//`.  A certificate's (no `power`) keeps `_idiv` and `_ipow`."""
     if isinstance(expr, Const):
         value = expr.value
         if value.denominator == 1:
@@ -191,7 +199,7 @@ def compile_successors(cert, cfg, sf, fn, label: int) -> Tuple[Callable, tuple, 
     if node.kind == "assignment":
         svars, support = node.sampling_vars, list(sf.joint_support_over(node.sampling_vars))
         update = "v" if node.var is None else _tuple(
-            expr_code(node.expr, {**_slots(svars, "m"), **names}, 0, "_ipow")
+            expr_code(node.expr, {**_slots(svars, "m"), **names}, 0, "_cpow")
             if name == node.var else code for name, code in names.items())
         body = ["xs = []", "for m in moves:", f"    x = after({update})" if update == "v" else
                 f"    u = {update}; x = after(u)", "    xs.append(None if x is MISS else x)",
@@ -201,11 +209,11 @@ def compile_successors(cert, cfg, sf, fn, label: int) -> Tuple[Callable, tuple, 
         outs = tuple("outcome {" + ", ".join(f"{s}={mu[s]}" for s in svars) + "}"
                      for mu, _ in support)
     elif node.kind == "call":
-        body = [f"u = {_tuple(_args_code(node, names, '_ipow'))}", "a, b = enter(u), back(v)",
+        body = [f"u = {_tuple(_args_code(node, names, '_cpow'))}", "a, b = enter(u), back(v)",
                 _BOTH]
         targets.insert(0, (node.callee, cfg.function(node.callee).entry))
     elif node.kind == "branching":
-        body = [f"x = yes(v) if {pred_code(node.pred, names, '_ipow')} else no(v)",
+        body = [f"x = yes(v) if {pred_code(node.pred, names, '_cpow')} else no(v)",
                 "return (None if x is MISS else x,)"]
     else:
         body = ["a, b = yes(v), no(v)", _BOTH]

@@ -195,6 +195,7 @@ def bound_rows(kind: str, cert: Certificate, cfg: Cfg, entry: StackElement,
     if kind not in CHECK_KINDS:
         raise BoundError(f"unknown certificate kind {kind!r}; expected one of "
                          f"{', '.join(CHECK_KINDS)}")
+    cert.require_labels(cfg)
     params = cert.params
     value = cert_value_at(cert, cfg, entry)
     value_text = format_value(value)

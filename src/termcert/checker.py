@@ -273,6 +273,7 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
         raise CheckerError(f"unknown check kind {kind!r}; choose from {CHECK_KINDS}")
     params = params if params is not None else _kind_params(kind, cert)
     params.require(*_KINDS[kind].requires)
+    cert.require_labels(cfg)
     missing = [s for s in cfg.sampling_vars if s not in sf.variables]
     if missing:
         raise CheckerError(f"no distribution for sampling variables {missing}")

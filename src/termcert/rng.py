@@ -13,10 +13,11 @@ three give the same draws for the same pair:
 - `rekey` restarts an existing Philox generator on it, in place, at any
   block of 4 draws;
 - `philox_doubles` computes the first draws of many consecutive streams at
-  once, as numpy does, in one vectorised pass over the streams.
+  once, as numpy does, in one vectorised pass over the streams that runs
+  in place on buffers kept from call to call.
 
 The simulator uses the last for the first draws of a block of runs (most
-runs need only a few), and re-keys one generator per worker, just past
+runs need only a few), and re-keys one generator per process, just past
 them, for a run that draws more.  The process lab reads raw 64-bit words
 (see `below`).  `TailEstimate`, `wilson_interval` and `Z95` are the
 estimates both report.
@@ -25,6 +26,8 @@ estimates both report.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from threading import get_ident
 from typing import TYPE_CHECKING, Tuple
 
 from ._record import record
@@ -100,32 +103,57 @@ def philox_doubles(seed: int, lo: int, n: int, blocks: int) -> np.ndarray:
     """Row i holds the first 4·blocks draws of `make_generator(seed, lo + i)
     .random()`, for i < n: Philox4x64-10 on counters 1..blocks (numpy
     increments the counter before each block) under the keys (lo + i, seed),
-    each output word x read as the double (x >> 11)·2^-53."""
+    each output word x read as the double (x >> 11)·2^-53.
+
+    Rows 0..3 of `words` end up holding the words c0..c3 of every block,
+    block-major.  A round multiplies x = (c0, c2) and XORs y = (c1, c3) in
+    place: y becomes the next x and x, reversed, the next y, so x and y
+    start in rows (2, 0) and (3, 1).  The high word of m·x is built from
+    32-bit halves as mh·xh + (t >> 32) + ((ml·xh + (t & 2^32-1)) >> 32),
+    where t = mh·xl + (ml·xl >> 32), no sum passing 64 bits."""
     import numpy as np
 
-    u64 = np.uint64
     stream_key, seed_key = _key(seed, lo)
-    k0 = np.arange(n, dtype=u64) + u64(stream_key)  # wraps mod 2^64, as the mask does
-    k1 = np.full(1, seed_key, dtype=u64)  # an array: numpy warns when a scalar wraps
-    bump0, bump1 = u64(_BUMP[0]), u64(_BUMP[1])
-    mul0, mul1 = ((u64(m), u64(m & _LOW), u64(m >> 32)) for m in _MUL)  # numpy scalars, once
-    zero = np.zeros((blocks, n), dtype=u64)
-    c0, c1, c2, c3 = np.arange(1, blocks + 1, dtype=u64)[:, None] + zero, zero, zero, zero
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + bump0, k1 + bump1
-        hi0, lo0 = _mulhilo(*mul0, c0)
-        hi1, lo1 = _mulhilo(*mul1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).transpose(1, 0, 2).reshape(n, 4 * blocks)
-    return (words >> u64(11)).astype(np.float64) * 2.0 ** -53
+    words, (keys, a, b, t, high), (mul, ml, mh, bump) = _buffers(n, blocks, get_ident())
+    words.fill(0)
+    words[2] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]  # c0, the counter
+    # the keys (lo + i, seed), lo + i wrapping mod 2^64 as `_key` masks it
+    keys.reshape(2, blocks, n)[0] = np.arange(n, dtype=np.uint64) + np.uint64(stream_key)
+    keys[1] = seed_key
+    x, y = (words.reshape(4, -1)[row::-2] for row in (2, 3))
+    for _ in range(10):
+        np.bitwise_and(x, _LOW, out=a)
+        np.right_shift(x, 32, out=b)
+        np.multiply(a, ml, out=high)
+        high >>= 32
+        a *= mh
+        a += high  # t
+        np.multiply(b, mh, out=high)
+        np.right_shift(a, 32, out=t)
+        high += t
+        a &= _LOW
+        b *= ml
+        b += a
+        b >>= 32
+        high += b
+        y ^= high[::-1]  # c1 ^ high(m·c2), c3 ^ high(m·c0)
+        y ^= keys
+        x *= mul
+        x, y = y, x[::-1]
+        keys += bump
+    words >>= 11
+    out = np.empty((n, blocks, 4))
+    np.multiply(words, 2.0 ** -53, out=out.transpose(2, 1, 0))
+    return out.reshape(n, 4 * blocks)
 
 
-def _mulhilo(m, m0, m1, x: np.ndarray) -> tuple:
-    """(high, low) 64-bit words of the 128-bit product m·x, where m0 and m1
-    are the 32-bit halves of m; the high word is built from the halves'
-    products, since numpy has no 128-bit integers."""
-    x0, x1 = x & _LOW, x >> 32
-    p01, p10 = m0 * x1, m1 * x0
-    mid = (m0 * x0 >> 32) + (p01 & _LOW) + (p10 & _LOW)
-    return m1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), m * x
+@lru_cache(maxsize=4)
+def _buffers(n: int, blocks: int, thread: int) -> tuple:
+    """`philox_doubles`' words, five scratch pairs of rows and constant pairs
+    (in full: numpy broadcasts a column slowly), kept for the thread's later
+    calls, as new ones cost a page fault per 4 KiB, a quarter of its time."""
+    import numpy as np
+
+    consts = np.array([_MUL, [m & _LOW for m in _MUL], [m >> 32 for m in _MUL], _BUMP],
+                      dtype=np.uint64)[:, :, None].repeat(blocks * n, axis=2)
+    return np.empty((4, blocks, n), np.uint64), np.empty((5, 2, blocks * n), np.uint64), consts

@@ -20,6 +20,7 @@ import math
 from bisect import bisect_left
 from functools import lru_cache
 from operator import mul
+from threading import get_ident
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import InputError
@@ -138,9 +139,10 @@ _ROW = 8  # draws per run computed ahead, by whole Philox blocks of 4
 _FIRST = 24  # draws of a run's first read past its row, of 8..256 the fastest on halving
 _BLOCK = 1024  # runs whose first _ROW draws one kernel call computes
 # `fan_out`'s budget: about one pool start-up (25-36 ms to import the pool
-# module and start one worker) at the run loop's 8.9M (uniform) to 11.9M
-# (always-else) steps/s on the halving game, 2-core VM, Python 3.11.  A
-# draw-free simulation runs once whatever its run count: within the budget
+# module and start one worker) at 9.0M-9.4M (uniform) to 12.3M-12.8M
+# (always-else) steps/s, fixed costs included, on 1,000 halving-game runs
+# from n = 5 a call, 2-core VM, Python 3.11.  A draw-free simulation runs
+# once whatever its run count: within the budget
 _SERIAL_STEPS = 300_000
 
 
@@ -148,25 +150,47 @@ class _Uniforms:
     """The draws of a run past those it was given.  `dr` holds the current
     run's next draws, last first, for the run loop to pop; `next` refills
     it and returns the next draw.  At its first call in the run `run`, it
-    re-keys the worker's one generator (opened then) to the Philox stream
-    (seed, run), `skip` blocks of 4 draws in, past the draws the run was
-    given, and reads _FIRST draws; each later call reads twice as many as
-    the last, up to 256, so a run drawing thousands makes few numpy calls."""
+    re-keys its thread's one generator (a forked worker's is its parent's)
+    to the Philox stream (seed, run), `skip` blocks of 4 draws in, past the
+    draws the run was given, and reads _FIRST draws; each later call reads
+    twice as many as the last, up to 256, so a run drawing thousands makes
+    few numpy calls."""
 
     __slots__ = ("seed", "run", "skip", "dr", "gen", "size")
 
     def __init__(self, seed: int, run: int):
-        self.seed, self.run, self.skip, self.dr, self.gen = seed, run, 0, [], None
+        self.seed, self.run, self.skip, self.dr = seed, run, 0, []
 
     def next(self) -> float:
         if self.run is not None:  # the run's first call
-            if self.gen is None:
-                self.gen = make_generator(self.seed)
+            self.gen = _generator(get_ident())
             rekey(self.gen, self.seed, self.run, self.skip)
             self.run, self.size = None, _FIRST
         self.dr += self.gen.random(self.size)[::-1].tolist()
         self.size = min(2 * self.size, 256)
         return self.dr.pop()
+
+
+@lru_cache(maxsize=4)
+def _generator(thread: int):
+    """The thread's one generator, which `rekey` restarts on each stream."""
+    return make_generator(0)
+
+
+_RUNNERS: dict = {}  # (id(cfg), id(sf), kind, entry) -> (cfg, sf, compile_runner's result)
+_MAX_RUNNERS = 32
+
+
+def _runner(cfg: Cfg, sf: SamplingFunction, kind: str, entry: Tuple[str, int]) -> tuple:
+    """`compile_runner`'s result, kept for the last _MAX_RUNNERS compiled; an
+    entry holds its cfg and sf, whose ids a hit checks by identity too."""
+    key = (id(cfg), id(sf), kind, entry)
+    hit = _RUNNERS.get(key)
+    if hit is None or hit[0] is not cfg or hit[1] is not sf:
+        if len(_RUNNERS) >= _MAX_RUNNERS:
+            _RUNNERS.pop(next(iter(_RUNNERS)), None)  # the oldest, unless a thread took it
+        hit = _RUNNERS[key] = (cfg, sf, compile_runner(cfg, sf, kind, entry))
+    return hit[2]
 
 
 def _tally(steps, k_list: Tuple[int, ...], copies: int = 1) -> list:
@@ -194,7 +218,7 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
     and each run starts with its row in `dr`.  Returns the runs'
     (terminated, steps, squared steps, *tail counts in k_list's order) and
     the first run not taken."""
-    make, stars = compile_runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
+    make, stars = _runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
     if lo == hi or budget <= 0:
         return _tally((), k_list), lo
     uniforms = _Uniforms(seed, lo)
@@ -259,6 +283,8 @@ def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,
     missing = [s for s in cfg.sampling_vars if s not in sf.variables]
     if missing:
         raise SemanticsError(f"no distribution for sampling variables {missing}")
+    if scheduler.kind.startswith("greedy"):
+        scheduler.cert.require_labels(cfg)
     entry_vals = tuple(entry.valuation[v] for v in fn.pvars)
 
     job = (cfg, sf, entry.fname, entry.label, entry_vals, scheduler, max_steps, k_list, seed)

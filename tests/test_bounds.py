@@ -204,3 +204,14 @@ def test_cert_value_at_rejects_an_entry_the_program_lacks(halving):
         cert_value_at(cert, cfg, StackElement("h", 1, Valuation({"n": 5})))
     with pytest.raises(BoundError, match="^function 'f' has no label 99$"):
         cert_value_at(cert, cfg, StackElement("f", 99, Valuation({"n": 5})))
+
+
+def test_bound_rows_rejects_a_stanza_for_a_label_the_program_lacks(halving):
+    # f@99 names a label the halving game lacks, zz@1 a function it lacks
+    from termcert.bounds import bound_rows
+    from termcert.certificates import CertificateError, parse_certificate
+
+    cfg, _, _ = halving
+    with pytest.raises(CertificateError, match="^2:1: certificate stanza f@99 names no label"):
+        bound_rows("ranking", parse_certificate("eps=1\nf@99: 0\nzz@1: 3\n"), cfg,
+                   StackElement("f", 1, Valuation({"n": 5})), (1,), ())

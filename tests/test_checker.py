@@ -466,3 +466,15 @@ def test_theta_uncovered_for_branching_only_cycle():
     assert ("f", 1) not in theta.members
     assert ("f", 2) not in theta.members
     assert ("f", 3) in theta.members
+
+
+def test_run_check_rejects_a_stanza_for_a_label_the_program_lacks(halving):
+    # f@99 names a label the halving game lacks, zz@1 a function it lacks:
+    # without the test, the check would pass on n=-1..0 with 4 points
+    # checked and 20 skipped
+    from termcert.certificates import CertificateError
+
+    cfg, sf, _ = halving
+    with pytest.raises(CertificateError, match="^2:1: certificate stanza f@99 names no label"):
+        run_check("ranking", parse_certificate("eps=1\nf@99: 0\nzz@1: 3\n"), cfg, sf,
+                  VerifyBox.parse("n=-1..0"))

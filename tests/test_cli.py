@@ -518,6 +518,31 @@ def test_a_runaway_power_censors_its_run(capsys, tmp_path, inline_pool, monkeypa
     assert outs[0] == outs[1]
 
 
+def test_a_runaway_power_in_the_checker_exits_two(capsys, tmp_path, monkeypatch):
+    # 2 ^ n at n = 10^10 would take 1.25 GB: the checker's program code
+    # tests a power's length as the run loop does, before computing it, and
+    # names the point.  2 ^ 4095 (4096 bits) is computed; 2 ^ 4096 is not
+    from termcert import _compile
+
+    ipow = _compile._ipow
+
+    def bounded(a, b):
+        assert abs(a) <= 1 or abs(a).bit_length() * b <= 2 * _compile.VALUE_BITS, (a, b)
+        return ipow(a, b)
+
+    monkeypatch.setattr(_compile, "_ipow", bounded)
+    monkeypatch.setitem(_compile._NAMESPACE, "_ipow", bounded)
+    program, cert = tmp_path / "power.prob", tmp_path / "power.cert"
+    program.write_text("f(n) { if n >= 1 then n := 2 ^ n else skip fi }\n", encoding="utf-8")
+    cert.write_text("eps=1\nf@1: 3\nf@2: 2\nf@3: 2\nf@4: 0\n", encoding="utf-8")
+    check = ("check", str(program), "--cert", str(cert), "--kind", "ranking", "--box")
+    code, out, err = run_cli(capsys, *check, "n=4095..4095")
+    assert (code, err) == (0, "") and "verdict=pass" in out
+    for box, n in (("n=10000000000..10000000000", 10**10), ("n=4094..4096", 4096)):
+        assert run_cli(capsys, *check, box) == (
+            2, "", f"error: power longer than 4096 bits at (f, 2, {{n={n}}})\n")
+
+
 OUTSIDE_64_BITS = ["18446744073709551616", "18446744073709551617", "-18446744073709551615",
                    "-1"]  # rng keys a stream by the seed's low 64 bits: each would run another's
 

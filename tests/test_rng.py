@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -59,16 +60,41 @@ def test_rekey_restarts_a_stream(seed):
         assert np.array_equal(gen.random(300 - 4 * skip), first[4 * skip:])
 
 
+@lru_cache(maxsize=None)
+def stream_rows(seed, lo):
+    """The first 16 draws of the streams lo .. lo + _BLOCK - 1, one row each."""
+    return np.array([make_generator(seed, lo + i).random(16) for i in range(_BLOCK)])
+
+
 @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
 def test_block_kernel_matches_numpy(blocks):
     # row i of the kernel holds the first 4 * blocks draws of the stream
-    # lo + i, taken mod 2^64 like every stream index
+    # lo + i, taken mod 2^64 like every stream index, for up to _BLOCK
+    # streams, as many as the simulator asks for at once
     for seed in SEEDS:
         for lo in KERNEL_STREAMS:
-            rows = philox_doubles(seed, lo, 3, blocks)
-            assert rows.shape == (3, 4 * blocks)
-            for i, row in enumerate(rows):
-                assert np.array_equal(row, make_generator(seed, lo + i).random(4 * blocks))
+            for n in (1, 3, 1000, _BLOCK):
+                rows = philox_doubles(seed, lo, n, blocks)
+                assert rows.shape == (n, 4 * blocks)
+                assert np.array_equal(rows, stream_rows(seed, lo)[:n, :4 * blocks]), (seed, lo, n)
+
+
+def test_block_kernel_rows_outlive_later_calls():
+    # the kernel keeps its buffers for later calls of the same shape, in
+    # each thread: rows it returned are not among them, and threads that
+    # run it at once each get their own
+    from concurrent.futures import ThreadPoolExecutor
+
+    first = philox_doubles(5, 0, 100, 2)
+    want = first.copy()
+    for lo in range(1, 40):
+        philox_doubles(5, lo, 100, 2)
+    assert np.array_equal(first, want)
+    rows = [philox_doubles(5, lo, 100, 2) for lo in range(40)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(3):
+            got = list(pool.map(lambda lo: philox_doubles(5, lo, 100, 2), range(40)))
+            assert all(np.array_equal(a, b) for a, b in zip(got, rows))
 
 
 def draws(uniforms, run, n, row=()):

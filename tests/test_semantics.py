@@ -931,3 +931,110 @@ def test_tail_estimates_monotone_nonincreasing(halving):
     p_hats = [t.p_hat for t in stats.tails]
     assert all(0.0 <= p <= 1.0 for p in p_hats)
     assert p_hats == sorted(p_hats, reverse=True)
+
+
+def test_a_greedy_scheduler_rejects_a_stanza_for_a_label_the_program_lacks(halving):
+    # f@99 names a label the halving game lacks, zz@1 a function it lacks;
+    # a scheduler that reads no certificate runs whatever it carries
+    from termcert.certificates import parse_certificate
+
+    cfg, sf, _ = halving
+    stray = parse_certificate("eps=1\nf@99: 0\nzz@1: 3\n")
+    entry = StackElement("f", 1, Valuation({"n": 5}))
+    for kind in ("greedy-max", "greedy-min"):
+        with pytest.raises(CertificateError, match="^2:1: certificate stanza f@99 names no label"):
+            simulate(cfg, sf, entry, Scheduler(kind, stray), runs=10, max_steps=1000)
+    stats = simulate(cfg, sf, entry, Scheduler("always-then", stray), runs=10, max_steps=1000)
+    assert stats.mean == 44
+
+
+def _outcome_of(call):
+    """call()'s result, or the type and text of what it raised."""
+    try:
+        return call()
+    except (EvalError, CertificateError, SemanticsError) as exc:
+        return type(exc), str(exc)
+
+
+def test_the_runner_memo_never_runs_one_program_for_another(monkeypatch):
+    # programs of one shape, each its own step k, built, simulated under
+    # every scheduler and dropped in turn with one sampling function, five
+    # times as many runners as the memo keeps: entries are evicted, and new
+    # programs take the ids of dropped ones (a few in 32, in CPython).  Each
+    # outcome is that of a runner compiled afresh.  Then forked workers,
+    # which inherit the memo, give the same statistics at any worker count
+    import gc
+
+    from test_properties import rand_certificate
+    from termcert import semantics
+    from termcert._compile import compile_runner
+
+    def fresh(*args):
+        with monkeypatch.context() as m:
+            m.setattr(semantics, "_runner", compile_runner)
+            return _outcome_of(lambda: simulate(*args))
+
+    sf = _loop_program()[1]
+    for k in range(1, semantics._MAX_RUNNERS + 1):
+        cfg = _loop_program(f"n := n - {k} * r")[0]
+        entry = StackElement("f", 1, Valuation({"n": 40}))
+        for kind in SCHEDULER_KINDS:
+            args = (cfg, sf, entry, Scheduler(kind, rand_certificate(k, cfg)), 30, 300, (5,), k)
+            assert _outcome_of(lambda: simulate(*args)) == fresh(*args), (k, kind)
+            assert len(semantics._RUNNERS) <= semantics._MAX_RUNNERS
+        del cfg, args
+        gc.collect()  # compile_runner's nested helpers hold the program in a cycle
+
+    monkeypatch.setattr(semantics, "_SERIAL_STEPS", 0)  # every worker count starts a pool
+    cfg, sf = _loop_program()
+    args = (cfg, sf, StackElement("f", 1, Valuation({"n": 20})), Scheduler("uniform"), 400,
+            10_000, (25,), 3)
+    want = fresh(*args)
+    assert want.terminated == 400
+    for workers in (1, 2, 8, 0):
+        assert simulate(*args, workers=workers) == want, workers
+
+
+def test_the_runner_memo_checks_the_program_it_holds(halving):
+    # an entry under the ids of the halving game that holds another program
+    # is compiled again, not run
+    from termcert import semantics
+    from termcert._compile import compile_runner
+
+    cfg, sf, _ = halving
+    other, other_sf = _loop_program()
+    key = (id(cfg), id(sf), "always-then", ("f", 1))
+    semantics._RUNNERS[key] = (other, other_sf, compile_runner(other, other_sf, "always-then",
+                                                               ("f", 1)))
+    stats = simulate(cfg, sf, StackElement("f", 1, Valuation({"n": 5})),
+                     Scheduler("always-then"), runs=10, max_steps=1000)
+    assert stats.mean == 44
+    held, held_sf, _ = semantics._RUNNERS[key]
+    assert held is cfg and held_sf is sf
+
+
+def test_threads_simulating_at_once_get_the_statistics_of_one(halving):
+    # threads share the runner memo; each has its own kernel buffers and
+    # generator for the draws past a run's row, which runs from n = 20 read.
+    # With a thread switch every microsecond, four threads give the
+    # statistics that one thread gives
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    cfg, sf, cert = halving
+    entry = StackElement("f", 1, Valuation({"n": 20}))
+    jobs = [(kind, seed) for kind in ("uniform", "always-else", "greedy-min") for seed in (1, 2)]
+
+    def run(job):
+        return simulate(cfg, sf, entry, Scheduler(job[0], cert), runs=200, max_steps=10_000,
+                        k_list=(100,), seed=job[1], workers=1)
+
+    want = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(run, jobs * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 2
