@@ -84,9 +84,12 @@ def _rpow(a, b):
 
 
 def _cpow(a, b):
-    """`a ^ b` in the checker's program code, raising an EvalError where
-    `_rpow` would find it too long, before it is computed."""
-    if type(b) is int and (abs(a).bit_length() - 1) * b >= VALUE_BITS:
+    """`a ^ b` in the checker's program code and in certificate stanzas,
+    raising an EvalError, before computing it, where `_rpow`'s first test
+    fails on the longer of `a`'s numerator and denominator (an int's are
+    itself and 1), whose power is the numerator or denominator of a ^ b."""
+    if b > 0 and b.denominator == 1 and (max(abs(a.numerator).bit_length(),
+                                             a.denominator.bit_length()) - 1) * b >= VALUE_BITS:
         raise EvalError(f"power longer than {VALUE_BITS} bits")
     return _ipow(a, b)
 
@@ -105,7 +108,8 @@ def expr_code(expr: Expr, names: Dict[str, str], parent: int = 0,
     CPython's limit of 200 nested parentheses to count.  A program
     expression names its `power` helper, the checker's `_cpow` or the run
     loop's `_rpow`; as its values are ints, a `div` by a positive integer
-    literal is `//`.  A certificate's (no `power`) keeps `_idiv` and `_ipow`."""
+    literal is `//`.  A certificate's (no `power`) keeps `_idiv`, and its
+    powers are `_cpow`'s too."""
     if isinstance(expr, Const):
         value = expr.value
         if value.denominator == 1:
@@ -128,7 +132,7 @@ def expr_code(expr: Expr, names: Dict[str, str], parent: int = 0,
                 f"{expr_code(right, names, prec + 1, power)}")
         return f"({text})" if prec < parent else text
     if isinstance(expr, Pow):
-        return (f"{power or '_ipow'}({expr_code(expr.base, names, 0, power)}, "
+        return (f"{power or '_cpow'}({expr_code(expr.base, names, 0, power)}, "
                 f"{expr_code(expr.exponent, names, 0, power)})")
     if isinstance(expr, InfConst):
         raise EvalError("inf cannot appear inside an arithmetic expression")
@@ -309,11 +313,11 @@ def _censor_long(pad: str, values) -> list:
             for value, code in values if "*" in code]
 
 
-def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable, list]:
-    """(make, stars): `make(nxt, dr, cap, *choosers)` returns `run(v)`,
+def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable, list, tuple]:
+    """(make, stars, cuts): `make(nxt, dr, cap, *choosers)` returns `run(v)`,
     which runs from `entry` with the values `v` and returns its steps, or
-    None if it is censored; `stars` lists the (function, then, else) of
-    each chooser.
+    None if it is censored; `stars` lists each chooser's (function, then,
+    else), and `cuts` the constants `run` compares draws with, in order.
 
     `run` is one loop over the resume points (a function's entry, a call's
     return label, a label with more than one predecessor, `entry`, a branch
@@ -346,8 +350,8 @@ def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable
         if fn.name == entry[0]:
             starts.add(entry[1])
         todo += ((fn.name, label) for label in sorted(starts - {fn.exit}))
-    pcs, stars = {point: pc for pc, point in enumerate(todo)}, []
-    blocks = [_block(cfg, sf, cfg.function(fname), start, pcs, todo, kind, stars)
+    pcs, stars, cuts = {point: pc for pc, point in enumerate(todo)}, [], set()
+    blocks = [_block(cfg, sf, cfg.function(fname), start, pcs, todo, kind, stars, cuts)
               for fname, start in todo]
     free = ["nxt", "dr", "cap", *(f"c{k}" for k in range(len(stars)))]
     lines = [f"def make({', '.join(free)}):",  # their values, and dr.pop, as run's own locals
@@ -365,11 +369,12 @@ def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable
         tree(mid, hi, pad + "    ")
 
     tree(0, len(blocks), "            ")
+    del tree  # it calls itself through a closure cell: a cycle, as in `_block`
     lines.append("        except Runaway: return")
-    return compile_lambda("\n".join([*lines, "    return run", ""])), stars
+    return compile_lambda("\n".join([*lines, "    return run", ""])), stars, tuple(sorted(cuts))
 
 
-def _block(cfg, sf, fn, start, pcs, todo, kind, stars) -> list:
+def _block(cfg, sf, fn, start, pcs, todo, kind, stars, cuts) -> list:
     """The source lines of the block of `fn` at `start` (compile_runner)."""
     names = {var: f"x{i}" for i, var in enumerate(fn.pvars)}
     fresh = _tuple(names.values())
@@ -394,6 +399,7 @@ def _block(cfg, sf, fn, start, pcs, todo, kind, stars) -> list:
                     test = pred_code(node.pred, names, "_rpow")
                 elif kind == "uniform":
                     test = f"({_DRAW}) < 0.5"
+                    cuts.add(0.5)
                 else:
                     test = f"c{len(stars)}({', '.join(names.values())})"
                     stars.append((fn, yes, no))
@@ -415,8 +421,9 @@ def _block(cfg, sf, fn, start, pcs, todo, kind, stars) -> list:
             else:
                 drawn = {}
                 for j, svar in enumerate(node.sampling_vars):
-                    *cuts, (_, last) = sf.dist(svar).thresholds()
-                    chain = "".join(f"{value!r} if u < {cut!r} else " for cut, value in cuts)
+                    *below, (_, last) = sf.dist(svar).thresholds()
+                    cuts.update(cut for cut, _ in below)
+                    chain = "".join(f"{value!r} if u < {cut!r} else " for cut, value in below)
                     lines.append(pad + f"u = {_DRAW}; m{j} = {chain}{last!r}")
                     drawn[svar] = f"m{j}"
                 if node.var is not None:
@@ -447,6 +454,7 @@ def _block(cfg, sf, fn, start, pcs, todo, kind, stars) -> list:
             lines.append(pad + f"st += {k}; pc, v = {pcs[fn.name, label]}, {vals}; break")
 
     run(start, "    ", "v", 0)
+    del run, goto  # each holds the other, and `cfg`, in a cycle only the collector frees
     return lines
 
 

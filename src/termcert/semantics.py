@@ -8,7 +8,8 @@ is the number of steps taken.  `simulate` runs the one loop that
 jumps between resume points by number, and keeps the run's frames, each a
 (resume point, values) pair, on a list of its own.  An assignment draws
 the sampling variables it reads when it runs, and a scheduler resolves
-every nondeterministic label.  The single-step reference the run loop is
+every nondeterministic label; runs whose draws fall between the same cuts
+share one run (`_run_range`).  The single-step reference the run loop is
 tested against lives in `tests/oracles.py`.  `StackElement` (from `cfg`)
 and `TailEstimate`, `wilson_interval` and `Z95` (from `rng`) remain names
 of this module.
@@ -138,11 +139,13 @@ def _finalize(totals: Sequence[int], runs: int, max_steps: int, k_list: Sequence
 _ROW = 8  # draws per run computed ahead, by whole Philox blocks of 4
 _FIRST = 24  # draws of a run's first read past its row, of 8..256 the fastest on halving
 _BLOCK = 1024  # runs whose first _ROW draws one kernel call computes
+_SHARED = 256  # rows a block needs for runs to share classes: in fewer, few classes repeat
 # `fan_out`'s budget: about one pool start-up (25-36 ms to import the pool
-# module and start one worker) at 9.0M-9.4M (uniform) to 12.3M-12.8M
-# (always-else) steps/s, fixed costs included, on 1,000 halving-game runs
-# from n = 5 a call, 2-core VM, Python 3.11.  A draw-free simulation runs
-# once whatever its run count: within the budget
+# module and start one worker) at 11.1M-11.8M (uniform) to 20.0M-22.2M
+# (always-else) steps/s, fixed costs and the steps of shared runs included,
+# on 1,000 halving-game runs from n = 5 a call, 2-core VM, Python 3.11: 14
+# to 27 ms.  A draw-free simulation runs once whatever its run count:
+# within the budget
 _SERIAL_STEPS = 300_000
 
 
@@ -215,10 +218,14 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
     draws; when it draws none, every run of the range is that run, counted
     for all of them.  Otherwise one `philox_doubles` call computes the
     rows of _ROW draws of the next _BLOCK runs, made Python lists at once,
-    and each run starts with its row in `dr`.  Returns the runs'
-    (terminated, steps, squared steps, *tail counts in k_list's order) and
-    the first run not taken."""
-    make, stars = _runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
+    and each run starts with its row in `dr`.  As the run loop compares
+    draws with its `cuts` alone, a run of a block of _SHARED rows or more
+    that ends within its row gives its steps (None if censored) to each
+    row whose draws up to the last it read fall between the same cuts
+    (`_classes`), which is not run; the rows still go in order.  Returns
+    the runs' (terminated, steps, squared steps, *tail counts in k_list's
+    order) and the first run not taken."""
+    make, stars, cuts = _runner(cfg, sf, scheduler.kind, (entry_fname, entry_label))
     if lo == hi or budget <= 0:
         return _tally((), k_list), lo
     uniforms = _Uniforms(seed, lo)
@@ -230,15 +237,47 @@ def _run_range(cfg: Cfg, sf: SamplingFunction, entry_fname: str, entry_label: in
     uniforms.skip = _ROW // 4
     while end < hi and spent < budget:
         steps.clear()
-        for row in philox_doubles(seed, end, min(_BLOCK, hi - end), _ROW // 4)[:, ::-1].tolist():
+        block = philox_doubles(seed, end, min(_BLOCK, hi - end), _ROW // 4)
+        known, table, first, share = [False] * len(block), None, end, len(block) >= _SHARED
+        for row, t in zip(block[:, ::-1].tolist(), known):  # t: given by an earlier run, or False
             if spent >= budget:
                 break
-            uniforms.run, uniforms.dr[:] = end, row
-            steps.append(t := walk(entry_vals))
+            if t is False:
+                uniforms.run, uniforms.dr[:] = end, row
+                t = walk(entry_vals)
+                if share and uniforms.run is not None:  # it read from its row alone
+                    order, place, common = table = table or _classes(block, cuts)
+                    read, a = _ROW - len(uniforms.dr), place[end - first]
+                    b = a + 1
+                    while common[a] >= read:
+                        a -= 1
+                    while common[b] >= read:
+                        b += 1
+                    for j in order[a:b]:
+                        known[j] = t
+            steps.append(t)
             spent += t or max_steps
             end += 1
         totals = [a + b for a, b in zip(totals, _tally(steps, k_list))]
     return totals, end
+
+
+def _classes(block, cuts: tuple) -> tuple:
+    """(order, place, common): `order` sorts a block's rows by the classes
+    (a draw's: the cuts at or below it) of their first `width` draws, packed
+    in keys of 53 bits that doubles hold exactly; row i is order[place[i]];
+    the rows at places p - 1 and p share common[p] classes, -1 past the ends."""
+    import numpy as np
+
+    bits = len(cuts).bit_length() or 1
+    width = min(_ROW, 53 // bits)
+    keys = np.searchsorted(cuts, block[:, :width], side="right") @ (
+        1 << bits * np.arange(width - 1, -1, -1))
+    order = keys.argsort()
+    ranked = keys[order]
+    differ = np.frexp(ranked[1:] ^ ranked[:-1])[1]  # the bit length of each XOR
+    common = ((bits * width - differ) // bits).tolist()
+    return order.tolist(), order.argsort().tolist(), [-1, *common, -1]
 
 
 def simulate(cfg: Cfg, sf: SamplingFunction, entry: StackElement,

@@ -543,6 +543,42 @@ def test_a_runaway_power_in_the_checker_exits_two(capsys, tmp_path, monkeypatch)
             2, "", f"error: power longer than 4096 bits at (f, 2, {{n={n}}})\n")
 
 
+@pytest.mark.parametrize("power", ["2 ^ n", "1/2 ^ n", "1.5 ^ n"])
+def test_a_runaway_power_in_a_certificate_exits_two(capsys, tmp_path, monkeypatch, power):
+    # a stanza's power, of an int or of a Fraction, is tested for length as
+    # the program's are, before it is computed: check, bounds and a greedy
+    # simulate name where they met it and exit 2.  At n = 4095 the powers,
+    # whose longest parts have 4096, 4096 and 6491 bits, are computed
+    from termcert import _compile
+
+    ipow = _compile._ipow
+
+    def bounded(a, b):
+        bits = max(abs(a.numerator).bit_length(), a.denominator.bit_length())
+        assert bits <= 1 or bits * b <= 2 * _compile.VALUE_BITS, (a, b)
+        return ipow(a, b)
+
+    monkeypatch.setattr(_compile, "_ipow", bounded)
+    program, cert = tmp_path / "star.prob", tmp_path / "star.cert"
+    program.write_text("f(n) { if star then n := n - 1 else skip fi }\n", encoding="utf-8")
+    cert.write_text(f"eps=1 delta=2 zeta=2\nf@1: {power} + 2\nf@2: {power} + 1\n"
+                    f"f@3: {power} + 1\nf@4: 0\n", encoding="utf-8")
+    files = (str(program), "--cert", str(cert))
+    check = ("check", *files, "--kind", "ranking", "--box")
+    code, out, err = run_cli(capsys, *check, "n=4095..4095")
+    assert (code, err) == (0, "") and "verdict=pass" in out
+    for n in (4096, 10**10):
+        point = f"(f, 1, {{n={n}}})"
+        for argv, where in ((check + (f"n={n}..{n}",), point),
+                            (("bounds", *files, "--kind", "cdb", "--entry", "f", "--args",
+                              f"n={n}", "--k", "1"), point),
+                            (("simulate", str(program), "--entry", "f", "--args", f"n={n}",
+                              "--scheduler", "greedy-max", "--cert", str(cert), "--runs", "3"),
+                             "(f, 1)")):
+            assert run_cli(capsys, *argv) == (
+                2, "", f"error: power longer than 4096 bits at {where}\n"), (argv, power)
+
+
 OUTSIDE_64_BITS = ["18446744073709551616", "18446744073709551617", "-18446744073709551615",
                    "-1"]  # rng keys a stream by the seed's low 64 bits: each would run another's
 

@@ -241,7 +241,7 @@ def test_wilson_interval_basic():
     assert hi0 < 0.05
 
 
-def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
+def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index, gen=None):
     """Termination time via the interpretive single step of `oracles`,
     consuming the same uniform stream as the compiled runner: one draw per
     sampling variable read by the executed assignment, one draw per
@@ -249,8 +249,9 @@ def _reference_run(cfg, sf, entry, scheduler, max_steps, seed, run_index):
     value, not the scheduler's compiled stanzas.  An assignment or call
     argument computed with `*` whose value is longer than VALUE_BITS bits
     censors the run, and so does any power longer than that.  An
-    error raised at a step carries the step's number as `step`."""
-    gen = make_generator(seed, run_index)
+    error raised at a step carries the step's number as `step`.  The draws
+    come from `gen`, if given, instead of the stream (seed, run_index)."""
+    gen = make_generator(seed, run_index) if gen is None else gen
     state = MdpState((entry,), Valuation({}))
     for steps in range(max_steps):
         if state.terminated:
@@ -628,6 +629,28 @@ def test_runs_across_draw_blocks_match_the_reference(halving, inline_pool, monke
     # there and the rest goes in contiguous ranges to this process (the
     # first) and a pool of the other workers (the inline pool runs them as
     # they are submitted, before this process runs its own)
+    from termcert.semantics import _BLOCK
+
+    _across_blocks(Scheduler("uniform"), (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 2,
+                                          2 * _BLOCK + 3), halving, inline_pool, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["always-else", "greedy-min"])
+def test_shared_classes_stop_serial_heads_where_the_reference_does(kind, halving, inline_pool,
+                                                                   monkeypatch):
+    # as above, where most rows of a block take the steps of an earlier run
+    # whose draws fell in the same classes (2,009 of these 2,051 under
+    # either), not a run of their own; with heads also ending among them
+    from termcert.semantics import _BLOCK
+
+    heads = (0, 1, 2, 300, 301, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 600, 2 * _BLOCK + 3)
+    _across_blocks(Scheduler(kind, halving[2]), heads, halving, inline_pool, monkeypatch)
+
+
+def _across_blocks(sched, heads, halving, inline_pool, monkeypatch):
+    """The statistics of 2 * _BLOCK + 3 runs of `sched` on the halving game
+    from n = 5 against the reference, at 1 and 2 workers, and then with a
+    serial head ending at each run of `heads` (see above)."""
     import os
     from itertools import accumulate
 
@@ -638,7 +661,7 @@ def test_runs_across_draw_blocks_match_the_reference(halving, inline_pool, monke
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg, sf, _ = halving
     entry = StackElement("f", 1, Valuation({"n": 5}))
-    sched, runs, cap, seed = Scheduler("uniform"), 2 * _BLOCK + 3, 100_000, 1105
+    runs, cap, seed = 2 * _BLOCK + 3, 100_000, 1105
     stats = simulate(cfg, sf, entry, sched, runs=runs, max_steps=cap, k_list=[30], seed=seed)
     assert simulate(cfg, sf, entry, sched, runs=runs, max_steps=cap, k_list=[30], seed=seed,
                     workers=2) == stats
@@ -647,10 +670,11 @@ def test_runs_across_draw_blocks_match_the_reference(halving, inline_pool, monke
     assert stats.terminated == runs
     assert stats.sum_steps == sum(ref)
     assert stats.sumsq_steps == sum(t * t for t in ref)
+    assert stats.tail(30).count == sum(t >= 30 for t in ref)
 
     ranges = _recorded_ranges(monkeypatch)
     spent = list(accumulate(ref, initial=0))  # spent[h]: steps of runs 0..h-1
-    for head in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, runs - 1, runs):
+    for head in heads:
         monkeypatch.setattr(semantics, "_SERIAL_STEPS", spent[head])
         for workers in (2, 3):
             sizes.clear()
@@ -708,6 +732,187 @@ def test_censored_runs_at_small_caps_match_the_reference(kind, halving):
             assert stats.sum_steps == sum(done)
             assert stats.sumsq_steps == sum(t * t for t in done)
             assert stats.tail(cap).count == sum(t is None or t >= cap for t in ref)
+
+
+class _Drawn:
+    """A run's draws for `_reference_run`: the row `first`, then its stream
+    (seed, run) past as many draws, as the run loop reads them."""
+
+    def __init__(self, first, seed, run):
+        self.first, self.gen = list(first), make_generator(seed, run)
+        self.gen.random(len(self.first))
+
+    def random(self):
+        return self.first.pop(0) if self.first else self.gen.random()
+
+
+def _inject(monkeypatch, rows):
+    """Give each run of `rows` (run -> its first 8 draws) those draws in the
+    row that `philox_doubles` computes for it; other runs keep theirs.  A
+    range's first run reads no row, so it must not be among them."""
+    from termcert import semantics
+
+    kernel = semantics.philox_doubles
+
+    def injected(seed, lo, n, blocks):
+        out = kernel(seed, lo, n, blocks)
+        for run, row in rows.items():
+            if lo <= run < lo + n:
+                out[run - lo] = row
+        return out
+
+    monkeypatch.setattr(semantics, "philox_doubles", injected)
+
+
+def _runs_taken(monkeypatch) -> list:
+    """A one-item list counting the calls of every run loop made from now on."""
+    from termcert import semantics
+
+    runner, taken = semantics._runner, [0]
+
+    def counted(*args):
+        make, stars, cuts = runner(*args)
+
+        def counting_make(*free):
+            run = make(*free)
+
+            def counting_run(v):
+                taken[0] += 1
+                return run(v)
+            return counting_run
+        return counting_make, stars, cuts
+
+    monkeypatch.setattr(semantics, "_runner", counted)
+    return taken
+
+
+def _against_reference(cfg, sf, entry, sched, runs, cap, seed, rows=None):
+    """(simulate's outcome, the reference's run by run in order), each the
+    statistics or the first error's type and what it did (`division` or
+    `exponent`), for runs whose first draws `rows` gives (`_inject`)."""
+    rows = rows or {}
+
+    def error(exc):
+        return type(exc), "division" if "division" in str(exc) else "exponent"
+    try:
+        stats = simulate(cfg, sf, entry, sched, runs=runs, max_steps=cap, k_list=[cap],
+                         seed=seed)
+        got = stats.terminated, stats.sum_steps, stats.sumsq_steps, stats.tail(cap).count
+    except (EvalError, CertificateError) as exc:
+        got = error(exc)
+    try:
+        ref = [_reference_run(cfg, sf, entry, sched, cap, seed, run,
+                              _Drawn(rows[run], seed, run) if run in rows else None)
+               for run in range(runs)]
+        done = [t for t in ref if t is not None]
+        want = (len(done), sum(done), sum(t * t for t in done),
+                sum(t is None or t >= cap for t in ref))
+    except (EvalError, CertificateError) as exc:
+        want = error(exc)
+    return got, want
+
+
+def _dist(*pairs):
+    from termcert.distributions import DiscreteDist
+
+    return DiscreteDist.from_pairs([(v, Fraction(p)) for v, p in pairs])
+
+
+def test_a_draw_equal_to_a_cut_falls_in_the_class_above_it(monkeypatch):
+    # `u < cut` is false at u = cut, so a draw at a cut shares the class of
+    # the draws above it, not below: each row with a draw just below a cut,
+    # read first, has other steps than the row with that draw at the cut,
+    # for r's cuts 1/4 and 1/2 and for the star's 0.5
+    from termcert.distributions import SamplingFunction
+    from termcert.semantics import _SHARED
+
+    cfg = _program("f(n) { n := r; if star then skip else n := 0 - n fi; "
+                   "while n >= 1 do n := n - 1 od }")
+    sf = SamplingFunction.from_mapping({"r": _dist((0, "1/4"), (1, "1/4"), (2, "1/2"))})
+    half, quarter = 0.5 - 2 ** -53, 0.25 - 2 ** -54  # the doubles just below 1/2 and 1/4
+    pairs = [((quarter, 0.1), (0.25, 0.1)), ((half, 0.1), (0.5, 0.1)), ((0.9, half), (0.9, 0.5))]
+    rows = {10 + 2 * k + j: [*draws, *[0.7] * 6]
+            for k, pair in enumerate(pairs) for j, draws in enumerate(pair)}
+    taken = _runs_taken(monkeypatch)
+    _inject(monkeypatch, rows)
+    entry = StackElement("f", 1, Valuation({"n": 0}))
+    for kind in ("uniform", "always-then", "always-else"):
+        taken[0] = 0
+        got, want = _against_reference(cfg, sf, entry, Scheduler(kind), _SHARED + 50, 100, 2,
+                                       rows)
+        assert got == want, kind
+        assert taken[0] <= 10, kind  # the first run, then 3 classes a draw
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_a_variable_of_300_values_shares_by_all_its_classes(n, monkeypatch):
+    # 300 values make 300 classes, more than 8 bits tell apart: a class
+    # above 255 must not share with the class 256 below it.  A run reading
+    # 7 draws reads more than a row's key holds (5 classes of 9 bits), and
+    # shares nothing
+    from termcert.distributions import SamplingFunction
+
+    cfg = _program("f(n, m) { while n >= 1 do m := m + s; n := n - 1 od; "
+                   "while m >= 10 do m := m - 10 od }")
+    sf = SamplingFunction.from_mapping({"s": _dist(*((v, "1/300") for v in range(300)))})
+    taken = _runs_taken(monkeypatch)
+    entry = StackElement("f", 1, Valuation({"n": n, "m": 0}))
+    got, want = _against_reference(cfg, sf, entry, Scheduler("uniform"), 1100, 1000, 7)
+    assert got == want
+    assert (taken[0] < 1100) == (n == 1)
+
+
+def test_runs_reading_8_draws_share_and_runs_reading_9_do_not(monkeypatch):
+    # n fair coins summed into m, then m loop turns: n = 8 reads the whole
+    # row, and rows whose 8 coins are alike share; at n = 9 rows alike in
+    # their 8 coins differ in the 9th, each run's own, and none shares
+    from termcert.distributions import SamplingFunction
+
+    cfg = _program("f(n, m) { while n >= 1 do m := m + r; n := n - 1 od; "
+                   "while m >= 1 do m := m - 1 od }")
+    sf = SamplingFunction.from_mapping({"r": _dist((0, "1/2"), (1, "1/2"))})
+    taken = _runs_taken(monkeypatch)
+    for n, most in ((7, 129), (8, 257), (9, 1025)):  # the first run, then 2^n classes
+        taken[0] = 0
+        entry = StackElement("f", 1, Valuation({"n": n, "m": 0}))
+        got, want = _against_reference(cfg, sf, entry, Scheduler("uniform"), 1025, 1000, 5)
+        assert got == want, n
+        assert taken[0] <= most, n
+
+
+def test_the_first_error_in_run_order_wins_over_shared_classes(monkeypatch):
+    # r = 0 ends; r = 1 computes 2 ^ -1 and r = 2 divides by 0.  Every row
+    # holds r = 0 but two, which raise, in either order, in the first block
+    # or the second: the first of them raises, as run by run
+    from termcert.distributions import SamplingFunction
+
+    cfg = _program("f(n) { n := r; if n >= 2 then n := n div (n - 2) else "
+                   "if n >= 1 then n := 2 ^ (n - 2) else skip fi fi }")
+    sf = SamplingFunction.from_mapping({"r": _dist((0, "1/2"), (1, "1/4"), (2, "1/4"))})
+    seed = next(s for s in itertools.count() if make_generator(s, 0).random() < 0.5)
+    entry = StackElement("f", 1, Valuation({"n": 0}))
+    for at, (first, second) in itertools.product((600, 1500), ((0.6, 0.9), (0.9, 0.6))):
+        rows = {run: [0.1] * 8 for run in range(1, 1600)}
+        rows[at], rows[at + 1] = [first] * 8, [second] * 8
+        with monkeypatch.context() as m:
+            _inject(m, rows)
+            got, want = _against_reference(cfg, sf, entry, Scheduler("uniform"), 1600, 100,
+                                           seed, rows)
+        assert got == want == (EvalError, "exponent" if first == 0.6 else "division")
+
+
+@pytest.mark.parametrize("kind", ["uniform", "always-else", "greedy-min"])
+def test_censored_classes_share_at_small_caps(kind, halving):
+    # 300 runs, so that their classes share: caps 1-3 censor every run,
+    # later ones some, and a censored run's class is censored
+    from termcert.semantics import _SHARED
+
+    cfg, sf, cert = halving
+    entry = StackElement("f", 1, Valuation({"n": 5}))
+    for cap in (1, 2, 3, 10, 30):
+        got, want = _against_reference(cfg, sf, entry, Scheduler(kind, cert), _SHARED + 44,
+                                       cap, 8)
+        assert got == want, cap
 
 
 ILL_DEFINED = [  # (program, its error from the entry f(n=3))
@@ -963,8 +1168,6 @@ def test_the_runner_memo_never_runs_one_program_for_another(monkeypatch):
     # programs take the ids of dropped ones (a few in 32, in CPython).  Each
     # outcome is that of a runner compiled afresh.  Then forked workers,
     # which inherit the memo, give the same statistics at any worker count
-    import gc
-
     from test_properties import rand_certificate
     from termcert import semantics
     from termcert._compile import compile_runner
@@ -983,7 +1186,6 @@ def test_the_runner_memo_never_runs_one_program_for_another(monkeypatch):
             assert _outcome_of(lambda: simulate(*args)) == fresh(*args), (k, kind)
             assert len(semantics._RUNNERS) <= semantics._MAX_RUNNERS
         del cfg, args
-        gc.collect()  # compile_runner's nested helpers hold the program in a cycle
 
     monkeypatch.setattr(semantics, "_SERIAL_STEPS", 0)  # every worker count starts a pool
     cfg, sf = _loop_program()
@@ -993,6 +1195,32 @@ def test_the_runner_memo_never_runs_one_program_for_another(monkeypatch):
     assert want.terminated == 400
     for workers in (1, 2, 8, 0):
         assert simulate(*args, workers=workers) == want, workers
+
+
+def test_a_dropped_runner_leaves_no_cycle_holding_its_program(halving):
+    # compile_runner's nested helpers, which call each other, hold no
+    # reference once it returns: with the cyclic collector off, dropping
+    # its result gives the program and its functions back their counts
+    import gc
+    import sys
+
+    from termcert._compile import compile_runner
+
+    cfg, sf, _ = halving
+
+    def counts():
+        return [sys.getrefcount(cfg), *map(sys.getrefcount, cfg.functions)]
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for kind in SCHEDULER_KINDS:
+            before = counts()
+            compile_runner(cfg, sf, kind, ("f", 1))
+            assert counts() == before, kind
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_the_runner_memo_checks_the_program_it_holds(halving):
