@@ -9,7 +9,7 @@ star markers.
 
 from termcert import build_cfg, dump_cfg, label_program, parse_program, pretty_print
 from termcert.fixtures import fixture_text
-from termcert.lang import labels_of
+from termcert.lang import iter_statements
 
 source = fixture_text("halving_game.prob")
 print("--- source ---")
@@ -18,8 +18,9 @@ print(source)
 program = label_program(parse_program(source))
 print("--- labels assigned depth-first per function body ---")
 for fn in program.functions:
+    labelled = {stmt.label: stmt for stmt in iter_statements(fn.body) if stmt.label is not None}
     stmt_labels = ", ".join(
-        f"{label}:{type(stmt).__name__}" for label, stmt in sorted(labels_of(fn).items())
+        f"{label}:{type(stmt).__name__}" for label, stmt in sorted(labelled.items())
     )
     print(f"{fn.name}: {stmt_labels}, terminal={fn.terminal_label}")
 

@@ -329,7 +329,8 @@ def compile_runner(cfg, sf, kind: str, entry: Tuple[str, int]) -> Tuple[Callable
     number of labels to `st` once, at its end; a label's ill-defined
     arithmetic (an EvalError, raised again naming its label) censors the run
     instead where the label lies past the cap, and a greedy star tests the
-    cap before its chooser, which can raise CertificateError.  A call pushes
+    cap before its chooser, whose EvalError is raised again naming the point
+    and which can raise CertificateError.  A call pushes
     (return pc, values) on the run's frame stack, unless it is its
     function's last step, and enters the callee; the exit pops a frame, or
     ends the run, censored if `st` passed the cap, when none is left.  An
@@ -404,6 +405,8 @@ def _block(cfg, sf, fn, start, pcs, todo, kind, stars, cuts) -> list:
                     test = f"c{len(stars)}({', '.join(names.values())})"
                     stars.append((fn, yes, no))
                     lines.append(pad + f"if {at} >= cap: return")
+                    point = f"{{point_text({fn.name!r}, {label}, {fn.pvars!r}, {fresh})}}"
+                    where = [where[0], pad + f'    raise EvalError(f"{{e}} at {point}") from None']
                 lines.extend([pad + f"try: b = {test}", *where, pad + "if b:"])
                 goto(yes, pad + "    ", vals, k + 1)
                 lines.append(pad + "else:")

@@ -222,11 +222,11 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
     Increment laws are time-inhomogeneous but identical across runs, so the
     whole cohort advances one step at a time as a vector, its coins cut from
     raw 64-bit Philox words at integer points.  The random walk advances a
-    block of steps at a time: it reads the bytes of raw words, at most 2^16
-    steps per call, eight steps per byte-table lookup, so memory does not
+    block of steps at a time: it reads the bytes of raw words, at most 2^18
+    steps per chunk, sixteen steps per table lookup, so memory does not
     grow with runs x block.  Runs alive at the horizon are censored; they
     count toward every requested survival level (exact, since T > horizon
-    >= n) and are excluded from the mean, taken with the spread on int64 T.
+    >= n) and are excluded from the mean, taken with the spread in float64.
     """
     import numpy as np
     if tag not in TAGS:
@@ -251,7 +251,7 @@ def simulate_lab(tag: str, runs: int, horizon: int, seed: int = 0,
     censored = runs - terminated
     mean = halfwidth = None
     if terminated:
-        steps = T[T > 0] if censored else T  # numpy sums the int64s exactly, in float64
+        steps = T[T > 0] if censored else T  # numpy sums the integers exactly, in float64
         mean = float(steps.mean())
         halfwidth = (float(Z95 * steps.std(ddof=1) / math.sqrt(terminated))
                      if terminated > 1 else float("inf"))
@@ -283,9 +283,12 @@ def _simulate_two_point(gen: np.random.Generator, tag: str, alpha: float,
     the `alive` runs' up-steps, in order.  While they share one value `v`
     and only a down-step stops a run (all steps but `positivity`'s after
     the first), the up-steps survive; else `x` holds each alive run's value.
+    `T` is int32 while runs and horizon fit, to halve a large cohort's traffic;
+    `compress` drops stopped runs several times faster than a mask index.
     """
     import numpy as np
-    T, alive, x, v = np.zeros(runs, dtype=np.int64), None, None, initial_value(tag)
+    dtype = np.int32 if max(runs, horizon) < 2**31 else np.int64
+    T, alive, x, v = np.zeros(runs, dtype=dtype), None, None, initial_value(tag)
     for n in range(1, horizon + 1):
         k = runs if alive is None else alive.size
         if k == 0:
@@ -298,15 +301,15 @@ def _simulate_two_point(gen: np.random.Generator, tag: str, alpha: float,
             x = np.where(stay, up_val, down_val) + (v if x is None else x)
             stay = x > 0
         if alive is None:  # n == 1, where every run is alive
-            T, alive = (~stay).astype(np.int64), np.flatnonzero(stay)
+            T, alive = (~stay).astype(dtype), np.flatnonzero(stay)
         elif np.count_nonzero(stay) < k:
-            T[alive[~stay]] = n
-            alive = alive[stay]
-        x = x if x is None or x.size == alive.size else x[stay]
+            T[alive.compress(~stay)] = n
+            alive = alive.compress(stay)
+        x = x if x is None or x.size == alive.size else x.compress(stay)
     return T
 
 
-_CHUNK_DRAWS = 1 << 16  # walk draws per `gen.integers` call, at most
+_CHUNK_DRAWS = 1 << 18  # walk draws per chunk of 4k rows, at most (4 rows at the least)
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,8 +324,30 @@ def _byte_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return net, prefix.min(axis=1) - net, first
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """`_byte_tables`' net move and lowest prefix less it per 16-bit unit of
+    sixteen steps, 256 * high byte + low byte, the low byte's steps first."""
+    import numpy as np
+    net, low, _ = _byte_tables()
+    return (net[:, None] + net).ravel(), np.minimum(low - net[:, None], low[:, None]).ravel()
+
+
+def _first_down(units: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """The step (1..16) at which a walk entering each unit `before` (1..16)
+    above 0 first reaches 0, which the unit must do: in the low byte, or in
+    the high byte, entered at `before` plus the low byte's net move (`& 7`
+    keeps the index of the branch that `where` drops in range)."""
+    import numpy as np
+    net, low, first = _byte_tables()
+    lo, hi = units & 0xFF, units >> 8
+    entered = before + net[lo]
+    return np.where(entered + low[lo] <= 0, first[(before - 1) & 7, lo],
+                    first[(entered - 1) & 7, hi] + 8)
+
+
 def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndarray:
-    """Symmetric +-1 walk from 1 absorbed at 0, scanned eight steps a byte.
+    """Symmetric +-1 walk from 1 absorbed at 0, scanned sixteen steps a lookup.
 
     Each block takes its steps from one (alive x block) draw, row by row:
     the block schedule decides which draw goes to which run, so it must not
@@ -330,14 +355,16 @@ def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndar
     `integers(0, 2)`: the top bit of each byte of 32-bit words, low byte
     first, which are the low then the high halves of raw 64-bit words.  A
     call starts on a fresh 32-bit word, and one of odd length leaves a high
-    half to the next (`carry` keeps it), so chunks of at most 2^16 steps in
+    half to the next (`carry` keeps it), so chunks of at most 2^18 steps in
     multiples of 4 rows read the one big call's bytes in bounded memory.
-    Down-steps are packed eight to a byte (pad bits act as up-steps), prefix
-    sums run over bytes, and the byte tables find the step that reaches 0.
-    `x` stays int64: it can outgrow int16 on long horizons.
+    Down-steps are packed eight to a byte and each row padded to whole
+    16-bit units (pad bits act as up-steps).  Prefix sums run over units,
+    laid out unit-major so that each sum and the minimum per run are whole
+    vector ops; that minimum finds the runs that reach 0, and `_first_down`
+    the step.  `x` stays int64: it can outgrow int16 on long horizons.
     """
     import numpy as np
-    net, low, first = _byte_tables()
+    net, low = _unit_tables()
     T = np.zeros(runs, dtype=np.int64)
     x = np.ones(runs, dtype=np.int64)  # the values of the `alive` runs, in order
     alive = np.arange(runs)
@@ -345,7 +372,7 @@ def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndar
     while alive.size and done_steps < horizon:
         block = int(max(64, min(4096, 4_000_000 // max(alive.size, 1))))
         block = min(block, horizon - done_steps)
-        rows = _CHUNK_DRAWS // block // 4 * 4  # at least 16
+        rows = max(4, _CHUNK_DRAWS // block // 4 * 4)
         keep = np.ones(alive.size, dtype=bool)
         for lo in range(0, alive.size, rows):
             r = min(rows, alive.size - lo)
@@ -355,19 +382,22 @@ def _simulate_walk(gen: np.random.Generator, runs: int, horizon: int) -> np.ndar
             steps = (np.concatenate((carry, raw)) if carry.size else raw)[:r * block]
             carry = raw[raw.size - 4 * (fresh % 2):]
             packed = np.packbits((steps < 0x80).reshape(r, block), axis=1, bitorder="little")
-            ends = np.cumsum(net.take(packed), axis=1, dtype=np.int16)
+            if packed.shape[1] % 2:
+                packed = np.concatenate((packed, np.zeros((r, 1), dtype=np.uint8)), axis=1)
+            units = packed.view("<u2").T  # units[j, i]: row i's steps 16j + 1..16j + 16
+            ends = np.cumsum(net.take(units), axis=0, dtype=np.int16)
             xs = x[lo:lo + r]
             floor = -np.minimum(xs, 8192).astype(np.int16)  # a block is <= 4096 steps
-            hit_mask = ends + low.take(packed) <= floor[:, None]
-            hits = np.flatnonzero(hit_mask.any(axis=1))
+            lows = ends + low.take(units)
+            hits = np.flatnonzero(lows.min(axis=0) <= floor)
             if hits.size:
-                g = hit_mask[hits].argmax(axis=1)
-                byte = packed[hits, g]
-                below = ends[hits, g] - net.take(byte) - floor[hits]  # 1..8
-                T[alive[lo + hits]] = done_steps + 8 * g + first[below - 1, byte]
+                g = (lows[:, hits] <= floor[hits]).argmax(axis=0)
+                unit = units[g, hits]
+                before = ends[g, hits] - net.take(unit) - floor[hits]  # 1..16
+                T[alive[lo + hits]] = done_steps + 16 * g + _first_down(unit, before)
                 keep[lo + hits] = False
-            xs += ends[:, -1] + block % -8  # less the pad's up-steps
-        alive, x = alive[keep], x[keep]
+            xs += ends[-1] + block % -16  # less the pad's up-steps
+        alive, x = alive.compress(keep), x.compress(keep)
         done_steps += block
     return T
 

@@ -307,14 +307,6 @@ def _label_function(f: FunctionEntity) -> FunctionEntity:
     return FunctionEntity(f.name, f.params, body, terminal_label=next(counter))
 
 
-def labels_of(f: FunctionEntity) -> Dict[int, Stmt]:
-    out = {}
-    for stmt in iter_statements(f.body):
-        if stmt.label is not None:
-            out[stmt.label] = stmt
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 from extreal import INF, ZERO, ExtReal, extreal_max, extreal_sum_weighted
 from termcert.certificates import CertificateError
 from termcert.lab import initial_value, step_law
-from termcert.lang import And, BinOp, Cmp, Const, EvalError, InfConst, Not, Or, Pow, Var
+from termcert.lang import (And, BinOp, Cmp, Const, EvalError, InfConst, Not, Or, Pow, Var,
+                           iter_statements)
 from termcert.rng import make_generator
 from termcert.semantics import StackElement
 from termcert.valuation import Valuation
@@ -34,6 +35,11 @@ ACTION_ELSE = "el"
 # ---------------------------------------------------------------------------
 # Interpretive reference evaluator
 # ---------------------------------------------------------------------------
+
+def labels_of(f) -> dict:
+    """label -> statement over a labelled function's body."""
+    return {stmt.label: stmt for stmt in iter_statements(f.body) if stmt.label is not None}
+
 
 class Runaway(Exception):
     """A power longer than the `bits` an evaluation allows."""

@@ -389,8 +389,8 @@ def test_check_evaluation_error_does_not_depend_on_workers(tmp_path, capsys):
 
 
 def test_ill_defined_division_names_where_it_happened(tmp_path, capsys):
-    # check and bounds name the point, simulate the label it stepped from;
-    # check reports the first point in scan order whatever the worker count
+    # check, bounds and a greedy simulate's chooser name the point; check
+    # reports the first point in scan order whatever the worker count
     cert = tmp_path / "divzero.cert"
     cert.write_text("eps=1\nf@1: n div (n - n)\n")
     for workers in ("1", "2"):
@@ -412,7 +412,7 @@ def test_ill_defined_division_names_where_it_happened(tmp_path, capsys):
             "--dist", HALVING_DIST, "--scheduler", "greedy-max", "--cert", str(greedy),
             "--runs", "4", "--workers", workers)
         assert code == 2
-        assert err == "error: floor division by non-positive value 0 at (f, 2)\n"
+        assert err == "error: floor division by non-positive value 0 at (f, 2, {n=5})\n"
 
 
 def test_bad_entry_and_missing_distribution_messages(capsys):
@@ -547,7 +547,7 @@ def test_a_runaway_power_in_the_checker_exits_two(capsys, tmp_path, monkeypatch)
 def test_a_runaway_power_in_a_certificate_exits_two(capsys, tmp_path, monkeypatch, power):
     # a stanza's power, of an int or of a Fraction, is tested for length as
     # the program's are, before it is computed: check, bounds and a greedy
-    # simulate name where they met it and exit 2.  At n = 4095 the powers,
+    # simulate name the point where they met it and exit 2.  At n = 4095 the powers,
     # whose longest parts have 4096, 4096 and 6491 bits, are computed
     from termcert import _compile
 
@@ -574,9 +574,46 @@ def test_a_runaway_power_in_a_certificate_exits_two(capsys, tmp_path, monkeypatc
                               f"n={n}", "--k", "1"), point),
                             (("simulate", str(program), "--entry", "f", "--args", f"n={n}",
                               "--scheduler", "greedy-max", "--cert", str(cert), "--runs", "3"),
-                             "(f, 1)")):
+                             point)):
             assert run_cli(capsys, *argv) == (
                 2, "", f"error: power longer than 4096 bits at {where}\n"), (argv, power)
+
+
+def test_a_greedy_chooser_names_the_point_of_a_runaway_power(capsys, tmp_path, inline_pool,
+                                                             monkeypatch):
+    # the star at (f, 2) weighs its branches' stanzas 2 ^ n at (f, 3) and
+    # (f, 4): simulate names the star's point, with the values, as bounds
+    # names the stanza's, while a program's own ill-defined arithmetic still
+    # names its label
+    from termcert import _compile
+
+    inline_pool()
+    ipow = _compile._ipow
+
+    def bounded(a, b):
+        assert abs(a) <= 1 or abs(a).bit_length() * b <= 2 * _compile.VALUE_BITS, (a, b)
+        return ipow(a, b)
+
+    monkeypatch.setattr(_compile, "_ipow", bounded)
+    monkeypatch.setitem(_compile._NAMESPACE, "_ipow", bounded)
+    program, cert = tmp_path / "star.prob", tmp_path / "star.cert"
+    program.write_text("f(n) { if n >= 1 then if star then n := n - 1 else n := n - 2 fi "
+                       "else skip fi }\n", encoding="utf-8")
+    cert.write_text("eps=1\nf@1: 1\nf@2: 1\nf@3: 2 ^ n\nf@4: 2 ^ n\nf@5: 1\nf@6: 0\n",
+                    encoding="utf-8")
+    files = (str(program), "--cert", str(cert))
+    for workers in ("1", "2"):
+        assert run_cli(capsys, "simulate", *files, "--scheduler", "greedy-max", "--entry", "f",
+                       "--args", "n=10000000000", "--runs", "10", "--workers", workers) == (
+            2, "", "error: power longer than 4096 bits at (f, 2, {n=10000000000})\n")
+    assert run_cli(capsys, "bounds", *files, "--kind", "cdb", "--entry", "f@3", "--args",
+                   "n=10000000000", "--k", "1") == (
+        2, "", "error: power longer than 4096 bits at (f, 3, {n=10000000000})\n")
+    program.write_text("f(n) { if star then n := n div 0 else skip fi }\n", encoding="utf-8")
+    cert.write_text("eps=1\nf@1: 1\nf@2: 1\nf@3: 1\nf@4: 0\n", encoding="utf-8")
+    assert run_cli(capsys, "simulate", *files, "--scheduler", "greedy-max", "--entry", "f",
+                   "--args", "n=3", "--runs", "1", "--workers", "1") == (
+        2, "", "error: floor division by non-positive value 0 at (f, 2)\n")
 
 
 OUTSIDE_64_BITS = ["18446744073709551616", "18446744073709551617", "-18446744073709551615",

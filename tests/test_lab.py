@@ -281,3 +281,38 @@ def test_survival_counts_match_a_count_per_level(runs, horizon, censored, seed):
     T[rng.random(runs) < censored] = 0
     levels = sorted({0, horizon, *rng.integers(0, horizon, size=5, endpoint=True).tolist()})
     assert lab._survival_counts(T, levels) == [int(((T > n) | (T == 0)).sum()) for n in levels]
+
+
+@pytest.mark.parametrize("seed", [0, 12])
+@pytest.mark.parametrize("runs, horizon", [(4099, 1200), (300, 10_000), (50_000, 1000)])
+def test_chunk_size_does_not_change_the_walk(monkeypatch, runs, horizon, seed):
+    # 4,099 walks start on 975-step blocks, whose chunks of 4 and of 268
+    # rows (2^12 and 2^18 draws) end inside a raw 64-bit word; 300 walks take
+    # 4096-step blocks, longer than a chunk of 2^12 draws, which holds 4 rows
+    walks = []
+    for size in (1 << 12, 1 << 16, lab._CHUNK_DRAWS):
+        monkeypatch.setattr(lab, "_CHUNK_DRAWS", size)
+        walks.append(lab._simulate_walk(make_generator(seed, 0), runs, horizon))
+    assert all(np.array_equal(walks[0], T) for T in walks[1:])
+
+
+def test_unit_tables_match_a_direct_scan_of_every_unit():
+    # bit i of unit u sends step i + 1 down; the low byte's steps come first
+    units = np.arange(1 << 16, dtype=np.uint16)
+    down = np.unpackbits(units.astype("<u2").view(np.uint8).reshape(-1, 2), axis=1,
+                         bitorder="little")
+    prefix = np.cumsum(1 - 2 * down.astype(np.int16), axis=1)
+    net, low = lab._unit_tables()
+    assert np.array_equal(net, prefix[:, -1])
+    assert np.array_equal(low + net, prefix.min(axis=1))
+    for k in range(1, 17):
+        reach = prefix.min(axis=1) <= -k
+        first = (prefix[reach] <= -k).argmax(axis=1) + 1
+        before = np.full(int(reach.sum()), k, dtype=np.int16)
+        assert np.array_equal(lab._first_down(units[reach], before), first), k
+
+
+def test_walks_outliving_a_block_of_1333_steps_match_the_scalar_reference():
+    # 3,000 walks start on a 1333-step block, 83 units and 5 steps: its 11
+    # pad steps, not 3 as whole bytes would give, come off the survivors
+    _assert_matches_reference("randomwalk", 3000, 1400, 1)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import labels_of
 from termcert.fixtures import fixture_text, load_program_fixture
 from termcert.lang import (
     Assign,
@@ -12,7 +13,6 @@ from termcert.lang import (
     Skip,
     While,
     label_program,
-    labels_of,
     pretty_print,
     program_variables,
 )

@@ -46,7 +46,6 @@ from termcert.lang import (
     Var,
     While,
     label_program,
-    labels_of,
     pretty_print,
 )
 from termcert.parser import _KEYWORDS, parse_program
@@ -272,7 +271,7 @@ def test_labelling_deterministic_and_distinct(seed):
     a = label_program(prog)
     b = label_program(prog)
     for fa, fb in zip(a.functions, b.functions):
-        la, lb = labels_of(fa), labels_of(fb)
+        la, lb = oracles.labels_of(fa), oracles.labels_of(fb)
         assert list(la) == list(lb)
         labels = sorted(la) + [fa.terminal_label]
         assert labels == sorted(set(labels))

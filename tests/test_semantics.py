@@ -930,8 +930,9 @@ ILL_DEFINED = [  # (program, its error from the entry f(n=3))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ill_defined_arithmetic_names_the_label_it_happened_at(workers, halving, inline_pool,
                                                                monkeypatch):
-    # in a guard, an update, call arguments and a greedy stanza read at a star;
-    # the ILL_DEFINED programs draw nothing, so their first run is every run
+    # in a guard, an update and call arguments, and a greedy stanza read at a
+    # star, which names the star's point; the ILL_DEFINED programs draw
+    # nothing, so their first run is every run
     import os
 
     from termcert import semantics
@@ -957,7 +958,7 @@ def test_ill_defined_arithmetic_names_the_label_it_happened_at(workers, halving,
         sched = Scheduler(kind, parse_certificate("f@3: n div (n - n)\n"))
         with pytest.raises(EvalError) as exc:
             simulate(cfg, sf, entry, sched, runs=4, max_steps=100, workers=workers)
-        assert str(exc.value) == "floor division by non-positive value 0 at (f, 2)"
+        assert str(exc.value) == "floor division by non-positive value 0 at (f, 2, {n=5})"
         # negative only at n=1, which every run reaches after choices at larger
         # n were remembered; the same scheduler raises again in every later
         # simulation
