@@ -40,7 +40,6 @@ from .lang import (
     Stmt,
     While,
     _seq_items,
-    expr_variables,
     format_expr,
     format_pred,
     program_variables,
@@ -185,16 +184,19 @@ def build_cfg(prog: Program) -> Cfg:
     pvars = {f.name: program_variables(prog, f.name) for f in prog.functions}
     params = {f.name: f.params for f in prog.functions}
     sampling = set(prog.sampling_variables())
+    _, _, reads = prog._names
+    used = {stmt: tuple(sorted(sampling.intersection(names)))
+            for assigns in reads.values() for stmt, names in assigns}
 
     functions = []
     for f in prog.functions:
         if f.terminal_label is None:
             raise CfgError(f"function {f.name!r} is not labelled")
-        functions.append(_lower_function(f, pvars, params, sampling))
+        functions.append(_lower_function(f, pvars, params, used))
     return Cfg(tuple(functions), tuple(sorted(sampling)), prog.builtin_dists)
 
 
-def _lower_function(f: FunctionEntity, pvars, params, sampling) -> CfgFunction:
+def _lower_function(f: FunctionEntity, pvars, params, used) -> CfgFunction:
     nodes: Dict[int, Node] = {}
 
     def lower(block: Stmt, next_label: int) -> None:
@@ -206,8 +208,7 @@ def _lower_function(f: FunctionEntity, pvars, params, sampling) -> CfgFunction:
             if isinstance(stmt, Skip):
                 nodes[lab] = Update(None, None, (), after)
             elif isinstance(stmt, Assign):
-                used = tuple(sorted(expr_variables(stmt.expr) & sampling))
-                nodes[lab] = Update(stmt.var, stmt.expr, used, after)
+                nodes[lab] = Update(stmt.var, stmt.expr, used[stmt], after)
             elif isinstance(stmt, Call):
                 nodes[lab] = CallSite(stmt.fname, params[stmt.fname], stmt.args,
                                       pvars[stmt.fname], after)

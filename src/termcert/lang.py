@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from . import InputError
 from ._record import field, record
@@ -89,22 +89,21 @@ class Or:
 Pred = Union[Cmp, Not, And, Or]
 
 
-def expr_variables(expr: Expr) -> Set[str]:
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, BinOp):
-        return expr_variables(expr.left) | expr_variables(expr.right)
-    if isinstance(expr, Pow):
-        return expr_variables(expr.base) | expr_variables(expr.exponent)
-    return set()
-
-
-def pred_variables(pred: Pred) -> Set[str]:
-    if isinstance(pred, Cmp):
-        return expr_variables(pred.left) | expr_variables(pred.right)
-    if isinstance(pred, Not):
-        return pred_variables(pred.inner)
-    return pred_variables(pred.left) | pred_variables(pred.right)
+def expr_variables(tree: Union[Expr, Pred]) -> List[str]:
+    """The names that `tree`, an expression or a predicate, reads: left to
+    right, once per occurrence, in one loop however deep the tree."""
+    names, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.append(node.name)
+        elif isinstance(node, (BinOp, Cmp, And, Or)):
+            stack += (node.right, node.left)
+        elif isinstance(node, Pow):
+            stack += (node.exponent, node.base)
+        elif isinstance(node, Not):
+            stack.append(node.inner)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +193,35 @@ class Program:
         return tuple(f.name for f in self.functions)
 
     @cached_property
-    def _program_vars(self) -> frozenset:
-        """Every identifier that is a program variable somewhere in the
-        program (see `program_variables`); one walk per program."""
-        return frozenset(_classify_program_variables(self))
-
-    def sampling_variables(self) -> Tuple[str, ...]:
-        """All sampling variables, in first-occurrence order."""
-        program_vars = self._program_vars
-        seen = []
+    def _names(self) -> Tuple[frozenset, Dict[str, Set[str]], Dict[str, List[tuple]]]:
+        """One walk over the statements decides every name.  A function binds
+        its parameters, its assignment targets and the names its predicates
+        and call arguments read; a name that any function binds is a program
+        variable everywhere, and one that only assignments read is a sampling
+        variable.  Returns the program variables and, by function name, the
+        names each function binds and its assignments in source order, each
+        with the names it reads (`expr_variables`)."""
+        bound, reads = {}, {}
         for f in self.functions:
+            names, assigns = set(f.params), []
             for stmt in iter_statements(f.body):
                 if isinstance(stmt, Assign):
-                    for name in sorted(expr_variables(stmt.expr)):
-                        if name not in program_vars and name not in seen:
-                            seen.append(name)
-        return tuple(seen)
+                    names.add(stmt.var)
+                    assigns.append((stmt, expr_variables(stmt.expr)))
+                elif isinstance(stmt, (IfBool, While)):
+                    names.update(expr_variables(stmt.cond))
+                elif isinstance(stmt, Call):
+                    for arg in stmt.args:
+                        names.update(expr_variables(arg))
+            bound[f.name], reads[f.name] = names, assigns
+        return frozenset().union(*bound.values()), bound, reads
+
+    def sampling_variables(self) -> Tuple[str, ...]:
+        """All sampling variables in order of first occurrence; those that
+        one assignment is the first to read come sorted by name."""
+        program_vars, _, reads = self._names
+        return tuple(dict.fromkeys(name for assigns in reads.values() for _, names in assigns
+                                   for name in sorted(set(names) - program_vars)))
 
 
 def iter_statements(stmt: Stmt) -> Iterator[Stmt]:
@@ -230,39 +242,12 @@ def _seq_items(stmt: Stmt) -> Tuple[Stmt, ...]:
 
 
 def program_variables(prog: Program, fname: str) -> Tuple[str, ...]:
-    """pvars(f): parameters plus every program variable in the body.
-
-    An identifier is a program variable if anywhere in the whole program it
-    is a parameter, an assignment target, or appears in a predicate or call
-    argument; identifiers used only on assignment right-hand sides are
-    sampling variables.
-    """
-    program_vars = prog._program_vars
-    f = prog.function(fname)
-    names = _bound_variables(f)
-    for stmt in iter_statements(f.body):
-        if isinstance(stmt, Assign):
-            names |= expr_variables(stmt.expr) & program_vars
-    return tuple(sorted(names))
-
-
-def _bound_variables(f: FunctionEntity) -> Set[str]:
-    """The parameters of `f` and the names its body assigns, or reads in a
-    predicate or a call argument: program variables wherever they appear."""
-    names: Set[str] = set(f.params)
-    for stmt in iter_statements(f.body):
-        if isinstance(stmt, Assign):
-            names.add(stmt.var)
-        elif isinstance(stmt, (IfBool, While)):
-            names |= pred_variables(stmt.cond)
-        elif isinstance(stmt, Call):
-            for arg in stmt.args:
-                names |= expr_variables(arg)
-    return names
-
-
-def _classify_program_variables(prog: Program) -> Set[str]:
-    return set().union(*map(_bound_variables, prog.functions))
+    """pvars(f): the parameters of `fname` and every program variable its
+    body assigns or reads (`Program._names` decides which names those are)."""
+    prog.function(fname)
+    program_vars, bound, reads = prog._names
+    return tuple(sorted(bound[fname].union(*(names for _, names in reads[fname]))
+                        & program_vars))
 
 
 # ---------------------------------------------------------------------------

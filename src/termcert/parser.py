@@ -19,9 +19,8 @@ Concrete syntax (keywords: if/then/else/fi, while/do/od, skip, star, `:=`,
 a fresh sampling variable bound to the two-point distribution {1: p, 0: 1-p}
 and rewrites the statement into an ordinary assignment from that variable.
 
-Sampling variables are recognized structurally: an identifier that is never
-a parameter, never assigned, and never used in a predicate or call argument
-anywhere in the program is a sampling variable, and must occur exactly once.
+Which identifiers are sampling variables is decided by the program text
+(`lang.Program._names` states the rule); each must occur exactly once.
 
 Nesting is bounded by MAX_NESTING, counted over expressions and statements
 together: each open parenthesis, unary minus, `^`, `not` and `if` or
@@ -32,8 +31,9 @@ one flat `Seq` however long it is.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ._lex import (_KEYWORDS, MAX_NESTING, ParseError, Token, TokenStream,  # noqa: F401
                    _too_deep, parse_number, tokenize)
@@ -300,7 +300,10 @@ class _ProgramParser:
 
 
 def parse_program(source: str) -> Program:
-    """Parse and validate; raises ParseError with line/column on bad input."""
+    """Parse and validate; raises ParseError on bad input.  A syntax error
+    names its line and column; the errors `_validate` finds in the program
+    as a whole (a duplicate function or parameter, a bad call, a shadowed
+    coin, a sampling variable not occurring exactly once) name none."""
     prog = _ProgramParser(TokenStream(tokenize(source))).parse_program()
     _validate(prog)
     return prog
@@ -328,34 +331,18 @@ def _validate(prog: Program) -> None:
     _validate_sampling_variables(prog)
 
 
-def _count_var_occurrences(expr: Expr, counts: Dict[str, int]) -> None:
-    if isinstance(expr, Var):
-        if expr.name in counts:
-            counts[expr.name] += 1
-    elif isinstance(expr, BinOp):
-        _count_var_occurrences(expr.left, counts)
-        _count_var_occurrences(expr.right, counts)
-    elif isinstance(expr, Pow):
-        _count_var_occurrences(expr.base, counts)
-        _count_var_occurrences(expr.exponent, counts)
-
-
 def _validate_sampling_variables(prog: Program) -> None:
-    sampling = set(prog.sampling_variables())
+    program_vars, _, reads = prog._names
     for coin, _ in prog.builtin_dists:
-        if coin not in sampling:
+        if coin in program_vars:
             # A user identifier shadowing the fresh name would make it a
             # program variable and silently change the semantics.
             raise ParseError(f"internal coin variable {coin!r} is shadowed by the program")
-    counts: Dict[str, int] = {v: 0 for v in sampling}
-    for f in prog.functions:
-        for stmt in iter_statements(f.body):
-            if isinstance(stmt, Assign):
-                _count_var_occurrences(stmt.expr, counts)
-    for name, count in counts.items():
-        if count != 1:
+    counts = Counter(name for assigns in reads.values() for _, names in assigns for name in names)
+    for name in prog.sampling_variables():
+        if counts[name] != 1:
             raise ParseError(
-                f"sampling variable {name!r} appears {count} times; "
+                f"sampling variable {name!r} appears {counts[name]} times; "
                 "each sampling variable must appear exactly once")
 
 

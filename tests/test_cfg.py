@@ -149,15 +149,23 @@ def test_floor_division_rounds_toward_negative_infinity():
 
 def test_build_cfg_classifies_program_variables_once(monkeypatch):
     # which identifiers are program variables is a whole-program question;
-    # asking it once per function made lowering quadratic in the functions
+    # asking it once per function made lowering quadratic in the functions,
+    # and each further walk over the statements re-derived the same answer
+    from functools import cached_property
+
     from termcert import lang
 
     prog = label_program(parse_program(
         "\n".join(f"f{i}(n) {{ n := n - r{i} }}" for i in range(50))))
-    classify, walks = lang._classify_program_variables, []
-    monkeypatch.setattr(lang, "_classify_program_variables",
-                        lambda p: walks.append(p) or classify(p))
+    names, walks = lang.Program._names.func, []
+    hook = cached_property(lambda p: walks.append(p) or names(p))
+    hook.__set_name__(lang.Program, "_names")
+    monkeypatch.setattr(lang.Program, "_names", hook)
+    iterate, statement_walks = lang.iter_statements, []
+    monkeypatch.setattr(lang, "iter_statements",
+                        lambda s: statement_walks.append(s) or iterate(s))
     cfg = build_cfg(prog)
-    assert len(walks) == 1
+    assert walks == [prog]
+    assert len(statement_walks) == 50  # one per function body, all in that walk
     assert cfg.sampling_vars == tuple(sorted(f"r{i}" for i in range(50)))
     assert {fn.pvars for fn in cfg.functions} == {("n",)}

@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import termcert
 from oracles import labels_of
+from termcert.cli import main
 from termcert.fixtures import fixture_text, load_program_fixture
 from termcert.lang import (
     Assign,
@@ -103,6 +110,19 @@ def test_sampling_variable_classification():
     assert prog.sampling_variables() == ("r",)
     assert program_variables(prog, "f") == ("n",)
     assert program_variables(prog, "g") == ("n",)
+    with pytest.raises(KeyError, match="no function named 'h'"):
+        program_variables(prog, "h")
+
+
+def test_every_binding_position_makes_a_program_variable_everywhere():
+    # a parameter, an assignment target, and a name read anywhere in a
+    # predicate or a call argument bind; w, assigned in f, is a program
+    # variable in g too, and x, s and t, read only by assignments, sample
+    prog = parse_program("f(n) { if not (a >= 0) and (b < 0 or c ^ d > 0) then g(e * k) "
+                         "else w := x + s fi; while h > 0 do skip od } g(m) { m := w + t }")
+    assert prog.sampling_variables() == ("s", "x", "t")
+    assert program_variables(prog, "f") == ("a", "b", "c", "d", "e", "h", "k", "n", "w")
+    assert program_variables(prog, "g") == ("m", "w")
 
 
 def test_round_trip_fixtures():
@@ -152,6 +172,8 @@ def test_labelling_is_deterministic():
         ("f(n, n) { skip }", "duplicate parameter"),
         ("f(n) { n := r + r }", "appears 2 times"),
         ("f(n) { n := r } g(m) { m := r }", "appears 2 times"),
+        ("f(n) { n := bernoulli(1/2); _bern1 := 3 }",
+         "internal coin variable '_bern1' is shadowed by the program"),
     ],
 )
 def test_validation_errors(source, message_part):
@@ -163,6 +185,32 @@ def test_validation_errors(source, message_part):
 def test_read_only_identifier_is_a_sampling_variable():
     prog = parse_program("f(n) { n := n + noise }")
     assert prog.sampling_variables() == ("noise",)
+
+
+def test_sampling_variables_one_assignment_reads_come_sorted(tmp_path, capsys):
+    source = "f(n) { n := n + s + r }"
+    assert parse_program(source).sampling_variables() == ("r", "s")
+    path = tmp_path / "sorted.prob"
+    path.write_text(source)
+    assert main(["parse", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sampling_variables"] == ["r", "s"]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_the_exactly_once_error_names_the_first_offender_under_any_string_hashing(hash_seed):
+    # r and s both appear twice; the error names r, first in source order,
+    # whatever order a set of the two names would iterate in
+    source = "f(n, m) { n := r + r; m := s + s + m; if n >= m then skip else skip fi }"
+    code = ("from termcert.parser import ParseError, parse_program\n"
+            f"try: parse_program({source!r})\n"
+            "except ParseError as e: print(e)")
+    src = str(Path(termcert.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout == ("sampling variable 'r' appears 2 times; "
+                           "each sampling variable must appear exactly once\n"), proc.stderr
 
 
 def test_call_arity_checked():
