@@ -10,7 +10,7 @@ brute-forced optimum produces a concrete counterexample.
 
 from fractions import Fraction
 
-from termcert import VerifyBox, check_cdb, check_db, check_ranking, check_super
+from termcert import CertParams, VerifyBox, run_check
 from termcert.fixtures import halving_game, random_walk
 
 cfg, sf, cert = halving_game()
@@ -18,26 +18,26 @@ box = VerifyBox.parse("n=-100..100")
 
 print("halving game, box", box.render())
 for name, report in [
-    ("expected decrease (eps=1)", check_ranking(cert, cfg, sf, box)),
-    ("drop caps (delta=13, zeta=13)", check_cdb(cert, cfg, sf, box)),
-    ("per-outcome caps (zeta=13)", check_db(cert, cfg, sf, box)),
+    ("expected decrease (eps=1)", run_check("ranking", cert, cfg, sf, box)),
+    ("drop caps (delta=13, zeta=13)", run_check("cdb", cert, cfg, sf, box)),
+    ("per-outcome caps (zeta=13)", run_check("db", cert, cfg, sf, box)),
 ]:
     print(f"  {name:32s} -> {'pass' if report.passed else 'fail'}")
 
 print("\n  nudging delta below its optimum (13 -> 12.99):")
-report = check_cdb(cert, cfg, sf, box, delta=Fraction(1299, 100))
+report = run_check("cdb", cert, cfg, sf, box, CertParams(delta=Fraction(1299, 100)))
 print("   ", report.first_failure.render())
 
 print("\nrandom walk, box n=-50..50")
 wcfg, wsf, wcert = random_walk()
 wbox = VerifyBox.parse("n=-50..50")
-report = check_super(wcert, wcfg, wsf, wbox)
+report = run_check("super", wcert, wcfg, wsf, wbox)
 print(f"  never-increasing family (delta=1, zeta=1) -> "
       f"{'pass' if report.passed else 'fail'}")
 
 # the same certificate is NOT an expected-decrease witness: the walk has no
 # drift, so the strict-decrease conditions fail immediately
-report = check_ranking(wcert, wcfg, wsf, wbox, eps=Fraction(1))
+report = run_check("ranking", wcert, wcfg, wsf, wbox, CertParams(eps=Fraction(1)))
 print(f"  expected-decrease family (eps=1)          -> "
       f"{'pass' if report.passed else 'fail'}")
 print("   ", report.first_failure.render())

@@ -15,12 +15,12 @@ from fractions import Fraction
 from termcert import Scheduler, StackElement, Valuation, simulate
 from termcert.bounds import cert_value_at, sqrt_tail
 from termcert.cfg import theta_fixpoint
-from termcert.checker import VerifyBox, check_super
+from termcert.checker import VerifyBox, run_check
 from termcert.fixtures import random_walk
 
 cfg, sf, cert = random_walk()
 box = VerifyBox.parse("n=-50..50")
-report = check_super(cert, cfg, sf, box)
+report = run_check("super", cert, cfg, sf, box)
 print(f"certificate conditions: {'pass' if report.passed else 'fail'} on {box.render()}")
 
 theta = theta_fixpoint(cfg)

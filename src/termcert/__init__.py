@@ -26,8 +26,7 @@ _EXPORTS = {
                      "load_certificate", "parse_certificate"),
     "cfg": ("Cfg", "CfgError", "CfgFunction", "StackElement", "ThetaIndex", "build_cfg",
             "dump_cfg", "theta_fixpoint"),
-    "checker": ("CheckReport", "CheckerError", "ConditionFailure", "VerifyBox", "check_cdb",
-                "check_db", "check_ranking", "check_super", "run_check"),
+    "checker": ("CheckReport", "CheckerError", "ConditionFailure", "VerifyBox", "run_check"),
     "distributions": ("DiscreteDist", "DistributionError", "SamplingFunction",
                       "load_distributions", "parse_distributions"),
     "lab": ("LabError", "LabResult", "analytic", "fit_tail_slope", "simulate_lab", "step_law"),

@@ -66,7 +66,7 @@ def tokenize(source: str) -> List[Token]:
 
 class TokenStream:
     def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+        self.tokens = tokens + tokens[-1:]  # a second eof, so that `peek(1)` needs no clamp
         self.pos = 0
         self.depth = 0  # parentheses, unary minuses, `^`s, `not`s, `if`s and `while`s open
 
@@ -80,7 +80,7 @@ class TokenStream:
         self.depth -= 1
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -17,7 +17,6 @@ exact (integers and rationals), so verdicts are reproducible bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -213,15 +212,6 @@ def _scan(kind: str, label_class: str) -> Tuple[Callable, int, int]:
     return scan, plain + len(rows), plain + len(rows) * (not row.finite_only)
 
 
-def _kind_params(kind: str, cert: Certificate, **overrides) -> CertParams:
-    """The certificate's parameters that `kind` carries, overridden where an
-    override is given."""
-    return CertParams(**{
-        name: overrides[name] if overrides.get(name) is not None else getattr(cert.params, name)
-        for name in _KINDS[kind].carries
-    })
-
-
 def _check_labels(kind: str, cert: Certificate, params: CertParams, cfg: Cfg,
                   sf: SamplingFunction, box: VerifyBox, units: Tuple[Tuple[str, int], ...],
                   lo: int, hi: int, budget: float) -> Tuple[tuple, int]:
@@ -259,20 +249,26 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
               workers: int = 1) -> CheckReport:
     """Check one condition family over the box.
 
-    `params` overrides the parameters the family carries from the
-    certificate file (`_kind_params`), as `check_<kind>` and the CLI do.  The
-    report contains, per (function, label, condition), the first failing box
-    point in lexicographic order; verdicts do not depend on `workers`, and
-    neither does which evaluation error is raised: the first in scan order,
-    naming the point whose conditions raised it.  `_pool.fan_out` spreads
-    the labels over at most `workers` processes (0: one per core) in
-    contiguous ranges, after a head of labels in this process whose
-    conditions reach _SERIAL_CONDITIONS.
+    Each field that `params` sets overrides the certificate's, and one the
+    family does not carry (`_Kind.carries`) is a CheckerError.  The report
+    carries the family's parameters after the overrides and, per (function,
+    label, condition), the first failing box point in lexicographic order;
+    verdicts do not depend on `workers`, and neither does which evaluation
+    error is raised: the first in scan order, naming the point whose
+    conditions raised it.  `_pool.fan_out` spreads the labels over at most
+    `workers` processes (0: one per core) in contiguous ranges, after a head
+    of labels in this process whose conditions reach _SERIAL_CONDITIONS.
     """
     if kind not in CHECK_KINDS:
         raise CheckerError(f"unknown check kind {kind!r}; choose from {CHECK_KINDS}")
-    params = params if params is not None else _kind_params(kind, cert)
-    params.require(*_KINDS[kind].requires)
+    row = _KINDS[kind]
+    given = {name: x for name, x in vars(params or CertParams()).items() if x is not None}
+    stray = [name for name in given if name not in row.carries]
+    if stray:
+        raise CheckerError(f"a {kind} check takes no {' or '.join(stray)}; "
+                           f"it takes {', '.join(row.carries)}")
+    params = CertParams(**{n: given.get(n, getattr(cert.params, n)) for n in row.carries})
+    params.require(*row.requires)
     cert.require_labels(cfg)
     missing = [s for s in cfg.sampling_vars if s not in sf.variables]
     if missing:
@@ -293,28 +289,3 @@ def run_check(kind: str, cert: Certificate, cfg: Cfg, sf: SamplingFunction,
                        failures=failures, points_checked=sum(points),
                        points_skipped=sum(skipped), conditions_checked=sum(conditions),
                        cert_digest=cert.digest())
-
-
-def check_ranking(cert: Certificate, cfg: Cfg, sf: SamplingFunction, box: VerifyBox,
-                  eps: Optional[Fraction] = None, workers: int = 1) -> CheckReport:
-    return run_check("ranking", cert, cfg, sf, box, _kind_params("ranking", cert, eps=eps),
-                     workers)
-
-
-def check_cdb(cert: Certificate, cfg: Cfg, sf: SamplingFunction, box: VerifyBox,
-              delta: Optional[Fraction] = None, zeta: Optional[Fraction] = None,
-              workers: int = 1) -> CheckReport:
-    params = _kind_params("cdb", cert, delta=delta, zeta=zeta)
-    return run_check("cdb", cert, cfg, sf, box, params, workers)
-
-
-def check_db(cert: Certificate, cfg: Cfg, sf: SamplingFunction, box: VerifyBox,
-             zeta: Optional[Fraction] = None, workers: int = 1) -> CheckReport:
-    return run_check("db", cert, cfg, sf, box, _kind_params("db", cert, zeta=zeta), workers)
-
-
-def check_super(cert: Certificate, cfg: Cfg, sf: SamplingFunction, box: VerifyBox,
-                delta: Optional[Fraction] = None, zeta: Optional[Fraction] = None,
-                workers: int = 1) -> CheckReport:
-    params = _kind_params("super", cert, delta=delta, zeta=zeta)
-    return run_check("super", cert, cfg, sf, box, params, workers)

@@ -116,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, type=_one_of("certificates", "CHECK_KINDS"))
     p.add_argument("--entry", required=True)
     p.add_argument("--args", default="")
-    p.add_argument("--dist")
     p.add_argument("--k", default="", help="thresholds for P(T >= k) bounds")
     p.add_argument("--n", default="", help="thresholds for P(T > n) concentration bounds")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
@@ -313,16 +312,16 @@ def _cmd_cfg(args) -> int:
 
 def _cmd_check(args) -> int:
     from ._lex import parse_number
-    from .checker import VerifyBox, _kind_params, run_check
+    from .certificates import CertParams
+    from .checker import VerifyBox, run_check
     cfg = _load_cfg(args.program)
     cert = _load_cert(args.cert, cfg)
     sf = _sampling_function(cfg, args.dist)
     box = VerifyBox.parse(*args.box)
-    params = _kind_params(args.kind, cert, **{
-        name: _values(getattr(args, name), f"--{name}", parse_number, one=True)
-        for name in ("eps", "delta", "zeta")
-        if getattr(args, name) is not None})
-    report = run_check(args.kind, cert, cfg, sf, box, params, workers=_workers(args.workers))
+    given = {name: _values(getattr(args, name), f"--{name}", parse_number, one=True)
+             for name in ("eps", "delta", "zeta") if getattr(args, name) is not None}
+    report = run_check(args.kind, cert, cfg, sf, box, CertParams(**given),
+                       workers=_workers(args.workers))
     meta = _meta(box=report.box, cert=cert)
     meta["kind"] = report.kind
     meta["passed"] = report.passed
@@ -403,8 +402,8 @@ def _cmd_lab(args) -> int:
                           tail_ns=_values(args.tail, "--tail"))
     meta = _meta(seed=args.seed)
     meta.update(example=args.example, runs=args.runs, horizon=args.horizon)
-    if args.alpha is not None:
-        meta["alpha"] = args.alpha
+    if result.alpha is not None:
+        meta["alpha"] = result.alpha
     headers = ["query", "analytic", "method", "empirical", "ci95_halfwidth"]
     rows = [
         [query, "" if a is None else f"{a:.6g}", method, f"{emp:.6g}", f"{ci:.3g}"]

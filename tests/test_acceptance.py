@@ -21,7 +21,8 @@ from oracles import (
 
 from termcert.bounds import cert_value_at, markov_tail, sqrt_tail, upper_expected, lower_expected
 from termcert.cfg import dump_cfg, theta_fixpoint
-from termcert.checker import VerifyBox, check_cdb, check_ranking, check_super
+from termcert.certificates import CertParams
+from termcert.checker import VerifyBox, run_check
 from termcert.lab import analytic, fit_tail_slope, simulate_lab
 from termcert.semantics import SCHEDULER_KINDS, Scheduler, StackElement, simulate
 from termcert.valuation import Valuation
@@ -72,17 +73,17 @@ def test_criterion_2_halving_game_certification(halving):
     cfg, sf, cert = halving
     box = VerifyBox.parse("n=-100..100")
 
-    ranking = check_ranking(cert, cfg, sf, box)
+    ranking = run_check("ranking", cert, cfg, sf, box)
     gate.check(ranking.passed, "expected-decrease conditions pass at eps=1")
 
-    cdb = check_cdb(cert, cfg, sf, box)
+    cdb = run_check("cdb", cert, cfg, sf, box)
     gate.check(cdb.passed, "drop/jump caps pass at delta=13, zeta=13")
 
     min_delta = brute_force_min_delta(cert, cfg, sf, box)
     gate.check(min_delta == Fraction(13),
                f"independent brute force gives minimal delta {min_delta} (=13)")
 
-    below = check_cdb(cert, cfg, sf, box, delta=min_delta - Fraction(1, 100))
+    below = run_check("cdb", cert, cfg, sf, box, CertParams(delta=min_delta - Fraction(1, 100)))
     ce = below.first_failure
     gate.check(not below.passed and ce is not None,
                "delta just below the minimum fails with a counterexample: "
@@ -94,7 +95,7 @@ def test_criterion_3_coin_loops_certification(coins):
     gate = Gate(3, "demonic coin game admits an expected-decrease witness", budget_s=10.0)
     cfg, sf, cert = coins
     box = VerifyBox.parse("i=0..30, n=0..30, c=0..1")
-    report = check_ranking(cert, cfg, sf, box)
+    report = run_check("ranking", cert, cfg, sf, box)
     gate.check(report.passed,
                f"expected-decrease conditions pass at eps=1 "
                f"({report.points_checked} points checked)")
@@ -144,7 +145,7 @@ def test_criterion_6_super_measure_pipeline(walk):
                 budget_s=60.0)
     cfg, sf, cert = walk
     box = VerifyBox.parse("n=-50..50")
-    report = check_super(cert, cfg, sf, box)
+    report = run_check("super", cert, cfg, sf, box)
     gate.check(report.passed, "super conditions pass at delta=1, zeta=1")
 
     theta = theta_fixpoint(cfg)
@@ -232,13 +233,13 @@ def test_criterion_8_determinism_and_randomized_invariants(halving):
     cfg, sf, cert = halving
     box = VerifyBox.parse("n=-20..20")
 
-    a = check_ranking(cert, cfg, sf, box)
-    b = check_ranking(cert, cfg, sf, box)
-    c = check_ranking(cert, cfg, sf, box, workers=8)
+    a = run_check("ranking", cert, cfg, sf, box)
+    b = run_check("ranking", cert, cfg, sf, box)
+    c = run_check("ranking", cert, cfg, sf, box, workers=8)
     gate.check(a == b == c, "checker verdicts identical across reruns and workers 1/8")
 
-    bad1 = check_cdb(cert, cfg, sf, box, delta=Fraction(2))
-    bad8 = check_cdb(cert, cfg, sf, box, delta=Fraction(2), workers=8)
+    bad1 = run_check("cdb", cert, cfg, sf, box, CertParams(delta=Fraction(2)))
+    bad8 = run_check("cdb", cert, cfg, sf, box, CertParams(delta=Fraction(2)), workers=8)
     gate.check(bad1 == bad8 and not bad1.passed,
                "failing reports identical across workers 1/8")
 

@@ -275,16 +275,51 @@ def test_simulate_greedy_requires_cert(capsys):
 @pytest.mark.parametrize("kind", ["ranking", "cdb", "db", "super"])
 def test_run_check_reports_what_check_kind_and_the_cli_report(capsys, halving, kind):
     # one rule for the parameters a report carries: the family's own
-    from termcert import checker
     from termcert.checker import VerifyBox, run_check
 
     cfg, sf, cert = halving
     box = VerifyBox.parse("n=-3..3")
     report = run_check(kind, cert, cfg, sf, box).to_json_dict()
-    assert getattr(checker, f"check_{kind}")(cert, cfg, sf, box).to_json_dict() == report
     _, out, _ = run_cli(capsys, "check", HALVING, "--cert", HALVING_CERT, "--dist", HALVING_DIST,
                         "--kind", kind, "--box", "n=-3..3", "--format", "json")
     assert json.loads(out)["report"] == report
+
+
+@pytest.mark.parametrize("kind, options, named", [
+    ("ranking", ("--zeta", "0.001"), "zeta; it takes eps"),
+    ("ranking", ("--zeta", "0.001", "--delta", "0.5"), "delta or zeta; it takes eps"),
+    ("db", ("--eps", "1000"), "eps; it takes zeta"),
+    ("super", ("--eps", "1/2"), "eps; it takes delta, zeta")])
+def test_a_parameter_the_family_does_not_carry_is_a_usage_error(capsys, kind, options, named):
+    assert run_cli(capsys, "check", HALVING, "--cert", HALVING_CERT, "--dist", HALVING_DIST,
+                   "--kind", kind, "--box", "n=-3..3", *options) == (
+        2, "", f"error: a {kind} check takes no {named}\n")
+
+
+def test_bounds_takes_no_dist_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", HALVING, "--cert", HALVING_CERT, "--kind", "ranking", "--entry", "f",
+              "--dist", "/nonexistent/x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dist /nonexistent/x" in capsys.readouterr().err
+
+
+def test_every_declared_option_is_read_by_its_handler():
+    # an option that no handler reads is accepted and silently ignored: each
+    # dest must appear in its handler as `args.<dest>` or as a string literal
+    import argparse
+    import inspect
+
+    from termcert.cli import _build_parser
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("handler"))
+        unread += [f"{name} {action.dest}" for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   and f"args.{action.dest}" not in source and f'"{action.dest}"' not in source]
+    assert unread == []
 
 
 def test_json_output_mirrors_table(capsys):
@@ -328,6 +363,16 @@ def test_lab_subcommand(capsys):
     payload = json.loads(out_json)
     assert payload["seed"] == 2
     assert any(r["query"] == "expected_T" for r in payload["rows"])
+
+
+def test_lab_header_shows_alpha_only_where_the_process_uses_it(capsys):
+    argv = ("lab", "--runs", "10", "--horizon", "10")
+    code, out, _ = run_cli(capsys, *argv, "--example", "randomwalk", "--alpha", "5")
+    assert code == 0
+    assert "alpha" not in out.splitlines()[0]
+    code, out, _ = run_cli(capsys, *argv, "--example", "noconcentration", "--alpha", "5")
+    assert code == 0
+    assert out.splitlines()[0].endswith("  alpha=5.0")
 
 
 def test_lab_with_no_runs_prints_zero_survival(capsys):

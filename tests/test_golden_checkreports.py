@@ -15,27 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from test_properties import (BOX, rand_certificate, rand_program,
+from test_properties import (BOX, check_overriding, rand_certificate, rand_program,
                              rand_program_with_every_label_class, rand_rich_certificate)
 
 from termcert import InputError
+from termcert.certificates import CHECK_KINDS
 from termcert.cfg import build_cfg
-from termcert.checker import VerifyBox, check_cdb, check_db, check_ranking, check_super
+from termcert.checker import VerifyBox
 from termcert.distributions import DiscreteDist, SamplingFunction
 from termcert.fixtures import coin_loops, halving_game, random_walk
 
 GOLDEN = Path(__file__).parent / "golden" / "checkreports.json"
 
-CHECKS = {  # kind -> check with the overrides in `p` (None: the certificate's own)
-    "ranking": lambda cert, cfg, sf, box, p, w: check_ranking(
-        cert, cfg, sf, box, eps=p.get("eps"), workers=w),
-    "cdb": lambda cert, cfg, sf, box, p, w: check_cdb(
-        cert, cfg, sf, box, delta=p.get("delta"), zeta=p.get("zeta"), workers=w),
-    "db": lambda cert, cfg, sf, box, p, w: check_db(
-        cert, cfg, sf, box, zeta=p.get("zeta"), workers=w),
-    "super": lambda cert, cfg, sf, box, p, w: check_super(
-        cert, cfg, sf, box, delta=p.get("delta"), zeta=p.get("zeta"), workers=w),
-}
 GENERATORS = {"rand": rand_program, "every-class": rand_program_with_every_label_class}
 SEEDS = range(20)
 PARAMS = tuple(dict(zip(("eps", "delta", "zeta"), map(Fraction, triple))) for triple in (
@@ -54,7 +45,7 @@ SF = SamplingFunction.from_mapping({
 
 def _report(kind, cert, cfg, sf, box, params, workers):
     try:
-        return CHECKS[kind](cert, cfg, sf, box, params, workers).to_json_dict()
+        return check_overriding(kind, cert, cfg, sf, box, params, workers).to_json_dict()
     except InputError as exc:
         return {"error": type(exc).__name__, "text": str(exc)}
 
@@ -70,14 +61,14 @@ def corpus(workers=1):
                     cert = rand_certificate(seed ^ 0xC0DE, cfg)
                 else:
                     cert = rand_rich_certificate(seed ^ 0xC0DE, cfg, hazards=certs == "hazards")
-                for kind in CHECKS:
+                for kind in CHECK_KINDS:
                     yield (f"{gen} {seed} {certs} {kind}",
                            _report(kind, cert, cfg, SF, BOX, params, workers))
     for fixture, *boxes in FIXTURES:
         cfg, sf, cert = fixture()
         for spec in boxes:
             for i, params in enumerate(OVERRIDES):
-                for kind in CHECKS:
+                for kind in CHECK_KINDS:
                     yield (f"{fixture.__name__} {spec} {i} {kind}",
                            _report(kind, cert, cfg, sf, VerifyBox.parse(spec), params, workers))
 

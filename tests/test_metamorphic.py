@@ -17,11 +17,12 @@ from functools import lru_cache
 
 import pytest
 
-from test_golden_checkreports import CHECKS, GENERATORS, OVERRIDES, PARAMS, SF
-from test_properties import BOX, rand_certificate, rand_rich_certificate
+from test_golden_checkreports import GENERATORS, OVERRIDES, PARAMS, SF
+from test_properties import BOX, check_overriding, rand_certificate, rand_rich_certificate
 
 from termcert import InputError
-from termcert.certificates import CertParams, CertPiece, Certificate, parse_certificate
+from termcert.certificates import (CHECK_KINDS, CertParams, CertPiece, Certificate,
+                                   parse_certificate)
 from termcert.cfg import build_cfg
 from termcert.checker import VerifyBox
 from termcert.fixtures import coin_loops, halving_game, load_program_fixture, random_walk
@@ -63,8 +64,8 @@ IDS = [case[0] for case in CASES]
 def _check(kind, prog, cert, sf, box, params):
     """The report's JSON form, or the class and text of the error raised."""
     try:
-        return CHECKS[kind](cert, build_cfg(prog), sf, VerifyBox.parse(box), params,
-                            1).to_json_dict()
+        return check_overriding(kind, cert, build_cfg(prog), sf, VerifyBox.parse(box),
+                                params).to_json_dict()
     except InputError as exc:
         return {"error": type(exc).__name__, "text": str(exc)}
 
@@ -101,7 +102,7 @@ def test_scaling_certificate_and_parameters_keeps_every_verdict(index):
     _, prog, cert, sf, box, _, _, params = CASES[index]
     for k in (Fraction(3), Fraction(2, 7)):
         scaled = _scaled_cert(cert, k)
-        for kind in CHECKS:
+        for kind in CHECK_KINDS:
             base = _base(index, kind)
             got = _check(kind, prog, scaled, sf, box, {n: v * k for n, v in params.items()})
             if "error" in base:
@@ -120,7 +121,7 @@ def test_scaling_certificate_and_parameters_keeps_every_verdict(index):
 def test_permuting_function_declarations_keeps_the_report(index):
     _, prog, cert, sf, box, _, _, params = CASES[index]
     swapped = label_program(Program(prog.functions[::-1], prog.builtin_dists))
-    for kind in CHECKS:
+    for kind in CHECK_KINDS:
         assert _check(kind, swapped, cert, sf, box, params) == _base(index, kind), kind
 
 
@@ -138,7 +139,7 @@ def test_an_order_preserving_renaming_changes_only_the_names(index):
     back = {new: old for old, new in renaming.items()}
     renamed_prog = label_program(parse_program(_renamed(pretty_print(prog), renaming)))
     renamed_cert = parse_certificate(_renamed(cert.render(), renaming))
-    for kind in CHECKS:
+    for kind in CHECK_KINDS:
         got = _check(kind, renamed_prog, renamed_cert, sf, _renamed(box, renaming), params)
         want = _base(index, kind)
         if "error" in want:
@@ -157,7 +158,7 @@ def test_a_sub_box_keeps_passes_and_first_failures_inside_it(index):
     _, _, _, _, box, subs, _, _ = CASES[index]
     for sub in subs:
         inside = VerifyBox.parse(sub)
-        for kind in CHECKS:
+        for kind in CHECK_KINDS:
             base, got = _base(index, kind), _base(index, kind, sub)
             if "error" in base:
                 continue

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 import oracles
 from extreal import ExtReal
 from termcert import InputError
-from termcert.certificates import (CertPiece, Certificate, CertificateError, CertParams,
-                                   parse_certificate)
+from termcert.certificates import (CHECK_KINDS, CertPiece, Certificate, CertificateError,
+                                   CertParams, parse_certificate)
 from termcert.cfg import build_cfg, theta_fixpoint
-from termcert.checker import VerifyBox, check_cdb, check_db, check_ranking, check_super
+from termcert.checker import VerifyBox, run_check
 from termcert.distributions import (DiscreteDist, DistributionError, SamplingFunction,
                                     parse_distributions)
 from termcert.lang import (
@@ -200,7 +200,7 @@ def test_expected_decrease_is_monotone_in_eps(seed):
     cert = rand_certificate(seed ^ 0x9E3779B9, cfg)
     sf = make_sampling_function()
     verdicts = [
-        check_ranking(cert, cfg, sf, BOX, eps=eps).passed
+        run_check("ranking", cert, cfg, sf, BOX, CertParams(eps=eps)).passed
         for eps in (Fraction(2), Fraction(1), Fraction(1, 2))
     ]
     # passing at a larger decrease implies passing at every smaller one
@@ -215,8 +215,8 @@ def test_per_outcome_cap_implies_expected_caps(seed, zeta_num):
     cert = rand_certificate(seed ^ 0x51A3B2C1, cfg)
     sf = make_sampling_function()
     zeta = Fraction(zeta_num)
-    if check_db(cert, cfg, sf, BOX, zeta=zeta).passed:
-        assert check_cdb(cert, cfg, sf, BOX, delta=zeta, zeta=zeta).passed
+    if run_check("db", cert, cfg, sf, BOX, CertParams(zeta=zeta)).passed:
+        assert run_check("cdb", cert, cfg, sf, BOX, CertParams(delta=zeta, zeta=zeta)).passed
 
 
 @settings(max_examples=1000)
@@ -387,14 +387,16 @@ def rand_program_with_every_label_class(seed: int) -> Program:
     )))
 
 
-CHECKS = {
-    "ranking": lambda cert, cfg, sf, p: check_ranking(cert, cfg, sf, BOX, eps=p["eps"]),
-    "cdb": lambda cert, cfg, sf, p: check_cdb(cert, cfg, sf, BOX, delta=p["delta"],
-                                              zeta=p["zeta"]),
-    "db": lambda cert, cfg, sf, p: check_db(cert, cfg, sf, BOX, zeta=p["zeta"]),
-    "super": lambda cert, cfg, sf, p: check_super(cert, cfg, sf, BOX, delta=p["delta"],
-                                                  zeta=p["zeta"]),
-}
+OVERRIDDEN = {"ranking": ("eps",), "cdb": ("delta", "zeta"), "db": ("zeta",),
+              "super": ("delta", "zeta")}  # the parameters each family's cases override
+
+
+def check_overriding(kind, cert, cfg, sf, box, p, workers=1):
+    """`run_check` of `kind`, with the overrides in `p` that `OVERRIDDEN` names."""
+    return run_check(kind, cert, cfg, sf, box,
+                     CertParams(**{n: p[n] for n in OVERRIDDEN[kind] if n in p}), workers)
+
+
 RATIONALS = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
                              Fraction(4), Fraction(13, 3)])
 
@@ -417,10 +419,10 @@ def test_checker_conditions_match_the_oracle(seed, certs, eps, delta, zeta):
     })
     params = {"eps": eps, "delta": delta, "zeta": zeta}
     intervals = {name: BOX.interval(name) for name in PVARS}
-    for kind, check in CHECKS.items():
+    for kind in CHECK_KINDS:
         expected = oracles.check_report(kind, params, cert, cfg, sf, intervals)
         try:
-            report = check(cert, cfg, sf, params).to_json_dict()
+            report = check_overriding(kind, cert, cfg, sf, BOX, params).to_json_dict()
         except (EvalError, CertificateError) as exc:
             assert type(exc) is expected, (kind, exc)
             continue

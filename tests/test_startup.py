@@ -223,10 +223,10 @@ def test_importing_the_package_and_the_cli_loads_no_other_module():
 
 
 def test_each_command_loads_only_the_modules_it_runs():
-    parse, cfg, check, check_cdb, bounds, simulate, lab = map(termcert_modules, README_COMMANDS)
+    parse, cfg, ranking, cdb, bounds, simulate, lab = map(termcert_modules, README_COMMANDS)
     assert not parse & {"cfg", "_compile", "checker", "semantics", "bounds", "lab"}
     assert not cfg & {"_compile", "certificates", "checker", "semantics", "bounds", "lab"}
-    for checked in (check, check_cdb):
+    for checked in (ranking, cdb):
         assert "checker" in checked and not checked & {"semantics", "bounds", "lab"}
     assert "bounds" in bounds and not bounds & {"checker", "semantics", "lab"}
     assert "semantics" in simulate and not simulate & {"checker", "bounds", "lab"}
